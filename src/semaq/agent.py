@@ -310,7 +310,6 @@ def _tool_run_pipeline(env: ToolEnv, args: dict) -> str:
         raise ValidationError("; ".join(d.message for d in diagnostics))
     chosen, opt_report = optimize(plan, target, env.models, env.policy,
                                   env.sample_size, env.backend,
-                                  pool_width=env.run_policy.pool_width,
                                   run_policy=env.run_policy)
     out_ctx, report = pipeline_execute(chosen, target, env.backend,
                                        policy=env.run_policy)
@@ -424,6 +423,12 @@ class AgentRuntime:
             registry[tool.name] = tool
         return registry
 
+    def _env(self, ctx: Context) -> ToolEnv:
+        return ToolEnv(ctx=ctx, backend=self.backend, store=self.store,
+                       models=self.models, policy=self.policy,
+                       sample_size=self.sample_size, run_policy=self.run_policy,
+                       refs={"ctx": ctx, **self.refs})
+
     def run(self, instruction: str, ctx: Context, config: AgentConfig,
             env: ToolEnv | None = None) -> AgentTrace:
         """Drive the action loop until final answer, step limit, or abort."""
@@ -431,10 +436,7 @@ class AgentRuntime:
             raise ValidationError("instruction must be non-empty")
         registry = self._registry(ctx)
         if env is None:
-            env = ToolEnv(ctx=ctx, backend=self.backend, store=self.store,
-                          models=self.models, policy=self.policy,
-                          sample_size=self.sample_size, run_policy=self.run_policy,
-                          refs={"ctx": ctx, **self.refs})
+            env = self._env(ctx)
         trace = AgentTrace(instruction=instruction, model_id=config.model.model_id)
         messages: list[ChatMessage] = [
             ChatMessage("system", render_system_prompt(ctx, tuple(registry.values()))),
@@ -524,10 +526,7 @@ class AgentRuntime:
     def compute(self, ctx: Context, instruction: str,
                 config: AgentConfig) -> ComputeResult:
         """Run the agent to a final answer and derive an answer context."""
-        env = ToolEnv(ctx=ctx, backend=self.backend, store=self.store,
-                      models=self.models, policy=self.policy,
-                      sample_size=self.sample_size, run_policy=self.run_policy,
-                      refs={"ctx": ctx, **self.refs})
+        env = self._env(ctx)
         trace = self.run(instruction, ctx, config, env=env)
         if trace.outcome != "answered":
             reason = trace.abort_reason or trace.outcome
@@ -554,10 +553,7 @@ class AgentRuntime:
     def search(self, ctx: Context, instruction: str,
                config: AgentConfig) -> SearchResult:
         """Run the agent to gather findings; step-limit yields a partial context."""
-        env = ToolEnv(ctx=ctx, backend=self.backend, store=self.store,
-                      models=self.models, policy=self.policy,
-                      sample_size=self.sample_size, run_policy=self.run_policy,
-                      refs={"ctx": ctx, **self.refs})
+        env = self._env(ctx)
         trace = self.run(instruction, ctx, config, env=env)
         if trace.outcome == "aborted":
             raise SearchError(

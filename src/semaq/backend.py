@@ -200,14 +200,12 @@ class UsageLedger:
             rows = []
             for model_id in sorted(self._models):
                 c = self._models[model_id]
-                cost = (c.input_tokens / 1000.0 * c.spec.input_cost_per_1k
-                        + c.output_tokens / 1000.0 * c.spec.output_cost_per_1k)
                 rows.append(ModelTotals(
                     model_id=model_id,
                     calls=c.calls,
                     input_tokens=c.input_tokens,
                     output_tokens=c.output_tokens,
-                    cost=cost,
+                    cost=call_cost(c.spec, Usage(c.input_tokens, c.output_tokens)),
                     wall_seconds=c.wall_seconds,
                 ))
             return LedgerSnapshot(per_model=tuple(rows))
@@ -429,7 +427,12 @@ class HttpBackend:
             if resp.status_code >= 400:
                 raise BackendError(
                     f"provider error {resp.status_code} for {path}: {resp.text[:500]}")
-            return resp.json()
+            try:
+                return resp.json()
+            except ValueError as exc:
+                raise BackendError(
+                    f"provider returned a non-JSON body for {path}: "
+                    f"{resp.text[:500]}") from exc
         raise RetryableBackendError(
             f"gave up on {path} after {self.max_attempts} attempts: {last_error}")
 

@@ -196,12 +196,6 @@ def _playback(steps) -> list[MockRule]:
             for doc in steps]
 
 
-def _require_mock(backend) -> None:
-    if not isinstance(backend, MockBackend):
-        raise ConfigurationError(
-            "benchmark results are only defined under the deterministic mock backend")
-
-
 def _semantic_call_count(snapshot: LedgerSnapshot) -> int:
     return sum(snapshot.for_model(mid).calls for mid in OP_MODEL_IDS)
 
@@ -270,7 +264,6 @@ def run_email_prototype(corpus: EmailCorpus) -> StrategyOutcome:
     """Optimized pipeline: filter on the deal predicate, then on the loss
     predicate.  The second filter only sees first-filter survivors."""
     backend = MockBackend(MockScript(build_email_op_rules()), BENCH_CATALOG)
-    _require_mock(backend)
     ctx = _email_context(corpus, backend)
     plan = parse_pipeline(
         f'scan(emails) | sem_filter("{PREDICATE_DEAL}") '
@@ -338,7 +331,6 @@ def run_email_agent_semantic(corpus: EmailCorpus) -> StrategyOutcome:
     ]
     backend = MockBackend(MockScript(_playback(steps) + build_email_op_rules()),
                           BENCH_CATALOG)
-    _require_mock(backend)
     ctx = _email_context(corpus, backend, tools=_SWEEP_TOOLS)
     runtime = AgentRuntime(backend, models=(BENCH_CATALOG["op-strong"],))
     trace = runtime.run(EMAIL_TASK, ctx,
@@ -369,7 +361,6 @@ def run_email_agent_basic(corpus: EmailCorpus) -> StrategyOutcome:
              "value": guesses}},
     ]
     backend = MockBackend(MockScript(_playback(steps)), BENCH_CATALOG)
-    _require_mock(backend)
     ctx = _email_context(corpus, backend)
     runtime = AgentRuntime(backend)
     trace = runtime.run(EMAIL_TASK, ctx,
@@ -503,7 +494,6 @@ def run_ratio_agent_compute(corpus: StatsCorpus) -> StrategyOutcome:
     backend = MockBackend(
         MockScript(_playback(steps) + build_stats_op_rules(corpus)),
         BENCH_CATALOG)
-    _require_mock(backend)
     ctx = _stats_context(corpus, backend)
     runtime = AgentRuntime(backend, models=_op_models(),
                            policy=MinCost(quality_floor=0.0), sample_size=0,
@@ -523,7 +513,6 @@ def run_ratio_semantic_only(corpus: StatsCorpus) -> StrategyOutcome:
     """Extraction over every file with no agent step afterwards: the errant
     draft contributes a second 2001 count, leaving two candidate ratios."""
     backend = MockBackend(MockScript(build_stats_op_rules(corpus)), BENCH_CATALOG)
-    _require_mock(backend)
     ctx = _stats_context(corpus, backend)
     plan = parse_pipeline(
         f'scan(stats) | sem_map("{MAP_STATS}", {{year: text, count: number}})')
@@ -611,13 +600,8 @@ class BenchSummary:
 
 
 def run_experiment(scenario: str, seed: int = 7, n: int = 250,
-                   rho: float = 0.156, live: bool = False) -> ScenarioResult:
-    """Run one scenario end to end.  Only the deterministic mock backend
-    yields meaningful numbers, so a live run is refused outright."""
-    if live:
-        raise ConfigurationError(
-            "benchmark results are only defined under the deterministic "
-            "mock backend; a live provider run is refused")
+                   rho: float = 0.156) -> ScenarioResult:
+    """Run one scenario end to end under the deterministic mock backend."""
     if scenario == "email":
         corpus = gen_email_corpus(seed, n, rho)
         strategies = [

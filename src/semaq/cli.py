@@ -269,7 +269,7 @@ def cmd_pipeline(args) -> int:
     run_policy = RunPolicy(pool_width=cfg.pool_width)
     chosen, opt_report = optimize(
         plan, ctx, list(backend.catalog.values()), cfg.policy, sample, backend,
-        pool_width=cfg.pool_width, run_policy=run_policy)
+        run_policy=run_policy)
     if args.explain:
         print(opt_report.render_text())
         return 0
@@ -385,7 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mock-script", help="scripted mock backend (JSON rules)")
     parser.add_argument("--catalog", help="model catalog JSON file")
     parser.add_argument("--cache-dir", help="context store directory")
-    parser.add_argument("--pool-width", type=int, help="worker pool width")
+    parser.add_argument("--pool-width", type=int,
+                        help="max in-flight model calls per semantic operator "
+                             "(k semantic operators: up to k x this many)")
     parser.add_argument("-v", "--verbose", action="store_true")
 
     sub = parser.add_subparsers(dest="command", required=True)

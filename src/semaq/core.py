@@ -124,9 +124,14 @@ def record_from_json(line: str, origin: str = "") -> Record:
         raise ValidationError("record line must be a JSON object")
     if "fields" in doc and isinstance(doc.get("fields"), dict):
         lineage = None
-        if doc.get("lineage"):
-            lineage = RecordLineage(parents=tuple(doc["lineage"]["parents"]),
-                                    operator=doc["lineage"]["operator"])
+        raw = doc.get("lineage")
+        if raw:
+            if not (isinstance(raw, dict) and isinstance(raw.get("parents"), list)
+                    and isinstance(raw.get("operator"), str)):
+                raise ValidationError(
+                    "record lineage must be {parents: list, operator: str}")
+            lineage = RecordLineage(parents=tuple(raw["parents"]),
+                                    operator=raw["operator"])
         rec_id = doc.get("id") or source_record_id(doc["fields"], origin)
         return Record(id=rec_id, fields=doc["fields"], lineage=lineage)
     return make_source_record(doc, origin)
@@ -318,33 +323,31 @@ class VectorIndex:
     """Exact nearest-neighbor index over a record snapshot.
 
     Search is an exhaustive scan: scores are cosine similarity mapped to
-    [0, 1], ties broken by ascending record id.  Lookup is by record key
-    (the record id unless a key function says otherwise).
+    [0, 1], ties broken by ascending record id.  Lookup is by record id.
     """
 
     def __init__(self, records: Sequence[Record], vectors: np.ndarray,
-                 keys: Sequence[str], embed: Callable[[str], np.ndarray]):
+                 embed: Callable[[str], np.ndarray]):
         self._records = tuple(records)
         self._vectors = vectors
-        self._by_key = {k: r for k, r in zip(keys, records)}
+        self._by_id = {r.id: r for r in self._records}
         self._embed = embed
 
     @classmethod
-    def build(cls, records: Iterable[Record], embed: Callable[[str], np.ndarray],
-              text_of: Callable[[Record], str] = record_text,
-              key_of: Callable[[Record], str] = lambda r: r.id) -> "VectorIndex":
+    def build(cls, records: Iterable[Record],
+              embed: Callable[[str], np.ndarray]) -> "VectorIndex":
         recs = tuple(records)
         if recs:
-            vectors = np.stack([embed(text_of(r)) for r in recs])
+            vectors = np.stack([embed(record_text(r)) for r in recs])
         else:
             vectors = np.zeros((0, 0))
-        return cls(recs, vectors, [key_of(r) for r in recs], embed)
+        return cls(recs, vectors, embed)
 
     def __len__(self) -> int:
         return len(self._records)
 
     def lookup(self, key: str) -> Record | None:
-        return self._by_key.get(key)
+        return self._by_id.get(key)
 
     def topk(self, query: str, k: int) -> list[tuple[Record, float]]:
         if not self._records:

@@ -30,17 +30,15 @@ from .lang import (Compute, Limit, LogicalOp, LogicalPlan, Project, Scan, Search
 
 logger = logging.getLogger(__name__)
 
-PROMPT_STRATEGIES = ("v1",)
 DEFAULT_FIELD_CHAR_CAP = 4000
 
 
 @dataclass(frozen=True)
 class PhysicalOp:
-    """A logical operator bound to a model and prompt strategy."""
+    """A logical operator bound to a model."""
 
     logical: LogicalOp
     model: ModelSpec | None = None
-    prompt_strategy: str = "v1"
     retry_budget: int = 1
 
     def __post_init__(self):
@@ -50,9 +48,6 @@ class PhysicalOp:
         if not is_semantic(self.logical) and self.model is not None:
             raise ValidationError(
                 f"{type(self.logical).__name__} does not take a model")
-        if self.prompt_strategy not in PROMPT_STRATEGIES:
-            raise ValidationError(
-                f"unknown prompt strategy {self.prompt_strategy!r}")
         if self.retry_budget < 0:
             raise ValidationError("retry budget must be >= 0")
 
@@ -69,21 +64,14 @@ class PhysicalPlan:
 
 
 def bind_plan(plan: LogicalPlan, models: dict[int, ModelSpec],
-              retry_budget: int = 1, prompt_strategy: str = "v1") -> PhysicalPlan:
+              retry_budget: int = 1) -> PhysicalPlan:
     """Bind each semantic operator position in ``plan`` to a model."""
     ops = []
     for i, op in enumerate(plan.ops):
-        if is_semantic(op):
-            spec = models.get(i)
-            if spec is None:
-                raise ValidationError(f"no model bound for semantic op at {i}")
-            ops.append(PhysicalOp(logical=op, model=spec,
-                                  prompt_strategy=prompt_strategy,
-                                  retry_budget=retry_budget))
-        else:
-            ops.append(PhysicalOp(logical=op, model=None,
-                                  prompt_strategy=prompt_strategy,
-                                  retry_budget=retry_budget))
+        spec = models.get(i) if is_semantic(op) else None
+        if is_semantic(op) and spec is None:
+            raise ValidationError(f"no model bound for semantic op at {i}")
+        ops.append(PhysicalOp(logical=op, model=spec, retry_budget=retry_budget))
     binding = ",".join(f"{i}={op.model.model_id}" for i, op in enumerate(ops)
                        if op.model is not None)
     plan_id = "pp-" + hashlib.sha256(
@@ -93,12 +81,17 @@ def bind_plan(plan: LogicalPlan, models: dict[int, ModelSpec],
 
 @dataclass(frozen=True)
 class RunPolicy:
-    """Failure handling and parallelism knobs for one pipeline run."""
+    """Failure handling and parallelism knobs for one pipeline run.
+
+    ``pool_width`` bounds the in-flight model calls of each semantic
+    operator separately: every sem_filter and sem_map stage has its own
+    pool, so a pipeline with k semantic operators can have up to
+    k * ``pool_width`` calls in flight at once.
+    """
 
     on_error: str = "drop"  # drop | abort
     failure_budget: float = 0.05  # allowed failures as a fraction of input
     pool_width: int = 8
-    field_char_cap: int = DEFAULT_FIELD_CHAR_CAP
 
     def __post_init__(self):
         if self.on_error not in ("drop", "abort"):
@@ -109,7 +102,7 @@ class RunPolicy:
             raise ValidationError("pool_width must be >= 1")
 
 
-# --- prompts (strategy v1) ---------------------------------------------------
+# --- prompts -------------------------------------------------------------------
 
 def _render_fields(record: Record, cap: int) -> str:
     lines = []
@@ -246,61 +239,64 @@ def parse_map_response(text: str,
 
 # --- single-record operator execution ----------------------------------------
 
+def _ask(backend, model: ModelSpec, messages: list[ChatMessage],
+         parse: Callable[[str], object], reask_msg: ChatMessage,
+         retry_budget: int) -> tuple[object, Usage, int, str]:
+    """Chat until ``parse`` returns a value other than None, re-asking with
+    ``reask_msg`` up to ``retry_budget`` times.
+
+    Returns (parsed value or None, summed usage, calls made, last reply).
+    """
+    in_toks = out_toks = 0
+    for calls in range(1, retry_budget + 2):
+        exchange = backend.chat(model.model_id, messages, temperature=0.0)
+        in_toks += exchange.usage.input_tokens
+        out_toks += exchange.usage.output_tokens
+        parsed = parse(exchange.response)
+        if parsed is not None:
+            break
+        messages = messages + [ChatMessage("assistant", exchange.response), reask_msg]
+    return parsed, Usage(in_toks, out_toks), calls, exchange.response
+
+
 def sem_filter_execute(backend, model: ModelSpec, record: Record, predicate: str,
-                       *, retry_budget: int = 1,
-                       field_char_cap: int = DEFAULT_FIELD_CHAR_CAP) -> tuple[bool, Usage, int]:
+                       *, retry_budget: int = 1) -> tuple[bool, Usage, int]:
     """Ask the model whether ``record`` satisfies ``predicate``.
 
     Returns (verdict, summed usage, calls made).  An unparseable response is
     re-asked up to ``retry_budget`` times before raising
     :class:`OperatorError`.
     """
-    messages = render_filter_prompt(record, predicate, field_char_cap)
-    in_toks = out_toks = calls = 0
-    last = ""
-    for attempt in range(retry_budget + 1):
-        exchange = backend.chat(model.model_id, messages, temperature=0.0)
-        calls += 1
-        in_toks += exchange.usage.input_tokens
-        out_toks += exchange.usage.output_tokens
-        last = exchange.response
-        verdict = parse_filter_response(exchange.response)
-        if verdict is not None:
-            return verdict, Usage(in_toks, out_toks), calls
-        messages = messages + [ChatMessage("assistant", exchange.response), _REASK_FILTER]
-    raise OperatorError(
-        f"filter response unparseable after {calls} attempt(s) on record {record.id}",
-        raw_response=last, input_tokens=in_toks, output_tokens=out_toks, calls=calls)
+    verdict, usage, calls, last = _ask(
+        backend, model, render_filter_prompt(record, predicate),
+        parse_filter_response, _REASK_FILTER, retry_budget)
+    if verdict is None:
+        raise OperatorError(
+            f"filter response unparseable after {calls} attempt(s) on record {record.id}",
+            raw_response=last, input_tokens=usage.input_tokens,
+            output_tokens=usage.output_tokens, calls=calls)
+    return verdict, usage, calls
 
 
 def sem_map_execute(backend, model: ModelSpec, record: Record, instruction: str,
                     output_fields: Sequence[tuple[str, str]], operator_id: str,
-                    *, retry_budget: int = 1,
-                    field_char_cap: int = DEFAULT_FIELD_CHAR_CAP) -> tuple[Record, Usage, int]:
+                    *, retry_budget: int = 1) -> tuple[Record, Usage, int]:
     """Derive new fields for ``record``; returns (merged record, usage, calls).
 
     Input fields are preserved; output fields are added (overwriting on name
     collision).  The merged record gets a fresh lineage-bearing id.
     """
-    messages = render_map_prompt(record, instruction, output_fields, field_char_cap)
-    in_toks = out_toks = calls = 0
-    last = ""
-    for attempt in range(retry_budget + 1):
-        exchange = backend.chat(model.model_id, messages, temperature=0.0)
-        calls += 1
-        in_toks += exchange.usage.input_tokens
-        out_toks += exchange.usage.output_tokens
-        last = exchange.response
-        outputs = parse_map_response(exchange.response, output_fields)
-        if outputs is not None:
-            fields = dict(record.fields)
-            fields.update(outputs)
-            merged = make_derived_record(fields, [record.id], operator_id)
-            return merged, Usage(in_toks, out_toks), calls
-        messages = messages + [ChatMessage("assistant", exchange.response), _REASK_MAP]
-    raise OperatorError(
-        f"map response missing fields after {calls} attempt(s) on record {record.id}",
-        raw_response=last, input_tokens=in_toks, output_tokens=out_toks, calls=calls)
+    outputs, usage, calls, last = _ask(
+        backend, model, render_map_prompt(record, instruction, output_fields),
+        lambda text: parse_map_response(text, output_fields), _REASK_MAP,
+        retry_budget)
+    if outputs is None:
+        raise OperatorError(
+            f"map response missing fields after {calls} attempt(s) on record {record.id}",
+            raw_response=last, input_tokens=usage.input_tokens,
+            output_tokens=usage.output_tokens, calls=calls)
+    merged = make_derived_record({**record.fields, **outputs}, [record.id], operator_id)
+    return merged, usage, calls
 
 
 # --- reports ------------------------------------------------------------------
@@ -476,53 +472,22 @@ def _ordered_pool_map(fn, items: Iterator, width: int, on_result=None) -> Iterat
                     on_result(result)
 
 
-def _filter_stage(upstream: Iterator[Record], pop: PhysicalOp, row: OpReport,
-                  backend, policy: RunPolicy, failures: _FailureTracker) -> Iterator[Record]:
-    op: SemFilter = pop.logical  # type: ignore[assignment]
+def _semantic_stage(upstream: Iterator[Record], pop: PhysicalOp, row: OpReport,
+                    backend, policy: RunPolicy, failures: _FailureTracker,
+                    operator_id: str) -> Iterator[Record]:
+    op = pop.logical
 
     def work(record: Record):
+        # (output record or None when a filter rejects, usage, calls, error)
         try:
-            verdict, usage, calls = sem_filter_execute(
-                backend, pop.model, record, op.predicate,
-                retry_budget=pop.retry_budget, field_char_cap=policy.field_char_cap)
-            return record, verdict, usage, calls, None
-        except OperatorError as exc:
-            return record, False, Usage(exc.input_tokens, exc.output_tokens), exc.calls, exc
-
-    def account(result):
-        _, _, usage, calls, error = result
-        row.records_in += 1
-        row.calls += calls
-        row.input_tokens += usage.input_tokens
-        row.output_tokens += usage.output_tokens
-        row.wall_seconds += calls * pop.model.latency_prior
-        if error is not None:
-            row.failures += 1
-
-    results = _ordered_pool_map(work, upstream, policy.pool_width, account)
-    try:
-        for record, verdict, usage, calls, error in results:
-            if error is not None:
-                failures.register(error)
-                continue
-            if verdict:
-                row.records_out += 1
-                yield record
-    finally:
-        results.close()
-
-
-def _map_stage(upstream: Iterator[Record], pop: PhysicalOp, row: OpReport,
-               backend, policy: RunPolicy, failures: _FailureTracker,
-               operator_id: str) -> Iterator[Record]:
-    op: SemMap = pop.logical  # type: ignore[assignment]
-
-    def work(record: Record):
-        try:
+            if isinstance(op, SemFilter):
+                verdict, usage, calls = sem_filter_execute(
+                    backend, pop.model, record, op.predicate,
+                    retry_budget=pop.retry_budget)
+                return (record if verdict else None), usage, calls, None
             merged, usage, calls = sem_map_execute(
                 backend, pop.model, record, op.instruction, op.output_fields,
-                operator_id, retry_budget=pop.retry_budget,
-                field_char_cap=policy.field_char_cap)
+                operator_id, retry_budget=pop.retry_budget)
             return merged, usage, calls, None
         except OperatorError as exc:
             return None, Usage(exc.input_tokens, exc.output_tokens), exc.calls, exc
@@ -539,12 +504,12 @@ def _map_stage(upstream: Iterator[Record], pop: PhysicalOp, row: OpReport,
 
     results = _ordered_pool_map(work, upstream, policy.pool_width, account)
     try:
-        for merged, usage, calls, error in results:
+        for out, _, _, error in results:
             if error is not None:
                 failures.register(error)
-                continue
-            row.records_out += 1
-            yield merged
+            elif out is not None:
+                row.records_out += 1
+                yield out
     finally:
         results.close()
 
@@ -602,15 +567,13 @@ def pipeline_execute(pplan: PhysicalPlan, ctx: Context, backend,
     for i, pop in enumerate(pplan.ops[1:], start=1):
         op = pop.logical
         operator_id = f"{pplan.plan_id}#op{i}"
-        if isinstance(op, SemFilter):
-            row = OpReport(index=i, kind="sem_filter", detail=op.predicate,
+        if isinstance(op, (SemFilter, SemMap)):
+            is_filter = isinstance(op, SemFilter)
+            row = OpReport(index=i, kind="sem_filter" if is_filter else "sem_map",
+                           detail=op.predicate if is_filter else op.instruction,
                            model_id=pop.model.model_id)
-            stream = _filter_stage(stream, pop, row, backend, policy, failures)
-        elif isinstance(op, SemMap):
-            row = OpReport(index=i, kind="sem_map", detail=op.instruction,
-                           model_id=pop.model.model_id)
-            stream = _map_stage(stream, pop, row, backend, policy, failures,
-                                operator_id)
+            stream = _semantic_stage(stream, pop, row, backend, policy, failures,
+                                     operator_id)
         elif isinstance(op, Project):
             row = OpReport(index=i, kind="project", detail=", ".join(op.fields))
             stream = _project_stage(stream, op, row, operator_id)
@@ -662,8 +625,7 @@ def pipeline_execute(pplan: PhysicalPlan, ctx: Context, backend,
     # cost per semantic op from its integer token totals
     for pop, row in zip(pplan.ops, rows):
         if pop.model is not None and row.kind in ("sem_filter", "sem_map"):
-            row.cost = (row.input_tokens / 1000.0 * pop.model.input_cost_per_1k
-                        + row.output_tokens / 1000.0 * pop.model.output_cost_per_1k)
+            row.cost = call_cost(pop.model, Usage(row.input_tokens, row.output_tokens))
 
     n_in, n_out = len(ctx.source), len(out_records)
     description = (ctx.description

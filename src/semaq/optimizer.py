@@ -16,7 +16,7 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .backend import ModelSpec
+from .backend import ModelSpec, Usage, call_cost
 from .core import Context, context_iterate
 from .engine import (PhysicalPlan, RunPolicy, bind_plan, sem_filter_execute,
                      sem_map_execute)
@@ -95,8 +95,7 @@ def prior_stats(plan: LogicalPlan, models: Sequence[ModelSpec],
                 entries[(idx, model.model_id)] = _agentic_entry(model)
                 continue
             out_toks = NOMINAL_OUTPUT_TOKENS["filter" if isinstance(op, SemFilter) else "map"]
-            cost = (NOMINAL_INPUT_TOKENS / 1000.0 * model.input_cost_per_1k
-                    + out_toks / 1000.0 * model.output_cost_per_1k)
+            cost = call_cost(model, Usage(NOMINAL_INPUT_TOKENS, out_toks))
             entries[(idx, model.model_id)] = StatsEntry(
                 selectivity=default_selectivity if isinstance(op, SemFilter) else None,
                 quality=model.quality_prior,
@@ -109,8 +108,8 @@ def prior_stats(plan: LogicalPlan, models: Sequence[ModelSpec],
 
 def sample_stats(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
                  sample_size: int, backend,
-                 labels: Mapping[int, Mapping[str, object]] | None = None,
-                 run_policy: RunPolicy | None = None) -> OperatorStats:
+                 labels: Mapping[int, Mapping[str, object]] | None = None
+                 ) -> OperatorStats:
     """Measure selectivity, cost, and latency on a uniform sample.
 
     Each semantic operator runs over the first ``min(sample_size, N)`` source
@@ -120,7 +119,6 @@ def sample_stats(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
     """
     if sample_size < 1:
         raise ValidationError("sample_size must be >= 1")
-    run_policy = run_policy or RunPolicy()
     records = list(itertools.islice(context_iterate(ctx), sample_size))
     if not records:
         raise StatsError(f"context {ctx.id} yields no records to sample")
@@ -140,8 +138,7 @@ def sample_stats(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
                 try:
                     if isinstance(op, SemFilter):
                         verdict, _, _ = sem_filter_execute(
-                            backend, model, record, op.predicate, retry_budget=0,
-                            field_char_cap=run_policy.field_char_cap)
+                            backend, model, record, op.predicate, retry_budget=0)
                         if verdict:
                             passes += 1
                         if op_labels is not None and op_labels.get(record.id) == verdict:
@@ -149,8 +146,7 @@ def sample_stats(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
                     else:
                         merged, _, _ = sem_map_execute(
                             backend, model, record, op.instruction,
-                            op.output_fields, f"sample#{idx}", retry_budget=0,
-                            field_char_cap=run_policy.field_char_cap)
+                            op.output_fields, f"sample#{idx}", retry_budget=0)
                         if op_labels is not None:
                             expected = op_labels.get(record.id)
                             got = {name: merged.fields.get(name)
@@ -390,7 +386,6 @@ class OptimizerReport:
 
 def optimize(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
              policy: Policy, sample_size: int, backend,
-             pool_width: int = 8,
              labels: Mapping[int, Mapping[str, object]] | None = None,
              run_policy: RunPolicy | None = None
              ) -> tuple[PhysicalPlan, OptimizerReport]:
@@ -398,15 +393,16 @@ def optimize(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
 
     ``sample_size=0`` takes the zero-call path: statistics come from model
     priors and nominal token counts, so planning makes no model calls.
+    Latency estimates divide across ``run_policy.pool_width`` workers.
     """
     from .lang import print_pipeline
 
     if sample_size >= 1:
-        stats = sample_stats(plan, ctx, models, sample_size, backend,
-                             labels=labels, run_policy=run_policy)
+        stats = sample_stats(plan, ctx, models, sample_size, backend, labels=labels)
     else:
         stats = prior_stats(plan, models)
     n = len(ctx.source)
+    pool_width = (run_policy or RunPolicy()).pool_width
     candidates = enumerate_physical_plans(plan, models)
     estimates = [estimate(c, stats, n, pool_width) for c in candidates]
     chosen = choose_plan(candidates, estimates, policy)

@@ -140,11 +140,12 @@ def test_hashing_embed_properties():
 class _FakeResponse:
     def __init__(self, status_code, doc=None, text=""):
         self.status_code = status_code
-        self._doc = doc or {}
+        self._doc = doc
         self.text = text
 
     def json(self):
-        return self._doc
+        # like requests: a body given only as text is decoded on demand
+        return self._doc if self._doc is not None else json.loads(self.text)
 
 
 class _FakeSession:
@@ -233,6 +234,9 @@ def test_http_client_error_is_fatal(catalog):
 def test_http_malformed_response(catalog):
     session = _FakeSession([_FakeResponse(200, {"choices": []})])
     with pytest.raises(BackendError):
+        _http(catalog, session).chat("cheap", [ChatMessage("user", "x")])
+    session = _FakeSession([_FakeResponse(200, text="<html>gateway</html>")])
+    with pytest.raises(BackendError, match="non-JSON"):
         _http(catalog, session).chat("cheap", [ChatMessage("user", "x")])
 
 

@@ -78,6 +78,11 @@ def test_load_dataset_jsonl(tmp_path):
     file.write_text('{"text": "ok"}\nnot json\n', encoding="utf-8")
     with pytest.raises(DataAccessError, match=":2:"):
         load_dataset_jsonl(file)
+    file.write_text('{"text": "ok"}\n'
+                    '{"fields": {"text": "x"}, "lineage": {"parents": ["r1"]}}\n',
+                    encoding="utf-8")
+    with pytest.raises(DataAccessError, match=":2:.*lineage"):
+        load_dataset_jsonl(file)
     with pytest.raises(DataAccessError):
         load_dataset_jsonl(tmp_path / "missing.jsonl")
 

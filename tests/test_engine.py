@@ -185,15 +185,30 @@ def test_output_order_preserved_under_parallelism(mk_backend):
 
 def test_parallel_run_ledger_identical_to_sequential(mk_backend):
     records = _numbered(30, lambda i: "pick" if i % 3 == 0 else "")
-    snapshots = []
+    runs = []
     for width in (1, 8):
-        backend = mk_backend(("INSTRUCTION", "tag: x"), ("pick", "yes"),
+        # record 003's map reply never parses: it is dropped within budget
+        backend = mk_backend((r"INSTRUCTION[\s\S]*record 003", "no idea", "regex"),
+                             ("INSTRUCTION", "tag: x"), ("pick", "yes"),
                              ("PREDICATE", "no"))
         pplan = _bind('scan(d) | sem_filter("p") | sem_map("m", {tag: text})')
-        pipeline_execute(pplan, _ctx(records), backend,
-                         policy=RunPolicy(pool_width=width))
-        snapshots.append(backend.ledger.snapshot().to_json())
-    assert snapshots[0] == snapshots[1]
+        before = backend.ledger.snapshot()
+        out_ctx, report = pipeline_execute(pplan, _ctx(records), backend,
+                                           policy=RunPolicy(pool_width=width))
+        delta = backend.ledger.snapshot().minus(before)
+        assert report.total_failures == 1
+        assert report.records_out == 9
+        # 30 filter calls, 10 map calls, 1 re-ask of record 003
+        assert report.total_calls == delta.total_calls == 30 + 10 + 1
+        assert (sum(op.input_tokens for op in report.ops)
+                == sum(m.input_tokens for m in delta.per_model))
+        assert (sum(op.output_tokens for op in report.ops)
+                == sum(m.output_tokens for m in delta.per_model))
+        assert report.total_cost == pytest.approx(delta.total_cost, abs=1e-12)
+        assert report.total_wall_seconds == pytest.approx(delta.total_wall_seconds)
+        runs.append((report.to_json(), [r.id for r in out_ctx.source],
+                     delta.to_json()))
+    assert runs[0] == runs[1]
 
 
 def test_limit_stops_upstream_consumption(mk_backend):
