@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("pipeline_file")
     p_pipe.add_argument("--dataset", required=True)
     p_pipe.add_argument("--explain", action="store_true",
-                        help="print candidate plans and estimates, do not execute")
+                        help="print the frontier plans and estimates, do not execute")
     p_pipe.add_argument("--sample", type=int, default=None,
                         help="sampling size for statistics (0 = priors only)")
     p_pipe.add_argument("--run-dir", help="directory for run artifacts")

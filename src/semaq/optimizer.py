@@ -1,11 +1,22 @@
-"""Cost-based plan selection: sampling, enumeration, estimation, choice.
+"""Cost-based plan selection: sampling, search, estimation, choice.
 
-All semantic operator positions are enumerated over the model catalog
-(cartesian product, so ``len(models) ** n`` candidates).  Estimates propagate
-cardinality through the plan: a filter scales downstream cardinality by its
-observed selectivity, each semantic operator charges its per-record cost on
-the records reaching it, latency divides across the worker pool, and plan
-quality is the product of per-operator quality.
+Estimates propagate cardinality through the plan: a filter scales downstream
+cardinality by its observed selectivity, each semantic operator charges its
+per-record cost on the records reaching it, latency divides across the
+worker pool, and plan quality is the product of per-operator quality.
+
+``optimize`` chooses among the ``len(models) ** n`` model assignments of a
+plan's n semantic operators without binding them all.  A left-to-right
+dynamic program extends every surviving partial assignment by every model,
+one semantic position at a time, and drops a partial assignment when another
+one is no worse on cost, latency, quality and output cardinality.  Every
+statistic is non-negative and every step is monotone in floating point, so
+the dropped one's extensions never beat the same extensions of the one that
+dropped it; they can at most tie it, after rounding or through a zero cost,
+weight or quality.  Only the surviving full assignments (the frontier) are
+bound and estimated, plus any dropped assignment whose policy key ties the
+frontier's best exactly, so ``choose_plan`` makes the same choice, down to
+the plan-id tie-break, as it makes over ``enumerate_physical_plans``.
 """
 
 from __future__ import annotations
@@ -13,8 +24,8 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 from .backend import ModelSpec, Usage, call_cost
 from .core import Context, context_iterate
@@ -22,7 +33,8 @@ from .engine import (PhysicalPlan, RunPolicy, bind_plan, sem_filter_execute,
                      sem_map_execute)
 from .errors import (EstimationError, OperatorError, PolicyInfeasibleError,
                      StatsError, ValidationError)
-from .lang import Limit, LogicalPlan, Scan, SemFilter, SemMap, is_agentic, is_semantic
+from .lang import (Limit, LogicalOp, LogicalPlan, SemFilter, is_agentic,
+                   is_semantic)
 
 logger = logging.getLogger(__name__)
 
@@ -169,13 +181,21 @@ def sample_stats(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
     return OperatorStats(entries)
 
 
+def _require_catalog(positions: Sequence[int], models: Sequence[ModelSpec]) -> None:
+    if positions and not models:
+        raise ValidationError("cannot enumerate plans with an empty catalog")
+
+
 def enumerate_physical_plans(plan: LogicalPlan,
                              models: Sequence[ModelSpec]) -> list[PhysicalPlan]:
     """All model assignments over the plan's semantic positions, in the
-    deterministic order given by the catalog order."""
+    deterministic order given by the catalog order.
+
+    ``optimize`` no longer calls this; it is the brute-force reference the
+    frontier search is tested against.
+    """
     positions = semantic_positions(plan)
-    if positions and not models:
-        raise ValidationError("cannot enumerate plans with an empty catalog")
+    _require_catalog(positions, models)
     candidates = []
     for assignment in itertools.product(models, repeat=len(positions)):
         candidates.append(bind_plan(plan, dict(zip(positions, assignment))))
@@ -202,6 +222,20 @@ class CostEstimate:
         return {"cost": self.cost, "latency": self.latency, "quality": self.quality}
 
 
+def _charge(op: LogicalOp, entry: StatsEntry, card: float,
+            pool_width: int) -> tuple[float, float]:
+    """Cost and latency of one semantic operator reached by ``card`` records."""
+    if is_agentic(op):
+        return entry.cost_per_record, entry.latency_per_record  # charged once per run
+    return card * entry.cost_per_record, card * entry.latency_per_record / pool_width
+
+
+def _card_out(op: LogicalOp, entry: StatsEntry, card: float) -> float:
+    if isinstance(op, SemFilter):
+        return card * (entry.selectivity if entry.selectivity is not None else 1.0)
+    return card
+
+
 def estimate(pplan: PhysicalPlan, stats: OperatorStats, input_cardinality: int,
              pool_width: int = 8) -> CostEstimate:
     """Predict cost, latency, and quality of a bound plan over N records."""
@@ -214,29 +248,133 @@ def estimate(pplan: PhysicalPlan, stats: OperatorStats, input_cardinality: int,
     per_op: list[OpEstimate] = []
     for i, pop in enumerate(pplan.ops):
         op = pop.logical
-        if isinstance(op, Scan):
-            continue
         if isinstance(op, Limit):
             card = min(card, float(op.count))
             continue
         if not is_semantic(op):
             continue
         entry = stats.get(i, pop.model.model_id)
-        if is_agentic(op):
-            op_cost = entry.cost_per_record  # charged once per run
-            op_latency = entry.latency_per_record
-        else:
-            op_cost = card * entry.cost_per_record
-            op_latency = card * entry.latency_per_record / pool_width
+        op_cost, op_latency = _charge(op, entry, card, pool_width)
         cost += op_cost
         latency += op_latency
         quality *= entry.quality
         per_op.append(OpEstimate(index=i, cardinality_in=card, cost=op_cost,
                                  latency=op_latency, quality=entry.quality))
-        if isinstance(op, SemFilter):
-            card *= entry.selectivity if entry.selectivity is not None else 1.0
+        card = _card_out(op, entry, card)
     return CostEstimate(cost=cost, latency=latency, quality=quality,
                         per_op=tuple(per_op))
+
+
+# --- frontier search -----------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Step:
+    """One semantic position: its operator, the limits applied since the
+    previous semantic position, and its statistics under each catalog model."""
+
+    op: LogicalOp
+    limits: tuple[int, ...]
+    entries: tuple[StatsEntry, ...]
+
+
+@dataclass(eq=False)
+class _Partial:
+    """A model (as a catalog index) for each of the first ``len(self.models)``
+    semantic positions, and the estimate accumulated over them with the same
+    float operations, in the same order, as ``estimate``."""
+
+    models: tuple[int, ...]
+    cost: float
+    latency: float
+    quality: float
+    card: float
+    parent: _Partial | None
+    pruned: list[_Partial] = field(default_factory=list)  # the ones it dropped
+
+    def extend(self, step: _Step, m: int, pool_width: int) -> _Partial:
+        card = self.card
+        for count in step.limits:
+            card = min(card, float(count))
+        entry = step.entries[m]
+        op_cost, op_latency = _charge(step.op, entry, card, pool_width)
+        return _Partial(self.models + (m,), self.cost + op_cost,
+                        self.latency + op_latency, self.quality * entry.quality,
+                        _card_out(step.op, entry, card), self)
+
+    def dominates(self, other: _Partial, with_card: bool) -> bool:
+        return (self.cost <= other.cost and self.latency <= other.latency
+                and self.quality >= other.quality
+                and (not with_card or self.card <= other.card))
+
+
+def _steps(plan: LogicalPlan, stats: OperatorStats,
+           models: Sequence[ModelSpec]) -> list[_Step]:
+    steps, limits = [], []
+    for i, op in enumerate(plan.ops):
+        if isinstance(op, Limit):
+            limits.append(op.count)
+        elif is_semantic(op):
+            steps.append(_Step(op, tuple(limits),
+                               tuple(stats.get(i, m.model_id) for m in models)))
+            limits = []
+    return steps
+
+
+def _prune(grown: list[_Partial], with_card: bool) -> list[_Partial]:
+    """The partials no other one dominates.  Each dropped partial is filed
+    under a survivor that dominates it; of equal partials the first in
+    catalog order survives."""
+    survivors: list[_Partial] = []
+    # a partial sorts after every partial that dominates it, except an equal one
+    for p in sorted(grown, key=lambda p: (p.cost, p.latency, -p.quality,
+                                          p.card if with_card else 0.0, p.models)):
+        for s in survivors:
+            if s.dominates(p, with_card):
+                s.pruned.append(p)
+                break
+        else:
+            survivors.append(p)
+    return survivors
+
+
+def _frontier(steps: list[_Step], n_models: int, input_cardinality: int,
+              pool_width: int) -> list[_Partial]:
+    """Full assignments no other full assignment dominates.  Output
+    cardinality only matters while a semantic position remains."""
+    layer = [_Partial((), 0.0, 0.0, 1.0, float(input_cardinality), None)]
+    for depth, step in enumerate(steps):
+        grown = [p.extend(step, m, pool_width) for p in layer for m in range(n_models)]
+        layer = _prune(grown, with_card=depth < len(steps) - 1)
+    return layer
+
+
+def _ties(leaves: list[_Partial], steps: list[_Step], pool_width: int,
+          feasible, key, target) -> list[tuple[int, ...]]:
+    """Dropped full assignments whose estimate is feasible with ``key`` equal
+    to ``target``, given the frontier ``leaves`` that reach it.
+
+    A dropped plan is no better than its dominator followed by the same
+    models, so it reaches ``target`` only if that plan does too.  Walking
+    back from the leaves that reach it, through the partials each of their
+    prefixes dropped, therefore finds every plan that does.
+    """
+    found: list[tuple[int, ...]] = []
+    todo = [(leaf.models, leaf) for leaf in leaves]
+    while todo:
+        full, node = todo.pop()
+        while node is not None:
+            depth = len(node.models)
+            for dropped in node.pruned:
+                tail = dropped
+                for step, m in zip(steps[depth:], full[depth:]):
+                    tail = tail.extend(step, m, pool_width)
+                est = CostEstimate(cost=tail.cost, latency=tail.latency,
+                                   quality=tail.quality)
+                if feasible(est) and key(est) == target:
+                    found.append(tail.models)
+                    todo.append((tail.models, dropped.parent))
+            node = node.parent
+    return found
 
 
 # --- policies -----------------------------------------------------------------
@@ -281,6 +419,22 @@ class Weighted:
 Policy = MinCost | MaxQuality | Weighted
 
 
+def _ranking(policy: Policy):
+    """``(feasible, key)``: under ``policy``, ``choose_plan`` picks the least
+    ``(key(estimate), plan_id)`` among the plans whose estimate is feasible."""
+    if isinstance(policy, MinCost):
+        return (lambda e: e.quality >= policy.quality_floor,
+                lambda e: (e.cost, e.latency))
+    if isinstance(policy, MaxQuality):
+        return (lambda e: e.cost <= policy.cost_budget,
+                lambda e: (-e.quality, e.cost))
+    if isinstance(policy, Weighted):
+        if min(policy.cost_weight, policy.latency_weight, policy.quality_weight) < 0:
+            raise ValidationError("policy weights must be >= 0")
+        return (lambda e: True), (lambda e: (policy.score(e),))
+    raise ValidationError(f"unknown policy {policy!r}")
+
+
 def choose_plan(candidates: Sequence[PhysicalPlan],
                 estimates: Sequence[CostEstimate], policy: Policy) -> PhysicalPlan:
     """Pick the winner under ``policy``.
@@ -294,31 +448,19 @@ def choose_plan(candidates: Sequence[PhysicalPlan],
     if len(candidates) != len(estimates):
         raise ValidationError("candidates and estimates must align")
     pairs = list(zip(candidates, estimates))
-
+    feasible, key = _ranking(policy)
+    admitted = [(p, e) for p, e in pairs if feasible(e)]
+    if admitted:
+        return min(admitted, key=lambda pe: (key(pe[1]), pe[0].plan_id))[0]
     if isinstance(policy, MinCost):
-        feasible = [(p, e) for p, e in pairs if e.quality >= policy.quality_floor]
-        if not feasible:
-            best = max(pairs, key=lambda pe: pe[1].quality)
-            raise PolicyInfeasibleError(
-                f"no plan reaches quality floor {policy.quality_floor}; "
-                f"best candidate {best[0].plan_id} has quality {best[1].quality:.4f}")
-        return min(feasible, key=lambda pe: (pe[1].cost, pe[1].latency, pe[0].plan_id))[0]
-
-    if isinstance(policy, MaxQuality):
-        feasible = [(p, e) for p, e in pairs if e.cost <= policy.cost_budget]
-        if not feasible:
-            best = min(pairs, key=lambda pe: pe[1].cost)
-            raise PolicyInfeasibleError(
-                f"no plan fits cost budget {policy.cost_budget}; cheapest "
-                f"candidate {best[0].plan_id} costs {best[1].cost:.6f}")
-        return min(feasible, key=lambda pe: (-pe[1].quality, pe[1].cost, pe[0].plan_id))[0]
-
-    if isinstance(policy, Weighted):
-        if min(policy.cost_weight, policy.latency_weight, policy.quality_weight) < 0:
-            raise ValidationError("policy weights must be >= 0")
-        return min(pairs, key=lambda pe: (policy.score(pe[1]), pe[0].plan_id))[0]
-
-    raise ValidationError(f"unknown policy {policy!r}")
+        best = max(pairs, key=lambda pe: pe[1].quality)
+        raise PolicyInfeasibleError(
+            f"no plan reaches quality floor {policy.quality_floor}; "
+            f"best candidate {best[0].plan_id} has quality {best[1].quality:.4f}")
+    best = min(pairs, key=lambda pe: pe[1].cost)
+    raise PolicyInfeasibleError(
+        f"no plan fits cost budget {policy.cost_budget}; cheapest "
+        f"candidate {best[0].plan_id} costs {best[1].cost:.6f}")
 
 
 def parse_policy(doc) -> Policy:
@@ -344,6 +486,10 @@ def parse_policy(doc) -> Policy:
 
 @dataclass
 class OptimizerReport:
+    """What ``optimize`` weighed: one row per frontier plan (plus any dropped
+    plan that tied the best one under the policy), each with its estimate,
+    out of ``plans_considered`` model assignments."""
+
     logical_plan_id: str
     pipeline_text: str
     policy: str
@@ -352,6 +498,7 @@ class OptimizerReport:
     stats: dict
     candidates: list[dict]
     chosen_plan_id: str
+    plans_considered: int
 
     def to_dict(self) -> dict:
         return {
@@ -361,6 +508,7 @@ class OptimizerReport:
             "sample_size": self.sample_size,
             "input_cardinality": self.input_cardinality,
             "stats": self.stats,
+            "plans_considered": self.plans_considered,
             "candidates": self.candidates,
             "chosen_plan_id": self.chosen_plan_id,
         }
@@ -372,6 +520,8 @@ class OptimizerReport:
         lines = [
             f"optimizing {self.logical_plan_id} under {self.policy} "
             f"(sample={self.sample_size}, N={self.input_cardinality})",
+            f"{len(self.candidates)} frontier plans of "
+            f"{self.plans_considered} model assignments",
             f"{'plan':<16} {'models':<40} {'cost':>10} {'latency':>9} {'quality':>8}",
         ]
         for row in self.candidates:
@@ -384,16 +534,45 @@ class OptimizerReport:
         return "\n".join(lines)
 
 
+def _search(plan: LogicalPlan, stats: OperatorStats, models: Sequence[ModelSpec],
+            input_cardinality: int, pool_width: int, policy: Policy
+            ) -> tuple[list[PhysicalPlan], list[CostEstimate]]:
+    """The frontier plans, plus every dropped plan whose policy key equals
+    the best feasible frontier plan's, bound and estimated, in the order
+    ``enumerate_physical_plans`` would list them."""
+    positions = semantic_positions(plan)
+    _require_catalog(positions, models)
+    steps = _steps(plan, stats, models)
+    leaves = _frontier(steps, len(models), input_cardinality, pool_width)
+
+    def bound(assignment):
+        pplan = bind_plan(plan, {i: models[m] for i, m in zip(positions, assignment)})
+        return pplan, estimate(pplan, stats, input_cardinality, pool_width)
+
+    rows = {leaf.models: bound(leaf.models) for leaf in leaves}
+    feasible, key = _ranking(policy)
+    keys = {a: key(e) for a, (_, e) in rows.items() if feasible(e)}
+    if keys:
+        target = min(keys.values())
+        tied = [leaf for leaf in leaves if keys.get(leaf.models) == target]
+        for assignment in _ties(tied, steps, pool_width, feasible, key, target):
+            rows[assignment] = bound(assignment)
+    ordered = [rows[a] for a in sorted(rows)]
+    return [p for p, _ in ordered], [e for _, e in ordered]
+
+
 def optimize(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
              policy: Policy, sample_size: int, backend,
              labels: Mapping[int, Mapping[str, object]] | None = None,
              run_policy: RunPolicy | None = None
              ) -> tuple[PhysicalPlan, OptimizerReport]:
-    """Sample (or use priors), enumerate, estimate, and choose.
+    """Sample (or use priors), search the frontier, estimate, and choose.
 
     ``sample_size=0`` takes the zero-call path: statistics come from model
     priors and nominal token counts, so planning makes no model calls.
-    Latency estimates divide across ``run_policy.pool_width`` workers.
+    Latency estimates divide across ``run_policy.pool_width`` workers.  The
+    chosen plan is the one ``choose_plan`` picks over all
+    ``len(models) ** n`` assignments (see the module docstring).
     """
     from .lang import print_pipeline
 
@@ -403,8 +582,7 @@ def optimize(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
         stats = prior_stats(plan, models)
     n = len(ctx.source)
     pool_width = (run_policy or RunPolicy()).pool_width
-    candidates = enumerate_physical_plans(plan, models)
-    estimates = [estimate(c, stats, n, pool_width) for c in candidates]
+    candidates, estimates = _search(plan, stats, models, n, pool_width, policy)
     chosen = choose_plan(candidates, estimates, policy)
     report = OptimizerReport(
         logical_plan_id=plan.plan_id,
@@ -424,5 +602,6 @@ def optimize(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
             for c, e in zip(candidates, estimates)
         ],
         chosen_plan_id=chosen.plan_id,
+        plans_considered=len(models) ** len(semantic_positions(plan)),
     )
     return chosen, report

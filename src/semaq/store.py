@@ -43,7 +43,7 @@ class ContextEntry:
     embedding: np.ndarray = field(compare=False, repr=False)
 
 
-def _checksum(description: str, vector_bytes: bytes) -> str:
+def _checksum(description: str, vector_bytes: bytes | memoryview) -> str:
     digest = hashlib.sha256()
     digest.update(description.encode("utf-8"))
     digest.update(vector_bytes)
@@ -82,42 +82,48 @@ class ContextStore:
     def _load(self) -> None:
         if not self._entries_path.exists():
             return
+        stride = self.dim * 8
         try:
-            log_lines = self._entries_path.read_text(encoding="utf-8").splitlines()
             vector_blob = (self._vectors_path.read_bytes()
                            if self._vectors_path.exists() else b"")
+            # iterating the file splits on \n (and \r) only: descriptions are
+            # written raw and may hold U+2028, U+2029 or U+0085
+            with open(self._entries_path, encoding="utf-8") as log:
+                for lineno, line in enumerate(log, start=1):
+                    if line.strip():
+                        self._load_entry(line, lineno, vector_blob, stride)
         except OSError as exc:
             raise StoreError(f"cannot read store at {self.directory}: {exc}") from exc
-        stride = self.dim * 8
-        for lineno, line in enumerate(log_lines):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise StoreError(
-                    f"corrupt store entry at line {lineno + 1}: {exc}") from exc
-            seq = int(doc["seq"])
-            start = seq * stride
-            vector_bytes = vector_blob[start:start + stride]
-            if len(vector_bytes) != stride:
-                raise StoreError(
-                    f"vector file truncated at entry {seq} ({doc['context_id']})")
-            if _checksum(doc["description"], vector_bytes) != doc["checksum"]:
-                raise StoreError(
-                    f"checksum mismatch for stored context {doc['context_id']}")
-            entry = ContextEntry(
-                context_id=doc["context_id"],
-                description=doc["description"],
-                instruction=doc.get("instruction", ""),
-                lineage_summary=doc.get("lineage", ""),
-                seq=seq,
-                created_at=float(doc.get("created_at", 0.0)),
-                embedding=np.frombuffer(vector_bytes, dtype="<f8").copy(),
-            )
-            self.entries.append(entry)
-            self._by_id[entry.context_id] = entry
         self.entries.sort(key=lambda e: e.seq)
+
+    def _load_entry(self, line: str, lineno: int, vector_blob: bytes,
+                    stride: int) -> None:
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise StoreError(f"corrupt store entry at line {lineno}: {exc}") from exc
+        seq = int(doc["seq"])
+        start = seq * stride
+        vector_bytes = memoryview(vector_blob)[start:start + stride]
+        if len(vector_bytes) != stride:
+            raise StoreError(
+                f"vector file truncated at entry {seq} ({doc['context_id']})")
+        if _checksum(doc["description"], vector_bytes) != doc["checksum"]:
+            raise StoreError(
+                f"checksum mismatch for stored context {doc['context_id']}")
+        entry = ContextEntry(
+            context_id=doc["context_id"],
+            description=doc["description"],
+            instruction=doc.get("instruction", ""),
+            lineage_summary=doc.get("lineage", ""),
+            seq=seq,
+            created_at=float(doc.get("created_at", 0.0)),
+            # a read-only view into the one vector buffer
+            embedding=np.frombuffer(vector_blob, dtype="<f8", count=self.dim,
+                                    offset=start),
+        )
+        self.entries.append(entry)
+        self._by_id[entry.context_id] = entry
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -1,6 +1,8 @@
 """Optimizer: statistics, enumeration, cost estimation, policy choice."""
 
 import json
+import random
+import re
 
 import pytest
 
@@ -11,8 +13,11 @@ from semaq import (EstimationError, MaxQuality, MinCost, OperatorStats,
                    optimize, parse_pipeline, parse_policy, prior_stats,
                    sample_stats)
 from semaq.backend import ModelSpec
+from semaq.engine import RunPolicy
+from semaq.lang import (Compute, Limit, Scan, SemFilter, SemMap, is_semantic,
+                        make_plan)
 from semaq.optimizer import (NOMINAL_INPUT_TOKENS, NOMINAL_OUTPUT_TOKENS,
-                             StatsEntry)
+                             StatsEntry, _ranking)
 from tests.conftest import CHEAP, STRONG
 
 FILTER_MAP = 'scan(d) | sem_filter("keep") | sem_map("derive", {a: text})'
@@ -375,7 +380,12 @@ def test_optimize_zero_sample_makes_no_calls(mk_backend, catalog):
     assert backend.ledger.snapshot().total_calls == 0
     assert chosen.model_assignment() == {1: "cheap", 2: "cheap"}
     assert report.sample_size == 0 and report.input_cardinality == 20
-    assert len(report.candidates) == 4
+    assert report.plans_considered == 4
+    # strong-filter/cheap-map costs more and runs longer than cheap/strong
+    # at the same quality, so the frontier drops it
+    assert [row["models"] for row in report.candidates] == [
+        {"1": "cheap", "2": "cheap"}, {"1": "cheap", "2": "strong"},
+        {"1": "strong", "2": "strong"}]
     assert report.chosen_plan_id == chosen.plan_id
     assert "1:cheap" in report.stats and "2:strong" in report.stats
 
@@ -392,6 +402,161 @@ def test_optimize_sampled_end_to_end(mk_backend, catalog):
     rendered = report.render_text()
     assert f"chosen: {chosen.plan_id}" in rendered
     assert rendered.count("*") == 1
+    assert "3 frontier plans of 4 model assignments" in rendered
     doc = json.loads(report.to_json())
     assert doc["chosen_plan_id"] == chosen.plan_id
-    assert len(doc["candidates"]) == 4
+    assert doc["plans_considered"] == 4
+    # every sampled record passes the filter and the sampled map costs more
+    # per record than the filter, so cheap-filter/strong-map is dominated
+    assert [row["models"] for row in doc["candidates"]] == [
+        {"1": "cheap", "2": "cheap"}, {"1": "strong", "2": "cheap"},
+        {"1": "strong", "2": "strong"}]
+
+
+# --- frontier search against brute force -------------------------------------------
+
+_ORACLE_CTX = {n: context_create(
+    [make_source_record({"text": f"r{i}"}, origin=f"{i}#0") for i in range(n)],
+    f"{n} records") for n in (0, 1, 7, 40, 250)}
+
+
+def _pick(rng, coarse, specials, lo, hi):
+    """A stat value: on a coarse grid (to force exact ties), a special edge
+    value, or uniform in [lo, hi]."""
+    if coarse:
+        return rng.choice(specials)
+    return rng.choice(specials) if rng.random() < 0.3 else rng.uniform(lo, hi)
+
+
+def _oracle_case(rng):
+    n_models = rng.randint(1, 4)
+    models = [ModelSpec(f"m{i}", 0.001, 0.002, 0.9, 1.0) for i in range(n_models)]
+    ops = [Scan("src")]
+    for j in range(rng.randint(1, 4 if n_models <= 3 else 3)):
+        kind = rng.choice(("filter", "map", "filter", "map", "compute"))
+        if rng.random() < 0.25:
+            ops.append(Limit(rng.choice((1, 5, 30))))
+        if kind == "filter":
+            ops.append(SemFilter(f"pred {j}"))
+        elif kind == "map":
+            ops.append(SemMap(f"derive {j}", ((f"out{j}", "text"),)))
+        else:
+            ops.append(Compute(f"answer {j}"))
+    plan = make_plan(ops)
+    coarse = rng.random() < 0.5
+    entries = {}
+    for idx, op in enumerate(plan.ops):
+        if not is_semantic(op):
+            continue
+        for model in models:
+            entries[(idx, model.model_id)] = StatsEntry(
+                selectivity=(_pick(rng, coarse, (0.0, 0.5, 1.0), 0.0, 1.0)
+                             if isinstance(op, SemFilter) else None),
+                quality=_pick(rng, coarse, (0.0, 0.5, 0.8, 1.0), 0.0, 1.0),
+                cost_per_record=_pick(rng, coarse, (0.0, 0.001, 0.002), 0.0, 0.01),
+                latency_per_record=_pick(rng, coarse, (0.0, 0.5, 1.0), 0.0, 2.0),
+                sample_size=0)
+        if n_models > 1 and rng.random() < 0.3:  # two models with identical stats
+            entries[(idx, models[1].model_id)] = entries[(idx, models[0].model_id)]
+    roll = rng.randrange(3)
+    if roll == 0:
+        policy = MinCost(quality_floor=rng.choice((0.0, 0.5, 1.0, rng.random())))
+    elif roll == 1:
+        policy = MaxQuality(cost_budget=rng.choice((0.0, 0.05, rng.uniform(0.0, 1.0))))
+    else:
+        policy = Weighted(*(rng.choice((0.0, 1.0, rng.random())) for _ in range(3)))
+    return (plan, models, OperatorStats(entries), rng.choice(sorted(_ORACLE_CTX)),
+            policy, rng.choice((1, 8)))
+
+
+def _winner_key_ties(candidates, estimates, policy):
+    """How many feasible plans share the brute-force winner's policy key."""
+    feasible, key = _ranking(policy)
+    chosen = choose_plan(candidates, estimates, policy)
+    target = key(estimates[candidates.index(chosen)])
+    return sum(1 for e in estimates if feasible(e) and key(e) == target)
+
+
+def test_frontier_matches_brute_force(monkeypatch):
+    import semaq.optimizer as optimizer_mod
+
+    rng = random.Random(3003)
+    counts = {"chosen": 0, "infeasible": 0, "tied": 0, "pruned": 0}
+    for _ in range(1200):
+        plan, models, stats, n, policy, pool_width = _oracle_case(rng)
+        monkeypatch.setattr(optimizer_mod, "prior_stats", lambda *_a, **_k: stats)
+        candidates = enumerate_physical_plans(plan, models)
+        estimates = [estimate(c, stats, n, pool_width) for c in candidates]
+        run = lambda: optimize(plan, _ORACLE_CTX[n], models, policy, 0, None,
+                               run_policy=RunPolicy(pool_width=pool_width))
+        try:
+            expected = choose_plan(candidates, estimates, policy)
+        except PolicyInfeasibleError as brute_err:
+            counts["infeasible"] += 1
+            with pytest.raises(PolicyInfeasibleError) as err:
+                run()
+            # the named plan may differ only among plans with the same figure
+            strip = lambda e: re.sub(r"pp-[0-9a-f]{12}", "pp-", str(e))
+            assert strip(err.value) == strip(brute_err)
+            continue
+        counts["chosen"] += 1
+        chosen, report = run()
+        assert chosen.plan_id == expected.plan_id
+        assert chosen.model_assignment() == expected.model_assignment()
+        assert report.chosen_plan_id == expected.plan_id
+        assert report.plans_considered == len(candidates)
+        by_id = dict(zip([c.plan_id for c in candidates], estimates))
+        for row in report.candidates:
+            est = by_id[row["plan_id"]]
+            assert (row["cost"], row["latency"], row["quality"]) == \
+                (est.cost, est.latency, est.quality)
+        counts["pruned"] += len(report.candidates) < len(candidates)
+        counts["tied"] += _winner_key_ties(candidates, estimates, policy) > 1
+    assert counts["infeasible"] >= 50 and counts["chosen"] >= 800
+    assert counts["pruned"] >= 300 and counts["tied"] >= 100
+
+
+def test_frontier_recovers_a_tie_lost_to_rounding(monkeypatch):
+    """A strictly cheaper prefix can tie after a large later cost absorbs the
+    gap; the plan-id tie-break must still see the dropped plan."""
+    import semaq.optimizer as optimizer_mod
+
+    plan = parse_pipeline('scan(d) | sem_map("a", {x: text}) | sem_map("b", {y: text})')
+    # model names chosen so the dropped assignment has the lower plan id
+    free, tiny = ModelSpec("nil", 0, 0, 0.9, 1.0), ModelSpec("tiny", 0, 0, 0.9, 1.0)
+    stats = OperatorStats({
+        (1, "nil"): _entry(cost=0.0, latency=1.0),
+        (1, "tiny"): _entry(cost=1e-20, latency=1.0),
+        (2, "nil"): _entry(cost=1.0, latency=1.0),
+        (2, "tiny"): _entry(cost=1.0, latency=1.0),
+    })
+    monkeypatch.setattr(optimizer_mod, "prior_stats", lambda *_a, **_k: stats)
+    models = [free, tiny]
+    candidates = enumerate_physical_plans(plan, models)
+    estimates = [estimate(c, stats, 40) for c in candidates]
+    expected = choose_plan(candidates, estimates, MinCost(0.0))
+    assert expected.model_assignment()[1] == "tiny"  # the case this test is about
+    assert len({(e.cost, e.latency) for e in estimates}) == 1
+    chosen, report = optimize(plan, _ORACLE_CTX[40], models, MinCost(0.0), 0, None)
+    assert chosen.plan_id == expected.plan_id
+    assert len(report.candidates) == 4  # two survivors plus two recovered ties
+
+
+def test_optimize_never_enumerates_the_product(monkeypatch):
+    import semaq.optimizer as optimizer_mod
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("optimize must not enumerate every assignment")
+
+    monkeypatch.setattr(optimizer_mod, "enumerate_physical_plans", refuse)
+    models = [ModelSpec(f"m{i}", 0.0002 * (i + 1) ** 2, 0.0004 * (i + 1) ** 2,
+                        0.6 + 0.07 * i, 0.2 + 0.3 * i) for i in range(6)]
+    plan = parse_pipeline(
+        'scan(d) | sem_filter("a") | sem_map("b", {x: text}) | sem_filter("c") '
+        '| sem_map("d", {y: text}) | sem_filter("e") | sem_map("f", {z: text}) '
+        '| sem_filter("g")')
+    chosen, report = optimize(plan, _ORACLE_CTX[250], models, MinCost(0.5), 0, None)
+    assert report.plans_considered == 6 ** 7
+    assert len(report.candidates) <= 500  # 415 frontier plans
+    assert report.chosen_plan_id == chosen.plan_id
+    assert chosen.plan_id in {row["plan_id"] for row in report.candidates}

@@ -9,6 +9,7 @@ from semaq import (ContextStore, StoreConflictError, StoreError,
                    ValidationError, context_create, context_derive,
                    hashing_embed, make_source_record)
 from semaq.core import Context, cosine_to_score
+from semaq.store import _checksum
 
 
 def _ctx(description, seed="x"):
@@ -174,6 +175,10 @@ def test_reopen_round_trip(tmp_path):
     store = ContextStore(path, hashing_embed)
     contexts = [_ctx(f"topic {i}: deliveries and invoices", seed=str(i))
                 for i in range(5)]
+    # JSON writes these line and paragraph separators raw; they must not
+    # split an entry line on reopen
+    contexts += [_ctx(f"notes{sep}more invoices", seed=f"sep{i}")
+                 for i, sep in enumerate(("\u2028", "\u2029", "\u0085"))]
     for ctx in contexts:
         store.register(ctx, instruction=f"task {ctx.id[:6]}")
     before_files = ((path / "entries.jsonl").read_bytes(),
@@ -184,7 +189,11 @@ def test_reopen_round_trip(tmp_path):
     after_files = ((path / "entries.jsonl").read_bytes(),
                    (path / "vectors.bin").read_bytes())
     assert after_files == before_files
-    assert len(reopened) == 5
+    assert len(reopened) == len(contexts)
+    docs = [json.loads(line) for line in
+            after_files[0].decode("utf-8").split("\n") if line]
+    assert [doc["description"] for doc in docs] == \
+        [ctx.description for ctx in contexts]
     after = reopened.retrieve("invoices and deliveries", k=5, tau=0.0)
     assert [(e.context_id, sim) for e, sim in before] == \
         [(e.context_id, sim) for e, sim in after]
@@ -193,6 +202,9 @@ def test_reopen_round_trip(tmp_path):
         assert entry is not None and entry.description == ctx.description
         np.testing.assert_array_equal(entry.embedding,
                                       store.get_entry(ctx.id).embedding)
+        assert entry == store.get_entry(ctx.id)
+        assert _checksum(entry.description, entry.embedding.tobytes()) == \
+            docs[entry.seq]["checksum"]
         # live objects do not survive a reopen, entries do
         assert reopened.get_context(ctx.id) is None
 
