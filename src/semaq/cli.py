@@ -155,16 +155,20 @@ def load_dataset_jsonl(path) -> list[Record]:
         raise DataAccessError(f"dataset file not found: {path}")
     records = []
     try:
-        lines = file.read_text(encoding="utf-8").splitlines()
+        # iterating the file splits on \n (and \r) only: record_to_json
+        # writes U+2028, U+2029 and U+0085 raw
+        with open(file, encoding="utf-8") as rows:
+            for lineno, line in enumerate(rows, start=1):
+                if not line.strip():
+                    continue
+                origin = f"{file.name}#{lineno}"
+                try:
+                    records.append(record_from_json(line, origin=origin))
+                except (json.JSONDecodeError, SemaqError) as exc:
+                    raise DataAccessError(
+                        f"{path}:{lineno}: bad record: {exc}") from exc
     except OSError as exc:
         raise DataAccessError(f"cannot read {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(record_from_json(line, origin=f"{file.name}#{lineno}"))
-        except (json.JSONDecodeError, SemaqError) as exc:
-            raise DataAccessError(f"{path}:{lineno}: bad record: {exc}") from exc
     return records
 
 
@@ -372,7 +376,7 @@ def _load_config(args) -> RunConfig:
         cfg.catalog_path = args.catalog
     if getattr(args, "cache_dir", None):
         cfg.cache_dir = args.cache_dir
-    if getattr(args, "pool_width", None):
+    if getattr(args, "pool_width", None) is not None:
         cfg.pool_width = args.pool_width
     return cfg
 

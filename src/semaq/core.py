@@ -116,7 +116,7 @@ def record_from_json(line: str, origin: str = "") -> Record:
     """Parse one serialized record line.
 
     Accepts the full ``{"id", "fields", "lineage"}`` form written by
-    :func:`records_to_jsonl`, or a bare field mapping (as in dataset files),
+    :func:`record_to_json`, or a bare field mapping (as in dataset files),
     in which case a stable id is derived from content and origin.
     """
     doc = json.loads(line)
@@ -135,10 +135,6 @@ def record_from_json(line: str, origin: str = "") -> Record:
         rec_id = doc.get("id") or source_record_id(doc["fields"], origin)
         return Record(id=rec_id, fields=doc["fields"], lineage=lineage)
     return make_source_record(doc, origin)
-
-
-def records_to_jsonl(records: Iterable[Record]) -> str:
-    return "".join(record_to_json(r) + "\n" for r in records)
 
 
 def record_text(record: Record) -> str:

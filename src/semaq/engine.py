@@ -4,8 +4,10 @@ Operators are chained as generators, so a record flows through the whole
 chain before the next one is pulled: a downstream operator only ever sees
 records that passed everything above it, and ``limit`` stops upstream
 consumption as soon as it has emitted enough.  Semantic operators fan out
-over a bounded worker pool while preserving input order and exact call
-accounting.
+over one worker pool per run, each keeping at most ``pool_width`` calls in
+flight and yielding in input order.  A run waits for every call it submitted
+before it returns or raises, so its report totals equal the ledger delta
+even after a ``limit`` cut-off.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ import json
 import logging
 import math
 import re
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -84,9 +88,9 @@ class RunPolicy:
     """Failure handling and parallelism knobs for one pipeline run.
 
     ``pool_width`` bounds the in-flight model calls of each semantic
-    operator separately: every sem_filter and sem_map stage has its own
-    pool, so a pipeline with k semantic operators can have up to
-    k * ``pool_width`` calls in flight at once.
+    operator separately.  A run shares one executor among its k sem_filter
+    and sem_map stages, so up to k * ``pool_width`` calls are in flight at
+    once; with ``pool_width == 1`` every call runs inline.
     """
 
     on_error: str = "drop"  # drop | abort
@@ -438,80 +442,60 @@ class _FailureTracker:
                 f"{self.allowed} allowed") from error
 
 
-def _ordered_pool_map(fn, items: Iterator, width: int, on_result=None) -> Iterator:
-    """Apply ``fn`` over ``items`` with at most ``width`` in flight, yielding
-    results in input order.  Upstream pulls happen in the caller's thread.
-
-    ``on_result`` sees every completed result exactly once, including work
-    already in flight when a downstream consumer stops early; that keeps
-    per-op accounting equal to the ledger even when a limit cuts a run short.
-    """
-    if width <= 1:
-        for item in items:
-            result = fn(item)
-            if on_result is not None:
-                on_result(result)
-            yield result
+def _ordered_pool_map(fn, items: Iterator, width: int,
+                      pool: ThreadPoolExecutor | None) -> Iterator:
+    """Apply ``fn`` over ``items`` with at most ``width`` in flight on
+    ``pool``, yielding results in input order; inline when ``pool`` is None.
+    Upstream pulls happen in the caller's thread."""
+    if pool is None:
+        yield from map(fn, items)
         return
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        pending = deque()
-        try:
-            for item in itertools.islice(items, width):
-                pending.append(pool.submit(fn, item))
-            while pending:
-                result = pending.popleft().result()
-                if on_result is not None:
-                    on_result(result)
-                for item in itertools.islice(items, 1):
-                    pending.append(pool.submit(fn, item))
-                yield result
-        finally:
-            while pending:
-                result = pending.popleft().result()
-                if on_result is not None:
-                    on_result(result)
+    pending = deque(pool.submit(fn, item) for item in itertools.islice(items, width))
+    while pending:
+        result = pending.popleft().result()
+        pending.extend(pool.submit(fn, item) for item in itertools.islice(items, 1))
+        yield result
 
 
 def _semantic_stage(upstream: Iterator[Record], pop: PhysicalOp, row: OpReport,
                     backend, policy: RunPolicy, failures: _FailureTracker,
-                    operator_id: str) -> Iterator[Record]:
+                    operator_id: str, pool: ThreadPoolExecutor | None
+                    ) -> Iterator[Record]:
     op = pop.logical
+    lock = threading.Lock()
 
     def work(record: Record):
-        # (output record or None when a filter rejects, usage, calls, error)
+        # (output record or None when a filter rejects, error); usage is
+        # added to ``row`` here, where the call completes
+        out, error = None, None
         try:
             if isinstance(op, SemFilter):
                 verdict, usage, calls = sem_filter_execute(
                     backend, pop.model, record, op.predicate,
                     retry_budget=pop.retry_budget)
-                return (record if verdict else None), usage, calls, None
-            merged, usage, calls = sem_map_execute(
-                backend, pop.model, record, op.instruction, op.output_fields,
-                operator_id, retry_budget=pop.retry_budget)
-            return merged, usage, calls, None
+                out = record if verdict else None
+            else:
+                out, usage, calls = sem_map_execute(
+                    backend, pop.model, record, op.instruction, op.output_fields,
+                    operator_id, retry_budget=pop.retry_budget)
         except OperatorError as exc:
-            return None, Usage(exc.input_tokens, exc.output_tokens), exc.calls, exc
-
-    def account(result):
-        _, usage, calls, error = result
-        row.records_in += 1
-        row.calls += calls
-        row.input_tokens += usage.input_tokens
-        row.output_tokens += usage.output_tokens
-        row.wall_seconds += calls * pop.model.latency_prior
-        if error is not None:
-            row.failures += 1
-
-    results = _ordered_pool_map(work, upstream, policy.pool_width, account)
-    try:
-        for out, _, _, error in results:
+            usage, calls, error = (Usage(exc.input_tokens, exc.output_tokens),
+                                   exc.calls, exc)
+        with lock:
+            row.records_in += 1
+            row.calls += calls
+            row.input_tokens += usage.input_tokens
+            row.output_tokens += usage.output_tokens
             if error is not None:
-                failures.register(error)
-            elif out is not None:
-                row.records_out += 1
-                yield out
-    finally:
-        results.close()
+                row.failures += 1
+        return out, error
+
+    for out, error in _ordered_pool_map(work, upstream, policy.pool_width, pool):
+        if error is not None:
+            failures.register(error)
+        elif out is not None:
+            row.records_out += 1
+            yield out
 
 
 def _project_stage(upstream: Iterator[Record], op: Project, row: OpReport,
@@ -561,71 +545,71 @@ def pipeline_execute(pplan: PhysicalPlan, ctx: Context, backend,
     scan_row = OpReport(index=0, kind="scan", detail=scan_op.context_ref)
     rows.append(scan_row)
     stream: Iterator[Record] = _scan_stage(ctx, scan_row)
-    stages = [stream]
     stage_ctx = ctx
 
-    for i, pop in enumerate(pplan.ops[1:], start=1):
-        op = pop.logical
-        operator_id = f"{pplan.plan_id}#op{i}"
-        if isinstance(op, (SemFilter, SemMap)):
-            is_filter = isinstance(op, SemFilter)
-            row = OpReport(index=i, kind="sem_filter" if is_filter else "sem_map",
-                           detail=op.predicate if is_filter else op.instruction,
-                           model_id=pop.model.model_id)
-            stream = _semantic_stage(stream, pop, row, backend, policy, failures,
-                                     operator_id)
-        elif isinstance(op, Project):
-            row = OpReport(index=i, kind="project", detail=", ".join(op.fields))
-            stream = _project_stage(stream, op, row, operator_id)
-        elif isinstance(op, Limit):
-            row = OpReport(index=i, kind="limit", detail=str(op.count))
-            stream = _limit_stage(stream, op, row)
-        elif is_agentic(op):
-            if agent_runner is None:
-                raise OperatorError(
-                    f"{type(op).__name__.lower()} operator requires an agent runner")
-            kind = "compute" if isinstance(op, Compute) else "search"
-            row = OpReport(index=i, kind=kind, detail=op.instruction,
-                           model_id=pop.model.model_id)
-            upstream_records = list(stream)
-            row.records_in = len(upstream_records)
-            if i == 1:
-                stage_input = stage_ctx
+    n_semantic = sum(isinstance(pop.logical, (SemFilter, SemMap)) for pop in pplan.ops)
+    width = policy.pool_width
+    executor = (ThreadPoolExecutor(max_workers=width * n_semantic)
+                if width > 1 and n_semantic else nullcontext())
+    # leaving the block waits for every submitted call, on return and on
+    # raise, so a limit cut-off or an abort leaves no call unaccounted
+    with executor as pool:
+        for i, pop in enumerate(pplan.ops[1:], start=1):
+            op = pop.logical
+            operator_id = f"{pplan.plan_id}#op{i}"
+            if isinstance(op, (SemFilter, SemMap)):
+                is_filter = isinstance(op, SemFilter)
+                row = OpReport(index=i, kind="sem_filter" if is_filter else "sem_map",
+                               detail=op.predicate if is_filter else op.instruction,
+                               model_id=pop.model.model_id)
+                stream = _semantic_stage(stream, pop, row, backend, policy, failures,
+                                         operator_id, pool)
+            elif isinstance(op, Project):
+                row = OpReport(index=i, kind="project", detail=", ".join(op.fields))
+                stream = _project_stage(stream, op, row, operator_id)
+            elif isinstance(op, Limit):
+                row = OpReport(index=i, kind="limit", detail=str(op.count))
+                stream = _limit_stage(stream, op, row)
+            elif is_agentic(op):
+                if agent_runner is None:
+                    raise OperatorError(f"{type(op).__name__.lower()} operator "
+                                        "requires an agent runner")
+                kind = "compute" if isinstance(op, Compute) else "search"
+                row = OpReport(index=i, kind=kind, detail=op.instruction,
+                               model_id=pop.model.model_id)
+                upstream_records = list(stream)
+                row.records_in = len(upstream_records)
+                if i == 1:
+                    stage_input = stage_ctx
+                else:
+                    stage_input = context_derive(
+                        stage_ctx, canonical,
+                        stage_ctx.description + f"\n\n[pipeline-stage {operator_id}] "
+                        f"{len(upstream_records)} records after upstream operators.",
+                        records=upstream_records, operator="pipeline")
+                result = agent_runner(kind, op.instruction, stage_input, pop.model)
+                row.records_out = len(result.context.source)
+                row.calls = result.calls
+                row.input_tokens = result.usage.input_tokens
+                row.output_tokens = result.usage.output_tokens
+                row.cost = call_cost(pop.model, result.usage)
+                row.wall_seconds = result.wall_seconds
+                if kind == "compute":
+                    report.answer_text = result.answer_text
+                    report.answer_value = result.answer_value
+                stage_ctx = result.context
+                stream = iter(list(context_iterate(result.context)))
             else:
-                stage_input = context_derive(
-                    stage_ctx, canonical,
-                    stage_ctx.description + f"\n\n[pipeline-stage {operator_id}] "
-                    f"{len(upstream_records)} records after upstream operators.",
-                    records=upstream_records, operator="pipeline")
-            result = agent_runner(kind, op.instruction, stage_input, pop.model)
-            row.records_out = len(result.context.source)
-            row.calls = result.calls
-            row.input_tokens = result.usage.input_tokens
-            row.output_tokens = result.usage.output_tokens
-            row.cost = call_cost(pop.model, result.usage)
-            row.wall_seconds = result.wall_seconds
-            if kind == "compute":
-                report.answer_text = result.answer_text
-                report.answer_value = result.answer_value
-            stage_ctx = result.context
-            stream = iter(list(context_iterate(result.context)))
-        else:
-            raise ValidationError(f"unsupported operator {op!r}")
-        rows.append(row)
-        stages.append(stream)
+                raise ValidationError(f"unsupported operator {op!r}")
+            rows.append(row)
 
-    out_records = list(stream)
-    # settle in-flight pool work so per-op counters match the ledger even
-    # when a limit stopped the run early
-    for stage in reversed(stages):
-        close = getattr(stage, "close", None)
-        if close is not None:
-            close()
+        out_records = list(stream)
 
-    # cost per semantic op from its integer token totals
+    # cost and modeled time per semantic op from its integer totals
     for pop, row in zip(pplan.ops, rows):
         if pop.model is not None and row.kind in ("sem_filter", "sem_map"):
             row.cost = call_cost(pop.model, Usage(row.input_tokens, row.output_tokens))
+            row.wall_seconds = row.calls * pop.model.latency_prior
 
     n_in, n_out = len(ctx.source), len(out_records)
     description = (ctx.description

@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from semaq import ConfigurationError, DataAccessError, MinCost, MockBackend
+from semaq import (ConfigurationError, DataAccessError, MinCost, MockBackend,
+                   make_source_record)
 from semaq.cli import (DEFAULT_CATALOG, RunConfig, agent_model_spec,
                        build_backend, load_dataset, load_dataset_dir,
                        load_dataset_jsonl, main)
+from semaq.core import record_to_json
 
 
 def _fenced(doc):
@@ -85,6 +87,15 @@ def test_load_dataset_jsonl(tmp_path):
         load_dataset_jsonl(file)
     with pytest.raises(DataAccessError):
         load_dataset_jsonl(tmp_path / "missing.jsonl")
+    # line separators that str.splitlines() splits on but JSONL does not
+    texts = ["para\u2028graph", "page\u2029break", "next\u0085line"]
+    file.write_text("".join(record_to_json(make_source_record({"text": t}, f"{i}#0"))
+                            + "\n" for i, t in enumerate(texts)), encoding="utf-8")
+    records = load_dataset_jsonl(file)
+    assert [r.fields["text"] for r in records] == texts
+    file.write_text(file.read_text(encoding="utf-8") + "not json\n", encoding="utf-8")
+    with pytest.raises(DataAccessError, match=":4:"):
+        load_dataset_jsonl(file)
 
 
 def test_load_dataset_builds_context(tmp_path, mk_backend):
@@ -280,6 +291,17 @@ def test_cli_pipeline_execute_with_artifacts(workspace, capsys):
     assert report["total_calls"] == 4
     assert ledger["total_calls"] == 4
     assert abs(ledger["total_cost"] - report["total_cost"]) < 1e-9
+
+
+@pytest.mark.parametrize("width", ["0", "-1"])
+def test_cli_pipeline_rejects_pool_width_below_one(workspace, capsys, width):
+    pipe = workspace / "p.pz"
+    pipe.write_text(PIPELINE + "\n", encoding="utf-8")
+    code = main(["--config", str(workspace / "config.json"), "--pool-width", width,
+                 "pipeline", str(pipe), "--dataset", "docs"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err.startswith("error: validation-error: pool_width must be >= 1")
 
 
 def test_cli_pipeline_validation_diagnostics(workspace, capsys):

@@ -1,5 +1,8 @@
 """Execution engine: prompts, parsing, operators, iterator pipelines."""
 
+import contextlib
+import threading
+
 import pytest
 
 from semaq import (MockBackend, MockRule, MockScript, OperatorError,
@@ -222,17 +225,60 @@ def test_limit_stops_upstream_consumption(mk_backend):
     assert report.ops[0].records_out == 3
 
 
-def test_report_cost_equals_ledger_delta_with_limit(mk_backend):
+_FILTER_FILTER_MAP_LIMIT = ('scan(d) | sem_filter("p") | sem_filter("q") '
+                            '| sem_map("m", {tag: text}) | limit(2)')
+
+
+@pytest.mark.parametrize("pipeline, width", [
+    ('scan(d) | sem_filter("p") | limit(2)', 8),
+    (_FILTER_FILTER_MAP_LIMIT, 1),
+    (_FILTER_FILTER_MAP_LIMIT, 8),
+], ids=["filter-limit-w8", "filter-filter-map-limit-w1",
+        "filter-filter-map-limit-w8"])
+def test_report_cost_equals_ledger_delta_with_limit(mk_backend, pipeline, width):
     """Pool prefetch past a limit still lands in the report totals."""
     records = _numbered(20, lambda i: "hit")
-    backend = mk_backend(("hit", "yes"), ("PREDICATE", "no"))
-    pplan = _bind('scan(d) | sem_filter("p") | limit(2)')
-    _, report = pipeline_execute(pplan, _ctx(records), backend,
-                                 policy=RunPolicy(pool_width=8))
+    backend = mk_backend(("INSTRUCTION", "tag: x"), ("hit", "yes"),
+                         ("PREDICATE", "no"))
+    _, report = pipeline_execute(_bind(pipeline), _ctx(records), backend,
+                                 policy=RunPolicy(pool_width=width))
     snap = backend.ledger.snapshot()
     assert report.total_calls == snap.total_calls
+    assert (sum(op.input_tokens for op in report.ops)
+            == sum(m.input_tokens for m in snap.per_model))
+    assert (sum(op.output_tokens for op in report.ops)
+            == sum(m.output_tokens for m in snap.per_model))
     assert abs(report.total_cost - snap.total_cost) < 1e-9
+    assert report.total_wall_seconds == pytest.approx(snap.total_wall_seconds)
     assert report.records_out == 2
+    if width == 1:
+        # the inline path pulls exactly what the limit needs
+        assert [op.calls for op in report.ops[1:-1]] == [2] * (len(report.ops) - 2)
+
+
+@pytest.mark.parametrize("case, expected", [
+    ("limit", None), ("abort", OperatorError), ("budget", RunAbortedError),
+])
+def test_no_worker_thread_outlives_pipeline_execute(mk_backend, case, expected):
+    """In-flight calls of every stage settle before pipeline_execute returns
+    or raises, including the upstream stage's when stage 2 fails."""
+    records = _numbered(40, lambda i: "bad" if i == 20 else "good")
+    backend = mk_backend((r"second\?[\s\S]*bad", "???", "regex"),
+                         ("PREDICATE", "yes"))
+    text = 'scan(d) | sem_filter("first?") | sem_filter("second?")'
+    if case == "limit":
+        text += " | limit(2)"
+    policy = RunPolicy(on_error="abort" if case == "abort" else "drop",
+                       failure_budget=0.0, pool_width=8)
+    before = set(threading.enumerate())
+    with pytest.raises(expected) if expected else contextlib.nullcontext():
+        try:
+            pipeline_execute(_bind(text, retry_budget=0), _ctx(records), backend,
+                             policy=policy)
+        finally:
+            # counted while a raised error and its traceback are still live
+            leftover = set(threading.enumerate()) - before
+    assert not leftover
 
 
 def test_project_keeps_selected_fields(mk_backend):
