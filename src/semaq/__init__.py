@@ -23,24 +23,23 @@ from .optimizer import (CostEstimate, MaxQuality, MinCost, OperatorStats,
                         enumerate_physical_plans, estimate, optimize,
                         parse_policy, prior_stats, sample_stats)
 from .store import ContextStore
-from .agent import (AgentConfig, AgentRuntime, AgentTrace, ComputeResult,
-                    FinalAnswer, SearchResult, ToolCall, builtin_tools,
-                    make_stage_runner, parse_action, safe_arithmetic,
-                    truncate_observation)
+from .agent import (AgentConfig, AgentResult, AgentRuntime, AgentTrace,
+                    FinalAnswer, ToolCall, builtin_tools, make_stage_runner,
+                    parse_action, safe_arithmetic, truncate_observation)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentConfig", "AgentError", "AgentRuntime", "AgentTrace", "BackendError",
-    "CapabilityError", "ComputeError", "ComputeResult", "ConfigurationError",
+    "AgentConfig", "AgentError", "AgentResult", "AgentRuntime", "AgentTrace",
+    "BackendError", "CapabilityError", "ComputeError", "ConfigurationError",
     "Context", "ContextStore", "CostEstimate", "DataAccessError",
     "EstimationError", "ExecutionReport", "FinalAnswer", "HttpBackend",
-    "LedgerSnapshot",
-    "LogicalPlan", "MaxQuality", "MinCost", "MockBackend", "MockMissError",
+    "LedgerSnapshot", "LogicalPlan", "MaxQuality", "MinCost", "MockBackend",
+    "MockMissError",
     "MockRule", "MockScript", "ModelSpec", "OperatorError", "OperatorStats",
     "OptimizerReport", "PhysicalPlan", "PipelineSyntaxError",
     "PolicyInfeasibleError", "Record", "RecordSnapshot", "RunAbortedError",
-    "RunPolicy", "SearchError", "SearchResult", "SemaqError", "StatsError",
+    "RunPolicy", "SearchError", "SemaqError", "StatsError",
     "StoreConflictError", "StoreError", "ToolCall", "ToolParam", "ToolSpec",
     "UsageLedger", "ValidationError", "VectorIndex", "Weighted", "bind_plan",
     "builtin_tools", "choose_plan", "context_create", "context_derive",

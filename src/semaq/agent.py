@@ -20,16 +20,15 @@ import logging
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .backend import ChatMessage, ModelSpec, Usage, call_cost
-from .core import (Context, FieldValue, Record, ToolParam, ToolSpec,
-                   context_derive, context_iterate, context_topk, record_text,
+from .core import (Context, FieldValue, ToolParam, ToolSpec, context_derive,
+                   context_iterate, context_topk, record_text,
                    validate_field_value)
-from .engine import (AgentStageResult, ExecutionReport, RunPolicy,
-                     pipeline_execute, preview_records)
-from .errors import (AgentError, CapabilityError, ComputeError,
-                     ConfigurationError, DataAccessError, PipelineSyntaxError,
+from .engine import (AgentRunner, ExecutionReport, RunPolicy, pipeline_execute,
+                     preview_records)
+from .errors import (ComputeError, ConfigurationError, DataAccessError,
                      SearchError, SemaqError, ValidationError)
 from .lang import is_agentic, parse_pipeline, validate_plan
 from .optimizer import Policy, MinCost, OptimizerReport, optimize
@@ -320,7 +319,7 @@ def _tool_run_pipeline(env: ToolEnv, args: dict) -> str:
     env.pipeline_reports.append((opt_report, report))
     return (f"pipeline {report.plan_id} executed: {report.records_in} -> "
             f"{report.records_out} records; semantic calls "
-            f"{report.semantic_calls()}; cost {report.total_cost:.6f}; "
+            f"{report.total_calls}; cost {report.total_cost:.6f}; "
             f"derived context {out_ctx.id}\npreview:\n"
             + (preview_records(out_ctx.source, 5) or "(no records)"))
 
@@ -381,18 +380,16 @@ _CORRECTIVE = ChatMessage(
 
 
 @dataclass
-class ComputeResult:
-    answer_text: str
-    answer_value: FieldValue | None
+class AgentResult:
+    """One agent run as a ``compute`` or ``search`` operator: the derived
+    context, the run's trace, the final answer (compute only), and whether a
+    search stopped at the step limit."""
+
     context: Context
     trace: AgentTrace
-
-
-@dataclass
-class SearchResult:
-    context: Context
-    trace: AgentTrace
-    partial: bool
+    answer_text: str | None = None
+    answer_value: FieldValue | None = None
+    partial: bool = False
 
 
 class AgentRuntime:
@@ -411,7 +408,6 @@ class AgentRuntime:
         self.sample_size = sample_size
         self.run_policy = run_policy or RunPolicy()
         self.refs = dict(refs or {})
-        self.traces: list[AgentTrace] = []
         self.pipeline_reports: list[tuple[OptimizerReport, ExecutionReport]] = []
 
     def _registry(self, ctx: Context) -> dict[str, ToolSpec]:
@@ -500,7 +496,6 @@ class AgentRuntime:
 
         trace.derived_context_ids = list(env.derived_context_ids)
         self.pipeline_reports.extend(env.pipeline_reports)
-        self.traces.append(trace)
         return trace
 
     def _invoke_tool(self, registry: dict[str, ToolSpec], env: ToolEnv,
@@ -524,85 +519,71 @@ class AgentRuntime:
     # --- compute and search ----------------------------------------------------
 
     def compute(self, ctx: Context, instruction: str,
-                config: AgentConfig) -> ComputeResult:
+                config: AgentConfig) -> AgentResult:
         """Run the agent to a final answer and derive an answer context."""
-        env = self._env(ctx)
-        trace = self.run(instruction, ctx, config, env=env)
-        if trace.outcome != "answered":
-            reason = trace.abort_reason or trace.outcome
-            raise ComputeError(
-                f"compute did not reach an answer ({trace.outcome}"
-                + (f": {trace.abort_reason}" if trace.abort_reason else "") + ")",
-                trace=trace, reason=reason)
-        final = trace.final_answer()
-        assert final is not None
-        tools_used = ", ".join(dict.fromkeys(env.tools_used)) or "none"
-        pipelines = ", ".join(env.derived_context_ids) or "none"
-        description = (ctx.description
-                       + f"\n\n[compute] instruction: {instruction}\n"
-                         f"answer: {final.text}\n"
-                         f"tools used: {tools_used}\n"
-                         f"pipelines run: {pipelines}")
-        derived = context_derive(ctx, instruction, description, operator="compute")
-        if self.store is not None:
-            self.store.register(derived, instruction=instruction)
-        trace.derived_context_ids.append(derived.id)
-        return ComputeResult(answer_text=final.text, answer_value=final.value,
-                             context=derived, trace=trace)
+        return self.operate("compute", ctx, instruction, config)
 
     def search(self, ctx: Context, instruction: str,
-               config: AgentConfig) -> SearchResult:
+               config: AgentConfig) -> AgentResult:
         """Run the agent to gather findings; step-limit yields a partial context."""
+        return self.operate("search", ctx, instruction, config)
+
+    def operate(self, kind: str, ctx: Context, instruction: str,
+                config: AgentConfig) -> AgentResult:
+        """Run the agent as a ``compute`` (must answer) or ``search`` (must not
+        abort) operator, then derive, register and record the output context."""
+        if kind not in ("compute", "search"):
+            raise ValidationError(f"unknown agent operator kind {kind!r}")
         env = self._env(ctx)
         trace = self.run(instruction, ctx, config, env=env)
-        if trace.outcome == "aborted":
-            raise SearchError(
-                f"search aborted ({trace.abort_reason or 'unknown'})",
-                trace=trace, reason=trace.abort_reason)
-        partial = trace.outcome == "step-limit"
-        findings = []
-        for step in trace.steps:
-            if isinstance(step.action, ToolCall):
-                obs = step.observation.replace("\n", " ")[:200]
-                findings.append(f"- step {step.index}: {step.action.tool} -> {obs}")
-            elif isinstance(step.action, FinalAnswer):
-                findings.append(f"- answer: {step.action.text}")
+        final, partial = None, False
+        if kind == "compute":
+            if trace.outcome != "answered":
+                raise ComputeError(
+                    f"compute did not reach an answer ({trace.outcome}"
+                    + (f": {trace.abort_reason}" if trace.abort_reason else "") + ")",
+                    trace=trace, reason=trace.abort_reason or trace.outcome)
+            final = trace.final_answer()
+            tools_used = ", ".join(dict.fromkeys(env.tools_used)) or "none"
+            pipelines = ", ".join(env.derived_context_ids) or "none"
+            body = (f"answer: {final.text}\n"
+                    f"tools used: {tools_used}\n"
+                    f"pipelines run: {pipelines}")
+        else:
+            if trace.outcome == "aborted":
+                raise SearchError(
+                    f"search aborted ({trace.abort_reason or 'unknown'})",
+                    trace=trace, reason=trace.abort_reason)
+            partial = trace.outcome == "step-limit"
+            findings = []
+            for step in trace.steps:
+                if isinstance(step.action, ToolCall):
+                    obs = step.observation.replace("\n", " ")[:200]
+                    findings.append(f"- step {step.index}: {step.action.tool} -> {obs}")
+                elif isinstance(step.action, FinalAnswer):
+                    findings.append(f"- answer: {step.action.text}")
+            body = (f"status: {'partial' if partial else 'complete'}\n"
+                    "findings:\n" + ("\n".join(findings) or "- none"))
         description = (ctx.description
-                       + f"\n\n[search] instruction: {instruction}\n"
-                         f"status: {'partial' if partial else 'complete'}\n"
-                         "findings:\n" + ("\n".join(findings) or "- none"))
-        derived = context_derive(ctx, instruction, description, operator="search")
+                       + f"\n\n[{kind}] instruction: {instruction}\n" + body)
+        derived = context_derive(ctx, instruction, description, operator=kind)
         if self.store is not None:
             self.store.register(derived, instruction=instruction)
         trace.derived_context_ids.append(derived.id)
-        return SearchResult(context=derived, trace=trace, partial=partial)
+        return AgentResult(derived, trace, final and final.text,
+                           final and final.value, partial)
 
 
 def make_stage_runner(runtime: AgentRuntime,
                       max_steps: int = DEFAULT_MAX_STEPS,
-                      cost_budget: float | None = None):
-    """Adapter letting pipelines host compute/search operators: the engine
-    calls back into an agent run bound to the operator's chosen model."""
+                      cost_budget: float | None = None) -> AgentRunner:
+    """Let pipelines host compute/search operators: the engine calls back
+    into an agent run bound to the operator's chosen model."""
 
     def runner(kind: str, instruction: str, ctx: Context,
-               model: ModelSpec) -> AgentStageResult:
-        config = AgentConfig(model=model, max_steps=max_steps,
-                             cost_budget=cost_budget)
-        if kind == "compute":
-            result = runtime.compute(ctx, instruction, config)
-            out_ctx, trace = result.context, result.trace
-            answer_text, answer_value = result.answer_text, result.answer_value
-        else:
-            result = runtime.search(ctx, instruction, config)
-            out_ctx, trace = result.context, result.trace
-            answer_text, answer_value = None, None
-        return AgentStageResult(
-            context=out_ctx,
-            answer_text=answer_text,
-            answer_value=answer_value,
-            calls=trace.usage.calls,
-            usage=Usage(trace.usage.input_tokens, trace.usage.output_tokens),
-            wall_seconds=trace.usage.wall_seconds,
-        )
+               model: ModelSpec) -> AgentResult:
+        return runtime.operate(kind, ctx, instruction,
+                               AgentConfig(model=model, max_steps=max_steps,
+                                           cost_budget=cost_budget))
 
     return runner

@@ -15,7 +15,7 @@ import math
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import hashlib
@@ -235,6 +235,40 @@ def hashing_embed(text: str, dim: int = DEFAULT_EMBED_DIM) -> np.ndarray:
     return vec / norm
 
 
+def load_json_object(path, what: str) -> dict:
+    """Read the JSON file at ``path``, whose top level must be an object; any
+    failure raises :class:`ConfigurationError` naming ``what`` and ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigurationError(f"cannot load {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"cannot load {what} {path}: not a JSON object")
+    return doc
+
+
+_REQUIRED = object()
+
+
+def json_value(doc, key: str, convert, where: str, default=_REQUIRED):
+    """``convert(doc[key])``, or ``default`` when the key is absent or null.
+    A ``doc`` that is not an object, a missing required key, or a value that
+    ``convert`` rejects raises :class:`ConfigurationError` naming ``where``
+    and ``key``."""
+    if not isinstance(doc, Mapping):
+        raise ConfigurationError(
+            f"{where}: expected a JSON object, got {type(doc).__name__}")
+    if doc.get(key) is None:
+        if default is _REQUIRED:
+            raise ConfigurationError(f"{where}: missing key {key!r}")
+        return default
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{where}: bad value for {key!r}: {exc}") from exc
+
+
 def _resolve_catalog(catalog: Mapping[str, ModelSpec] | Iterable[ModelSpec]) -> dict[str, ModelSpec]:
     if isinstance(catalog, Mapping):
         return dict(catalog)
@@ -260,7 +294,10 @@ class MockRule:
         self.kind = kind
         self.max_calls = max_calls
         self.used = 0
-        self._pattern = re.compile(match) if kind == "regex" else None
+        try:
+            self._pattern = re.compile(match) if kind == "regex" else None
+        except re.error as exc:
+            raise ConfigurationError(f"bad rule regex {match!r}: {exc}") from exc
 
     def matches(self, prompt: str) -> bool:
         if self.max_calls is not None and self.used >= self.max_calls:
@@ -279,23 +316,23 @@ class MockScript:
     @classmethod
     def from_dict(cls, doc: Mapping) -> "MockScript":
         rules = []
-        for row in doc.get("rules", []):
+        for i, row in enumerate(json_value(doc, "rules", list, "top level", [])):
+            where = f"rule {i}"
             rules.append(MockRule(
-                match=row["match"],
-                response=row["response"],
-                kind=row.get("kind", "substring"),
-                max_calls=row.get("max_calls"),
+                match=json_value(row, "match", str, where),
+                response=json_value(row, "response", str, where),
+                kind=json_value(row, "kind", str, where, "substring"),
+                max_calls=json_value(row, "max_calls", int, where, None),
             ))
         return cls(rules)
 
     @classmethod
     def from_file(cls, path) -> "MockScript":
+        doc = load_json_object(path, "mock script")
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(f"cannot load mock script {path}: {exc}") from exc
-        return cls.from_dict(doc)
+            return cls.from_dict(doc)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"mock script {path}: {exc}") from exc
 
     def to_dict(self) -> dict:
         rows = []
@@ -318,11 +355,9 @@ class MockBackend:
     """
 
     def __init__(self, script: MockScript,
-                 catalog: Mapping[str, ModelSpec] | Iterable[ModelSpec],
-                 embed_dim: int = DEFAULT_EMBED_DIM):
+                 catalog: Mapping[str, ModelSpec] | Iterable[ModelSpec]):
         self.script = script
         self.catalog = _resolve_catalog(catalog)
-        self.embed_dim = embed_dim
         self.ledger = UsageLedger()
         self._lock = threading.Lock()
 
@@ -354,7 +389,7 @@ class MockBackend:
         )
 
     def embed(self, text: str) -> np.ndarray:
-        return hashing_embed(text, self.embed_dim)
+        return hashing_embed(text)
 
 
 RETRYABLE_STATUS = frozenset({408, 429, 500, 502, 503, 504})
@@ -379,8 +414,7 @@ class HttpBackend:
                  embedding_model: str = "semaq-embed",
                  timeout: float = 60.0,
                  session=None,
-                 sleeper: Callable[[float], None] = time.sleep,
-                 embed_dim: int = DEFAULT_EMBED_DIM):
+                 sleeper: Callable[[float], None] = time.sleep):
         import os
 
         import requests
@@ -389,7 +423,6 @@ class HttpBackend:
         self.catalog = _resolve_catalog(catalog)
         self.embedding_model = embedding_model
         self.timeout = timeout
-        self.embed_dim = embed_dim
         self.ledger = UsageLedger()
         self._session = session if session is not None else requests.Session()
         self._sleep = sleeper
@@ -483,26 +516,14 @@ class HttpBackend:
 
 def load_model_catalog(path) -> dict[str, ModelSpec]:
     """Load a model catalog file: ``{"models": [{"id": ..., ...}]}``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cannot load model catalog {path}: {exc}") from exc
-    catalog: dict[str, ModelSpec] = {}
-    for row in doc.get("models", []):
-        try:
-            spec = ModelSpec(
-                model_id=row["id"],
-                input_cost_per_1k=float(row["input_cost_per_1k"]),
-                output_cost_per_1k=float(row["output_cost_per_1k"]),
-                quality_prior=float(row["quality_prior"]),
-                latency_prior=float(row["latency_prior"]),
-            )
-        except KeyError as exc:
-            raise ConfigurationError(f"catalog entry missing key: {exc}") from exc
-        if spec.model_id in catalog:
-            raise ConfigurationError(f"duplicate model in catalog: {spec.model_id}")
-        catalog[spec.model_id] = spec
-    if not catalog:
-        raise ConfigurationError(f"model catalog {path} defines no models")
-    return catalog
+    doc = load_json_object(path, "model catalog")
+    where = f"model catalog {path}"
+    specs = []
+    for i, row in enumerate(json_value(doc, "models", list, where, [])):
+        at = f"{where}: models[{i}]"
+        numbers = (json_value(row, key, float, at) for key in (
+            "input_cost_per_1k", "output_cost_per_1k", "quality_prior", "latency_prior"))
+        specs.append(ModelSpec(json_value(row, "id", str, at), *numbers))
+    if not specs:
+        raise ConfigurationError(f"{where} defines no models")
+    return _resolve_catalog(specs)

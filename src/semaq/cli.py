@@ -17,7 +17,8 @@ from pathlib import Path
 
 from .agent import AgentConfig, AgentRuntime, make_stage_runner
 from .backend import (HttpBackend, MockBackend, MockScript, ModelSpec,
-                      hashing_embed, load_model_catalog)
+                      hashing_embed, json_value, load_json_object,
+                      load_model_catalog)
 from .core import (Record, RecordSnapshot, VectorIndex, context_create,
                    make_source_record, record_from_json)
 from .errors import ConfigurationError, DataAccessError, SemaqError
@@ -77,29 +78,26 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(f"cannot load config {path}: {exc}") from exc
+        doc = load_json_object(path, "config")
+        where = f"config {path}"
         cfg = cls()
-        backend_doc = doc.get("backend", {})
-        cfg.mock_script = backend_doc.get("mock_script")
-        cfg.base_url = backend_doc.get("base_url")
-        cfg.catalog_path = backend_doc.get("catalog") or doc.get("catalog")
-        cfg.datasets = doc.get("datasets", {})
+        backend_doc = json_value(doc, "backend", dict, where, {})
+        cfg.mock_script = json_value(backend_doc, "mock_script", str, where, None)
+        cfg.base_url = json_value(backend_doc, "base_url", str, where, None)
+        cfg.catalog_path = (json_value(backend_doc, "catalog", str, where, None)
+                            or json_value(doc, "catalog", str, where, None))
+        cfg.datasets = json_value(doc, "datasets", dict, where, {})
         if "policy" in doc:
             cfg.policy = parse_policy(doc["policy"])
-        cfg.pool_width = int(doc.get("pool_width", cfg.pool_width))
-        cfg.sample_size = int(doc.get("sample_size", cfg.sample_size))
-        cfg.run_dir = doc.get("run_dir", cfg.run_dir)
-        cfg.cache_dir = doc.get("cache_dir", cfg.cache_dir)
-        cfg.tau = float(doc.get("tau", cfg.tau))
-        cfg.agent_model = doc.get("agent_model")
-        cfg.max_steps = int(doc.get("max_steps", cfg.max_steps))
-        if doc.get("budget") is not None:
-            cfg.budget = float(doc["budget"])
-        cfg.build_index = bool(doc.get("index", cfg.build_index))
+        cfg.pool_width = json_value(doc, "pool_width", int, where, cfg.pool_width)
+        cfg.sample_size = json_value(doc, "sample_size", int, where, cfg.sample_size)
+        cfg.run_dir = json_value(doc, "run_dir", str, where, cfg.run_dir)
+        cfg.cache_dir = json_value(doc, "cache_dir", str, where, cfg.cache_dir)
+        cfg.tau = json_value(doc, "tau", float, where, cfg.tau)
+        cfg.agent_model = json_value(doc, "agent_model", str, where, None)
+        cfg.max_steps = json_value(doc, "max_steps", int, where, cfg.max_steps)
+        cfg.budget = json_value(doc, "budget", float, where, None)
+        cfg.build_index = json_value(doc, "index", bool, where, cfg.build_index)
         return cfg
 
 
@@ -156,14 +154,21 @@ def load_dataset_jsonl(path) -> list[Record]:
     records = []
     try:
         # iterating the file splits on \n (and \r) only: record_to_json
-        # writes U+2028, U+2029 and U+0085 raw
-        with open(file, encoding="utf-8") as rows:
+        # writes U+2028, U+2029 and U+0085 raw.  An undecodable byte becomes
+        # a lone surrogate, which only strict encoding rejects, so the error
+        # keeps its line number
+        with open(file, encoding="utf-8", errors="surrogateescape") as rows:
             for lineno, line in enumerate(rows, start=1):
                 if not line.strip():
                     continue
                 origin = f"{file.name}#{lineno}"
                 try:
+                    line.encode("utf-8")
                     records.append(record_from_json(line, origin=origin))
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00  # the escaped byte
+                    raise DataAccessError(f"{path}:{lineno}: bad record: "
+                                          f"byte 0x{byte:02x} is not UTF-8") from None
                 except (json.JSONDecodeError, SemaqError) as exc:
                     raise DataAccessError(
                         f"{path}:{lineno}: bad record: {exc}") from exc
@@ -177,17 +182,19 @@ def load_dataset(cfg: RunConfig, name: str, backend) :
     if spec is None:
         known = ", ".join(sorted(cfg.datasets)) or "none"
         raise ConfigurationError(f"unknown dataset {name!r} (known: {known})")
-    kind = spec.get("kind", "dir")
+    where = f"dataset {name!r}"
+    kind = json_value(spec, "kind", str, where, "dir")
+    path = json_value(spec, "path", str, where)
     if kind == "dir":
-        records = load_dataset_dir(spec["path"])
+        records = load_dataset_dir(path)
     elif kind == "jsonl":
-        records = load_dataset_jsonl(spec["path"])
+        records = load_dataset_jsonl(path)
     else:
         raise ConfigurationError(f"dataset {name!r} has unknown kind {kind!r}")
     snapshot = RecordSnapshot(records)
     index = (VectorIndex.build(snapshot, backend.embed) if cfg.build_index else None)
     description = (f"Dataset {name!r}: {len(records)} records loaded from "
-                   f"{spec['path']} ({kind}).")
+                   f"{path} ({kind}).")
     return context_create(snapshot, description, index=index)
 
 
@@ -259,7 +266,7 @@ def cmd_pipeline(args) -> int:
     backend = build_backend(cfg)
     try:
         text = Path(args.pipeline_file).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataAccessError(f"cannot read pipeline file: {exc}") from exc
     plan = parse_pipeline(text)
     ctx = load_dataset(cfg, args.dataset, backend)

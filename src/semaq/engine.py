@@ -23,14 +23,17 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .backend import ChatMessage, ModelSpec, Usage, call_cost
 from .core import (Context, FieldValue, Record, context_derive, context_iterate,
                    make_derived_record, record_to_json)
 from .errors import OperatorError, RunAbortedError, ValidationError
-from .lang import (Compute, Limit, LogicalOp, LogicalPlan, Project, Scan, Search,
+from .lang import (Compute, Limit, LogicalOp, LogicalPlan, Project, Scan,
                    SemFilter, SemMap, is_agentic, is_semantic, print_pipeline)
+
+if TYPE_CHECKING:
+    from .agent import AgentResult
 
 logger = logging.getLogger(__name__)
 
@@ -303,6 +306,20 @@ def sem_map_execute(backend, model: ModelSpec, record: Record, instruction: str,
     return merged, usage, calls
 
 
+def semantic_execute(backend, pop: PhysicalOp, record: Record, operator_id: str
+                     ) -> tuple[Record | None, Usage, int]:
+    """Run a bound sem_filter or sem_map on ``record`` with the op's retry
+    budget: (output record, None when a filter rejects it; usage; calls)."""
+    op = pop.logical
+    if isinstance(op, SemFilter):
+        verdict, usage, calls = sem_filter_execute(
+            backend, pop.model, record, op.predicate, retry_budget=pop.retry_budget)
+        return (record if verdict else None), usage, calls
+    return sem_map_execute(backend, pop.model, record, op.instruction,
+                           op.output_fields, operator_id,
+                           retry_budget=pop.retry_budget)
+
+
 # --- reports ------------------------------------------------------------------
 
 @dataclass
@@ -364,10 +381,6 @@ class ExecutionReport:
     def total_failures(self) -> int:
         return sum(op.failures for op in self.ops)
 
-    def semantic_calls(self) -> int:
-        return sum(op.calls for op in self.ops
-                   if op.kind in ("sem_filter", "sem_map", "compute", "search"))
-
     def to_dict(self) -> dict:
         return {
             "plan_id": self.plan_id,
@@ -409,20 +422,9 @@ class ExecutionReport:
 
 # --- pipeline execution --------------------------------------------------------
 
-@dataclass
-class AgentStageResult:
-    """What an injected agent runner returns for a compute/search operator."""
-
-    context: Context
-    answer_text: str | None
-    answer_value: FieldValue | None
-    calls: int
-    usage: Usage
-    wall_seconds: float
-
-
-# runner(kind, instruction, ctx, model) -> AgentStageResult
-AgentRunner = Callable[[str, str, Context, ModelSpec], AgentStageResult]
+# runner(kind, instruction, ctx, model) -> agent.AgentResult for kind "compute"
+# or "search"; the stage reads its context, trace.usage and (compute) answer
+AgentRunner = Callable[[str, str, Context, ModelSpec], "AgentResult"]
 
 
 class _FailureTracker:
@@ -461,7 +463,6 @@ def _semantic_stage(upstream: Iterator[Record], pop: PhysicalOp, row: OpReport,
                     backend, policy: RunPolicy, failures: _FailureTracker,
                     operator_id: str, pool: ThreadPoolExecutor | None
                     ) -> Iterator[Record]:
-    op = pop.logical
     lock = threading.Lock()
 
     def work(record: Record):
@@ -469,15 +470,7 @@ def _semantic_stage(upstream: Iterator[Record], pop: PhysicalOp, row: OpReport,
         # added to ``row`` here, where the call completes
         out, error = None, None
         try:
-            if isinstance(op, SemFilter):
-                verdict, usage, calls = sem_filter_execute(
-                    backend, pop.model, record, op.predicate,
-                    retry_budget=pop.retry_budget)
-                out = record if verdict else None
-            else:
-                out, usage, calls = sem_map_execute(
-                    backend, pop.model, record, op.instruction, op.output_fields,
-                    operator_id, retry_budget=pop.retry_budget)
+            out, usage, calls = semantic_execute(backend, pop, record, operator_id)
         except OperatorError as exc:
             usage, calls, error = (Usage(exc.input_tokens, exc.output_tokens),
                                    exc.calls, exc)
@@ -588,12 +581,14 @@ def pipeline_execute(pplan: PhysicalPlan, ctx: Context, backend,
                         f"{len(upstream_records)} records after upstream operators.",
                         records=upstream_records, operator="pipeline")
                 result = agent_runner(kind, op.instruction, stage_input, pop.model)
+                usage = result.trace.usage
                 row.records_out = len(result.context.source)
-                row.calls = result.calls
-                row.input_tokens = result.usage.input_tokens
-                row.output_tokens = result.usage.output_tokens
-                row.cost = call_cost(pop.model, result.usage)
-                row.wall_seconds = result.wall_seconds
+                row.calls = usage.calls
+                row.input_tokens = usage.input_tokens
+                row.output_tokens = usage.output_tokens
+                row.cost = call_cost(pop.model,
+                                     Usage(usage.input_tokens, usage.output_tokens))
+                row.wall_seconds = usage.wall_seconds
                 if kind == "compute":
                     report.answer_text = result.answer_text
                     report.answer_value = result.answer_value

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import PipelineSyntaxError, ValidationError
 
@@ -258,10 +258,11 @@ def _lex(text: str) -> list[_Token]:
                 col += 1
             tokens.append(_Token("string", "".join(out), start_line, start_col))
             continue
-        if ch.isdigit():
+        # isdecimal, not isdigit: '²' is a digit that int() rejects
+        if ch.isdecimal():
             start_col = col
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("number", text[i:j], line, start_col))
             col += j - i

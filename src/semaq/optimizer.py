@@ -29,8 +29,8 @@ from typing import Mapping, Sequence
 
 from .backend import ModelSpec, Usage, call_cost
 from .core import Context, context_iterate
-from .engine import (PhysicalPlan, RunPolicy, bind_plan, sem_filter_execute,
-                     sem_map_execute)
+from .engine import (PhysicalOp, PhysicalPlan, RunPolicy, bind_plan,
+                     semantic_execute)
 from .errors import (EstimationError, OperatorError, PolicyInfeasibleError,
                      StatsError, ValidationError)
 from .lang import (Limit, LogicalOp, LogicalPlan, SemFilter, is_agentic,
@@ -96,8 +96,7 @@ def _agentic_entry(model: ModelSpec) -> StatsEntry:
                       latency_per_record=model.latency_prior, sample_size=0)
 
 
-def prior_stats(plan: LogicalPlan, models: Sequence[ModelSpec],
-                default_selectivity: float = DEFAULT_SELECTIVITY) -> OperatorStats:
+def prior_stats(plan: LogicalPlan, models: Sequence[ModelSpec]) -> OperatorStats:
     """Zero-call statistics from model priors and nominal token counts."""
     entries: dict[tuple[int, str], StatsEntry] = {}
     for idx in semantic_positions(plan):
@@ -109,7 +108,7 @@ def prior_stats(plan: LogicalPlan, models: Sequence[ModelSpec],
             out_toks = NOMINAL_OUTPUT_TOKENS["filter" if isinstance(op, SemFilter) else "map"]
             cost = call_cost(model, Usage(NOMINAL_INPUT_TOKENS, out_toks))
             entries[(idx, model.model_id)] = StatsEntry(
-                selectivity=default_selectivity if isinstance(op, SemFilter) else None,
+                selectivity=DEFAULT_SELECTIVITY if isinstance(op, SemFilter) else None,
                 quality=model.quality_prior,
                 cost_per_record=cost,
                 latency_per_record=model.latency_prior,
@@ -143,28 +142,20 @@ def sample_stats(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
             if is_agentic(op):
                 entries[(idx, model.model_id)] = _agentic_entry(model)
                 continue
+            pop = PhysicalOp(logical=op, model=model, retry_budget=0)
             before = backend.ledger.snapshot().for_model(model.model_id)
             passes = 0
             agreements = 0
             for record in records:
                 try:
+                    out, _, _ = semantic_execute(backend, pop, record, f"sample#{idx}")
                     if isinstance(op, SemFilter):
-                        verdict, _, _ = sem_filter_execute(
-                            backend, model, record, op.predicate, retry_budget=0)
-                        if verdict:
-                            passes += 1
-                        if op_labels is not None and op_labels.get(record.id) == verdict:
-                            agreements += 1
+                        got = out is not None
+                        passes += got
                     else:
-                        merged, _, _ = sem_map_execute(
-                            backend, model, record, op.instruction,
-                            op.output_fields, f"sample#{idx}", retry_budget=0)
-                        if op_labels is not None:
-                            expected = op_labels.get(record.id)
-                            got = {name: merged.fields.get(name)
-                                   for name, _ in op.output_fields}
-                            if expected == got:
-                                agreements += 1
+                        got = {name: out.fields.get(name) for name, _ in op.output_fields}
+                    if op_labels is not None and op_labels.get(record.id) == got:
+                        agreements += 1
                 except OperatorError as exc:
                     logger.warning("sampling failure at op %d model %s: %s",
                                    idx, model.model_id, exc)
@@ -481,6 +472,8 @@ def parse_policy(doc) -> Policy:
                             quality_weight=float(doc["quality_weight"]))
     except KeyError as exc:
         raise ValidationError(f"policy missing key: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"policy has a bad value: {exc}") from exc
     raise ValidationError(f"unknown policy kind {kind!r}")
 
 
@@ -563,7 +556,6 @@ def _search(plan: LogicalPlan, stats: OperatorStats, models: Sequence[ModelSpec]
 
 def optimize(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
              policy: Policy, sample_size: int, backend,
-             labels: Mapping[int, Mapping[str, object]] | None = None,
              run_policy: RunPolicy | None = None
              ) -> tuple[PhysicalPlan, OptimizerReport]:
     """Sample (or use priors), search the frontier, estimate, and choose.
@@ -577,7 +569,7 @@ def optimize(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
     from .lang import print_pipeline
 
     if sample_size >= 1:
-        stats = sample_stats(plan, ctx, models, sample_size, backend, labels=labels)
+        stats = sample_stats(plan, ctx, models, sample_size, backend)
     else:
         stats = prior_stats(plan, models)
     n = len(ctx.source)

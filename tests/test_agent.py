@@ -4,14 +4,14 @@ import json
 
 import pytest
 
-from semaq import (AgentConfig, AgentRuntime, CapabilityError, ComputeError,
-                   ConfigurationError, ContextStore, DataAccessError,
+from semaq import (AgentConfig, AgentResult, AgentRuntime, CapabilityError,
+                   ComputeError, ConfigurationError, ContextStore, DataAccessError,
                    FinalAnswer, MinCost, SearchError, ToolCall, ToolParam,
-                   ToolSpec, ValidationError, VectorIndex, context_create,
-                   hashing_embed, make_source_record, make_stage_runner,
-                   parse_action, safe_arithmetic, truncate_observation)
+                   ToolSpec, ValidationError, VectorIndex, bind_plan,
+                   context_create, hashing_embed, make_source_record,
+                   make_stage_runner, parse_action, parse_pipeline,
+                   pipeline_execute, safe_arithmetic, truncate_observation)
 from semaq.agent import ToolEnv, builtin_tools, render_system_prompt
-from semaq.engine import AgentStageResult
 from tests.conftest import CHEAP, STRONG
 
 
@@ -484,17 +484,128 @@ def test_search_abort_raises(ctx, mk_backend):
     assert err.value.reason == "action-parse"
 
 
+# Recorded at the commit before compute and search shared one code path;
+# one changed byte in a description changes every later retrieval over it.
+_PINNED_COMPUTE = (
+    "Four memos for triage.\n\n[compute] instruction: count the filings\n"
+    "answer: the answer is 42\ntools used: run_pipeline, evaluate\n"
+    "pipelines run: ctx-f766cb651290")
+_PINNED_SEARCH_COMPLETE = (
+    "Four memos for triage.\n\n[search] instruction: look around\n"
+    "status: complete\nfindings:\n"
+    "- step 0: run_pipeline -> pipeline pp-941de2bfb5b3 executed: 4 -> 1 "
+    "records; semantic calls 4; cost 0.000102; derived context ctx-f766cb651290 "
+    'preview: {"id":"r548c9d3d3030","fields":{"text":"gamma summary of filings"}} \n'
+    "- step 1: list_sources -> 4 records in context ctx-6664404f58b9: "
+    "r6d1d67acabd8\talpha report on mergers r1b305ece48a2\tbeta memo on staffing "
+    "r548c9d3d3030\tgamma summary of filings r84282242e9a7\tdelta notes on audits\n"
+    "- answer: found the filings memo")
+_PINNED_SEARCH_PARTIAL = (
+    "Four memos for triage.\n\n[search] instruction: look around\n"
+    "status: partial\nfindings:\n"
+    "- step 0: list_sources -> 4 records in context ctx-6664404f58b9: "
+    "r6d1d67acabd8\talpha report on mergers r1b305ece48a2\tbeta memo on staffing "
+    "r548c9d3d3030\tgamma summary of filings r84282242e9a7\tdelta notes on audits\n"
+    "- step 1: index_search -> r548c9d3d3030\t0.7500\tgamma summary of filings "
+    "r1b305ece48a2\t0.5000\tbeta memo on staffing")
+
+
+def test_compute_and_search_descriptions_and_ids_pinned(ctx, mk_backend):
+    assert ctx.id == "ctx-6664404f58b9"
+    backend = mk_backend(*_script(_tool("run_pipeline", pipeline=PIPELINE),
+                                  _tool("evaluate", expression="6*7"),
+                                  _final("the answer is 42", value=42)),
+                         *_pipeline_rules())
+    result = _runtime(backend).compute(ctx, "count the filings", _config())
+    assert result.context.description == _PINNED_COMPUTE
+    assert result.context.id == "ctx-25f9fcf2f791"
+    assert result.trace.derived_context_ids == ["ctx-f766cb651290",
+                                                "ctx-25f9fcf2f791"]
+    assert (result.answer_text, result.answer_value) == ("the answer is 42", 42)
+
+    backend = mk_backend(*_script(_tool("run_pipeline", pipeline=PIPELINE),
+                                  _tool("list_sources"),
+                                  _final("found the filings memo")),
+                         *_pipeline_rules())
+    result = _runtime(backend).search(ctx, "look around", _config())
+    assert result.context.description == _PINNED_SEARCH_COMPLETE
+    assert result.context.id == "ctx-004503fd885b"
+    assert result.trace.derived_context_ids == ["ctx-f766cb651290",
+                                                "ctx-004503fd885b"]
+    assert not result.partial
+
+    backend = mk_backend(*_script(_tool("list_sources"),
+                                  _tool("index_search", query="filings", k=2)))
+    result = _runtime(backend).search(ctx, "look around", _config(max_steps=2))
+    assert result.context.description == _PINNED_SEARCH_PARTIAL
+    assert result.context.id == "ctx-20fce5eb4b35"
+    assert result.trace.derived_context_ids == ["ctx-20fce5eb4b35"]
+    assert result.partial
+
+
+@pytest.mark.parametrize("kind,replies,config,error,message,category,reason", [
+    ("compute", [_tool("list_sources")], {"max_steps": 1}, ComputeError,
+     "compute did not reach an answer (step-limit)", "compute-error", "step-limit"),
+    ("compute", [_final("never")], {"cost_budget": 0.0}, ComputeError,
+     "compute did not reach an answer (aborted: budget)", "budget-exceeded", "budget"),
+    ("search", ["junk", "junk", "junk"], {}, SearchError,
+     "search aborted (action-parse)", "search-error", "action-parse"),
+    ("search", [_final("never")], {"cost_budget": 0.0}, SearchError,
+     "search aborted (budget)", "budget-exceeded", "budget"),
+])
+def test_compute_and_search_errors_pinned(ctx, mk_backend, kind, replies, config,
+                                          error, message, category, reason):
+    runtime = _runtime(mk_backend(*_script(*replies)))
+    with pytest.raises(error) as err:
+        getattr(runtime, kind)(ctx, "q", _config(**config))
+    assert str(err.value) == message
+    assert (err.value.category, err.value.reason) == (category, reason)
+    assert err.value.trace is not None
+
+
+def test_operate_rejects_unknown_kind_before_any_call(ctx, mk_backend):
+    backend = mk_backend(*_script(_final("never")))
+    with pytest.raises(ValidationError, match="'Compute'"):
+        _runtime(backend).operate("Compute", ctx, "q", _config())
+    assert backend.ledger.snapshot().total_calls == 0
+
+
+def test_stage_runner_report_rows_pinned(ctx, mk_backend):
+    backend = mk_backend(*_script(_tool("list_sources"), _final("findings noted"),
+                                  _tool("evaluate", expression="1+2"),
+                                  _final("three", value=3)))
+    pplan = bind_plan(parse_pipeline(
+        'scan(ctx) | limit(3) | search("scout") | compute("tally")'),
+        {2: CHEAP, 3: STRONG})
+    out_ctx, report = pipeline_execute(
+        pplan, ctx, backend,
+        agent_runner=make_stage_runner(_runtime(backend), max_steps=4))
+    rows = [op.to_dict() for op in report.ops[2:]]
+    assert rows == [
+        {"index": 2, "kind": "search", "detail": "scout", "model_id": "cheap",
+         "records_in": 3, "records_out": 3, "calls": 2, "input_tokens": 525,
+         "output_tokens": 52, "cost": 0.0002516, "wall_seconds": 1.0,
+         "failures": 0},
+        {"index": 3, "kind": "compute", "detail": "tally", "model_id": "strong",
+         "records_in": 3, "records_out": 3, "calls": 2, "input_tokens": 659,
+         "output_tokens": 53, "cost": 0.0015300000000000001, "wall_seconds": 2.0,
+         "failures": 0},
+    ]
+    assert (report.answer_text, report.answer_value) == ("three", 3)
+    assert out_ctx.id == "ctx-270bea1096d4" and len(out_ctx.source) == 3
+
+
 def test_make_stage_runner_binds_operator_model(ctx, mk_backend):
     replies = _script(_final("stage answer", value=5))
     backend = mk_backend(*replies)
     runtime = _runtime(backend)
     runner = make_stage_runner(runtime, max_steps=4)
     result = runner("compute", "stage instruction", ctx, STRONG)
-    assert isinstance(result, AgentStageResult)
+    assert isinstance(result, AgentResult)
     assert result.answer_text == "stage answer" and result.answer_value == 5
-    assert result.calls == 1
-    assert result.wall_seconds == pytest.approx(STRONG.latency_prior)
-    assert runtime.traces[-1].model_id == "strong"
+    assert result.trace.usage.calls == 1
+    assert result.trace.usage.wall_seconds == pytest.approx(STRONG.latency_prior)
+    assert result.trace.model_id == "strong"
 
     backend2 = mk_backend(*_script(_final("findings noted")))
     runner2 = make_stage_runner(_runtime(backend2))

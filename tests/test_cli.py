@@ -96,6 +96,10 @@ def test_load_dataset_jsonl(tmp_path):
     file.write_text(file.read_text(encoding="utf-8") + "not json\n", encoding="utf-8")
     with pytest.raises(DataAccessError, match=":4:"):
         load_dataset_jsonl(file)
+    # a Latin-1 byte far past the first read chunk still names its own line
+    file.write_bytes(b'{"text": "plain row"}\n' * 600 + b'{"text": "caf\xe9"}\n')
+    with pytest.raises(DataAccessError, match=r":601: bad record: byte 0xe9 is not UTF-8"):
+        load_dataset_jsonl(file)
 
 
 def test_load_dataset_builds_context(tmp_path, mk_backend):
@@ -302,6 +306,82 @@ def test_cli_pipeline_rejects_pool_width_below_one(workspace, capsys, width):
     out = capsys.readouterr()
     assert code == 2
     assert out.err.startswith("error: validation-error: pool_width must be >= 1")
+
+
+def _edit_json(path, edit):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def _use_catalog(ws, row):
+    catalog = ws / "models.json"
+    catalog.write_text(json.dumps({"models": [row]}), encoding="utf-8")
+    _edit_json(ws / "config.json", lambda doc: doc["backend"].update(catalog=str(catalog)))
+    return catalog
+
+
+_MODEL_ROW = {"id": "solo", "input_cost_per_1k": 0.001, "output_cost_per_1k": 0.002,
+              "quality_prior": 0.9, "latency_prior": 0.3}
+
+# case: (break one input file, expected category, fragments of the error line)
+_BAD_JSON_INPUTS = {
+    "config-top-level-list": (
+        lambda ws: (ws / "config.json").write_text("[1]"),
+        "config-error", ["config.json", "not a JSON object"]),
+    "config-not-utf8": (
+        lambda ws: (ws / "config.json").write_bytes(b'{"tau": "\xe9"}'),
+        "config-error", ["config.json", "decode"]),
+    "script-top-level-list": (
+        lambda ws: (ws / "script.json").write_text("[1]"),
+        "config-error", ["script.json", "not a JSON object"]),
+    "catalog-top-level-list": (
+        lambda ws: _use_catalog(ws, _MODEL_ROW).write_text("[1]"),
+        "config-error", ["models.json", "not a JSON object"]),
+    "rule-without-match": (
+        lambda ws: (ws / "script.json").write_text(
+            json.dumps({"rules": [{"response": "yes"}]})),
+        "config-error", ["script.json", "rule 0", "'match'"]),
+    "catalog-cost-not-a-number": (
+        lambda ws: _use_catalog(ws, {**_MODEL_ROW, "input_cost_per_1k": "cheap"}),
+        "config-error", ["models.json", "models[0]", "'input_cost_per_1k'"]),
+    "dataset-without-path": (
+        lambda ws: _edit_json(ws / "config.json",
+                              lambda doc: doc["datasets"]["docs"].pop("path")),
+        "config-error", ["'docs'", "'path'"]),
+    "pool-width-not-a-number": (
+        lambda ws: _edit_json(ws / "config.json",
+                              lambda doc: doc.update(pool_width="eight")),
+        "config-error", ["config.json", "'pool_width'"]),
+    "policy-floor-not-a-number": (
+        lambda ws: _edit_json(ws / "config.json", lambda doc: doc.update(
+            policy={"kind": "min_cost", "quality_floor": "high"})),
+        "validation-error", ["policy", "high"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_JSON_INPUTS))
+def test_cli_bad_json_inputs_exit_with_their_category(workspace, capsys, case):
+    breaks, category, fragments = _BAD_JSON_INPUTS[case]
+    pipe = workspace / "p.pz"
+    pipe.write_text(PIPELINE + "\n", encoding="utf-8")
+    breaks(workspace)
+    code = main(["--config", str(workspace / "config.json"),
+                 "pipeline", str(pipe), "--dataset", "docs"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {category}:")
+    assert all(fragment in err for fragment in fragments), err
+
+
+def test_cli_pipeline_file_not_utf8(workspace, capsys):
+    pipe = workspace / "latin1.pz"
+    pipe.write_bytes(b'scan(docs) | sem_filter("caf\xe9")\n')
+    code = main(["--config", str(workspace / "config.json"),
+                 "pipeline", str(pipe), "--dataset", "docs"])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith("error: data-error: cannot read pipeline file:")
 
 
 def test_cli_pipeline_validation_diagnostics(workspace, capsys):

@@ -177,3 +177,10 @@ def test_topk_ties_break_by_record_id():
 def test_topk_on_empty_index():
     index = VectorIndex.build([], hashing_embed)
     assert index.topk("anything", 3) == []
+
+
+def test_public_api_names_resolve():
+    import semaq
+
+    resolved = {name: getattr(semaq, name) for name in semaq.__all__}
+    assert len(resolved) == len(semaq.__all__)  # and no name is listed twice

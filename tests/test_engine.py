@@ -9,11 +9,10 @@ from semaq import (MockBackend, MockRule, MockScript, OperatorError,
                    RunAbortedError, RunPolicy, ValidationError, bind_plan,
                    context_create, make_source_record, parse_pipeline,
                    pipeline_execute)
-from semaq.backend import Usage
-from semaq.engine import (AgentStageResult, parse_filter_response,
-                          parse_map_response, render_filter_prompt,
-                          render_map_prompt, sem_filter_execute,
-                          sem_map_execute)
+from semaq.agent import AgentResult, AgentTrace, AgentUsage
+from semaq.engine import (parse_filter_response, parse_map_response,
+                          render_filter_prompt, render_map_prompt,
+                          sem_filter_execute, sem_map_execute)
 from tests.conftest import CHEAP, STRONG
 
 
@@ -355,9 +354,11 @@ def test_agentic_stage_runs_via_runner(mk_backend):
         seen["model"] = model.model_id
         derived = context_create(list(stage_ctx.source)[:1],
                                  stage_ctx.description + "\nanswered")
-        return AgentStageResult(context=derived, answer_text="42",
-                                answer_value=42, calls=2, usage=Usage(10, 5),
-                                wall_seconds=2.0)
+        usage = AgentUsage(calls=2, input_tokens=10, output_tokens=5,
+                           wall_seconds=2.0)
+        trace = AgentTrace(instruction, model.model_id, usage=usage)
+        return AgentResult(context=derived, trace=trace, answer_text="42",
+                           answer_value=42)
 
     pplan = _bind('scan(d) | compute("the answer")', model=STRONG)
     out_ctx, report = pipeline_execute(pplan, _ctx(_numbered(4)), backend,

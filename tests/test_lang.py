@@ -96,6 +96,15 @@ def test_syntax_error_carries_position():
     assert "line 2" in message and "column" in message
 
 
+def test_number_lexing_accepts_exactly_what_int_accepts():
+    # '²' passes str.isdigit() but int('²') raises; '٣' is a decimal three
+    with pytest.raises(PipelineSyntaxError) as err:
+        parse_pipeline("scan(a) | limit(\u00b2)")
+    assert (err.value.line, err.value.column) == (1, 17)
+    assert "line 1, column 17" in str(err.value)
+    assert parse_pipeline("scan(a) | limit(\u0663)").ops[1] == Limit(count=3)
+
+
 def test_raw_newline_in_string_rejected():
     with pytest.raises(PipelineSyntaxError):
         parse_pipeline('scan(a) | sem_filter("broken\nstring")')
