@@ -251,22 +251,30 @@ def load_json_object(path, what: str) -> dict:
 _REQUIRED = object()
 
 
-def json_value(doc, key: str, convert, where: str, default=_REQUIRED):
-    """``convert(doc[key])``, or ``default`` when the key is absent or null.
-    A ``doc`` that is not an object, a missing required key, or a value that
-    ``convert`` rejects raises :class:`ConfigurationError` naming ``where``
-    and ``key``."""
+_JSON_KINDS = {bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string", list: "a list", dict: "an object"}
+
+
+def json_value(doc, key: str, kind: type, where: str, default=_REQUIRED):
+    """``doc[key]`` if it is a JSON value of ``kind`` (a key of
+    ``_JSON_KINDS``), or ``default`` when the key is absent or null.  Types
+    are checked, not converted: a bool is never an int or a float, and an
+    integer is a float only as a float.  A ``doc`` that is not an object, a
+    missing required key, or a value of another type raises
+    :class:`ConfigurationError` naming ``where`` and ``key``."""
     if not isinstance(doc, Mapping):
         raise ConfigurationError(
             f"{where}: expected a JSON object, got {type(doc).__name__}")
-    if doc.get(key) is None:
+    value = doc.get(key)
+    if value is None:
         if default is _REQUIRED:
             raise ConfigurationError(f"{where}: missing key {key!r}")
         return default
-    try:
-        return convert(doc[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{where}: bad value for {key!r}: {exc}") from exc
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
+        raise ConfigurationError(f"{where}: bad value for {key!r}: expected "
+                                 f"{_JSON_KINDS[kind]}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def _resolve_catalog(catalog: Mapping[str, ModelSpec] | Iterable[ModelSpec]) -> dict[str, ModelSpec]:

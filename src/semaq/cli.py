@@ -306,33 +306,55 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
+def _ledger_lines(doc) -> list[str]:
+    lines = [f"{'model':<16} {'calls':>7} {'in_tok':>9} {'out_tok':>9} "
+             f"{'cost':>12} {'wall_s':>9}"]
+    for row in doc.get("models", []):
+        lines.append(f"{row['model_id']:<16} {row['calls']:>7} "
+                     f"{row['input_tokens']:>9} {row['output_tokens']:>9} "
+                     f"{row['cost']:>12.6f} {row['wall_seconds']:>9.2f}")
+    lines.append(f"total: {doc['total_calls']} calls, cost {doc['total_cost']:.6f}, "
+                 f"wall {doc['total_wall_seconds']:.2f}s")
+    return lines
+
+
+def _trace_lines(doc) -> list[str]:
+    return [f"trace: {len(doc['steps'])} step(s), outcome {doc['outcome']}, "
+            f"agent cost {doc['usage']['cost']:.6f}"]
+
+
+def _report_lines(doc, name: str) -> list[str]:
+    return [f"{name}: plan {doc['plan_id']} "
+            f"{doc['records_in']} -> {doc['records_out']} records, "
+            f"{doc['total_calls']} calls, cost {doc['total_cost']:.6f}"]
+
+
+def _artifact_lines(path: Path, render) -> list[str]:
+    """``render(doc)`` for the JSON run artifact at ``path``; a file that
+    cannot be read, parsed or rendered is a data error naming it."""
+    try:
+        return render(json.loads(path.read_text(encoding="utf-8")))
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise DataAccessError(f"malformed run artifact {path}: "
+                              f"{type(exc).__name__}: {exc}") from exc
+
+
 def cmd_stats(args) -> int:
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         raise DataAccessError(f"run directory not found: {run_dir}")
     ledger_file = run_dir / "ledger.json"
     if ledger_file.exists():
-        doc = json.loads(ledger_file.read_text(encoding="utf-8"))
-        print(f"{'model':<16} {'calls':>7} {'in_tok':>9} {'out_tok':>9} "
-              f"{'cost':>12} {'wall_s':>9}")
-        for row in doc.get("models", []):
-            print(f"{row['model_id']:<16} {row['calls']:>7} "
-                  f"{row['input_tokens']:>9} {row['output_tokens']:>9} "
-                  f"{row['cost']:>12.6f} {row['wall_seconds']:>9.2f}")
-        print(f"total: {doc['total_calls']} calls, cost {doc['total_cost']:.6f}, "
-              f"wall {doc['total_wall_seconds']:.2f}s")
+        lines = _artifact_lines(ledger_file, _ledger_lines)
     else:
-        print("no ledger.json in run directory")
+        lines = ["no ledger.json in run directory"]
     trace_file = run_dir / "trace.json"
     if trace_file.exists():
-        doc = json.loads(trace_file.read_text(encoding="utf-8"))
-        print(f"trace: {len(doc['steps'])} step(s), outcome {doc['outcome']}, "
-              f"agent cost {doc['usage']['cost']:.6f}")
+        lines += _artifact_lines(trace_file, _trace_lines)
     for report_file in sorted(run_dir.glob("report*.json")):
-        doc = json.loads(report_file.read_text(encoding="utf-8"))
-        print(f"{report_file.name}: plan {doc['plan_id']} "
-              f"{doc['records_in']} -> {doc['records_out']} records, "
-              f"{doc['total_calls']} calls, cost {doc['total_cost']:.6f}")
+        lines += _artifact_lines(
+            report_file, lambda doc: _report_lines(doc, report_file.name))
+    print("\n".join(lines))
     return 0
 
 

@@ -310,20 +310,41 @@ def context_topk(ctx: Context, query: str, k: int) -> list[tuple[Record, float]]
     return ctx.index.topk(query, k)
 
 
-def cosine_to_score(cos: float) -> float:
+def cosine_to_score(cos: float | np.ndarray) -> float | np.ndarray:
     """Map cosine in [-1, 1] to a similarity score in [0, 1]."""
     return (1.0 + cos) / 2.0
+
+
+def cosine_topk(vectors: np.ndarray, qvec: np.ndarray, k: int,
+                tau: float = -math.inf) -> list[tuple[int, float]]:
+    """Exact top-k rows of ``vectors`` by cosine score against ``qvec``.
+
+    Every row is scored ``cosine_to_score(row · qvec)``.  ``np.vecdot``
+    takes one dot product per row, the same one ``row @ qvec`` takes, so each
+    score equals the per-row ``cosine_to_score(float(row @ qvec))`` bit for
+    bit (a matrix-vector product sums in another order and does not).  Rows
+    scoring below ``tau`` are dropped; the rest are ordered by descending
+    score, then ascending row, and the first ``k`` are returned as
+    ``(row, score)`` pairs.
+    """
+    scores = cosine_to_score(np.vecdot(vectors, qvec))
+    rows = np.flatnonzero(scores >= tau)
+    best = rows[np.argsort(-scores[rows], kind="stable")[:k]]
+    return [(int(row), float(scores[row])) for row in best]
 
 
 class VectorIndex:
     """Exact nearest-neighbor index over a record snapshot.
 
-    Search is an exhaustive scan: scores are cosine similarity mapped to
-    [0, 1], ties broken by ascending record id.  Lookup is by record id.
+    Search is the exhaustive :func:`cosine_topk` scan: scores are cosine
+    similarity mapped to [0, 1].  Rows are held in ascending record id, so
+    score ties break by ascending record id.  Lookup is by record id.
     """
 
     def __init__(self, records: Sequence[Record], vectors: np.ndarray,
                  embed: Callable[[str], np.ndarray]):
+        """``vectors[i]`` embeds ``records[i]``; records come in ascending
+        id order, as :meth:`build` puts them."""
         self._records = tuple(records)
         self._vectors = vectors
         self._by_id = {r.id: r for r in self._records}
@@ -332,7 +353,7 @@ class VectorIndex:
     @classmethod
     def build(cls, records: Iterable[Record],
               embed: Callable[[str], np.ndarray]) -> "VectorIndex":
-        recs = tuple(records)
+        recs = tuple(sorted(records, key=lambda r: r.id))
         if recs:
             vectors = np.stack([embed(record_text(r)) for r in recs])
         else:
@@ -348,8 +369,5 @@ class VectorIndex:
     def topk(self, query: str, k: int) -> list[tuple[Record, float]]:
         if not self._records:
             return []
-        qvec = self._embed(query)
-        cos = self._vectors @ qvec
-        scored = [(float(cosine_to_score(c)), r) for c, r in zip(cos, self._records)]
-        scored.sort(key=lambda pair: (-pair[0], pair[1].id))
-        return [(r, s) for s, r in scored[:k]]
+        hits = cosine_topk(self._vectors, self._embed(query), k)
+        return [(self._records[row], score) for row, score in hits]

@@ -9,9 +9,11 @@ both are verified when a store is reopened.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import logging
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -20,7 +22,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import Context, context_derive, cosine_to_score
+from .core import Context, context_derive, cosine_topk
 from .errors import StoreConflictError, StoreError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -43,6 +45,10 @@ class ContextEntry:
     embedding: np.ndarray = field(compare=False, repr=False)
 
 
+def _row_order(entry: ContextEntry) -> tuple[int, str]:
+    return entry.seq, entry.context_id
+
+
 def _checksum(description: str, vector_bytes: bytes | memoryview) -> str:
     digest = hashlib.sha256()
     digest.update(description.encode("utf-8"))
@@ -50,21 +56,41 @@ def _checksum(description: str, vector_bytes: bytes | memoryview) -> str:
     return digest.hexdigest()
 
 
+def _parse_entry(line: str, lineno: int) -> dict:
+    """One entry-log line as a dict with an int ``seq``, a positive int
+    ``dim``, and an id, description and checksum."""
+    try:
+        doc = json.loads(line)
+        doc["seq"], doc["dim"] = int(doc["seq"]), int(doc["dim"])
+        missing = sorted({"context_id", "description", "checksum"} - doc.keys())
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise StoreError(f"corrupt store entry at line {lineno}: {exc}") from exc
+    if missing or doc["dim"] < 1:
+        raise StoreError(f"corrupt store entry at line {lineno}: "
+                         f"missing {missing}, dim {doc['dim']}")
+    return doc
+
+
 class ContextStore:
     """Durable registry of contexts with similarity retrieval.
 
     Registration is idempotent on identical content and refuses an id that
-    was stored with different content.  Retrieval is an exact linear scan:
-    similarity is cosine mapped to [0, 1], entries below ``tau`` are dropped,
-    and ties break by earlier registration then ascending id.
+    was stored with different content.  The embeddings live in one float64
+    matrix, their only copy: row ``i`` embeds ``entries[i]``, which is kept
+    in (seq, id) order, and each ``entry.embedding`` is a view of its row.
+    The width comes from the data: the entries' stored ``dim`` on reopen, or
+    the first vector registered.  Retrieval is the exact
+    :func:`~semaq.core.cosine_topk` scan over that matrix: similarity is
+    cosine mapped to [0, 1], entries below ``tau`` are dropped, and ties
+    break by earlier registration then ascending id.
     """
 
-    def __init__(self, directory, embed: Callable[[str], np.ndarray],
-                 dim: int = 256):
+    def __init__(self, directory, embed: Callable[[str], np.ndarray]):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._embed = embed
-        self.dim = dim
+        self.dim: int | None = None
+        self._vectors: np.ndarray | None = None
         self._lock = threading.Lock()
         self.entries: list[ContextEntry] = []
         self._by_id: dict[str, ContextEntry] = {}
@@ -82,48 +108,80 @@ class ContextStore:
     def _load(self) -> None:
         if not self._entries_path.exists():
             return
-        stride = self.dim * 8
+        rows = 0
         try:
-            vector_blob = (self._vectors_path.read_bytes()
-                           if self._vectors_path.exists() else b"")
             # iterating the file splits on \n (and \r) only: descriptions are
             # written raw and may hold U+2028, U+2029 or U+0085
             with open(self._entries_path, encoding="utf-8") as log:
                 for lineno, line in enumerate(log, start=1):
-                    if line.strip():
-                        self._load_entry(line, lineno, vector_blob, stride)
+                    if not line.strip():
+                        continue
+                    doc = _parse_entry(line, lineno)
+                    if self.dim is None:
+                        self.dim = doc["dim"]
+                        rows = self._read_vectors()
+                    self._load_entry(doc, lineno, rows)
         except OSError as exc:
             raise StoreError(f"cannot read store at {self.directory}: {exc}") from exc
-        self.entries.sort(key=lambda e: e.seq)
+        self.entries.sort(key=_row_order)
+        seqs = [entry.seq for entry in self.entries]
+        if seqs != list(range(len(seqs))):
+            # rows were read at their seq; keep only the entries' rows
+            self._reserve(len(seqs), self._vectors[seqs])
 
-    def _load_entry(self, line: str, lineno: int, vector_blob: bytes,
-                    stride: int) -> None:
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise StoreError(f"corrupt store entry at line {lineno}: {exc}") from exc
-        seq = int(doc["seq"])
-        start = seq * stride
-        vector_bytes = memoryview(vector_blob)[start:start + stride]
-        if len(vector_bytes) != stride:
-            raise StoreError(
-                f"vector file truncated at entry {seq} ({doc['context_id']})")
-        if _checksum(doc["description"], vector_bytes) != doc["checksum"]:
-            raise StoreError(
-                f"checksum mismatch for stored context {doc['context_id']}")
+    def _read_vectors(self) -> int:
+        """Read the whole vector file into a new matrix with headroom for
+        later registrations; return the number of whole rows read."""
+        if not self._vectors_path.exists():
+            self._vectors = np.empty((0, self.dim), dtype="<f8")
+            return 0
+        with open(self._vectors_path, "rb") as fh:
+            stride = self.dim * 8
+            rows = os.fstat(fh.fileno()).st_size // stride
+            self._vectors = np.empty((rows + rows // 8 + 16, self.dim), dtype="<f8")
+            fh.readinto(memoryview(self._vectors).cast("B")[:rows * stride])
+        return rows
+
+    def _load_entry(self, doc: dict, lineno: int, rows: int) -> None:
+        seq, context_id = doc["seq"], doc["context_id"]
+        if doc["dim"] != self.dim:
+            raise StoreError(f"store entry at line {lineno} has dim {doc['dim']}, "
+                             f"earlier entries have dim {self.dim}")
+        if not 0 <= seq < rows:
+            raise StoreError(f"vector file truncated at entry {seq} ({context_id})")
+        embedding = self._vectors[seq]
+        if _checksum(doc["description"], embedding.data) != doc["checksum"]:
+            raise StoreError(f"checksum mismatch for stored context {context_id}")
         entry = ContextEntry(
-            context_id=doc["context_id"],
+            context_id=context_id,
             description=doc["description"],
             instruction=doc.get("instruction", ""),
             lineage_summary=doc.get("lineage", ""),
             seq=seq,
             created_at=float(doc.get("created_at", 0.0)),
-            # a read-only view into the one vector buffer
-            embedding=np.frombuffer(vector_blob, dtype="<f8", count=self.dim,
-                                    offset=start),
+            embedding=embedding,
         )
         self.entries.append(entry)
         self._by_id[entry.context_id] = entry
+
+    def _check_width(self, vector: np.ndarray) -> None:
+        if vector.shape != (self.dim,):
+            raise ValidationError(
+                f"embedding dimension {vector.shape} does not match store "
+                f"dim {self.dim}")
+
+    def _reserve(self, rows: int, head: np.ndarray) -> None:
+        """Move ``head``, the entries' rows, into a new matrix with room for
+        ``rows`` rows, and point every entry at its row there."""
+        self._vectors = np.empty((max(rows, 16), self.dim), dtype="<f8")
+        self._vectors[:len(head)] = head
+        self._rebind(0)
+
+    def _rebind(self, start: int) -> None:
+        """Point ``entries[start:]`` at their rows of the current matrix."""
+        for row in range(start, len(self.entries)):
+            # the entry stays the same object; only its view moves
+            object.__setattr__(self.entries[row], "embedding", self._vectors[row])
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -151,10 +209,10 @@ class ContextStore:
                 self._objects.setdefault(ctx.id, ctx)
                 return existing
             vector = np.asarray(self._embed(ctx.description), dtype=np.float64)
-            if vector.shape != (self.dim,):
-                raise ValidationError(
-                    f"embedding dimension {vector.shape} does not match store "
-                    f"dim {self.dim}")
+            if self.dim is None and vector.ndim == 1 and vector.size:
+                self.dim = len(vector)
+                self._vectors = np.empty((0, self.dim), dtype="<f8")
+            self._check_width(vector)
             vector_bytes = vector.astype("<f8").tobytes()
             entry = ContextEntry(
                 context_id=ctx.id,
@@ -183,11 +241,23 @@ class ContextStore:
                     fh.write(vector_bytes)
             except OSError as exc:
                 raise StoreError(f"cannot append to store: {exc}") from exc
-            self.entries.append(entry)
+            self._insert(entry)
             self._by_id[entry.context_id] = entry
             self._objects[entry.context_id] = ctx
             logger.debug("registered context %s (seq %d)", ctx.id, entry.seq)
             return entry
+
+    def _insert(self, entry: ContextEntry) -> None:
+        """Add ``entry`` and its row, keeping (seq, id) order; that is the
+        end unless a reopened store's seqs skip a number."""
+        n = len(self.entries)
+        if n == len(self._vectors):
+            self._reserve(2 * n, self._vectors[:n])
+        at = bisect.bisect(self.entries, _row_order(entry), key=_row_order)
+        self._vectors[at + 1:n + 1] = self._vectors[at:n]
+        self._vectors[at] = entry.embedding
+        self.entries.insert(at, entry)
+        self._rebind(at)
 
     def retrieve(self, instruction: str, k: int = 3,
                  tau: float = DEFAULT_TAU) -> list[tuple[ContextEntry, float]]:
@@ -199,13 +269,10 @@ class ContextStore:
         if not self.entries:
             return []
         query = np.asarray(self._embed(instruction), dtype=np.float64)
-        scored = []
-        for entry in self.entries:
-            sim = cosine_to_score(float(entry.embedding @ query))
-            if sim >= tau:
-                scored.append((entry, sim))
-        scored.sort(key=lambda pair: (-pair[1], pair[0].seq, pair[0].context_id))
-        return scored[:k]
+        with self._lock:
+            self._check_width(query)
+            hits = cosine_topk(self._vectors[:len(self.entries)], query, k, tau)
+            return [(self.entries[row], score) for row, score in hits]
 
     def augment(self, ctx: Context,
                 matches: Iterable[tuple[ContextEntry, float]]) -> Context:
@@ -236,5 +303,6 @@ class ContextStore:
                 if path.exists():
                     path.unlink()
             self.entries.clear()
+            self.dim = self._vectors = None
             self._by_id.clear()
             self._objects.clear()

@@ -9,8 +9,8 @@ import pytest
 from semaq import (BackendError, ConfigurationError, HttpBackend, MockBackend,
                    MockMissError, MockRule, MockScript, ModelSpec, UsageLedger,
                    ValidationError, hashing_embed, load_model_catalog)
-from semaq.backend import (ChatMessage, Usage, call_cost, mock_token_count,
-                           render_messages)
+from semaq.backend import (ChatMessage, Usage, call_cost, json_value,
+                           mock_token_count, render_messages)
 from semaq.errors import RetryableBackendError
 
 
@@ -258,3 +258,16 @@ def test_load_model_catalog(tmp_path):
     assert catalog["a"].latency_prior == 1.5
     with pytest.raises(ConfigurationError):
         load_model_catalog(tmp_path / "missing.json")
+
+
+def test_json_value_checks_types_without_converting():
+    assert json_value({"x": True}, "x", bool, "w") is True
+    assert json_value({"x": 3}, "x", int, "w") == 3
+    number = json_value({"x": 3}, "x", float, "w")
+    assert number == 3.0 and isinstance(number, float)
+    assert json_value({"x": None}, "x", int, "w", 5) == 5
+    for value, kind in (("false", bool), (0, bool), (True, int), (2.7, int),
+                        (3.0, int), (False, float), ("0.5", float), (1, str),
+                        ({}, list), ([], dict)):
+        with pytest.raises(ConfigurationError, match=r"w: bad value for 'x'"):
+            json_value({"x": value}, "x", kind, "w")

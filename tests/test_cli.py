@@ -353,6 +353,26 @@ _BAD_JSON_INPUTS = {
         lambda ws: _edit_json(ws / "config.json",
                               lambda doc: doc.update(pool_width="eight")),
         "config-error", ["config.json", "'pool_width'"]),
+    "index-a-string": (
+        lambda ws: _edit_json(ws / "config.json",
+                              lambda doc: doc.update(index="false")),
+        "config-error", ["config.json", "'index'", "expected a boolean"]),
+    "pool-width-a-fraction": (
+        lambda ws: _edit_json(ws / "config.json",
+                              lambda doc: doc.update(pool_width=2.7)),
+        "config-error", ["config.json", "'pool_width'", "expected an integer"]),
+    "max-steps-a-bool": (
+        lambda ws: _edit_json(ws / "config.json",
+                              lambda doc: doc.update(max_steps=True)),
+        "config-error", ["config.json", "'max_steps'", "expected an integer"]),
+    "tau-a-bool": (
+        lambda ws: _edit_json(ws / "config.json",
+                              lambda doc: doc.update(tau=False)),
+        "config-error", ["config.json", "'tau'", "expected a number"]),
+    "datasets-a-list": (
+        lambda ws: _edit_json(ws / "config.json",
+                              lambda doc: doc.update(datasets=["docs"])),
+        "config-error", ["config.json", "'datasets'", "expected an object"]),
     "policy-floor-not-a-number": (
         lambda ws: _edit_json(ws / "config.json", lambda doc: doc.update(
             policy={"kind": "min_cost", "quality_floor": "high"})),
@@ -429,6 +449,24 @@ def test_cli_stats_renders_run(workspace, capsys):
     assert "report-000.json: plan pp-" in out
     capsys.readouterr()
     assert main(["stats", str(workspace / "missing")]) == 5
+
+
+@pytest.mark.parametrize("name, body", [
+    ("ledger.json", b'{"models": [{"model_id": "m", "calls'),
+    ("ledger.json", b'{"models": []}'),
+    ("ledger.json", b'{"total_calls": "\xe9"}'),
+    ("trace.json", b'{"steps": 3, "outcome": "answered"}'),
+    ("report-000.json", b"[1, 2]"),
+], ids=["ledger-truncated", "ledger-without-total", "ledger-not-utf8",
+        "trace-steps-not-a-list", "report-a-list"])
+def test_cli_stats_malformed_artifact_is_a_data_error(tmp_path, capsys, name, body):
+    (tmp_path / name).write_bytes(body)
+    code = main(["stats", str(tmp_path)])
+    out = capsys.readouterr()
+    assert code == 5
+    assert out.err.startswith("error: data-error: malformed run artifact")
+    assert name in out.err
+    assert out.out == ""
 
 
 def test_cli_cache_list_show_clear(workspace, capsys):

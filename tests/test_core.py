@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from semaq import (CapabilityError, RecordSnapshot, ToolParam, ToolSpec,
-                   ValidationError, VectorIndex, context_create, context_derive,
-                   context_lookup, context_topk, hashing_embed,
+from semaq import (CapabilityError, ContextStore, RecordSnapshot, ToolParam,
+                   ToolSpec, ValidationError, VectorIndex, context_create,
+                   context_derive, context_lookup, context_topk, hashing_embed,
                    make_derived_record, make_source_record, record_from_json,
                    record_to_json)
-from semaq.core import (context_iterate, cosine_to_score, record_text,
-                        source_record_id, validate_field_value)
+from semaq.core import (context_iterate, cosine_to_score, cosine_topk,
+                        record_text, source_record_id, validate_field_value)
 
 
 # --- field validation ----------------------------------------------------------
@@ -154,9 +154,8 @@ def test_topk_matches_brute_force_cosine(fruit_records):
             ((cosine_to_score(float(np.dot(hashing_embed(record_text(r)), qvec))), r)
              for r in fruit_records),
             key=lambda pair: (-pair[0], pair[1].id))[:4]
-        assert [r.id for r, _ in got] == [r.id for _, r in expected]
-        for (_, score), (exp_score, _) in zip(got, expected):
-            assert abs(score - exp_score) < 1e-12
+        assert [(r.id, score) for r, score in got] == \
+            [(r.id, score) for score, r in expected]
 
 
 def test_topk_self_match_scores_one(fruit_records):
@@ -177,6 +176,71 @@ def test_topk_ties_break_by_record_id():
 def test_topk_on_empty_index():
     index = VectorIndex.build([], hashing_embed)
     assert index.topk("anything", 3) == []
+
+
+# --- the exact top-k kernel against the per-row loop -------------------------------
+
+def _dense_rows(n=300, dim=64, duplicates=0):
+    """Seeded dense unit rows keyed ``row NNN``; the last ``duplicates``
+    rows copy the first ones, and ``query`` is one more unit vector."""
+    rng = np.random.default_rng(2024)
+    vectors = rng.standard_normal((n + 1, dim))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    vectors[n - duplicates:n] = vectors[:duplicates]
+    table = {f"row {i:03d}": vectors[i] for i in range(n)}
+    table["query"] = vectors[n]
+    return table
+
+
+def _loop_rank(table, k, tau, tie_key):
+    """The oracle: one ``float(v @ q)`` per row, filter, sort, cut."""
+    query = table["query"]
+    scored = [(cosine_to_score(float(vec @ query)), tie_key(text))
+              for text, vec in table.items() if text != "query"]
+    kept = sorted((pair for pair in scored if pair[0] >= tau),
+                  key=lambda pair: (-pair[0], pair[1]))
+    return kept[:k]
+
+
+def _topk_cases():
+    table = _dense_rows(duplicates=40)
+    ranked = [s for s, _ in _loop_rank(table, 300, 0.0, str)]
+    return {
+        "dense": (_dense_rows(), 10, 0.0),
+        "duplicate-rows": (table, 60, 0.0),
+        "score-equals-tau": (table, 300, ranked[17]),
+        "k-above-n": (table, 1000, 0.0),
+        "k-equals-n": (table, 300, 0.0),
+        "tau-above-every-score": (table, 5, float(np.nextafter(ranked[0], 2.0))),
+    }
+
+
+_TOPK_CASES = _topk_cases()
+
+
+@pytest.mark.parametrize("case", sorted(_TOPK_CASES))
+def test_cosine_topk_equals_per_row_loop(tmp_path, case):
+    table, k, tau = _TOPK_CASES[case]
+    texts = [text for text in table if text != "query"]
+    if case == "score-equals-tau":
+        assert _loop_rank(table, k, tau, str)[-1][0] == tau
+    matrix = np.stack([table[text] for text in texts])
+    assert [(texts[row], s) for row, s in cosine_topk(matrix, table["query"], k, tau)] \
+        == [(text, s) for s, text in _loop_rank(table, k, tau, str)]
+
+    records = [make_source_record({"text": text}, origin=text) for text in texts]
+    index = VectorIndex.build(records, table.__getitem__)
+    by_text = {r.fields["text"]: r.id for r in records}
+    expected = _loop_rank(table, k, -math.inf, by_text.__getitem__)
+    assert [(r.id, s) for r, s in index.topk("query", k)] == \
+        [(rid, s) for s, rid in expected]
+
+    store = ContextStore(tmp_path / "store", table.__getitem__)
+    seq_of = {text: store.register(context_create((), text)).seq
+              for text in texts}
+    expected = _loop_rank(table, k, tau, seq_of.__getitem__)
+    assert [(s, e.seq) for e, s in store.retrieve("query", k=k, tau=tau)] == \
+        expected
 
 
 def test_public_api_names_resolve():

@@ -1,6 +1,8 @@
 """Context store: durable registration, similarity retrieval, augmentation."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -63,9 +65,32 @@ def test_register_derived_lineage_summary(store):
 
 
 def test_register_rejects_wrong_embedding_dim(tmp_path):
-    bad = ContextStore(tmp_path / "s", embed=lambda text: np.zeros(3), dim=4)
-    with pytest.raises(ValidationError):
-        bad.register(_ctx("whatever"))
+    store = ContextStore(tmp_path / "s",
+                         embed=lambda text: np.ones(4 if "wide" in text else 3))
+    store.register(_ctx("narrow first"))
+    with pytest.raises(ValidationError, match=r"\(4,\) does not match store dim 3"):
+        store.register(_ctx("wide second"))
+    with pytest.raises(ValidationError, match="store dim 3"):
+        store.retrieve("wide query")
+    assert len(store) == 1
+
+
+def test_store_width_comes_from_its_data(tmp_path):
+    def embed(text):
+        return hashing_embed(text, dim=1536)
+
+    path = tmp_path / "wide"
+    store = ContextStore(path, embed)
+    contexts = [_ctx(f"provider-width notes {i}", seed=str(i)) for i in range(3)]
+    for ctx in contexts:
+        store.register(ctx)
+    assert store.dim == 1536
+    reopened = ContextStore(path, embed)
+    assert reopened.dim == 1536 and len(reopened) == 3
+    got = reopened.retrieve(contexts[1].description, k=1, tau=0.0)
+    assert got[0][0].context_id == contexts[1].id
+    assert got[0][1] == pytest.approx(1.0)
+    assert (path / "vectors.bin").stat().st_size == 3 * 1536 * 8
 
 
 # --- retrieval ---------------------------------------------------------------------
@@ -87,7 +112,7 @@ def _toy_embed(text):
 
 @pytest.fixture
 def toy_store(tmp_path):
-    store = ContextStore(tmp_path / "toy", _toy_embed, dim=2)
+    store = ContextStore(tmp_path / "toy", _toy_embed)
     for key in ("anchor", "diagonal", "orthogonal", "opposite"):
         store.register(_ctx(f"{key} notes", seed=key))
     return store
@@ -111,8 +136,7 @@ def test_retrieve_k_cut(toy_store):
 
 
 def test_retrieve_ties_break_by_registration_order(tmp_path):
-    store = ContextStore(tmp_path / "ties", lambda text: np.array([1.0, 0.0]),
-                         dim=2)
+    store = ContextStore(tmp_path / "ties", lambda text: np.array([1.0, 0.0]))
     ids = [store.register(_ctx(f"same direction {i}", seed=str(i))).context_id
            for i in range(4)]
     got = store.retrieve("whatever", k=4, tau=0.0)
@@ -135,6 +159,40 @@ def test_self_match_is_perfect(store):
     got = store.retrieve(ctx.description, k=1, tau=0.0)
     assert got[0][0].context_id == ctx.id
     assert abs(got[0][1] - 1.0) < 1e-6
+
+
+def test_concurrent_register_and_retrieve_keep_rows_consistent(tmp_path):
+    store = ContextStore(tmp_path / "threads", hashing_embed)
+    failures = []
+
+    def worker(w):
+        try:
+            for i in range(40):
+                text = f"worker {w} item {i}"
+                store.register(_ctx(text, seed=f"{w}-{i}"))
+                qvec = hashing_embed(text)
+                for entry, sim in store.retrieve(text, k=3, tau=0.0):
+                    assert sim == cosine_to_score(
+                        float(hashing_embed(entry.description) @ qvec))
+        except Exception as exc:  # noqa: BLE001 - reported below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert [entry.seq for entry in store.entries] == list(range(240))
+    for entry in store.entries:
+        np.testing.assert_array_equal(entry.embedding,
+                                      hashing_embed(entry.description))
 
 
 # --- augmentation ------------------------------------------------------------------
@@ -237,6 +295,41 @@ def test_reopen_detects_corrupt_entry_line(tmp_path):
     (path / "entries.jsonl").write_text("{not json\n", encoding="utf-8")
     with pytest.raises(StoreError, match="line 1"):
         ContextStore(path, hashing_embed)
+
+
+def test_reopen_with_seq_gaps_ranks_by_seq_then_id(tmp_path):
+    def collapsing(text):
+        return hashing_embed(text.split(" #", 1)[0])
+
+    def loop_rank(store, query):
+        qvec = collapsing(query)
+        scored = [(cosine_to_score(float(collapsing(e.description) @ qvec)),
+                   e.seq, e.context_id) for e in store.entries]
+        return sorted(scored, key=lambda t: (-t[0], t[1], t[2]))
+
+    path = tmp_path / "gaps"
+    store = ContextStore(path, collapsing)
+    for i in range(8):
+        store.register(_ctx(f"group {i % 2} shared #{i}", seed=str(i)))
+    lines = (path / "entries.jsonl").read_text(encoding="utf-8").splitlines()
+    kept = [line for line in lines if json.loads(line)["seq"] not in (2, 5)]
+    (path / "entries.jsonl").write_text("\n".join(reversed(kept)) + "\n",
+                                        encoding="utf-8")
+    reopened = ContextStore(path, collapsing)
+    assert [e.seq for e in reopened.entries] == [0, 1, 3, 4, 6, 7]
+    for query in ("group 0 shared", "group 1 shared"):
+        got = reopened.retrieve(query, k=8, tau=0.0)
+        assert [(sim, e.seq, e.context_id) for e, sim in got] == \
+            loop_rank(reopened, query)
+    # the next seq is the entry count, which an earlier entry already holds
+    added = reopened.register(_ctx("group 0 shared #new", seed="new"))
+    assert added.seq == 6
+    got = reopened.retrieve("group 0 shared", k=8, tau=0.0)
+    assert [(sim, e.seq, e.context_id) for e, sim in got] == \
+        loop_rank(reopened, "group 0 shared")
+    for entry in reopened.entries:
+        np.testing.assert_array_equal(entry.embedding,
+                                      collapsing(entry.description))
 
 
 def test_entries_file_shape(tmp_path):
