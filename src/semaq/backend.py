@@ -362,6 +362,9 @@ class MockBackend:
     identical runs produce identical ledgers.
     """
 
+    in_process = True
+    """Chat never blocks, so runs call it inline; wrappers may block: they opt in."""
+
     def __init__(self, script: MockScript,
                  catalog: Mapping[str, ModelSpec] | Iterable[ModelSpec]):
         self.script = script

@@ -420,7 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", help="context store directory")
     parser.add_argument("--pool-width", type=int,
                         help="max in-flight model calls per semantic operator "
-                             "(k semantic operators: up to k x this many)")
+                             "against a blocking backend (k semantic operators: "
+                             "up to k x this many); the in-process mock runs "
+                             "its calls inline")
     parser.add_argument("-v", "--verbose", action="store_true")
 
     sub = parser.add_subparsers(dest="command", required=True)

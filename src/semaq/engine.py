@@ -3,11 +3,14 @@
 Operators are chained as generators, so a record flows through the whole
 chain before the next one is pulled: a downstream operator only ever sees
 records that passed everything above it, and ``limit`` stops upstream
-consumption as soon as it has emitted enough.  Semantic operators fan out
-over one worker pool per run, each keeping at most ``pool_width`` calls in
-flight and yielding in input order.  A run waits for every call it submitted
-before it returns or raises, so its report totals equal the ledger delta
-even after a ``limit`` cut-off.
+consumption as soon as it has emitted enough.  Against a backend whose
+calls block (HTTP), semantic operators fan out over one worker pool per run,
+each keeping at most ``pool_width`` calls in flight and yielding in input
+order; a run waits for every call it submitted before it returns or raises,
+so its report totals equal the ledger delta even after a ``limit`` cut-off.
+A backend that declares ``in_process`` (the mock) never blocks, so its calls
+run inline in the caller's thread: no threads, and no call past what a
+downstream ``limit`` pulls.
 """
 
 from __future__ import annotations
@@ -91,9 +94,11 @@ class RunPolicy:
     """Failure handling and parallelism knobs for one pipeline run.
 
     ``pool_width`` bounds the in-flight model calls of each semantic
-    operator separately.  A run shares one executor among its k sem_filter
-    and sem_map stages, so up to k * ``pool_width`` calls are in flight at
-    once; with ``pool_width == 1`` every call runs inline.
+    operator separately, for backends whose calls block.  A run shares one
+    executor among its k sem_filter and sem_map stages, so up to
+    k * ``pool_width`` calls are in flight at once.  With
+    ``pool_width == 1``, or a backend that declares ``in_process``, every
+    call runs inline without threads.
     """
 
     on_error: str = "drop"  # drop | abort
@@ -542,8 +547,10 @@ def pipeline_execute(pplan: PhysicalPlan, ctx: Context, backend,
 
     n_semantic = sum(isinstance(pop.logical, (SemFilter, SemMap)) for pop in pplan.ops)
     width = policy.pool_width
+    pooled = (width > 1 and n_semantic
+              and not getattr(backend, "in_process", False))
     executor = (ThreadPoolExecutor(max_workers=width * n_semantic)
-                if width > 1 and n_semantic else nullcontext())
+                if pooled else nullcontext())
     # leaving the block waits for every submitted call, on return and on
     # raise, so a limit cut-off or an abort leaves no call unaccounted
     with executor as pool:

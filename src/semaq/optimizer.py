@@ -562,7 +562,8 @@ def optimize(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
 
     ``sample_size=0`` takes the zero-call path: statistics come from model
     priors and nominal token counts, so planning makes no model calls.
-    Latency estimates divide across ``run_policy.pool_width`` workers.  The
+    Latency estimates model a blocking provider, so they divide across
+    ``run_policy.pool_width`` workers even for a backend run inline.  The
     chosen plan is the one ``choose_plan`` picks over all
     ``len(models) ** n`` assignments (see the module docstring).
     """

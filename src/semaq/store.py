@@ -9,7 +9,6 @@ both are verified when a store is reopened.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 import logging
@@ -175,13 +174,9 @@ class ContextStore:
         ``rows`` rows, and point every entry at its row there."""
         self._vectors = np.empty((max(rows, 16), self.dim), dtype="<f8")
         self._vectors[:len(head)] = head
-        self._rebind(0)
-
-    def _rebind(self, start: int) -> None:
-        """Point ``entries[start:]`` at their rows of the current matrix."""
-        for row in range(start, len(self.entries)):
+        for row, entry in enumerate(self.entries):
             # the entry stays the same object; only its view moves
-            object.__setattr__(self.entries[row], "embedding", self._vectors[row])
+            object.__setattr__(entry, "embedding", self._vectors[row])
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -214,13 +209,14 @@ class ContextStore:
                 self._vectors = np.empty((0, self.dim), dtype="<f8")
             self._check_width(vector)
             vector_bytes = vector.astype("<f8").tobytes()
+            seq = self._append_vector(vector_bytes)
             entry = ContextEntry(
                 context_id=ctx.id,
                 description=ctx.description,
                 instruction=instruction,
                 lineage_summary=(f"{ctx.lineage.operator} of {ctx.lineage.parent_id}"
                                  if ctx.lineage else "root"),
-                seq=len(self.entries),
+                seq=seq,
                 created_at=time.time(),
                 embedding=vector,
             )
@@ -237,27 +233,39 @@ class ContextStore:
             try:
                 with open(self._entries_path, "a", encoding="utf-8") as fh:
                     fh.write(json.dumps(doc, ensure_ascii=False) + "\n")
-                with open(self._vectors_path, "ab") as fh:
-                    fh.write(vector_bytes)
             except OSError as exc:
                 raise StoreError(f"cannot append to store: {exc}") from exc
-            self._insert(entry)
+            self._append(entry)
             self._by_id[entry.context_id] = entry
             self._objects[entry.context_id] = ctx
             logger.debug("registered context %s (seq %d)", ctx.id, entry.seq)
             return entry
 
-    def _insert(self, entry: ContextEntry) -> None:
-        """Add ``entry`` and its row, keeping (seq, id) order; that is the
-        end unless a reopened store's seqs skip a number."""
+    def _append_vector(self, vector_bytes: bytes) -> int:
+        """Append one row to the vector file; return its row number, which
+        is the new entry's seq.  The row goes in before its entry line, so a
+        row without one (a lost line, a crash between the two appends) is
+        skipped, never read for a later entry."""
+        try:
+            with open(self._vectors_path, "ab") as fh:
+                seq, torn = divmod(fh.tell(), len(vector_bytes))
+                if torn:  # a torn row from a crashed write: pad it out
+                    fh.write(bytes(len(vector_bytes) - torn))
+                    seq += 1
+                fh.write(vector_bytes)
+        except OSError as exc:
+            raise StoreError(f"cannot append to store: {exc}") from exc
+        return seq
+
+    def _append(self, entry: ContextEntry) -> None:
+        """Add ``entry`` and its row last: its seq, the vector file's row
+        count, is above every other entry's."""
         n = len(self.entries)
         if n == len(self._vectors):
             self._reserve(2 * n, self._vectors[:n])
-        at = bisect.bisect(self.entries, _row_order(entry), key=_row_order)
-        self._vectors[at + 1:n + 1] = self._vectors[at:n]
-        self._vectors[at] = entry.embedding
-        self.entries.insert(at, entry)
-        self._rebind(at)
+        self._vectors[n] = entry.embedding
+        self.entries.append(entry)
+        object.__setattr__(entry, "embedding", self._vectors[n])
 
     def retrieve(self, instruction: str, k: int = 3,
                  tau: float = DEFAULT_TAU) -> list[tuple[ContextEntry, float]]:

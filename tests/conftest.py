@@ -5,6 +5,8 @@ normal pytest summary, keyed off test names in test_acceptance.py.
 """
 
 import re
+import threading
+import time
 
 import pytest
 
@@ -54,6 +56,29 @@ def mk_backend(catalog):
         return MockBackend(script, models or catalog)
 
     return build
+
+
+class BlockingBackend:
+    """A MockBackend whose chat blocks briefly, as an HTTP call does.
+
+    It declares no ``in_process``, so pipelines run it on the worker pool.
+    ``threads`` collects the ident of every thread that called ``chat``.
+    """
+
+    def __init__(self, inner: MockBackend):
+        self.inner = inner
+        self.ledger = inner.ledger
+        self.threads: set[int] = set()
+
+    def chat(self, model_id, messages, temperature=0.0):
+        self.threads.add(threading.get_ident())
+        exchange = self.inner.chat(model_id, messages, temperature)
+        time.sleep(0.001)
+        return exchange
+
+    def ran_on_workers(self) -> bool:
+        """Whether a thread other than the caller's made a call."""
+        return bool(self.threads - {threading.get_ident()})
 
 
 @pytest.fixture

@@ -175,6 +175,15 @@ def _http(catalog, session, **kwargs):
                        sleeper=lambda s: None, **kwargs)
 
 
+def test_only_the_mock_declares_in_process(catalog, mk_backend):
+    """Pipelines run a backend inline only when it says its calls never
+    block; HTTP calls block, so HttpBackend stays on the worker pool."""
+    assert MockBackend.in_process is True
+    assert mk_backend().in_process is True
+    assert not hasattr(HttpBackend, "in_process")
+    assert not hasattr(_http(catalog, _FakeSession([])), "in_process")
+
+
 def test_http_requires_env_key(catalog, monkeypatch):
     monkeypatch.delenv("SEMAQ_API_KEY", raising=False)
     with pytest.raises(ConfigurationError) as err:

@@ -13,7 +13,7 @@ from semaq.agent import AgentResult, AgentTrace, AgentUsage
 from semaq.engine import (parse_filter_response, parse_map_response,
                           render_filter_prompt, render_map_prompt,
                           sem_filter_execute, sem_map_execute)
-from tests.conftest import CHEAP, STRONG
+from tests.conftest import CHEAP, STRONG, BlockingBackend
 
 
 def _ctx(records, description="test docs"):
@@ -178,11 +178,15 @@ def test_output_order_preserved_under_parallelism(mk_backend):
     expected = [r.id for r in records if "flagged" in r.fields["text"]]
     for width in (1, 3, 8):
         backend = mk_backend(("flagged", "yes"), ("PREDICATE", "no"))
+        if width > 1:
+            backend = BlockingBackend(backend)
         pplan = _bind('scan(d) | sem_filter("keep marked rows")')
         out_ctx, report = pipeline_execute(
             pplan, _ctx(records), backend, policy=RunPolicy(pool_width=width))
         assert [r.id for r in out_ctx.source] == expected
         assert report.ops[1].calls == 40
+        if width > 1:
+            assert backend.ran_on_workers()
 
 
 def test_parallel_run_ledger_identical_to_sequential(mk_backend):
@@ -190,9 +194,9 @@ def test_parallel_run_ledger_identical_to_sequential(mk_backend):
     runs = []
     for width in (1, 8):
         # record 003's map reply never parses: it is dropped within budget
-        backend = mk_backend((r"INSTRUCTION[\s\S]*record 003", "no idea", "regex"),
-                             ("INSTRUCTION", "tag: x"), ("pick", "yes"),
-                             ("PREDICATE", "no"))
+        backend = BlockingBackend(mk_backend(
+            (r"INSTRUCTION[\s\S]*record 003", "no idea", "regex"),
+            ("INSTRUCTION", "tag: x"), ("pick", "yes"), ("PREDICATE", "no")))
         pplan = _bind('scan(d) | sem_filter("p") | sem_map("m", {tag: text})')
         before = backend.ledger.snapshot()
         out_ctx, report = pipeline_execute(pplan, _ctx(records), backend,
@@ -208,8 +212,62 @@ def test_parallel_run_ledger_identical_to_sequential(mk_backend):
                 == sum(m.output_tokens for m in delta.per_model))
         assert report.total_cost == pytest.approx(delta.total_cost, abs=1e-12)
         assert report.total_wall_seconds == pytest.approx(delta.total_wall_seconds)
+        assert backend.ran_on_workers() == (width > 1)
         runs.append((report.to_json(), [r.id for r in out_ctx.source],
                      delta.to_json()))
+    assert runs[0] == runs[1]
+
+
+def test_in_process_backend_runs_inline_without_threads(mk_backend):
+    """A MockBackend declares in_process: pool_width 8 starts no thread."""
+    seen = []
+
+    class Watched(MockBackend):
+        def chat(self, *args, **kwargs):
+            seen.append((threading.current_thread(), set(threading.enumerate())))
+            return super().chat(*args, **kwargs)
+
+    inner = mk_backend(("INSTRUCTION", "tag: x"), ("pick", "yes"), ("PREDICATE", "no"))
+    backend = Watched(inner.script, inner.catalog)
+    records = _numbered(30, lambda i: "pick" if i % 3 == 0 else "")
+    caller = threading.current_thread()
+    before = set(threading.enumerate())
+    pplan = _bind('scan(d) | sem_filter("p") | sem_map("m", {tag: text})')
+    _, report = pipeline_execute(pplan, _ctx(records), backend,
+                                 policy=RunPolicy(pool_width=8))
+    assert report.total_calls == len(seen) == 30 + 10
+    for thread, alive in seen:
+        assert thread is caller
+        assert alive == before and caller in alive
+
+
+def test_inline_mock_run_matches_pooled_blocking_run(mk_backend):
+    """Oracle: on a full scan the inline mock run and the pooled run of the
+    same script agree on output ids, report and ledger delta."""
+    records = _numbered(60, lambda i: ("pick" if i % 3 else "") +
+                        (" odd" if i % 2 else ""))
+    pplan = _bind('scan(d) | sem_filter("p") | sem_map("m", {tag: text}) '
+                  '| sem_filter("q")')
+    runs = []
+    for pooled in (False, True):
+        # record 007's map reply never parses: it is dropped within budget
+        backend = mk_backend(
+            (r"INSTRUCTION[\s\S]*record 007", "no idea", "regex"),
+            ("INSTRUCTION", "tag: x"), (r"q\n[\s\S]*odd", "yes", "regex"),
+            (r"p\n[\s\S]*pick", "yes", "regex"), ("PREDICATE", "no"))
+        if pooled:
+            backend = BlockingBackend(backend)
+        before = backend.ledger.snapshot()
+        out_ctx, report = pipeline_execute(pplan, _ctx(records), backend,
+                                           policy=RunPolicy(pool_width=8))
+        delta = backend.ledger.snapshot().minus(before)
+        assert report.total_failures == 1
+        assert [op.calls for op in report.ops[1:]] == [60, 40 + 1, 39]
+        assert report.records_out == 19
+        runs.append(([r.id for r in out_ctx.source], report.to_json(),
+                     delta.to_json()))
+        if pooled:
+            assert backend.ran_on_workers()
     assert runs[0] == runs[1]
 
 
@@ -228,17 +286,21 @@ _FILTER_FILTER_MAP_LIMIT = ('scan(d) | sem_filter("p") | sem_filter("q") '
                             '| sem_map("m", {tag: text}) | limit(2)')
 
 
-@pytest.mark.parametrize("pipeline, width", [
-    ('scan(d) | sem_filter("p") | limit(2)', 8),
-    (_FILTER_FILTER_MAP_LIMIT, 1),
-    (_FILTER_FILTER_MAP_LIMIT, 8),
+@pytest.mark.parametrize("pipeline, width, blocking", [
+    ('scan(d) | sem_filter("p") | limit(2)', 8, True),
+    (_FILTER_FILTER_MAP_LIMIT, 1, False),
+    (_FILTER_FILTER_MAP_LIMIT, 8, True),
+    (_FILTER_FILTER_MAP_LIMIT, 8, False),
 ], ids=["filter-limit-w8", "filter-filter-map-limit-w1",
-        "filter-filter-map-limit-w8"])
-def test_report_cost_equals_ledger_delta_with_limit(mk_backend, pipeline, width):
+        "filter-filter-map-limit-w8", "filter-filter-map-limit-w8-inline"])
+def test_report_cost_equals_ledger_delta_with_limit(mk_backend, pipeline, width,
+                                                    blocking):
     """Pool prefetch past a limit still lands in the report totals."""
     records = _numbered(20, lambda i: "hit")
     backend = mk_backend(("INSTRUCTION", "tag: x"), ("hit", "yes"),
                          ("PREDICATE", "no"))
+    if blocking:
+        backend = BlockingBackend(backend)
     _, report = pipeline_execute(_bind(pipeline), _ctx(records), backend,
                                  policy=RunPolicy(pool_width=width))
     snap = backend.ledger.snapshot()
@@ -250,7 +312,9 @@ def test_report_cost_equals_ledger_delta_with_limit(mk_backend, pipeline, width)
     assert abs(report.total_cost - snap.total_cost) < 1e-9
     assert report.total_wall_seconds == pytest.approx(snap.total_wall_seconds)
     assert report.records_out == 2
-    if width == 1:
+    if blocking:
+        assert backend.ran_on_workers()
+    else:
         # the inline path pulls exactly what the limit needs
         assert [op.calls for op in report.ops[1:-1]] == [2] * (len(report.ops) - 2)
 
@@ -262,8 +326,8 @@ def test_no_worker_thread_outlives_pipeline_execute(mk_backend, case, expected):
     """In-flight calls of every stage settle before pipeline_execute returns
     or raises, including the upstream stage's when stage 2 fails."""
     records = _numbered(40, lambda i: "bad" if i == 20 else "good")
-    backend = mk_backend((r"second\?[\s\S]*bad", "???", "regex"),
-                         ("PREDICATE", "yes"))
+    backend = BlockingBackend(mk_backend((r"second\?[\s\S]*bad", "???", "regex"),
+                                         ("PREDICATE", "yes")))
     text = 'scan(d) | sem_filter("first?") | sem_filter("second?")'
     if case == "limit":
         text += " | limit(2)"
@@ -278,6 +342,7 @@ def test_no_worker_thread_outlives_pipeline_execute(mk_backend, case, expected):
             # counted while a raised error and its traceback are still live
             leftover = set(threading.enumerate()) - before
     assert not leftover
+    assert backend.ran_on_workers()
 
 
 def test_project_keeps_selected_fields(mk_backend):

@@ -321,15 +321,63 @@ def test_reopen_with_seq_gaps_ranks_by_seq_then_id(tmp_path):
         got = reopened.retrieve(query, k=8, tau=0.0)
         assert [(sim, e.seq, e.context_id) for e, sim in got] == \
             loop_rank(reopened, query)
-    # the next seq is the entry count, which an earlier entry already holds
+    # the next seq is the vector file's row count, past every stored row
     added = reopened.register(_ctx("group 0 shared #new", seed="new"))
-    assert added.seq == 6
+    assert added.seq == 8
     got = reopened.retrieve("group 0 shared", k=8, tau=0.0)
     assert [(sim, e.seq, e.context_id) for e, sim in got] == \
         loop_rank(reopened, "group 0 shared")
     for entry in reopened.entries:
         np.testing.assert_array_equal(entry.embedding,
                                       collapsing(entry.description))
+
+
+def test_register_after_lost_entry_line_survives_reopen(tmp_path):
+    """A new entry's seq is its vector's row, not the entry count, so a
+    store missing an entry line still reopens after the next register."""
+    path = tmp_path / "lost"
+    store = ContextStore(path, hashing_embed)
+    for i in range(4):
+        store.register(_ctx(f"ledger topic {i}", seed=str(i)))
+    lines = (path / "entries.jsonl").read_text(encoding="utf-8").splitlines()
+    kept = [line for line in lines if json.loads(line)["seq"] != 1]
+    (path / "entries.jsonl").write_text("\n".join(kept) + "\n", encoding="utf-8")
+    reopened = ContextStore(path, hashing_embed)
+    assert [e.seq for e in reopened.entries] == [0, 2, 3]
+    new = _ctx("freshly registered findings", seed="new")
+    added = reopened.register(new)
+    again = ContextStore(path, hashing_embed)
+    assert added.seq == 4
+    assert [e.seq for e in again.entries] == [0, 2, 3, 4]
+    got = again.retrieve("freshly registered findings", k=1, tau=0.0)
+    assert [(e.context_id, sim) for e, sim in got] == [(new.id, 1.0)]
+    np.testing.assert_array_equal(again.get_entry(new.id).embedding,
+                                  hashing_embed(new.description))
+
+
+@pytest.mark.parametrize("orphan", ["whole-row", "torn-row", "no-entries"])
+def test_register_after_orphan_vector_bytes_survives_reopen(tmp_path, orphan):
+    """Vector bytes with no entry line (a crash between the two appends, a
+    torn write, a lost entry log) are skipped by the next register."""
+    path = tmp_path / orphan
+    store = ContextStore(path, hashing_embed)
+    first = _ctx("first findings", seed="a")
+    store.register(first)
+    row = (path / "vectors.bin").read_bytes()
+    with open(path / "vectors.bin", "ab") as fh:
+        fh.write(row[:100] if orphan == "torn-row" else row)
+    if orphan == "no-entries":
+        (path / "entries.jsonl").unlink()
+    reopened = ContextStore(path, hashing_embed)
+    second = _ctx("second findings", seed="b")
+    added = reopened.register(second)
+    again = ContextStore(path, hashing_embed)
+    assert added.seq == 2
+    ids = [second.id] if orphan == "no-entries" else [first.id, second.id]
+    assert [e.context_id for e in again.entries] == ids
+    for entry in again.entries:
+        np.testing.assert_array_equal(entry.embedding,
+                                      hashing_embed(entry.description))
 
 
 def test_entries_file_shape(tmp_path):
