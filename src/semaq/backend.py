@@ -9,6 +9,7 @@ full runs are bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -28,6 +29,8 @@ from .errors import (BackendError, ConfigurationError, MockMissError,
 logger = logging.getLogger(__name__)
 
 DEFAULT_EMBED_DIM = 256
+# distinct (token, dim) pairs whose hash bucket and sign hashing_embed keeps
+EMBED_MEMO_TOKENS = 1 << 15
 API_KEY_ENV = "SEMAQ_API_KEY"
 
 
@@ -211,22 +214,31 @@ class UsageLedger:
             return LedgerSnapshot(per_model=tuple(rows))
 
 
+@functools.lru_cache(maxsize=EMBED_MEMO_TOKENS)
+def _token_slot(token: str, dim: int) -> tuple[int, float]:
+    """The bucket and sign that ``token`` adds to a ``dim``-wide embedding."""
+    digest = hashlib.sha256(token.encode("utf-8")).digest()
+    return int.from_bytes(digest[:4], "big") % dim, 1.0 if digest[4] & 1 else -1.0
+
+
 def hashing_embed(text: str, dim: int = DEFAULT_EMBED_DIM) -> np.ndarray:
     """Deterministic bag-of-words embedding via signed feature hashing.
 
     Tokens are lowercased alphanumeric runs; each token adds +/-1 to one
     bucket chosen by a cryptographic hash of the token.  The result is
     L2-normalized, so identical texts embed identically on every platform.
+    Each token's bucket and sign are hashed once per process and kept in a
+    memo bounded at ``EMBED_MEMO_TOKENS`` entries; the bucket sums are
+    small integers, exact in any order, so the memo changes no bit.
     """
     tokens = re.findall(r"[a-z0-9]+", text.lower())
     if not tokens:
         tokens = [text.lower()]
-    vec = np.zeros(dim, dtype=np.float64)
+    counts = [0.0] * dim
     for token in tokens:
-        digest = hashlib.sha256(token.encode("utf-8")).digest()
-        bucket = int.from_bytes(digest[:4], "big") % dim
-        sign = 1.0 if digest[4] & 1 else -1.0
-        vec[bucket] += sign
+        bucket, sign = _token_slot(token, dim)
+        counts[bucket] += sign
+    vec = np.array(counts, dtype=np.float64)
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         # total cancellation; fall back to a fixed unit vector

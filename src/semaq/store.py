@@ -4,11 +4,15 @@ The store remembers what past contexts were about (description + embedding +
 lineage summary), so later queries can rediscover and reuse prior work.  It
 persists as an append-only JSONL entry log plus a sidecar binary vector file;
 each log line carries a checksum over its description and vector bytes, and
-both are verified when a store is reopened.
+both are verified when a store is reopened.  A registration holds an
+exclusive ``flock`` on the entry log while it takes its seq and appends, so
+processes sharing a directory append one at a time; a reopen reads under a
+shared lock.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import logging
@@ -55,14 +59,14 @@ def _checksum(description: str, vector_bytes: bytes | memoryview) -> str:
     return digest.hexdigest()
 
 
-def _parse_entry(line: str, lineno: int) -> dict:
+def _parse_entry(line: bytes, lineno: int) -> dict:
     """One entry-log line as a dict with an int ``seq``, a positive int
     ``dim``, and an id, description and checksum."""
     try:
         doc = json.loads(line)
         doc["seq"], doc["dim"] = int(doc["seq"]), int(doc["dim"])
         missing = sorted({"context_id", "description", "checksum"} - doc.keys())
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # JSON and UTF-8 errors too
         raise StoreError(f"corrupt store entry at line {lineno}: {exc}") from exc
     if missing or doc["dim"] < 1:
         raise StoreError(f"corrupt store entry at line {lineno}: "
@@ -105,21 +109,31 @@ class ContextStore:
         return self.directory / _VECTORS_FILE
 
     def _load(self) -> None:
-        if not self._entries_path.exists():
-            return
-        rows = 0
         try:
-            # iterating the file splits on \n (and \r) only: descriptions are
-            # written raw and may hold U+2028, U+2029 or U+0085
-            with open(self._entries_path, encoding="utf-8") as log:
+            # binary lines split on \n only: descriptions are written raw and
+            # may hold U+2028, U+2029 or U+0085
+            with open(self._entries_path, "rb") as log:
+                fcntl.flock(log, fcntl.LOCK_SH)
+                rows = 0
                 for lineno, line in enumerate(log, start=1):
                     if not line.strip():
                         continue
-                    doc = _parse_entry(line, lineno)
+                    try:
+                        doc = _parse_entry(line, lineno)
+                    except StoreError as exc:
+                        if line.endswith(b"\n"):
+                            raise
+                        # only the last line can lack its \n: an append
+                        # torn by a crash, whose vector row is then skipped
+                        logger.warning("skipping torn last line of %s: %s",
+                                       self._entries_path, exc)
+                        break
                     if self.dim is None:
                         self.dim = doc["dim"]
                         rows = self._read_vectors()
                     self._load_entry(doc, lineno, rows)
+        except FileNotFoundError:
+            return
         except OSError as exc:
             raise StoreError(f"cannot read store at {self.directory}: {exc}") from exc
         self.entries.sort(key=_row_order)
@@ -209,30 +223,36 @@ class ContextStore:
                 self._vectors = np.empty((0, self.dim), dtype="<f8")
             self._check_width(vector)
             vector_bytes = vector.astype("<f8").tobytes()
-            seq = self._append_vector(vector_bytes)
-            entry = ContextEntry(
-                context_id=ctx.id,
-                description=ctx.description,
-                instruction=instruction,
-                lineage_summary=(f"{ctx.lineage.operator} of {ctx.lineage.parent_id}"
-                                 if ctx.lineage else "root"),
-                seq=seq,
-                created_at=time.time(),
-                embedding=vector,
-            )
-            doc = {
-                "context_id": entry.context_id,
-                "description": entry.description,
-                "instruction": entry.instruction,
-                "lineage": entry.lineage_summary,
-                "seq": entry.seq,
-                "created_at": entry.created_at,
-                "dim": self.dim,
-                "checksum": _checksum(entry.description, vector_bytes),
-            }
             try:
-                with open(self._entries_path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(doc, ensure_ascii=False) + "\n")
+                with open(self._entries_path, "a+b") as log:
+                    # seq and both appends, one registering process at a time
+                    fcntl.flock(log, fcntl.LOCK_EX)
+                    self._end_log(log)
+                    seq = self._append_vector(vector_bytes)
+                    entry = ContextEntry(
+                        context_id=ctx.id,
+                        description=ctx.description,
+                        instruction=instruction,
+                        lineage_summary=(
+                            f"{ctx.lineage.operator} of {ctx.lineage.parent_id}"
+                            if ctx.lineage else "root"),
+                        seq=seq,
+                        created_at=time.time(),
+                        embedding=vector,
+                    )
+                    doc = {
+                        "context_id": entry.context_id,
+                        "description": entry.description,
+                        "instruction": entry.instruction,
+                        "lineage": entry.lineage_summary,
+                        "seq": entry.seq,
+                        "created_at": entry.created_at,
+                        "dim": self.dim,
+                        "checksum": _checksum(entry.description, vector_bytes),
+                    }
+                    log.write((json.dumps(doc, ensure_ascii=False) + "\n")
+                              .encode("utf-8"))
+                    log.flush()
             except OSError as exc:
                 raise StoreError(f"cannot append to store: {exc}") from exc
             self._append(entry)
@@ -241,20 +261,39 @@ class ContextStore:
             logger.debug("registered context %s (seq %d)", ctx.id, entry.seq)
             return entry
 
+    def _end_log(self, log) -> None:
+        """Make the locked entry log end in \\n before an append: terminate a
+        last line that lost only its \\n, and cut off a torn one, which
+        reopening skips."""
+        end = log.seek(0, os.SEEK_END)
+        if end == 0:
+            return
+        log.seek(end - 1)
+        if log.read(1) == b"\n":
+            return
+        log.seek(0)
+        data = log.read()
+        start = data.rfind(b"\n") + 1
+        try:
+            _parse_entry(data[start:], data.count(b"\n") + 1)
+        except StoreError as exc:
+            logger.warning("cutting torn last line off %s: %s",
+                           self._entries_path, exc)
+            log.truncate(start)
+        else:
+            log.write(b"\n")
+
     def _append_vector(self, vector_bytes: bytes) -> int:
         """Append one row to the vector file; return its row number, which
         is the new entry's seq.  The row goes in before its entry line, so a
         row without one (a lost line, a crash between the two appends) is
         skipped, never read for a later entry."""
-        try:
-            with open(self._vectors_path, "ab") as fh:
-                seq, torn = divmod(fh.tell(), len(vector_bytes))
-                if torn:  # a torn row from a crashed write: pad it out
-                    fh.write(bytes(len(vector_bytes) - torn))
-                    seq += 1
-                fh.write(vector_bytes)
-        except OSError as exc:
-            raise StoreError(f"cannot append to store: {exc}") from exc
+        with open(self._vectors_path, "ab") as fh:
+            seq, torn = divmod(fh.tell(), len(vector_bytes))
+            if torn:  # a torn row from a crashed write: pad it out
+                fh.write(bytes(len(vector_bytes) - torn))
+                seq += 1
+            fh.write(vector_bytes)
         return seq
 
     def _append(self, entry: ContextEntry) -> None:

@@ -1,7 +1,11 @@
 """Backends: deterministic mock, usage ledger, embeddings, HTTP client."""
 
+import hashlib
 import json
 import math
+import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,8 +13,10 @@ import pytest
 from semaq import (BackendError, ConfigurationError, HttpBackend, MockBackend,
                    MockMissError, MockRule, MockScript, ModelSpec, UsageLedger,
                    ValidationError, hashing_embed, load_model_catalog)
-from semaq.backend import (ChatMessage, Usage, call_cost, json_value,
-                           mock_token_count, render_messages)
+from semaq.backend import (ChatMessage, Usage, _token_slot, call_cost,
+                           json_value, mock_token_count, render_messages)
+from semaq.bench import gen_email_corpus
+from semaq.core import record_text
 from semaq.errors import RetryableBackendError
 
 
@@ -133,6 +139,84 @@ def test_hashing_embed_properties():
     assert not np.array_equal(vec, hashing_embed("a different sentence"))
     empty = hashing_embed("")
     assert abs(float(np.linalg.norm(empty)) - 1.0) < 1e-9
+
+
+def _reference_embed(text, dim=256):
+    """hashing_embed's definition: one digest and one write per token."""
+    tokens = re.findall(r"[a-z0-9]+", text.lower())
+    if not tokens:
+        tokens = [text.lower()]
+    vec = np.zeros(dim, dtype=np.float64)
+    for token in tokens:
+        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        bucket = int.from_bytes(digest[:4], "big") % dim
+        vec[bucket] += 1.0 if digest[4] & 1 else -1.0
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        vec[0] = 1.0
+        norm = 1.0
+    return vec / norm
+
+
+def _cancelling_pair(dim):
+    """Two tokens with the same bucket and opposite signs at ``dim``."""
+    seen = {}
+    for i in range(10_000):
+        token = f"t{i}"
+        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        bucket = int.from_bytes(digest[:4], "big") % dim
+        sign = digest[4] & 1
+        if (bucket, 1 - sign) in seen:
+            return seen[(bucket, 1 - sign)], token
+        seen.setdefault((bucket, sign), token)
+    raise AssertionError("no cancelling pair")
+
+
+def test_memoized_embed_matches_per_token_digest_loop():
+    corpus = [record_text(r) for r in gen_email_corpus(seed=3, n=120).records]
+    cancelled = " ".join(_cancelling_pair(256))
+    # empty and punctuation-only text embed the whole lowercased text
+    texts = corpus + [
+        "", "!!! ... ???", "\u00dcn\u00efcode na\u00efve caf\u00e9 \u65e5\u672c",
+        "\u65e5\u672c\u8a9e", " ".join(["invoice"] * 5000), cancelled,
+        " ".join(_cancelling_pair(1))]
+
+    def check(dim):
+        for text in texts:
+            assert hashing_embed(text, dim).tobytes() == \
+                _reference_embed(text, dim).tobytes(), (text[:40], dim)
+
+    # the same tokens at several widths in one process: a memo that left
+    # out the width would hand one width's buckets to another
+    for dim in (256, 1, 1536, 256):
+        check(dim)
+    assert np.array_equal(hashing_embed(cancelled), np.eye(256)[0])
+    _token_slot.cache_clear()
+    check(256)
+
+    _token_slot.cache_clear()
+    failures = []
+
+    def worker(w):
+        try:
+            for text in texts[w::4] + texts:
+                assert hashing_embed(text, 64).tobytes() == \
+                    _reference_embed(text, 64).tobytes()
+        except Exception as exc:  # noqa: BLE001 - reported below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 # --- HTTP backend ---------------------------------------------------------------

@@ -1,8 +1,13 @@
 """Context store: durable registration, similarity retrieval, augmentation."""
 
 import json
+import logging
+import os
+import subprocess
 import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,6 +381,120 @@ def test_register_after_orphan_vector_bytes_survives_reopen(tmp_path, orphan):
     ids = [second.id] if orphan == "no-entries" else [first.id, second.id]
     assert [e.context_id for e in again.entries] == ids
     for entry in again.entries:
+        np.testing.assert_array_equal(entry.embedding,
+                                      hashing_embed(entry.description))
+
+
+@pytest.mark.parametrize("cut", ["40-bytes", "mid-character"])
+def test_reopen_skips_torn_last_entry_line(tmp_path, caplog, cut):
+    """A crash mid-append leaves a last line with no \\n that does not
+    parse: reopening skips it with a warning and writes nothing."""
+    path = tmp_path / cut
+    store = ContextStore(path, hashing_embed)
+    first = _ctx("first findings", seed="a")
+    store.register(first)
+    store.register(_ctx("second findings caf\u00e9 \u65e5\u672c", seed="b"))
+    log = (path / "entries.jsonl").read_bytes()
+    if cut == "40-bytes":
+        log = log[:-40]
+    else:  # inside the description's first multi-byte character
+        log = log[:log.rindex("\u00e9".encode("utf-8")) + 1]
+    (path / "entries.jsonl").write_bytes(log)
+    files = (path / "entries.jsonl", path / "vectors.bin")
+    before = [f.read_bytes() for f in files]
+    with caplog.at_level(logging.WARNING, logger="semaq.store"):
+        reopened = ContextStore(path, hashing_embed)
+    assert [e.context_id for e in reopened.entries] == [first.id]
+    assert "torn last line" in caplog.text
+    assert [f.read_bytes() for f in files] == before
+    # the next registration cuts the torn line off before it appends
+    third = _ctx("third findings", seed="c")
+    assert reopened.register(third).seq == 2
+    again = ContextStore(path, hashing_embed)
+    assert [e.context_id for e in again.entries] == [first.id, third.id]
+    for entry in again.entries:
+        np.testing.assert_array_equal(entry.embedding,
+                                      hashing_embed(entry.description))
+
+
+def test_reopen_torn_line_before_the_last_stays_fatal(tmp_path):
+    path = tmp_path / "midfile"
+    store = ContextStore(path, hashing_embed)
+    for i in range(3):
+        store.register(_ctx(f"topic {i}", seed=str(i)))
+    lines = (path / "entries.jsonl").read_bytes().split(b"\n")
+    lines[1] = lines[1][:-40]
+    (path / "entries.jsonl").write_bytes(b"\n".join(lines))
+    with pytest.raises(StoreError, match="corrupt store entry at line 2"):
+        ContextStore(path, hashing_embed)
+
+
+def test_reopen_checksum_mismatch_on_unterminated_last_line_stays_fatal(tmp_path):
+    path = tmp_path / "badsum"
+    store = ContextStore(path, hashing_embed)
+    store.register(_ctx("first", seed="a"))
+    store.register(_ctx("second", seed="b"))
+    lines = (path / "entries.jsonl").read_text(encoding="utf-8").splitlines()
+    doc = json.loads(lines[1])
+    doc["checksum"] = "0" * 64
+    lines[1] = json.dumps(doc)
+    (path / "entries.jsonl").write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(StoreError, match="checksum mismatch"):
+        ContextStore(path, hashing_embed)
+
+
+def test_register_after_lost_final_newline_survives_reopen(tmp_path):
+    """A last line that lost only its \\n is an entry; the next register
+    ends it before appending instead of gluing its own line onto it."""
+    path = tmp_path / "newline"
+    store = ContextStore(path, hashing_embed)
+    first = _ctx("first findings", seed="a")
+    store.register(first)
+    log = (path / "entries.jsonl").read_bytes()
+    (path / "entries.jsonl").write_bytes(log.rstrip(b"\n"))
+    reopened = ContextStore(path, hashing_embed)
+    assert [e.context_id for e in reopened.entries] == [first.id]
+    second = _ctx("second findings", seed="b")
+    reopened.register(second)
+    again = ContextStore(path, hashing_embed)
+    assert [(e.context_id, e.seq) for e in again.entries] == \
+        [(first.id, 0), (second.id, 1)]
+    assert (path / "entries.jsonl").read_bytes().startswith(log)
+
+
+_REGISTER_20 = """
+import sys, time
+from pathlib import Path
+from semaq import ContextStore, context_create, hashing_embed, make_source_record
+directory, worker, go = sys.argv[1], sys.argv[2], Path(sys.argv[3])
+deadline = time.monotonic() + 30
+while not go.exists() and time.monotonic() < deadline:
+    time.sleep(0.001)
+store = ContextStore(directory, hashing_embed)
+for i in range(20):
+    record = make_source_record({"text": f"{worker} {i}"}, origin=f"{worker}#{i}")
+    store.register(context_create([record], f"process {worker} finding {i}"))
+"""
+
+
+def test_two_processes_register_with_distinct_seqs(tmp_path):
+    path, go = tmp_path / "shared", tmp_path / "go"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    procs = [subprocess.Popen([sys.executable, "-c", _REGISTER_20, str(path),
+                               worker, str(go)], env=env)
+             for worker in ("p", "q")]
+    time.sleep(0.2)
+    go.touch()
+    for proc in procs:
+        assert proc.wait(timeout=60) == 0
+    reopened = ContextStore(path, hashing_embed)
+    assert len(reopened) == 40
+    assert sorted(e.seq for e in reopened.entries) == list(range(40))
+    assert {e.description for e in reopened.entries} == \
+        {f"process {w} finding {i}" for w in "pq" for i in range(20)}
+    for entry in reopened.entries:
         np.testing.assert_array_equal(entry.embedding,
                                       hashing_embed(entry.description))
 
