@@ -8,8 +8,13 @@ calls block (HTTP), semantic operators fan out over one worker pool per run,
 each keeping at most ``pool_width`` calls in flight and yielding in input
 order; a run waits for every call it submitted before it returns or raises,
 so its report totals equal the ledger delta even after a ``limit`` cut-off.
-A backend that declares ``in_process`` (the mock) never blocks, so its calls
-run inline in the caller's thread: no threads, and no call past what a
+A sem_map with only project and sem_map stages between it and a
+``limit(n)`` keeps its calls in flight plus the records it has emitted
+within n, so it prefetches nothing the limit cannot take; when a record is
+dropped downstream and nothing is in flight, a pull still starts one call.
+Filters keep the full window: their selectivity is unknown.  A backend
+that declares ``in_process`` (the mock) never blocks, so its calls run
+inline in the caller's thread: no threads, and no call past what a
 downstream ``limit`` pulls.
 """
 
@@ -96,7 +101,9 @@ class RunPolicy:
     ``pool_width`` bounds the in-flight model calls of each semantic
     operator separately, for backends whose calls block.  A run shares one
     executor among its k sem_filter and sem_map stages, so up to
-    k * ``pool_width`` calls are in flight at once.  With
+    k * ``pool_width`` calls are in flight at once.  A sem_map that feeds a
+    ``limit(n)`` through only project and sem_map stages holds fewer: its
+    calls in flight plus the records it has emitted stay within n.  With
     ``pool_width == 1``, or a backend that declares ``in_process``, every
     call runs inline without threads.
     """
@@ -450,24 +457,41 @@ class _FailureTracker:
 
 
 def _ordered_pool_map(fn, items: Iterator, width: int,
-                      pool: ThreadPoolExecutor | None) -> Iterator:
-    """Apply ``fn`` over ``items`` with at most ``width`` in flight on
-    ``pool``, yielding results in input order; inline when ``pool`` is None.
-    Upstream pulls happen in the caller's thread."""
+                      pool: ThreadPoolExecutor | None,
+                      room: Callable[[], float]) -> Iterator:
+    """Apply ``fn`` over ``items`` on ``pool``, yielding results in input
+    order; inline when ``pool`` is None.  Upstream pulls happen in the
+    caller's thread.
+
+    At most ``width`` calls are in flight, and, counting the result being
+    handed over, at most ``room()``: the results the consumer can still use.
+    A pull that finds nothing in flight submits one item all the same, so a
+    result the consumer drops never stalls it.
+    """
     if pool is None:
         yield from map(fn, items)
         return
-    pending = deque(pool.submit(fn, item) for item in itertools.islice(items, width))
-    while pending:
+    pending: deque = deque()
+    while True:
+        if not pending:
+            pending.extend(pool.submit(fn, item) for item in
+                           itertools.islice(items, max(1, min(width, room()))))
+            if not pending:
+                return
         result = pending.popleft().result()
-        pending.extend(pool.submit(fn, item) for item in itertools.islice(items, 1))
+        free = min(width, room() - 1) - len(pending)
+        pending.extend(pool.submit(fn, item)
+                       for item in itertools.islice(items, max(0, free)))
         yield result
 
 
 def _semantic_stage(upstream: Iterator[Record], pop: PhysicalOp, row: OpReport,
                     backend, policy: RunPolicy, failures: _FailureTracker,
-                    operator_id: str, pool: ThreadPoolExecutor | None
-                    ) -> Iterator[Record]:
+                    operator_id: str, pool: ThreadPoolExecutor | None,
+                    cap: int | None) -> Iterator[Record]:
+    """Run a sem_filter or sem_map over ``upstream``.  With ``cap``, calls in
+    flight plus records already emitted stay within it (see
+    :func:`_limit_cap`)."""
     lock = threading.Lock()
 
     def work(record: Record):
@@ -488,12 +512,30 @@ def _semantic_stage(upstream: Iterator[Record], pop: PhysicalOp, row: OpReport,
                 row.failures += 1
         return out, error
 
-    for out, error in _ordered_pool_map(work, upstream, policy.pool_width, pool):
+    room = (lambda: math.inf) if cap is None else (lambda: cap - row.records_out)
+    for out, error in _ordered_pool_map(work, upstream, policy.pool_width, pool,
+                                        room):
         if error is not None:
             failures.register(error)
         elif out is not None:
             row.records_out += 1
             yield out
+
+
+def _limit_cap(ops: Sequence[PhysicalOp], i: int) -> int | None:
+    """The count of the first ``limit`` after the sem_map at ``i`` when only
+    project and sem_map stages lie between them, else None.  Each of those
+    passes a record on at most once, so the limit never takes more than its
+    count from the map; a filter's selectivity is unknown, so it gets no cap.
+    """
+    if not isinstance(ops[i].logical, SemMap):
+        return None
+    for pop in ops[i + 1:]:
+        if isinstance(pop.logical, Limit):
+            return pop.logical.count
+        if not isinstance(pop.logical, (Project, SemMap)):
+            return None
+    return None
 
 
 def _project_stage(upstream: Iterator[Record], op: Project, row: OpReport,
@@ -563,7 +605,7 @@ def pipeline_execute(pplan: PhysicalPlan, ctx: Context, backend,
                                detail=op.predicate if is_filter else op.instruction,
                                model_id=pop.model.model_id)
                 stream = _semantic_stage(stream, pop, row, backend, policy, failures,
-                                         operator_id, pool)
+                                         operator_id, pool, _limit_cap(pplan.ops, i))
             elif isinstance(op, Project):
                 row = OpReport(index=i, kind="project", detail=", ".join(op.fields))
                 stream = _project_stage(stream, op, row, operator_id)

@@ -5,9 +5,10 @@ lineage summary), so later queries can rediscover and reuse prior work.  It
 persists as an append-only JSONL entry log plus a sidecar binary vector file;
 each log line carries a checksum over its description and vector bytes, and
 both are verified when a store is reopened.  A registration holds an
-exclusive ``flock`` on the entry log while it takes its seq and appends, so
-processes sharing a directory append one at a time; a reopen reads under a
-shared lock.
+exclusive ``flock`` on the entry log while it loads the lines other store
+objects appended since it last read the log, takes its seq and appends, so
+processes sharing a directory append one at a time and store a context
+once; a reopen reads under a shared lock.
 """
 
 from __future__ import annotations
@@ -98,6 +99,9 @@ class ContextStore:
         self.entries: list[ContextEntry] = []
         self._by_id: dict[str, ContextEntry] = {}
         self._objects: dict[str, Context] = {}
+        # bytes and \n-ended lines of the entry log this instance has read
+        # or written
+        self._log_end = self._log_lines = 0
         self._load()
 
     @property
@@ -114,7 +118,7 @@ class ContextStore:
             # may hold U+2028, U+2029 or U+0085
             with open(self._entries_path, "rb") as log:
                 fcntl.flock(log, fcntl.LOCK_SH)
-                rows = 0
+                rows = torn = lineno = 0
                 for lineno, line in enumerate(log, start=1):
                     if not line.strip():
                         continue
@@ -127,11 +131,15 @@ class ContextStore:
                         # torn by a crash, whose vector row is then skipped
                         logger.warning("skipping torn last line of %s: %s",
                                        self._entries_path, exc)
+                        torn = len(line)
                         break
                     if self.dim is None:
                         self.dim = doc["dim"]
                         rows = self._read_vectors()
                     self._load_entry(doc, lineno, rows)
+                self._log_end = log.tell() - torn
+                # a last line without its \n (torn, or parsed) ends no line
+                self._log_lines = lineno - (lineno > 0 and not line.endswith(b"\n"))
         except FileNotFoundError:
             return
         except OSError as exc:
@@ -156,26 +164,32 @@ class ContextStore:
         return rows
 
     def _load_entry(self, doc: dict, lineno: int, rows: int) -> None:
-        seq, context_id = doc["seq"], doc["context_id"]
+        if not 0 <= doc["seq"] < rows:
+            raise StoreError(f"vector file truncated at entry {doc['seq']} "
+                             f"({doc['context_id']})")
+        entry = self._make_entry(doc, lineno, self._vectors[doc["seq"]])
+        self.entries.append(entry)
+        self._by_id[entry.context_id] = entry
+
+    def _make_entry(self, doc: dict, lineno: int,
+                    embedding: np.ndarray) -> ContextEntry:
+        """The entry a parsed log line describes, once its dim and the
+        checksum over its description and ``embedding`` are verified."""
+        context_id = doc["context_id"]
         if doc["dim"] != self.dim:
             raise StoreError(f"store entry at line {lineno} has dim {doc['dim']}, "
                              f"earlier entries have dim {self.dim}")
-        if not 0 <= seq < rows:
-            raise StoreError(f"vector file truncated at entry {seq} ({context_id})")
-        embedding = self._vectors[seq]
         if _checksum(doc["description"], embedding.data) != doc["checksum"]:
             raise StoreError(f"checksum mismatch for stored context {context_id}")
-        entry = ContextEntry(
+        return ContextEntry(
             context_id=context_id,
             description=doc["description"],
             instruction=doc.get("instruction", ""),
             lineage_summary=doc.get("lineage", ""),
-            seq=seq,
+            seq=doc["seq"],
             created_at=float(doc.get("created_at", 0.0)),
             embedding=embedding,
         )
-        self.entries.append(entry)
-        self._by_id[entry.context_id] = entry
 
     def _check_width(self, vector: np.ndarray) -> None:
         if vector.shape != (self.dim,):
@@ -207,27 +221,28 @@ class ContextStore:
 
         Re-registering identical content is a no-op returning the existing
         entry; the same id with different content raises
-        :class:`StoreConflictError`.
+        :class:`StoreConflictError`.  That holds for entries another store
+        object or process appended since this one last read the log, too.
         """
         with self._lock:
-            existing = self._by_id.get(ctx.id)
+            existing = self._stored(ctx)
             if existing is not None:
-                if existing.description != ctx.description:
-                    raise StoreConflictError(
-                        f"context id {ctx.id} already stored with different content")
-                self._objects.setdefault(ctx.id, ctx)
                 return existing
             vector = np.asarray(self._embed(ctx.description), dtype=np.float64)
-            if self.dim is None and vector.ndim == 1 and vector.size:
-                self.dim = len(vector)
-                self._vectors = np.empty((0, self.dim), dtype="<f8")
-            self._check_width(vector)
-            vector_bytes = vector.astype("<f8").tobytes()
             try:
                 with open(self._entries_path, "a+b") as log:
                     # seq and both appends, one registering process at a time
                     fcntl.flock(log, fcntl.LOCK_EX)
                     self._end_log(log)
+                    self._catch_up(log)
+                    existing = self._stored(ctx)
+                    if existing is not None:
+                        return existing
+                    if self.dim is None and vector.ndim == 1 and vector.size:
+                        self.dim = len(vector)
+                        self._vectors = np.empty((0, self.dim), dtype="<f8")
+                    self._check_width(vector)
+                    vector_bytes = vector.astype("<f8").tobytes()
                     seq = self._append_vector(vector_bytes)
                     entry = ContextEntry(
                         context_id=ctx.id,
@@ -253,6 +268,7 @@ class ContextStore:
                     log.write((json.dumps(doc, ensure_ascii=False) + "\n")
                               .encode("utf-8"))
                     log.flush()
+                    self._log_end, self._log_lines = log.tell(), self._log_lines + 1
             except OSError as exc:
                 raise StoreError(f"cannot append to store: {exc}") from exc
             self._append(entry)
@@ -260,6 +276,47 @@ class ContextStore:
             self._objects[entry.context_id] = ctx
             logger.debug("registered context %s (seq %d)", ctx.id, entry.seq)
             return entry
+
+    def _stored(self, ctx: Context) -> ContextEntry | None:
+        """The entry already stored under ``ctx.id``, if any; raise
+        :class:`StoreConflictError` when its content differs."""
+        existing = self._by_id.get(ctx.id)
+        if existing is not None:
+            if existing.description != ctx.description:
+                raise StoreConflictError(
+                    f"context id {ctx.id} already stored with different content")
+            self._objects.setdefault(ctx.id, ctx)
+        return existing
+
+    def _catch_up(self, log) -> None:
+        """Load, with the checks a reopen makes, the entry lines another
+        store object appended to the locked log since this one last read
+        it.  Their seqs are above every loaded one, so each goes last."""
+        end = log.seek(0, os.SEEK_END)
+        if end <= self._log_end:
+            return
+        log.seek(self._log_end)
+        # the log ends in \n; the first piece finishes line _log_lines + 1,
+        # empty when only its \n was missing
+        lines = log.read(end - self._log_end).split(b"\n")[:-1]
+        with open(self._vectors_path, "rb") as vectors:
+            for lineno, line in enumerate(lines, start=self._log_lines + 1):
+                if not line.strip():
+                    continue
+                doc = _parse_entry(line, lineno)
+                if self.dim is None:
+                    self.dim = doc["dim"]
+                    self._vectors = np.empty((0, self.dim), dtype="<f8")
+                stride = self.dim * 8
+                row = (os.pread(vectors.fileno(), stride, doc["seq"] * stride)
+                       if doc["seq"] >= 0 else b"")
+                if len(row) != stride:
+                    raise StoreError(f"vector file truncated at entry {doc['seq']} "
+                                     f"({doc['context_id']})")
+                entry = self._make_entry(doc, lineno, np.frombuffer(row, dtype="<f8"))
+                self._append(entry)
+                self._by_id[entry.context_id] = entry
+        self._log_end, self._log_lines = end, self._log_lines + len(lines)
 
     def _end_log(self, log) -> None:
         """Make the locked entry log end in \\n before an append: terminate a
@@ -351,5 +408,6 @@ class ContextStore:
                     path.unlink()
             self.entries.clear()
             self.dim = self._vectors = None
+            self._log_end = self._log_lines = 0
             self._by_id.clear()
             self._objects.clear()

@@ -319,6 +319,74 @@ def test_report_cost_equals_ledger_delta_with_limit(mk_backend, pipeline, width,
         assert [op.calls for op in report.ops[1:-1]] == [2] * (len(report.ops) - 2)
 
 
+def _inline_and_pooled(backend_for, pipeline, records, width, **policy):
+    """Run ``pipeline`` inline on the mock, then on a blocking backend at
+    ``width``; return both (output ids, report) pairs after checking that
+    each run's report totals equal its ledger delta."""
+    runs = []
+    for blocking in (False, True):
+        backend = backend_for()
+        if blocking:
+            backend = BlockingBackend(backend)
+        before = backend.ledger.snapshot()
+        out_ctx, report = pipeline_execute(
+            _bind(pipeline), _ctx(records), backend,
+            policy=RunPolicy(pool_width=width, **policy))
+        delta = backend.ledger.snapshot().minus(before)
+        assert report.total_calls == delta.total_calls
+        assert (sum(op.input_tokens for op in report.ops)
+                == sum(m.input_tokens for m in delta.per_model))
+        assert (sum(op.output_tokens for op in report.ops)
+                == sum(m.output_tokens for m in delta.per_model))
+        assert report.total_cost == pytest.approx(delta.total_cost, abs=1e-12)
+        if blocking and width > 1:
+            assert backend.ran_on_workers()
+        runs.append(([r.id for r in out_ctx.source], report))
+    return runs
+
+
+@pytest.mark.parametrize("width", [1, 3, 8])
+@pytest.mark.parametrize("pipeline, limit, capped", [
+    (_FILTER_FILTER_MAP_LIMIT, 2, 3),
+    ('scan(d) | sem_filter("p") | sem_map("m", {tag: text}) | project(tag) '
+     '| limit(5)', 5, 2),
+], ids=["filter-filter-map-limit", "filter-map-project-limit"])
+def test_map_under_limit_calls_what_the_inline_run_calls(mk_backend, pipeline,
+                                                         limit, capped, width):
+    """A sem_map with only project/sem_map before a limit keeps calls in
+    flight plus records emitted within the limit, so on a blocking backend
+    it makes exactly the inline run's calls."""
+    records = _numbered(40, lambda i: ("pick" if i % 3 else "") +
+                        (" odd" if i % 2 else ""))
+    (inline_ids, inline), (pooled_ids, pooled) = _inline_and_pooled(
+        lambda: mk_backend(("INSTRUCTION", "tag: x"),
+                           (r"q\n[\s\S]*odd", "yes", "regex"),
+                           (r"p\n[\s\S]*pick", "yes", "regex"),
+                           ("PREDICATE", "no")),
+        pipeline, records, width)
+    assert pooled_ids == inline_ids and len(inline_ids) == limit
+    assert pooled.ops[capped].calls == inline.ops[capped].calls == limit
+
+
+@pytest.mark.parametrize("width", [1, 3, 8])
+def test_map_under_limit_refills_after_a_downstream_drop(mk_backend, width):
+    """The second map drops record 001; the capped first map has then emitted
+    what the limit can take, and still feeds the one record more it needs."""
+    records = _numbered(20)
+    (inline_ids, inline), (pooled_ids, pooled) = _inline_and_pooled(
+        lambda: mk_backend((r"INSTRUCTION: second[\s\S]*record 001", "no idea",
+                            "regex"),
+                           ("INSTRUCTION: first", "a: x"),
+                           ("INSTRUCTION: second", "b: y")),
+        'scan(d) | sem_map("first", {a: text}) | sem_map("second", {b: text}) '
+        '| limit(3)', records, width, on_error="drop")
+    assert pooled_ids == inline_ids and len(pooled_ids) == 3
+    assert pooled.total_failures == inline.total_failures == 1
+    # four records each way; record 001's second-map reply is re-asked once
+    assert [op.calls for op in inline.ops[1:3]] == [4, 5]
+    assert [op.calls for op in pooled.ops[1:3]] == [4, 5]
+
+
 @pytest.mark.parametrize("case, expected", [
     ("limit", None), ("abort", OperatorError), ("budget", RunAbortedError),
 ])

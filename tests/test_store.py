@@ -499,6 +499,34 @@ def test_two_processes_register_with_distinct_seqs(tmp_path):
                                       hashing_embed(entry.description))
 
 
+def test_two_store_objects_register_one_context_once(tmp_path):
+    """A registration first loads the entries another store object appended
+    to the log, so the same context is stored once and a conflict is seen."""
+    path = tmp_path / "shared"
+    first = ContextStore(path, hashing_embed)
+    second = ContextStore(path, hashing_embed)
+    ctx = _ctx("quarterly deal findings")
+    stored = first.register(ctx)
+    log = (path / "entries.jsonl").read_bytes()
+    again = second.register(ctx)
+    assert (again.context_id, again.seq, again.created_at) == \
+        (ctx.id, 0, stored.created_at)
+    assert (path / "entries.jsonl").read_bytes() == log
+    impostor = Context(id=ctx.id, description="other findings", source=ctx.source)
+    with pytest.raises(StoreConflictError, match=ctx.id):
+        second.register(impostor)
+    other = _ctx("vendor contract findings", seed="y")
+    assert second.register(other).seq == 1
+    assert first.register(other).seq == 1 and len(first) == 2
+    np.testing.assert_array_equal(first.get_entry(other.id).embedding,
+                                  hashing_embed(other.description))
+    reopened = ContextStore(path, hashing_embed)
+    assert [(e.context_id, e.seq) for e in reopened.entries] == \
+        [(ctx.id, 0), (other.id, 1)]
+    hits = reopened.retrieve(ctx.description, k=5, tau=0.0)
+    assert [entry.context_id for entry, _ in hits].count(ctx.id) == 1
+
+
 def test_entries_file_shape(tmp_path):
     path = tmp_path / "shape"
     store = ContextStore(path, hashing_embed)
