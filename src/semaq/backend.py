@@ -425,6 +425,8 @@ class HttpBackend:
     ``{base_url}/embeddings``; the API key is read from the environment
     (``SEMAQ_API_KEY``), never from config files.  Transient failures are
     retried up to three attempts with exponential backoff (1s, then 2s).
+    A reply whose content, usage, token counts or embedding has the wrong
+    JSON type raises :class:`BackendError`, as does a non-finite embedding.
     """
 
     max_attempts = 3
@@ -507,14 +509,18 @@ class HttpBackend:
         wall = time.perf_counter() - started
         try:
             text = doc["choices"][0]["message"]["content"]
+            reported = doc.get("usage")
+            reported = {} if reported is None else reported
+            if not isinstance(text, str) or not isinstance(reported, dict):
+                raise TypeError("content must be a string and usage an object")
+            tokens = (reported.get("prompt_tokens",
+                                   mock_token_count(render_messages(messages))),
+                      reported.get("completion_tokens", mock_token_count(text)))
+            if not all(type(count) is int and count >= 0 for count in tokens):
+                raise TypeError(f"token counts {tokens} are not counts")
         except (KeyError, IndexError, TypeError) as exc:
-            raise BackendError(f"malformed chat response: {doc!r}") from exc
-        reported = doc.get("usage") or {}
-        usage = Usage(
-            input_tokens=int(reported.get("prompt_tokens",
-                                          mock_token_count(render_messages(messages)))),
-            output_tokens=int(reported.get("completion_tokens", mock_token_count(text))),
-        )
+            raise BackendError(f"malformed chat response ({exc}): {doc!r}") from exc
+        usage = Usage(input_tokens=tokens[0], output_tokens=tokens[1])
         self.ledger.record(spec, usage, wall_seconds=wall)
         return ChatExchange(
             model_id=model_id,
@@ -528,9 +534,14 @@ class HttpBackend:
         doc = self._post("/embeddings", {"model": self.embedding_model, "input": text})
         try:
             values = doc["data"][0]["embedding"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise BackendError(f"malformed embedding response: {doc!r}") from exc
-        vec = np.asarray(values, dtype=np.float64)
+            if not isinstance(values, list) or not all(
+                    type(value) in (int, float) for value in values):
+                raise TypeError("embedding is not a flat list of numbers")
+            vec = np.asarray(values, dtype=np.float64)
+            if not np.isfinite(vec).all():
+                raise ValueError("embedding holds a non-finite number")
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+            raise BackendError(f"malformed embedding response ({exc}): {doc!r}") from exc
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             raise BackendError("provider returned a zero embedding")

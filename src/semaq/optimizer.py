@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -461,18 +462,26 @@ def parse_policy(doc) -> Policy:
     if not isinstance(doc, Mapping):
         raise ValidationError(f"policy must be a mapping, got {doc!r}")
     kind = doc.get("kind")
+
+    def number(key: str) -> float:
+        # checked, not converted: a string or a bool is not a number
+        value = doc[key]
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise ValueError(f"{key} must be a finite number, got {value!r}")
+        return float(value)
+
     try:
         if kind == "min_cost":
-            return MinCost(quality_floor=float(doc["quality_floor"]))
+            return MinCost(quality_floor=number("quality_floor"))
         if kind == "max_quality":
-            return MaxQuality(cost_budget=float(doc["cost_budget"]))
+            return MaxQuality(cost_budget=number("cost_budget"))
         if kind == "weighted":
-            return Weighted(cost_weight=float(doc["cost_weight"]),
-                            latency_weight=float(doc["latency_weight"]),
-                            quality_weight=float(doc["quality_weight"]))
+            return Weighted(cost_weight=number("cost_weight"),
+                            latency_weight=number("latency_weight"),
+                            quality_weight=number("quality_weight"))
     except KeyError as exc:
         raise ValidationError(f"policy missing key: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValidationError(f"policy has a bad value: {exc}") from exc
     raise ValidationError(f"unknown policy kind {kind!r}")
 
@@ -561,7 +570,8 @@ def optimize(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
     """Sample (or use priors), search the frontier, estimate, and choose.
 
     ``sample_size=0`` takes the zero-call path: statistics come from model
-    priors and nominal token counts, so planning makes no model calls.
+    priors and nominal token counts, so planning makes no model calls; a
+    negative ``sample_size`` raises :class:`ValidationError`.
     Latency estimates model a blocking provider, so they divide across
     ``run_policy.pool_width`` workers even for a backend run inline.  The
     chosen plan is the one ``choose_plan`` picks over all
@@ -569,6 +579,8 @@ def optimize(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
     """
     from .lang import print_pipeline
 
+    if sample_size < 0:
+        raise ValidationError("sample_size must be >= 0")
     if sample_size >= 1:
         stats = sample_stats(plan, ctx, models, sample_size, backend)
     else:

@@ -3,12 +3,12 @@
 The store remembers what past contexts were about (description + embedding +
 lineage summary), so later queries can rediscover and reuse prior work.  It
 persists as an append-only JSONL entry log plus a sidecar binary vector file;
-each log line carries a checksum over its description and vector bytes, and
-both are verified when a store is reopened.  A registration holds an
-exclusive ``flock`` on the entry log while it loads the lines other store
-objects appended since it last read the log, takes its seq and appends, so
-processes sharing a directory append one at a time and store a context
-once; a reopen reads under a shared lock.
+each log line carries a checksum over its description and vector bytes.  One
+reader, ``ContextStore._read_log``, loads the log lines a store has not read
+yet and verifies each against its vector row: a reopen is that read from byte
+0 under a shared ``flock``; a registration repeats it under an exclusive
+``flock`` on the entry log before it takes its seq and appends, so processes
+sharing a directory append one at a time and store a context once.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ class ContextEntry:
     embedding: np.ndarray = field(compare=False, repr=False)
 
 
-def _row_order(entry: ContextEntry) -> tuple[int, str]:
-    return entry.seq, entry.context_id
-
-
 def _checksum(description: str, vector_bytes: bytes | memoryview) -> str:
     digest = hashlib.sha256()
     digest.update(description.encode("utf-8"))
@@ -60,19 +56,29 @@ def _checksum(description: str, vector_bytes: bytes | memoryview) -> str:
     return digest.hexdigest()
 
 
-def _parse_entry(line: bytes, lineno: int) -> dict:
-    """One entry-log line as a dict with an int ``seq``, a positive int
-    ``dim``, and an id, description and checksum."""
+def _parse_entry(line: bytes, lineno: int) -> tuple[ContextEntry, int, str]:
+    """One entry-log line as its entry, whose ``embedding`` is not read
+    yet, its positive int ``dim`` and its checksum; every text a string."""
     try:
         doc = json.loads(line)
-        doc["seq"], doc["dim"] = int(doc["seq"]), int(doc["dim"])
-        missing = sorted({"context_id", "description", "checksum"} - doc.keys())
+        entry = ContextEntry(
+            context_id=doc["context_id"],
+            description=doc["description"],
+            instruction=doc.get("instruction", ""),
+            lineage_summary=doc.get("lineage", ""),
+            seq=int(doc["seq"]),
+            created_at=float(doc.get("created_at", 0.0)),
+            embedding=None,
+        )
+        dim, checksum = int(doc["dim"]), doc["checksum"]
     except (KeyError, TypeError, ValueError) as exc:  # JSON and UTF-8 errors too
-        raise StoreError(f"corrupt store entry at line {lineno}: {exc}") from exc
-    if missing or doc["dim"] < 1:
-        raise StoreError(f"corrupt store entry at line {lineno}: "
-                         f"missing {missing}, dim {doc['dim']}")
-    return doc
+        raise StoreError(f"corrupt store entry at line {lineno}: {exc!r}") from exc
+    texts = (entry.context_id, entry.description, entry.instruction,
+             entry.lineage_summary, checksum)
+    if dim < 1 or not all(isinstance(text, str) for text in texts):
+        raise StoreError(f"corrupt store entry at line {lineno}: dim {dim}, "
+                         "or a text field that is not a string")
+    return entry, dim, checksum
 
 
 class ContextStore:
@@ -80,10 +86,13 @@ class ContextStore:
 
     Registration is idempotent on identical content and refuses an id that
     was stored with different content.  The embeddings live in one float64
-    matrix, their only copy: row ``i`` embeds ``entries[i]``, which is kept
-    in (seq, id) order, and each ``entry.embedding`` is a view of its row.
-    The width comes from the data: the entries' stored ``dim`` on reopen, or
-    the first vector registered.  Retrieval is the exact
+    matrix, their only copy: row ``i`` embeds ``entries[i]``, and each
+    ``entry.embedding`` is a view of its row.  ``_read_log`` is the one
+    reader of the entry log: it loads the lines past ``_log_end`` (all of
+    them on reopen), reads their vector rows with one read into the matrix,
+    and appends them in (seq, id) order; a log another store object has not
+    grown costs no read.  The width comes from the data: the entries' stored
+    ``dim``, or the first vector registered.  Retrieval is the exact
     :func:`~semaq.core.cosine_topk` scan over that matrix: similarity is
     cosine mapped to [0, 1], entries below ``tau`` are dropped, and ties
     break by earlier registration then ascending id.
@@ -99,10 +108,16 @@ class ContextStore:
         self.entries: list[ContextEntry] = []
         self._by_id: dict[str, ContextEntry] = {}
         self._objects: dict[str, Context] = {}
-        # bytes and \n-ended lines of the entry log this instance has read
-        # or written
+        # bytes and lines of the entry log this instance has read or written
         self._log_end = self._log_lines = 0
-        self._load()
+        try:
+            with open(self._entries_path, "rb") as log:
+                fcntl.flock(log, fcntl.LOCK_SH)
+                self._read_log(log)
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            raise StoreError(f"cannot read store at {self.directory}: {exc}") from exc
 
     @property
     def _entries_path(self) -> Path:
@@ -112,84 +127,71 @@ class ContextStore:
     def _vectors_path(self) -> Path:
         return self.directory / _VECTORS_FILE
 
-    def _load(self) -> None:
-        try:
-            # binary lines split on \n only: descriptions are written raw and
-            # may hold U+2028, U+2029 or U+0085
-            with open(self._entries_path, "rb") as log:
-                fcntl.flock(log, fcntl.LOCK_SH)
-                rows = torn = lineno = 0
-                for lineno, line in enumerate(log, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        doc = _parse_entry(line, lineno)
-                    except StoreError as exc:
-                        if line.endswith(b"\n"):
-                            raise
-                        # only the last line can lack its \n: an append
-                        # torn by a crash, whose vector row is then skipped
-                        logger.warning("skipping torn last line of %s: %s",
-                                       self._entries_path, exc)
-                        torn = len(line)
-                        break
-                    if self.dim is None:
-                        self.dim = doc["dim"]
-                        rows = self._read_vectors()
-                    self._load_entry(doc, lineno, rows)
-                self._log_end = log.tell() - torn
-                # a last line without its \n (torn, or parsed) ends no line
-                self._log_lines = lineno - (lineno > 0 and not line.endswith(b"\n"))
-        except FileNotFoundError:
-            return
-        except OSError as exc:
-            raise StoreError(f"cannot read store at {self.directory}: {exc}") from exc
-        self.entries.sort(key=_row_order)
-        seqs = [entry.seq for entry in self.entries]
-        if seqs != list(range(len(seqs))):
-            # rows were read at their seq; keep only the entries' rows
-            self._reserve(len(seqs), self._vectors[seqs])
+    def _read_log(self, log) -> int:
+        """Load, last and in (seq, id) order, the entries of the lines
+        appended to the locked ``log`` since this store last read it (all of
+        them on reopen); return the log's size.
 
-    def _read_vectors(self) -> int:
-        """Read the whole vector file into a new matrix with headroom for
-        later registrations; return the number of whole rows read."""
-        if not self._vectors_path.exists():
-            self._vectors = np.empty((0, self.dim), dtype="<f8")
-            return 0
-        with open(self._vectors_path, "rb") as fh:
-            stride = self.dim * 8
-            rows = os.fstat(fh.fileno()).st_size // stride
-            self._vectors = np.empty((rows + rows // 8 + 16, self.dim), dtype="<f8")
-            fh.readinto(memoryview(self._vectors).cast("B")[:rows * stride])
-        return rows
-
-    def _load_entry(self, doc: dict, lineno: int, rows: int) -> None:
-        if not 0 <= doc["seq"] < rows:
-            raise StoreError(f"vector file truncated at entry {doc['seq']} "
-                             f"({doc['context_id']})")
-        entry = self._make_entry(doc, lineno, self._vectors[doc["seq"]])
-        self.entries.append(entry)
-        self._by_id[entry.context_id] = entry
-
-    def _make_entry(self, doc: dict, lineno: int,
-                    embedding: np.ndarray) -> ContextEntry:
-        """The entry a parsed log line describes, once its dim and the
-        checksum over its description and ``embedding`` are verified."""
-        context_id = doc["context_id"]
-        if doc["dim"] != self.dim:
-            raise StoreError(f"store entry at line {lineno} has dim {doc['dim']}, "
-                             f"earlier entries have dim {self.dim}")
-        if _checksum(doc["description"], embedding.data) != doc["checksum"]:
-            raise StoreError(f"checksum mismatch for stored context {context_id}")
-        return ContextEntry(
-            context_id=context_id,
-            description=doc["description"],
-            instruction=doc.get("instruction", ""),
-            lineage_summary=doc.get("lineage", ""),
-            seq=doc["seq"],
-            created_at=float(doc.get("created_at", 0.0)),
-            embedding=embedding,
-        )
+        Lines split on \\n only: descriptions are written raw and may hold
+        U+2028, U+2029 or U+0085.  A line that does not parse is fatal,
+        unless it is the last and lacks its \\n: an append torn by a crash,
+        skipped with a warning and left past ``_log_end``.  A last line that
+        parses but lost only its \\n is loaded, and ``_log_end`` counts the
+        \\n it lacks.  Nothing is loaded unless every new line's dim, vector
+        row and checksum verify.
+        """
+        size = log.seek(0, os.SEEK_END)
+        if size <= self._log_end:  # nothing appended since the last read
+            return size
+        log.seek(self._log_end)
+        dim, new, torn = self.dim, [], 0
+        for lineno, line in enumerate(log, start=self._log_lines + 1):
+            if not line.strip():
+                continue
+            try:
+                entry, width, checksum = _parse_entry(line, lineno)
+            except StoreError as exc:
+                if line.endswith(b"\n"):
+                    raise
+                logger.warning("skipping torn last line of %s: %s",
+                               self._entries_path, exc)
+                torn = len(line)
+                continue
+            dim = dim or width
+            if width != dim:
+                raise StoreError(f"store entry at line {lineno} has dim {width}, "
+                                 f"earlier entries have dim {dim}")
+            new.append((entry, checksum))
+        if new:
+            # rows lowest .. highest new seq, in one read into the matrix,
+            # gathered to the entries' rows when their seqs skip or repeat one
+            new.sort(key=lambda pair: (pair[0].seq, pair[0].context_id))
+            seqs = [entry.seq for entry, _ in new]
+            lo, hi, n, stride = seqs[0], seqs[-1], len(self.entries), dim * 8
+            path = self._vectors_path
+            rows = path.stat().st_size // stride if path.exists() else 0
+            if lo < 0 or hi >= rows:
+                bad = new[0][0] if lo < 0 else new[-1][0]
+                raise StoreError(f"vector file truncated at entry {bad.seq} "
+                                 f"({bad.context_id})")
+            self.dim = dim
+            self._reserve(n + hi - lo + 1)
+            block = self._vectors[n:n + hi - lo + 1]
+            with open(path, "rb") as vectors:
+                vectors.seek(lo * stride)
+                vectors.readinto(memoryview(block).cast("B"))
+            if seqs != list(range(lo, lo + len(seqs))):
+                block[:len(seqs)] = block[np.array(seqs) - lo]
+            for (entry, checksum), embedding in zip(new, block):
+                if _checksum(entry.description, embedding.data) != checksum:
+                    raise StoreError("checksum mismatch for stored context "
+                                     f"{entry.context_id}")
+                object.__setattr__(entry, "embedding", embedding)
+            self.entries += [entry for entry, _ in new]
+            self._by_id.update((entry.context_id, entry) for entry, _ in new)
+        open_line = not torn and not line.endswith(b"\n")
+        self._log_end, self._log_lines = size - torn + open_line, lineno - (torn > 0)
+        return size
 
     def _check_width(self, vector: np.ndarray) -> None:
         if vector.shape != (self.dim,):
@@ -197,14 +199,19 @@ class ContextStore:
                 f"embedding dimension {vector.shape} does not match store "
                 f"dim {self.dim}")
 
-    def _reserve(self, rows: int, head: np.ndarray) -> None:
-        """Move ``head``, the entries' rows, into a new matrix with room for
-        ``rows`` rows, and point every entry at its row there."""
-        self._vectors = np.empty((max(rows, 16), self.dim), dtype="<f8")
-        self._vectors[:len(head)] = head
+    def _reserve(self, rows: int) -> None:
+        """Grow the matrix to hold ``rows`` rows, with an eighth more room
+        and at least doubling it, and point every entry at its row there."""
+        if self._vectors is not None and rows <= len(self._vectors):
+            return
+        n = len(self.entries)
+        grown = np.empty((max(rows + rows // 8, 2 * n, 16), self.dim), dtype="<f8")
+        if n:
+            grown[:n] = self._vectors[:n]
+        self._vectors = grown
         for row, entry in enumerate(self.entries):
             # the entry stays the same object; only its view moves
-            object.__setattr__(entry, "embedding", self._vectors[row])
+            object.__setattr__(entry, "embedding", grown[row])
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -233,14 +240,16 @@ class ContextStore:
                 with open(self._entries_path, "a+b") as log:
                     # seq and both appends, one registering process at a time
                     fcntl.flock(log, fcntl.LOCK_EX)
-                    self._end_log(log)
-                    self._catch_up(log)
+                    size = self._read_log(log)
+                    if size > self._log_end:  # a torn last line: cut it off
+                        log.truncate(self._log_end)
+                    elif size < self._log_end:  # a last line that lost its \n
+                        log.write(b"\n")
                     existing = self._stored(ctx)
                     if existing is not None:
                         return existing
                     if self.dim is None and vector.ndim == 1 and vector.size:
                         self.dim = len(vector)
-                        self._vectors = np.empty((0, self.dim), dtype="<f8")
                     self._check_width(vector)
                     vector_bytes = vector.astype("<f8").tobytes()
                     seq = self._append_vector(vector_bytes)
@@ -272,7 +281,6 @@ class ContextStore:
             except OSError as exc:
                 raise StoreError(f"cannot append to store: {exc}") from exc
             self._append(entry)
-            self._by_id[entry.context_id] = entry
             self._objects[entry.context_id] = ctx
             logger.debug("registered context %s (seq %d)", ctx.id, entry.seq)
             return entry
@@ -287,58 +295,6 @@ class ContextStore:
                     f"context id {ctx.id} already stored with different content")
             self._objects.setdefault(ctx.id, ctx)
         return existing
-
-    def _catch_up(self, log) -> None:
-        """Load, with the checks a reopen makes, the entry lines another
-        store object appended to the locked log since this one last read
-        it.  Their seqs are above every loaded one, so each goes last."""
-        end = log.seek(0, os.SEEK_END)
-        if end <= self._log_end:
-            return
-        log.seek(self._log_end)
-        # the log ends in \n; the first piece finishes line _log_lines + 1,
-        # empty when only its \n was missing
-        lines = log.read(end - self._log_end).split(b"\n")[:-1]
-        with open(self._vectors_path, "rb") as vectors:
-            for lineno, line in enumerate(lines, start=self._log_lines + 1):
-                if not line.strip():
-                    continue
-                doc = _parse_entry(line, lineno)
-                if self.dim is None:
-                    self.dim = doc["dim"]
-                    self._vectors = np.empty((0, self.dim), dtype="<f8")
-                stride = self.dim * 8
-                row = (os.pread(vectors.fileno(), stride, doc["seq"] * stride)
-                       if doc["seq"] >= 0 else b"")
-                if len(row) != stride:
-                    raise StoreError(f"vector file truncated at entry {doc['seq']} "
-                                     f"({doc['context_id']})")
-                entry = self._make_entry(doc, lineno, np.frombuffer(row, dtype="<f8"))
-                self._append(entry)
-                self._by_id[entry.context_id] = entry
-        self._log_end, self._log_lines = end, self._log_lines + len(lines)
-
-    def _end_log(self, log) -> None:
-        """Make the locked entry log end in \\n before an append: terminate a
-        last line that lost only its \\n, and cut off a torn one, which
-        reopening skips."""
-        end = log.seek(0, os.SEEK_END)
-        if end == 0:
-            return
-        log.seek(end - 1)
-        if log.read(1) == b"\n":
-            return
-        log.seek(0)
-        data = log.read()
-        start = data.rfind(b"\n") + 1
-        try:
-            _parse_entry(data[start:], data.count(b"\n") + 1)
-        except StoreError as exc:
-            logger.warning("cutting torn last line off %s: %s",
-                           self._entries_path, exc)
-            log.truncate(start)
-        else:
-            log.write(b"\n")
 
     def _append_vector(self, vector_bytes: bytes) -> int:
         """Append one row to the vector file; return its row number, which
@@ -357,10 +313,10 @@ class ContextStore:
         """Add ``entry`` and its row last: its seq, the vector file's row
         count, is above every other entry's."""
         n = len(self.entries)
-        if n == len(self._vectors):
-            self._reserve(2 * n, self._vectors[:n])
+        self._reserve(n + 1)
         self._vectors[n] = entry.embedding
         self.entries.append(entry)
+        self._by_id[entry.context_id] = entry
         object.__setattr__(entry, "embedding", self._vectors[n])
 
     def retrieve(self, instruction: str, k: int = 3,

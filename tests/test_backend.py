@@ -333,6 +333,38 @@ def test_http_malformed_response(catalog):
         _http(catalog, session).chat("cheap", [ChatMessage("user", "x")])
 
 
+@pytest.mark.parametrize("doc", [
+    _chat_doc(None),
+    _chat_doc(["not", "text"]),
+    {"choices": [{"message": {"content": "ok"}}], "usage": "12 tokens"},
+    {"choices": [{"message": {"content": "ok"}}], "usage": [7, 3]},
+    _chat_doc("ok", prompt_tokens="12a"),
+    _chat_doc("ok", prompt_tokens=None),
+    _chat_doc("ok", completion_tokens=2.5),
+    _chat_doc("ok", completion_tokens=True),
+    _chat_doc("ok", completion_tokens=-1),
+], ids=["content-null", "content-list", "usage-string", "usage-list",
+        "tokens-string", "tokens-null", "tokens-float", "tokens-bool",
+        "tokens-negative"])
+def test_http_malformed_chat_reply_is_a_backend_error(catalog, doc):
+    backend = _http(catalog, _FakeSession([_FakeResponse(200, doc)]))
+    with pytest.raises(BackendError, match="malformed chat response"):
+        backend.chat("cheap", [ChatMessage("user", "x")])
+    assert backend.ledger.snapshot().total_calls == 0
+
+
+@pytest.mark.parametrize("values", [
+    None, "0.5", [[3.0, 4.0]], [3.0, "4"], [3.0, True], [3.0, float("nan")],
+    [float("inf"), 1.0], [10 ** 400],
+], ids=["null", "string", "nested", "string-item", "bool-item", "nan", "inf",
+        "overflow"])
+def test_http_malformed_embedding_is_a_backend_error(catalog, values):
+    doc = {"data": [{"embedding": values}]}
+    backend = _http(catalog, _FakeSession([_FakeResponse(200, doc)]))
+    with pytest.raises(BackendError, match="malformed embedding response"):
+        backend.embed("hello")
+
+
 def test_http_embed_normalizes(catalog):
     doc = {"data": [{"embedding": [3.0, 4.0] + [0.0] * 254}]}
     session = _FakeSession([_FakeResponse(200, doc)])

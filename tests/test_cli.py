@@ -308,6 +308,17 @@ def test_cli_pipeline_rejects_pool_width_below_one(workspace, capsys, width):
     assert out.err.startswith("error: validation-error: pool_width must be >= 1")
 
 
+def test_cli_pipeline_rejects_negative_sample(workspace, capsys):
+    pipe = workspace / "p.pz"
+    pipe.write_text(PIPELINE + "\n", encoding="utf-8")
+    code = main(["--config", str(workspace / "config.json"),
+                 "pipeline", str(pipe), "--dataset", "docs", "--sample", "-2",
+                 "--explain"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: validation-error: sample_size must be >= 0")
+
+
 def _edit_json(path, edit):
     doc = json.loads(path.read_text(encoding="utf-8"))
     edit(doc)

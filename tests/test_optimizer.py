@@ -363,6 +363,17 @@ def test_parse_policy_kinds():
     {"kind": "min_cost"},
     {"kind": "mystery"},
     {"quality_floor": 0.5},
+    # checked, not converted: strings, bools and non-finite numbers
+    {"kind": "min_cost", "quality_floor": "0.8"},
+    {"kind": "min_cost", "quality_floor": True},
+    {"kind": "min_cost", "quality_floor": None},
+    {"kind": "min_cost", "quality_floor": float("nan")},
+    {"kind": "max_quality", "cost_budget": float("inf")},
+    {"kind": "max_quality", "cost_budget": 10 ** 400},
+    {"kind": "weighted", "cost_weight": 1, "latency_weight": "0",
+     "quality_weight": 2},
+    {"kind": "weighted", "cost_weight": 1, "latency_weight": 0,
+     "quality_weight": False},
 ])
 def test_parse_policy_rejects_malformed(doc):
     with pytest.raises(ValidationError):

@@ -302,6 +302,28 @@ def test_reopen_detects_corrupt_entry_line(tmp_path):
         ContextStore(path, hashing_embed)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("description", 5), ("context_id", None), ("checksum", ["0" * 64]),
+    ("instruction", {}), ("seq", "first"), ("dim", 0), ("created_at", "noon"),
+])
+def test_reopen_rejects_a_mistyped_entry_field(tmp_path, field, value):
+    path = tmp_path / "typed"
+    late = ContextStore(path, hashing_embed)
+    store = ContextStore(path, hashing_embed)
+    store.register(_ctx("first", seed="a"))
+    store.register(_ctx("second", seed="b"))
+    lines = (path / "entries.jsonl").read_text(encoding="utf-8").splitlines()
+    doc = json.loads(lines[0])
+    doc[field] = value
+    lines[0] = json.dumps(doc)
+    (path / "entries.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(StoreError, match="corrupt store entry at line 1"):
+        ContextStore(path, hashing_embed)
+    with pytest.raises(StoreError, match="corrupt store entry at line 1"):
+        late.register(_ctx("third", seed="c"))
+    assert len(late) == 0
+
+
 def test_reopen_with_seq_gaps_ranks_by_seq_then_id(tmp_path):
     def collapsing(text):
         return hashing_embed(text.split(" #", 1)[0])
@@ -525,6 +547,39 @@ def test_two_store_objects_register_one_context_once(tmp_path):
         [(ctx.id, 0), (other.id, 1)]
     hits = reopened.retrieve(ctx.description, k=5, tau=0.0)
     assert [entry.context_id for entry, _ in hits].count(ctx.id) == 1
+
+
+def test_catch_up_and_reopen_load_the_same_store(tmp_path):
+    """A store that catches up on a log another store object wrote, with a
+    seq gap and a last line that lost its \\n, holds what a reopen holds,
+    and both fail on a later corrupt line with the same line number."""
+    def rows(store):
+        return [(e.context_id, e.seq, e.embedding.tobytes()) for e in store.entries]
+
+    def ranked(store, query):
+        return [(e.context_id, sim) for e, sim in store.retrieve(query, k=8, tau=0.0)]
+
+    path = tmp_path / "shared"
+    late = ContextStore(path, hashing_embed)
+    writer = ContextStore(path, hashing_embed)
+    for i in range(6):
+        writer.register(_ctx(f"shipment audit {i} carriers", seed=str(i)))
+    lines = (path / "entries.jsonl").read_bytes().split(b"\n")[:-1]
+    del lines[2]
+    (path / "entries.jsonl").write_bytes(b"\n".join(lines))
+    late.register(_ctx("shipment audit late carriers", seed="late"))
+    fresh = ContextStore(path, hashing_embed)
+    assert [seq for _, seq, _ in rows(late)] == [0, 1, 3, 4, 5, 6]
+    assert rows(late) == rows(fresh)
+    for query in ("shipment audit carriers", "late carriers", "audit 4"):
+        assert ranked(late, query) == ranked(fresh, query)
+    with open(path / "entries.jsonl", "ab") as log:
+        log.write(b'{"context_id": "broken"\n')
+    with pytest.raises(StoreError, match="corrupt store entry at line 7"):
+        late.register(_ctx("after the corrupt line", seed="after"))
+    with pytest.raises(StoreError, match="corrupt store entry at line 7"):
+        ContextStore(path, hashing_embed)
+    assert rows(late) == rows(fresh)
 
 
 def test_entries_file_shape(tmp_path):
