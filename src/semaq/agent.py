@@ -135,8 +135,8 @@ class AgentConfig:
     def __post_init__(self):
         if self.max_steps < 1:
             raise ValidationError("max_steps must be >= 1")
-        if self.cost_budget is not None and self.cost_budget < 0:
-            raise ValidationError("cost_budget must be >= 0")
+        if self.cost_budget is not None and not self.cost_budget >= 0:
+            raise ValidationError(f"cost_budget must be >= 0, got {self.cost_budget}")
         if self.reask_limit < 0:
             raise ValidationError("reask_limit must be >= 0")
 
@@ -162,7 +162,7 @@ def parse_action(text: str) -> tuple[str, Action]:
             f"expected exactly one fenced action block, found {len(blocks)}")
     try:
         doc = json.loads(blocks[0])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise _ActionParseError(f"action block is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise _ActionParseError("action block must be a JSON object")
@@ -262,11 +262,8 @@ _BIN_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
 
 def safe_arithmetic(expression: str) -> float:
     """Evaluate a pure arithmetic expression (+ - * / and parentheses) as a
-    64-bit float.  Anything else is rejected."""
-    try:
-        tree = ast.parse(expression, mode="eval")
-    except SyntaxError as exc:
-        raise ValidationError(f"not a valid expression: {exc.msg}") from exc
+    64-bit float.  Anything else, nesting too deep to parse included, is
+    rejected."""
 
     def walk(node) -> float:
         if isinstance(node, ast.Expression):
@@ -283,9 +280,13 @@ def safe_arithmetic(expression: str) -> float:
         raise ValidationError("only numbers, + - * / and parentheses are allowed")
 
     try:
-        return float(walk(tree))
+        return float(walk(ast.parse(expression, mode="eval")))
+    except SyntaxError as exc:
+        raise ValidationError(f"not a valid expression: {exc.msg}") from exc
     except ZeroDivisionError as exc:
         raise ValidationError("division by zero") from exc
+    except (RecursionError, MemoryError) as exc:
+        raise ValidationError("expression is nested too deeply") from exc
 
 
 def _tool_evaluate(env: ToolEnv, args: dict) -> str:
@@ -513,7 +514,7 @@ class AgentRuntime:
             return tool.handler(env, call.args)
         except SemaqError as exc:
             return f"error: {exc.category}: {exc}"
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, OverflowError) as exc:
             return f"error: validation-error: bad arguments: {exc}"
 
     # --- compute and search ----------------------------------------------------

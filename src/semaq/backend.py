@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import re
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -47,12 +48,14 @@ class ModelSpec:
     def __post_init__(self):
         if not self.model_id:
             raise ValidationError("model_id must be non-empty")
-        if self.input_cost_per_1k < 0 or self.output_cost_per_1k < 0:
-            raise ValidationError(f"{self.model_id}: costs must be >= 0")
+        if not (0 <= self.input_cost_per_1k < math.inf
+                and 0 <= self.output_cost_per_1k < math.inf):
+            raise ValidationError(f"{self.model_id}: costs must be finite and >= 0")
         if not (0.0 <= self.quality_prior <= 1.0):
             raise ValidationError(f"{self.model_id}: quality_prior must be in [0, 1]")
-        if self.latency_prior < 0:
-            raise ValidationError(f"{self.model_id}: latency_prior must be >= 0")
+        if not 0 <= self.latency_prior < math.inf:
+            raise ValidationError(
+                f"{self.model_id}: latency_prior must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -69,11 +72,8 @@ class Usage:
 
 @dataclass(frozen=True)
 class ChatExchange:
-    """One chat call: the request, the response text, and its usage."""
+    """One chat call's response text and usage."""
 
-    model_id: str
-    messages: tuple[ChatMessage, ...]
-    temperature: float
     response: str
     usage: Usage
 
@@ -270,10 +270,11 @@ _JSON_KINDS = {bool: "a boolean", int: "an integer", float: "a number",
 def json_value(doc, key: str, kind: type, where: str, default=_REQUIRED):
     """``doc[key]`` if it is a JSON value of ``kind`` (a key of
     ``_JSON_KINDS``), or ``default`` when the key is absent or null.  Types
-    are checked, not converted: a bool is never an int or a float, and an
-    integer is a float only as a float.  A ``doc`` that is not an object, a
-    missing required key, or a value of another type raises
-    :class:`ConfigurationError` naming ``where`` and ``key``."""
+    are checked, not converted: a bool is never an int or a float, an
+    integer is a float only as a float, and a float must be finite (NaN,
+    Infinity and integers past the float range are not).  A ``doc`` that is
+    not an object, a missing required key, or a value of another type
+    raises :class:`ConfigurationError` naming ``where`` and ``key``."""
     if not isinstance(doc, Mapping):
         raise ConfigurationError(
             f"{where}: expected a JSON object, got {type(doc).__name__}")
@@ -286,6 +287,9 @@ def json_value(doc, key: str, kind: type, where: str, default=_REQUIRED):
     if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
         raise ConfigurationError(f"{where}: bad value for {key!r}: expected "
                                  f"{_JSON_KINDS[kind]}, got {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ConfigurationError(f"{where}: bad value for {key!r}: expected "
+                                 f"a finite number, got {value!r}")
     return float(value) if kind is float else value
 
 
@@ -403,13 +407,7 @@ class MockBackend:
         usage = Usage(input_tokens=mock_token_count(prompt),
                       output_tokens=mock_token_count(response))
         self.ledger.record(spec, usage, wall_seconds=spec.latency_prior)
-        return ChatExchange(
-            model_id=model_id,
-            messages=tuple(messages),
-            temperature=temperature,
-            response=response,
-            usage=usage,
-        )
+        return ChatExchange(response=response, usage=usage)
 
     def embed(self, text: str) -> np.ndarray:
         return hashing_embed(text)
@@ -522,13 +520,7 @@ class HttpBackend:
             raise BackendError(f"malformed chat response ({exc}): {doc!r}") from exc
         usage = Usage(input_tokens=tokens[0], output_tokens=tokens[1])
         self.ledger.record(spec, usage, wall_seconds=wall)
-        return ChatExchange(
-            model_id=model_id,
-            messages=tuple(messages),
-            temperature=temperature,
-            response=text,
-            usage=usage,
-        )
+        return ChatExchange(response=text, usage=usage)
 
     def embed(self, text: str) -> np.ndarray:
         doc = self._post("/embeddings", {"model": self.embedding_model, "input": text})

@@ -26,9 +26,9 @@ from .backend import (LedgerSnapshot, MockBackend, MockRule, MockScript,
                       ModelSpec)
 from .core import (Record, RecordSnapshot, ToolParam, ToolSpec, VectorIndex,
                    context_create, make_source_record)
-from .engine import pipeline_execute, sem_filter_execute, sem_map_execute
+from .engine import PhysicalOp, pipeline_execute, semantic_execute
 from .errors import ConfigurationError
-from .lang import parse_pipeline
+from .lang import SemFilter, SemMap, parse_pipeline
 from .optimizer import MinCost, optimize
 
 AGENT_MODEL_ID = "agent-model"
@@ -280,24 +280,19 @@ def run_email_prototype(corpus: EmailCorpus) -> StrategyOutcome:
 
 
 def _tool_filter_all(env, args) -> str:
-    predicate = str(args["predicate"])
-    model = env.models[0]
-    matched = []
-    for rec in env.ctx.source:
-        verdict, _, _ = sem_filter_execute(env.backend, model, rec, predicate)
-        if verdict:
-            matched.append(rec.id)
+    pop = PhysicalOp(SemFilter(str(args["predicate"])), env.models[0])
+    matched = [rec.id for rec in env.ctx.source
+               if semantic_execute(env.backend, pop, rec, "filter_all")[0] is not None]
     return (f"{len(matched)} of {len(env.ctx.source)} records matched\n"
             + "\n".join(matched))
 
 
 def _tool_map_all(env, args) -> str:
-    instruction = str(args["instruction"])
-    model = env.models[0]
+    pop = PhysicalOp(SemMap(str(args["instruction"]), (("deal", "text"),)),
+                     env.models[0])
     lines = []
     for rec in env.ctx.source:
-        merged, _, _ = sem_map_execute(env.backend, model, rec, instruction,
-                                       (("deal", "text"),), operator_id="map_all")
+        merged, _, _ = semantic_execute(env.backend, pop, rec, "map_all")
         lines.append(f"{rec.id}\t{merged.fields['deal']}")
     return "\n".join(lines)
 

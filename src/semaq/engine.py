@@ -1,5 +1,9 @@
 """Record-at-a-time pipeline execution with per-record model calls.
 
+:func:`semantic_execute` is the one per-record call: it prompts the model
+about one record for a sem_filter or sem_map, re-asks an unusable reply,
+and returns the output record, usage and calls.
+
 Operators are chained as generators, so a record flows through the whole
 chain before the next one is pulled: a downstream operator only ever sees
 records that passed everything above it, and ``limit`` stops upstream
@@ -35,7 +39,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .backend import ChatMessage, ModelSpec, Usage, call_cost
 from .core import (Context, FieldValue, Record, context_derive, context_iterate,
-                   make_derived_record, record_to_json)
+                   make_derived_record, record_to_json, validate_field_value)
 from .errors import OperatorError, RunAbortedError, ValidationError
 from .lang import (Compute, Limit, LogicalOp, LogicalPlan, Project, Scan,
                    SemFilter, SemMap, is_agentic, is_semantic, print_pipeline)
@@ -229,7 +233,9 @@ def parse_map_response(text: str,
 
     Precedence: a response whose first non-space character opens a JSON
     object is parsed as JSON; anything else is scanned as 'name: value'
-    lines.  Every declared field must be present and coercible.
+    lines.  Every declared field must be present, coercible, and hold a
+    value a record can hold (finite numbers, lists nested at most
+    ``MAX_FIELD_NESTING`` deep).
     """
     stripped = text.strip()
     raw: dict = {}
@@ -238,7 +244,7 @@ def parse_map_response(text: str,
             doc = json.loads(stripped)
             if isinstance(doc, dict):
                 raw = doc
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             raw = {}
     if not raw:
         for line in text.splitlines():
@@ -251,85 +257,53 @@ def parse_map_response(text: str,
             return None
         try:
             out[name] = _coerce_value(raw[name], ftype)
-        except (ValueError, json.JSONDecodeError):
+            validate_field_value(out[name])
+        except (ValueError, ValidationError, RecursionError):
             return None
     return out
 
 
 # --- single-record operator execution ----------------------------------------
 
-def _ask(backend, model: ModelSpec, messages: list[ChatMessage],
-         parse: Callable[[str], object], reask_msg: ChatMessage,
-         retry_budget: int) -> tuple[object, Usage, int, str]:
-    """Chat until ``parse`` returns a value other than None, re-asking with
-    ``reask_msg`` up to ``retry_budget`` times.
+def semantic_execute(backend, pop: PhysicalOp, record: Record, operator_id: str
+                     ) -> tuple[Record | None, Usage, int]:
+    """Run a bound sem_filter or sem_map on ``record``: the one call that
+    prompts a model about a record.
 
-    Returns (parsed value or None, summed usage, calls made, last reply).
+    An unusable reply is re-asked up to ``pop.retry_budget`` times before
+    raising :class:`OperatorError`.  Returns (output record, None when a
+    filter rejects it; summed usage; calls made).  A map's output keeps the
+    input fields, adds the derived ones (overwriting on name collision) and
+    gets a fresh lineage-bearing id.
     """
+    op = pop.logical
+    if isinstance(op, SemFilter):
+        messages = render_filter_prompt(record, op.predicate)
+        parse, reask, failure = (parse_filter_response, _REASK_FILTER,
+                                 "filter response unparseable")
+    else:
+        messages = render_map_prompt(record, op.instruction, op.output_fields)
+        parse, reask, failure = (lambda text: parse_map_response(text, op.output_fields),
+                                 _REASK_MAP, "map response missing fields")
     in_toks = out_toks = 0
-    for calls in range(1, retry_budget + 2):
-        exchange = backend.chat(model.model_id, messages, temperature=0.0)
+    for calls in range(1, pop.retry_budget + 2):
+        exchange = backend.chat(pop.model.model_id, messages, temperature=0.0)
         in_toks += exchange.usage.input_tokens
         out_toks += exchange.usage.output_tokens
         parsed = parse(exchange.response)
         if parsed is not None:
             break
-        messages = messages + [ChatMessage("assistant", exchange.response), reask_msg]
-    return parsed, Usage(in_toks, out_toks), calls, exchange.response
-
-
-def sem_filter_execute(backend, model: ModelSpec, record: Record, predicate: str,
-                       *, retry_budget: int = 1) -> tuple[bool, Usage, int]:
-    """Ask the model whether ``record`` satisfies ``predicate``.
-
-    Returns (verdict, summed usage, calls made).  An unparseable response is
-    re-asked up to ``retry_budget`` times before raising
-    :class:`OperatorError`.
-    """
-    verdict, usage, calls, last = _ask(
-        backend, model, render_filter_prompt(record, predicate),
-        parse_filter_response, _REASK_FILTER, retry_budget)
-    if verdict is None:
+        messages = messages + [ChatMessage("assistant", exchange.response), reask]
+    else:
         raise OperatorError(
-            f"filter response unparseable after {calls} attempt(s) on record {record.id}",
-            raw_response=last, input_tokens=usage.input_tokens,
-            output_tokens=usage.output_tokens, calls=calls)
-    return verdict, usage, calls
-
-
-def sem_map_execute(backend, model: ModelSpec, record: Record, instruction: str,
-                    output_fields: Sequence[tuple[str, str]], operator_id: str,
-                    *, retry_budget: int = 1) -> tuple[Record, Usage, int]:
-    """Derive new fields for ``record``; returns (merged record, usage, calls).
-
-    Input fields are preserved; output fields are added (overwriting on name
-    collision).  The merged record gets a fresh lineage-bearing id.
-    """
-    outputs, usage, calls, last = _ask(
-        backend, model, render_map_prompt(record, instruction, output_fields),
-        lambda text: parse_map_response(text, output_fields), _REASK_MAP,
-        retry_budget)
-    if outputs is None:
-        raise OperatorError(
-            f"map response missing fields after {calls} attempt(s) on record {record.id}",
-            raw_response=last, input_tokens=usage.input_tokens,
-            output_tokens=usage.output_tokens, calls=calls)
-    merged = make_derived_record({**record.fields, **outputs}, [record.id], operator_id)
-    return merged, usage, calls
-
-
-def semantic_execute(backend, pop: PhysicalOp, record: Record, operator_id: str
-                     ) -> tuple[Record | None, Usage, int]:
-    """Run a bound sem_filter or sem_map on ``record`` with the op's retry
-    budget: (output record, None when a filter rejects it; usage; calls)."""
-    op = pop.logical
+            f"{failure} after {calls} attempt(s) on record {record.id}",
+            raw_response=exchange.response, input_tokens=in_toks,
+            output_tokens=out_toks, calls=calls)
+    usage = Usage(in_toks, out_toks)
     if isinstance(op, SemFilter):
-        verdict, usage, calls = sem_filter_execute(
-            backend, pop.model, record, op.predicate, retry_budget=pop.retry_budget)
-        return (record if verdict else None), usage, calls
-    return sem_map_execute(backend, pop.model, record, op.instruction,
-                           op.output_fields, operator_id,
-                           retry_budget=pop.retry_budget)
+        return (record if parsed else None), usage, calls
+    return (make_derived_record({**record.fields, **parsed}, [record.id], operator_id),
+            usage, calls)
 
 
 # --- reports ------------------------------------------------------------------

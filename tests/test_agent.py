@@ -230,6 +230,14 @@ def test_loop_reask_then_recovers(ctx, mk_backend):
     assert trace.usage.calls == 2
 
 
+def test_loop_reasks_a_reply_nested_past_the_json_decoder(ctx, mk_backend):
+    deep = "```json\n" + "[" * 100000 + "]" * 100000 + "\n```"
+    backend = mk_backend(*_script(deep, _final("ok")))
+    trace = _runtime(backend).run("q", ctx, _config())
+    assert trace.outcome == "answered"
+    assert trace.usage.calls == 2
+
+
 def test_loop_reasks_exhausted_aborts(ctx, mk_backend):
     backend = mk_backend(*_script("bad", "worse", "worst"))
     trace = _runtime(backend).run("q", ctx, _config())
@@ -287,6 +295,25 @@ def test_loop_tool_error_becomes_observation(ctx, mk_backend):
     assert trace.outcome == "answered"
 
 
+def test_loop_survives_overflowing_and_deeply_nested_arguments(ctx, records,
+                                                             mk_backend):
+    """Model-supplied arguments that overflow an int or nest past the
+    parser's depth become observations, not crashes."""
+    backend = mk_backend(*_script(
+        _tool("read_source", id=records[0].id, offset=float("inf")),
+        _tool("index_search", query="alpha", k=float("inf")),
+        _tool("evaluate", expression="1" + "+1" * 1500),
+        _tool("evaluate", expression="1" + "+1" * 3000),
+        _tool("evaluate", expression="-" * 100000 + "1"),
+        _final("recovered")))
+    trace = _runtime(backend).run("q", ctx, _config())
+    assert trace.outcome == "answered"
+    assert len(trace.steps) == 6
+    for step in trace.steps[:5]:
+        assert step.observation.startswith("error: validation-error"), \
+            step.observation
+
+
 def test_loop_truncates_huge_observations(records, mk_backend):
     big = [make_source_record({"text": "z" * 20000}, origin="big#0")]
     big_ctx = context_create(big, "one huge record")
@@ -335,6 +362,8 @@ def test_agent_config_validation():
         _config(max_steps=0)
     with pytest.raises(ValidationError):
         _config(cost_budget=-1.0)
+    with pytest.raises(ValidationError, match="cost_budget"):
+        _config(cost_budget=float("nan"))
     with pytest.raises(ValidationError):
         _config(reask_limit=-1)
     with pytest.raises(ValidationError):

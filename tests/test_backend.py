@@ -29,6 +29,22 @@ def test_model_spec_validation():
         ModelSpec("", 0.1, 0.1, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("args", [
+    (math.nan, 0.1, 0.5, 1.0), (0.1, math.inf, 0.5, 1.0),
+    (0.1, 0.1, math.nan, 1.0), (0.1, 0.1, 0.5, math.nan), (0.1, 0.1, 0.5, math.inf),
+], ids=["input-cost-nan", "output-cost-inf", "quality-nan", "latency-nan",
+        "latency-inf"])
+def test_model_spec_rejects_non_finite_numbers(args):
+    with pytest.raises(ValidationError):
+        ModelSpec("m", *args)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400])
+def test_json_value_rejects_numbers_past_the_float_range(value):
+    with pytest.raises(ConfigurationError, match="'x': expected a finite number"):
+        json_value({"x": value}, "x", float, "cfg")
+
+
 def test_token_rule_and_rendering():
     assert mock_token_count("") == 0
     assert mock_token_count("abcd") == 1

@@ -239,6 +239,15 @@ def test_cli_run_budget_exit_code(workspace, capsys):
     assert out.err.startswith("error: budget-exceeded:")
 
 
+def test_cli_run_nan_budget_is_rejected(workspace, capsys):
+    code = main(["--config", str(workspace / "config.json"), "run", "docs",
+                 "count them", "--budget", "nan",
+                 "--run-dir", str(workspace / "out")])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err.startswith("error: validation-error: cost_budget")
+
+
 def test_cli_run_unknown_dataset(workspace, capsys):
     code = main(["--config", str(workspace / "config.json"), "run", "ghost",
                  "anything"])
@@ -356,6 +365,12 @@ _BAD_JSON_INPUTS = {
     "catalog-cost-not-a-number": (
         lambda ws: _use_catalog(ws, {**_MODEL_ROW, "input_cost_per_1k": "cheap"}),
         "config-error", ["models.json", "models[0]", "'input_cost_per_1k'"]),
+    "catalog-cost-nan": (
+        lambda ws: _use_catalog(ws, {**_MODEL_ROW, "input_cost_per_1k": float("nan")}),
+        "config-error", ["models.json", "models[0]", "'input_cost_per_1k'", "finite"]),
+    "catalog-latency-infinity": (
+        lambda ws: _use_catalog(ws, {**_MODEL_ROW, "latency_prior": float("inf")}),
+        "config-error", ["models.json", "models[0]", "'latency_prior'", "finite"]),
     "dataset-without-path": (
         lambda ws: _edit_json(ws / "config.json",
                               lambda doc: doc["datasets"]["docs"].pop("path")),

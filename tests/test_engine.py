@@ -10,9 +10,9 @@ from semaq import (MockBackend, MockRule, MockScript, OperatorError,
                    context_create, make_source_record, parse_pipeline,
                    pipeline_execute)
 from semaq.agent import AgentResult, AgentTrace, AgentUsage
-from semaq.engine import (parse_filter_response, parse_map_response,
-                          render_filter_prompt, render_map_prompt,
-                          sem_filter_execute, sem_map_execute)
+from semaq.engine import (PhysicalOp, parse_filter_response, parse_map_response,
+                          render_filter_prompt, render_map_prompt, semantic_execute)
+from semaq.lang import SemFilter, SemMap
 from tests.conftest import CHEAP, STRONG, BlockingBackend
 
 
@@ -91,27 +91,36 @@ def test_parse_map_response_coercions():
 
 # --- single-record execution ------------------------------------------------------
 
+def _filter_op(predicate, retry_budget=1):
+    return PhysicalOp(SemFilter(predicate), CHEAP, retry_budget=retry_budget)
+
+
+def _map_op(instruction, output_fields, retry_budget=1):
+    return PhysicalOp(SemMap(instruction, tuple(output_fields)), CHEAP,
+                      retry_budget=retry_budget)
+
+
 def test_sem_filter_execute_counts(mk_backend):
     backend = mk_backend(("record", "yes"))
     rec = make_source_record({"text": "record one"}, "1#0")
-    verdict, usage, calls = sem_filter_execute(backend, CHEAP, rec, "p")
-    assert verdict is True and calls == 1
+    out, usage, calls = semantic_execute(backend, _filter_op("p"), rec, "op1")
+    assert out is rec and calls == 1
     assert usage.input_tokens > 0 and usage.output_tokens == 1
 
 
 def test_sem_filter_reask_then_success(mk_backend):
     backend = mk_backend(("PREDICATE", "hmm", "substring", 1), ("PREDICATE", "no"))
     rec = make_source_record({"text": "r"}, "1#0")
-    verdict, usage, calls = sem_filter_execute(backend, CHEAP, rec, "p",
-                                               retry_budget=1)
-    assert verdict is False and calls == 2
+    out, usage, calls = semantic_execute(backend, _filter_op("p", retry_budget=1),
+                                         rec, "op1")
+    assert out is None and calls == 2
 
 
 def test_sem_filter_retries_exhausted(mk_backend):
     backend = mk_backend(("PREDICATE", "unclear"))
     rec = make_source_record({"text": "r"}, "1#0")
     with pytest.raises(OperatorError) as err:
-        sem_filter_execute(backend, CHEAP, rec, "p", retry_budget=2)
+        semantic_execute(backend, _filter_op("p", retry_budget=2), rec, "op1")
     assert err.value.calls == 3
     assert err.value.raw_response == "unclear"
     assert err.value.input_tokens > 0
@@ -120,8 +129,8 @@ def test_sem_filter_retries_exhausted(mk_backend):
 def test_sem_map_execute_merges_and_links(mk_backend):
     backend = mk_backend(("INSTRUCTION", "tag: fresh"))
     rec = make_source_record({"text": "r"}, "1#0")
-    merged, usage, calls = sem_map_execute(backend, CHEAP, rec, "label it",
-                                           [("tag", "text")], "op1")
+    merged, usage, calls = semantic_execute(
+        backend, _map_op("label it", [("tag", "text")]), rec, "op1")
     assert merged.fields == {"text": "r", "tag": "fresh"}
     assert merged.lineage.parents == (rec.id,)
     assert merged.lineage.operator == "op1"
@@ -132,9 +141,58 @@ def test_sem_map_reask_appends_corrective(mk_backend):
     backend = mk_backend(("INSTRUCTION", "garbage", "substring", 1),
                          ("missing fields or malformed", "tag: ok"))
     rec = make_source_record({"text": "r"}, "1#0")
-    merged, _, calls = sem_map_execute(backend, CHEAP, rec, "label",
-                                       [("tag", "text")], "op1", retry_budget=1)
+    merged, _, calls = semantic_execute(
+        backend, _map_op("label", [("tag", "text")], retry_budget=1), rec, "op1")
     assert merged.fields["tag"] == "ok" and calls == 2
+
+
+_PIN_FILTER = parse_pipeline('scan(d) | sem_filter("is it kept?")').ops[1]
+_PIN_MAP = parse_pipeline(
+    'scan(d) | sem_map("label it", {tag: text, n: number})').ops[1]
+
+
+@pytest.mark.parametrize("op,rules,budget,expected", [
+    (_PIN_FILTER, [("PREDICATE", "yes")], 1,
+     ("r7367c00e25f1", (54, 1), 1)),
+    (_PIN_FILTER, [("PREDICATE", "No.")], 1, (None, (54, 1), 1)),
+    (_PIN_FILTER, [("PREDICATE", "hmm", "substring", 1), ("PREDICATE", "no")], 1,
+     (None, (131, 2), 2)),
+    (_PIN_FILTER, [("PREDICATE", "unclear")], 2,
+     ("filter response unparseable after 3 attempt(s) on record r7367c00e25f1",
+      "unclear", (235, 6), 3)),
+    (_PIN_MAP, [("INSTRUCTION", "tag: fresh\nn: 3")], 1,
+     ("re11517942db8", (73, 4), 1)),
+    (_PIN_MAP, [("INSTRUCTION", "tag: only", "substring", 1),
+                ("missing fields or malformed", '{"tag": "ok", "n": 4.5}')], 1,
+     ("r974375afbd38", (180, 9), 2)),
+    (_PIN_MAP, [("INSTRUCTION", "n: many")], 1,
+     ("map response missing fields after 2 attempt(s) on record r7367c00e25f1",
+      "n: many", (180, 4), 2)),
+], ids=["filter-yes", "filter-no", "filter-reask-no", "filter-exhausted",
+        "map-ok", "map-reask", "map-exhausted"])
+def test_semantic_execute_pinned(mk_backend, op, rules, budget, expected):
+    """Pinned output id, usage and calls (or the error message, raw reply,
+    usage and calls) of one bound operator on one record."""
+    backend = mk_backend(*rules)
+    rec = make_source_record({"text": "record one"}, "1#0")
+    pop = PhysicalOp(op, CHEAP, retry_budget=budget)
+    if len(expected) == 4:
+        message, raw, tokens, calls = expected
+        with pytest.raises(OperatorError) as err:
+            semantic_execute(backend, pop, rec, "op1")
+        assert str(err.value) == message
+        assert err.value.raw_response == raw
+        assert (err.value.input_tokens, err.value.output_tokens) == tokens
+        assert err.value.calls == calls
+    else:
+        out_id, tokens, calls = expected
+        out, usage, got_calls = semantic_execute(backend, pop, rec, "op1")
+        assert (out.id if out is not None else None) == out_id
+        assert (usage.input_tokens, usage.output_tokens) == tokens
+        assert got_calls == calls
+        if out_id == rec.id:
+            assert out is rec
+    assert backend.ledger.snapshot().total_calls == calls
 
 
 # --- pipeline execution ------------------------------------------------------------
@@ -452,6 +510,57 @@ def test_failure_policy_abort_mode(mk_backend):
     with pytest.raises(OperatorError):
         pipeline_execute(pplan, _ctx(records), backend,
                          policy=RunPolicy(on_error="abort", pool_width=1))
+
+
+_BAD_VALUE_REPLIES = [
+    ("count", "number", "count: nan", "count: 2", 2.0),
+    ("count", "number", "count: inf", "count: 2", 2.0),
+    ("count", "number", "count: 1e999", "count: 2", 2.0),
+    ("count", "number", '{"count": NaN}', '{"count": 2}', 2.0),
+    ("items", "list", "items: [1, NaN]", "items: [1, 2]", [1, 2]),
+    ("items", "list", "items: " + "[" * 9 + "1" + "]" * 9, "items: [[1]]", [[1]]),
+    ("items", "list", '{"items": ' + "[" * 100000 + "]" * 100000 + "}",
+     "items: [[1]]", [[1]]),
+]
+_BAD_VALUE_IDS = ["nan", "inf", "1e999", "json-NaN", "list-nan", "list-depth-9",
+                  "json-past-decoder-depth"]
+
+
+@pytest.mark.parametrize("name, ftype, bad, good, value", _BAD_VALUE_REPLIES,
+                         ids=_BAD_VALUE_IDS)
+def test_map_reply_a_record_cannot_hold_is_reasked(mk_backend, name, ftype, bad,
+                                                   good, value):
+    """A coerced value a record rejects (non-finite, nested past the cap)
+    makes the reply unusable: it is re-asked like an unparseable one."""
+    assert parse_map_response(bad, [(name, ftype)]) is None
+    backend = mk_backend(("INSTRUCTION", bad, "substring", 1),
+                         ("missing fields or malformed", good))
+    rec = make_source_record({"text": "r"}, "1#0")
+    merged, _, calls = semantic_execute(backend, _map_op("m", [(name, ftype)]),
+                                        rec, "op1")
+    assert calls == 2 and merged.fields[name] == value
+
+
+@pytest.mark.parametrize("name, ftype, bad, good, value", _BAD_VALUE_REPLIES,
+                         ids=_BAD_VALUE_IDS)
+def test_map_reply_a_record_cannot_hold_drops_the_record(mk_backend, name, ftype,
+                                                         bad, good, value):
+    records = _numbered(3)
+    backend = mk_backend((r"INSTRUCTION[\s\S]*record 001", bad, "regex"),
+                         ("INSTRUCTION", good))
+    before = backend.ledger.snapshot()
+    out_ctx, report = pipeline_execute(
+        _bind(f'scan(d) | sem_map("m", {{{name}: {ftype}}})'), _ctx(records),
+        backend, policy=RunPolicy(on_error="drop", pool_width=1))
+    delta = backend.ledger.snapshot().minus(before)
+    assert report.total_failures == 1 and report.records_out == 2
+    assert [r.fields[name] for r in out_ctx.source] == [value, value]
+    assert report.total_calls == delta.total_calls == 2 + 2
+    assert (sum(op.input_tokens for op in report.ops)
+            == sum(m.input_tokens for m in delta.per_model))
+    assert (sum(op.output_tokens for op in report.ops)
+            == sum(m.output_tokens for m in delta.per_model))
+    assert report.total_cost == pytest.approx(delta.total_cost, abs=1e-12)
 
 
 def test_derived_context_description_and_determinism(mk_backend):
