@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 from .backend import ChatMessage, ModelSpec, Usage, call_cost
 from .core import (Context, FieldValue, ToolParam, ToolSpec, context_derive,
                    context_iterate, context_topk, record_text,
-                   validate_field_value)
+                   require_unicode, validate_field_value)
 from .engine import (AgentRunner, ExecutionReport, RunPolicy, pipeline_execute,
                      preview_records)
 from .errors import (ComputeError, ConfigurationError, DataAccessError,
@@ -166,6 +166,10 @@ def parse_action(text: str) -> tuple[str, Action]:
         raise _ActionParseError(f"action block is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise _ActionParseError("action block must be a JSON object")
+    try:
+        require_unicode(json.dumps(doc, ensure_ascii=False), "action text")
+    except ValidationError as exc:
+        raise _ActionParseError(str(exc)) from None
     thought = str(doc.get("thought", ""))
     has_tool = "tool" in doc
     has_final = "final_answer" in doc
@@ -431,6 +435,7 @@ class AgentRuntime:
         """Drive the action loop until final answer, step limit, or abort."""
         if not instruction.strip():
             raise ValidationError("instruction must be non-empty")
+        require_unicode(instruction, "instruction")
         registry = self._registry(ctx)
         if env is None:
             env = self._env(ctx)

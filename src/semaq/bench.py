@@ -19,13 +19,12 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .agent import AgentConfig, AgentRuntime, AgentTrace
 from .backend import (LedgerSnapshot, MockBackend, MockRule, MockScript,
                       ModelSpec)
 from .core import (Record, RecordSnapshot, ToolParam, ToolSpec, VectorIndex,
-                   context_create, make_source_record)
+                   context_create, make_source_record, write_artifacts)
 from .engine import PhysicalOp, pipeline_execute, semantic_execute
 from .errors import ConfigurationError
 from .lang import SemFilter, SemMap, parse_pipeline
@@ -631,15 +630,11 @@ def run_bench(seed: int = 7, n: int = 250, rho: float = 0.156,
     summary = BenchSummary(seed=seed, n=n, rho=rho, email=email, ratio=ratio,
                            call_saving=saving)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "results.json").write_text(summary.to_json() + "\n",
-                                          encoding="utf-8")
+        texts = {"results.json": summary.to_json()}
         for scenario in (email, ratio):
             for outcome in scenario.strategies:
-                (out / f"ledger-{outcome.name}.json").write_text(
-                    outcome.ledger.to_json() + "\n", encoding="utf-8")
+                texts[f"ledger-{outcome.name}.json"] = outcome.ledger.to_json()
                 if outcome.trace is not None:
-                    (out / f"trace-{outcome.name}.json").write_text(
-                        outcome.trace.to_json() + "\n", encoding="utf-8")
+                    texts[f"trace-{outcome.name}.json"] = outcome.trace.to_json()
+        write_artifacts(out_dir, texts)
     return summary

@@ -20,7 +20,7 @@ from .backend import (HttpBackend, MockBackend, MockScript, ModelSpec,
                       hashing_embed, json_value, load_json_object,
                       load_model_catalog)
 from .core import (Record, RecordSnapshot, VectorIndex, context_create,
-                   make_source_record, record_from_json)
+                   make_source_record, record_from_json, write_artifacts)
 from .errors import ConfigurationError, DataAccessError, SemaqError
 from .lang import parse_pipeline, validate_plan
 from .optimizer import MinCost, Policy, optimize, parse_policy
@@ -200,21 +200,15 @@ def load_dataset(cfg: RunConfig, name: str, backend) :
 
 # --- artifact persistence -------------------------------------------------------
 
-def _write_artifacts(run_dir: Path, backend, runtime: AgentRuntime | None = None,
-                     trace=None, answer_text: str | None = None) -> None:
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "ledger.json").write_text(
-        backend.ledger.snapshot().to_json() + "\n", encoding="utf-8")
+def _run_artifacts(backend, runtime: AgentRuntime, trace=None) -> dict[str, str]:
+    """The JSON artifacts of a run, by file name."""
+    texts = {"ledger.json": backend.ledger.snapshot().to_json()}
     if trace is not None:
-        (run_dir / "trace.json").write_text(trace.to_json() + "\n", encoding="utf-8")
-    if runtime is not None:
-        for i, (opt_report, report) in enumerate(runtime.pipeline_reports):
-            (run_dir / f"optimizer-{i:03d}.json").write_text(
-                opt_report.to_json() + "\n", encoding="utf-8")
-            (run_dir / f"report-{i:03d}.json").write_text(
-                report.to_json() + "\n", encoding="utf-8")
-    if answer_text is not None:
-        (run_dir / "answer.txt").write_text(answer_text + "\n", encoding="utf-8")
+        texts["trace.json"] = trace.to_json()
+    for i, (opt_report, report) in enumerate(runtime.pipeline_reports):
+        texts[f"optimizer-{i:03d}.json"] = opt_report.to_json()
+        texts[f"report-{i:03d}.json"] = report.to_json()
+    return texts
 
 
 def _fresh_run_dir(base: str) -> Path:
@@ -256,7 +250,8 @@ def cmd_run(args) -> int:
     if result.answer_value is not None:
         print(f"value: {result.answer_value}")
     run_dir = Path(args.run_dir) if args.run_dir else _fresh_run_dir(cfg.run_dir)
-    _write_artifacts(run_dir, backend, runtime, result.trace, result.answer_text)
+    write_artifacts(run_dir, {**_run_artifacts(backend, runtime, result.trace),
+                              "answer.txt": result.answer_text})
     print(f"artifacts: {run_dir}", file=sys.stderr)
     return 0
 
@@ -296,13 +291,10 @@ def cmd_pipeline(args) -> int:
     store.register(out_ctx, instruction=text.strip())
     print(report.render_text())
     if args.run_dir:
-        run_dir = Path(args.run_dir)
-        _write_artifacts(run_dir, backend, runtime)
-        (run_dir / "report.json").write_text(report.to_json() + "\n",
-                                             encoding="utf-8")
-        (run_dir / "optimizer.json").write_text(opt_report.to_json() + "\n",
-                                                encoding="utf-8")
-        print(f"artifacts: {run_dir}", file=sys.stderr)
+        write_artifacts(args.run_dir, {**_run_artifacts(backend, runtime),
+                                       "report.json": report.to_json(),
+                                       "optimizer.json": opt_report.to_json()})
+        print(f"artifacts: {args.run_dir}", file=sys.stderr)
     return 0
 
 

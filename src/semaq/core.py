@@ -13,11 +13,13 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigurationError, ValidationError
+from .errors import (CapabilityError, ConfigurationError, DataAccessError,
+                     ValidationError)
 
 # Field values are null, text, number, boolean, or a list of field values.
 FieldValue = None | str | int | float | bool | list
@@ -25,9 +27,22 @@ FieldValue = None | str | int | float | bool | list
 MAX_FIELD_NESTING = 8
 
 
+def require_unicode(text: str, what: str) -> None:
+    """Reject a string UTF-8 cannot encode: one holding a lone surrogate."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"{what} is not valid Unicode") from None
+
+
 def validate_field_value(value: FieldValue, _depth: int = 0) -> None:
-    """Reject non-finite numbers and lists nested deeper than the cap."""
-    if value is None or isinstance(value, (str, bool)):
+    """Reject text that is not valid Unicode, non-finite numbers and lists
+    nested deeper than the cap."""
+    if isinstance(value, str):
+        require_unicode(value, "field value")
+        return
+    if value is None or isinstance(value, bool):
         return
     if isinstance(value, (int, float)):
         if isinstance(value, float) and not math.isfinite(value):
@@ -49,6 +64,7 @@ def validate_fields(fields: dict) -> None:
     for name, value in fields.items():
         if not isinstance(name, str) or not name:
             raise ValidationError("field names must be non-empty strings")
+        require_unicode(name, "field name")
         validate_field_value(value)
 
 
@@ -64,10 +80,12 @@ def canonical_fields_json(fields: dict) -> str:
 
 def source_record_id(fields: dict, origin: str = "") -> str:
     """Stable id for a source record: content hash plus where it came from."""
+    validate_fields(fields)
     return _short_hash(canonical_fields_json(fields) + "\x1f" + origin, "r")
 
 
 def derived_record_id(parent_ids: Sequence[str], operator: str, fields: dict) -> str:
+    validate_fields(fields)
     payload = ",".join(parent_ids) + "\x1f" + operator + "\x1f" + canonical_fields_json(fields)
     return _short_hash(payload, "r")
 
@@ -89,6 +107,7 @@ class Record:
     lineage: RecordLineage | None = None
 
     def __post_init__(self):
+        require_unicode(self.id, "record id")
         validate_fields(self.fields)
 
 
@@ -135,6 +154,19 @@ def record_from_json(line: str, origin: str = "") -> Record:
         rec_id = doc.get("id") or source_record_id(doc["fields"], origin)
         return Record(id=rec_id, fields=doc["fields"], lineage=lineage)
     return make_source_record(doc, origin)
+
+
+def write_artifacts(directory, texts: Mapping[str, str]) -> None:
+    """Write each text, newline-terminated UTF-8, to its file name under
+    ``directory``, making the directory if it is missing."""
+    path = Path(directory)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            path = Path(directory) / name
+            path.write_text(text + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise DataAccessError(f"cannot write run artifact {path}: {exc}") from exc
 
 
 def record_text(record: Record) -> str:

@@ -1,9 +1,11 @@
 """Cost-based plan selection: sampling, search, estimation, choice.
 
-Estimates propagate cardinality through the plan: a filter scales downstream
-cardinality by its observed selectivity, each semantic operator charges its
-per-record cost on the records reaching it, latency divides across the
-worker pool, and plan quality is the product of per-operator quality.
+Estimates propagate cardinality through the plan under one cost model,
+``_charge``, which ``estimate`` and the search both call: a limit caps the
+records reaching a semantic operator, the operator charges its per-record
+cost on them (an agentic one once per run), latency divides across the
+worker pool, and a filter scales the records it passes on by its observed
+selectivity.  Plan quality is the product of per-operator quality.
 
 ``optimize`` chooses among the ``len(models) ** n`` model assignments of a
 plan's n semantic operators without binding them all.  A left-to-right
@@ -14,9 +16,10 @@ statistic is non-negative and every step is monotone in floating point, so
 the dropped one's extensions never beat the same extensions of the one that
 dropped it; they can at most tie it, after rounding or through a zero cost,
 weight or quality.  Only the surviving full assignments (the frontier) are
-bound and estimated, plus any dropped assignment whose policy key ties the
-frontier's best exactly, so ``choose_plan`` makes the same choice, down to
-the plan-id tie-break, as it makes over ``enumerate_physical_plans``.
+bound, each with the estimate its node holds, plus any dropped assignment
+whose policy key ties the frontier's best exactly, so ``choose_plan`` makes
+the same choice, down to the plan-id tie-break, as it makes over
+``enumerate_physical_plans``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 from .backend import ModelSpec, Usage, call_cost
@@ -73,49 +76,42 @@ class OperatorStats:
         return self._entries.items()
 
     def to_dict(self) -> dict:
-        return {
-            f"{idx}:{model_id}": {
-                "selectivity": e.selectivity,
-                "quality": e.quality,
-                "cost_per_record": e.cost_per_record,
-                "latency_per_record": e.latency_per_record,
-                "sample_size": e.sample_size,
-            }
-            for (idx, model_id), e in sorted(self._entries.items())
-        }
+        return {f"{idx}:{model_id}": asdict(e)
+                for (idx, model_id), e in sorted(self._entries.items())}
 
 
 def semantic_positions(plan: LogicalPlan) -> list[int]:
     return [i for i, op in enumerate(plan.ops) if is_semantic(op)]
 
 
-def _agentic_entry(model: ModelSpec) -> StatsEntry:
-    # agentic operators are charged per run, not per record; with no sample
-    # we only carry the model priors
-    return StatsEntry(selectivity=None, quality=model.quality_prior,
-                      cost_per_record=0.0,
-                      latency_per_record=model.latency_prior, sample_size=0)
-
-
-def prior_stats(plan: LogicalPlan, models: Sequence[ModelSpec]) -> OperatorStats:
-    """Zero-call statistics from model priors and nominal token counts."""
+def _stats(plan: LogicalPlan, models: Sequence[ModelSpec], measure) -> OperatorStats:
+    """An entry for every (semantic position, model): ``measure(idx, op,
+    model)`` for a per-record operator; an agentic one is charged per run,
+    not per record, so with no sample it carries only the model priors."""
     entries: dict[tuple[int, str], StatsEntry] = {}
     for idx in semantic_positions(plan):
         op = plan.ops[idx]
         for model in models:
-            if is_agentic(op):
-                entries[(idx, model.model_id)] = _agentic_entry(model)
-                continue
-            out_toks = NOMINAL_OUTPUT_TOKENS["filter" if isinstance(op, SemFilter) else "map"]
-            cost = call_cost(model, Usage(NOMINAL_INPUT_TOKENS, out_toks))
-            entries[(idx, model.model_id)] = StatsEntry(
-                selectivity=DEFAULT_SELECTIVITY if isinstance(op, SemFilter) else None,
-                quality=model.quality_prior,
-                cost_per_record=cost,
-                latency_per_record=model.latency_prior,
-                sample_size=0,
-            )
+            entries[(idx, model.model_id)] = (
+                StatsEntry(selectivity=None, quality=model.quality_prior,
+                           cost_per_record=0.0,
+                           latency_per_record=model.latency_prior, sample_size=0)
+                if is_agentic(op) else measure(idx, op, model))
     return OperatorStats(entries)
+
+
+def prior_stats(plan: LogicalPlan, models: Sequence[ModelSpec]) -> OperatorStats:
+    """Zero-call statistics from model priors and nominal token counts."""
+    def prior(idx: int, op: LogicalOp, model: ModelSpec) -> StatsEntry:
+        out_toks = NOMINAL_OUTPUT_TOKENS["filter" if isinstance(op, SemFilter) else "map"]
+        return StatsEntry(
+            selectivity=DEFAULT_SELECTIVITY if isinstance(op, SemFilter) else None,
+            quality=model.quality_prior,
+            cost_per_record=call_cost(model, Usage(NOMINAL_INPUT_TOKENS, out_toks)),
+            latency_per_record=model.latency_prior,
+            sample_size=0,
+        )
+    return _stats(plan, models, prior)
 
 
 def sample_stats(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
@@ -135,42 +131,35 @@ def sample_stats(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
     if not records:
         raise StatsError(f"context {ctx.id} yields no records to sample")
 
-    entries: dict[tuple[int, str], StatsEntry] = {}
-    for idx in semantic_positions(plan):
-        op = plan.ops[idx]
+    def measure(idx: int, op: LogicalOp, model: ModelSpec) -> StatsEntry:
         op_labels = (labels or {}).get(idx)
-        for model in models:
-            if is_agentic(op):
-                entries[(idx, model.model_id)] = _agentic_entry(model)
-                continue
-            pop = PhysicalOp(logical=op, model=model, retry_budget=0)
-            before = backend.ledger.snapshot().for_model(model.model_id)
-            passes = 0
-            agreements = 0
-            for record in records:
-                try:
-                    out, _, _ = semantic_execute(backend, pop, record, f"sample#{idx}")
-                    if isinstance(op, SemFilter):
-                        got = out is not None
-                        passes += got
-                    else:
-                        got = {name: out.fields.get(name) for name, _ in op.output_fields}
-                    if op_labels is not None and op_labels.get(record.id) == got:
-                        agreements += 1
-                except OperatorError as exc:
-                    logger.warning("sampling failure at op %d model %s: %s",
-                                   idx, model.model_id, exc)
-            after = backend.ledger.snapshot().for_model(model.model_id)
-            n = len(records)
-            quality = (agreements / n) if op_labels is not None else model.quality_prior
-            entries[(idx, model.model_id)] = StatsEntry(
-                selectivity=(passes / n) if isinstance(op, SemFilter) else None,
-                quality=quality,
-                cost_per_record=(after.cost - before.cost) / n,
-                latency_per_record=(after.wall_seconds - before.wall_seconds) / n,
-                sample_size=n,
-            )
-    return OperatorStats(entries)
+        pop = PhysicalOp(logical=op, model=model, retry_budget=0)
+        before = backend.ledger.snapshot().for_model(model.model_id)
+        passes = 0
+        agreements = 0
+        for record in records:
+            try:
+                out, _, _ = semantic_execute(backend, pop, record, f"sample#{idx}")
+                if isinstance(op, SemFilter):
+                    got = out is not None
+                    passes += got
+                else:
+                    got = {name: out.fields.get(name) for name, _ in op.output_fields}
+                if op_labels is not None and op_labels.get(record.id) == got:
+                    agreements += 1
+            except OperatorError as exc:
+                logger.warning("sampling failure at op %d model %s: %s",
+                               idx, model.model_id, exc)
+        after = backend.ledger.snapshot().for_model(model.model_id)
+        n = len(records)
+        return StatsEntry(
+            selectivity=(passes / n) if isinstance(op, SemFilter) else None,
+            quality=(agreements / n) if op_labels is not None else model.quality_prior,
+            cost_per_record=(after.cost - before.cost) / n,
+            latency_per_record=(after.wall_seconds - before.wall_seconds) / n,
+            sample_size=n,
+        )
+    return _stats(plan, models, measure)
 
 
 def _require_catalog(positions: Sequence[int], models: Sequence[ModelSpec]) -> None:
@@ -188,10 +177,8 @@ def enumerate_physical_plans(plan: LogicalPlan,
     """
     positions = semantic_positions(plan)
     _require_catalog(positions, models)
-    candidates = []
-    for assignment in itertools.product(models, repeat=len(positions)):
-        candidates.append(bind_plan(plan, dict(zip(positions, assignment))))
-    return candidates
+    return [bind_plan(plan, dict(zip(positions, assignment)))
+            for assignment in itertools.product(models, repeat=len(positions))]
 
 
 @dataclass(frozen=True)
@@ -214,18 +201,45 @@ class CostEstimate:
         return {"cost": self.cost, "latency": self.latency, "quality": self.quality}
 
 
-def _charge(op: LogicalOp, entry: StatsEntry, card: float,
-            pool_width: int) -> tuple[float, float]:
-    """Cost and latency of one semantic operator reached by ``card`` records."""
-    if is_agentic(op):
-        return entry.cost_per_record, entry.latency_per_record  # charged once per run
-    return card * entry.cost_per_record, card * entry.latency_per_record / pool_width
+@dataclass(frozen=True)
+class _Step:
+    """A semantic position: its index and operator, the limits applied since
+    the previous one, and its statistics under each model that may run there."""
+
+    index: int
+    op: LogicalOp
+    limits: tuple[int, ...]
+    entries: tuple[StatsEntry, ...]
 
 
-def _card_out(op: LogicalOp, entry: StatsEntry, card: float) -> float:
-    if isinstance(op, SemFilter):
-        return card * (entry.selectivity if entry.selectivity is not None else 1.0)
-    return card
+def _steps(plan: LogicalPlan, stats: OperatorStats, models_at) -> list[_Step]:
+    """The plan's semantic positions, each with the entries of the models
+    ``models_at(index)`` lists for it."""
+    steps, limits = [], []
+    for i, op in enumerate(plan.ops):
+        if isinstance(op, Limit):
+            limits.append(op.count)
+        elif is_semantic(op):
+            steps.append(_Step(i, op, tuple(limits),
+                               tuple(stats.get(i, m.model_id) for m in models_at(i))))
+            limits = []
+    return steps
+
+
+def _charge(step: _Step, entry: StatsEntry, card: float,
+            pool_width: int) -> tuple[float, float, float, float]:
+    """The optimizer's one cost rule.  Of ``card`` records leaving the
+    previous semantic position: the records that reach ``step``, its cost
+    and latency there under ``entry``, and the records it passes on."""
+    for count in step.limits:
+        card = min(card, float(count))
+    if is_agentic(step.op):  # charged once per run
+        cost, latency = entry.cost_per_record, entry.latency_per_record
+    else:
+        cost = card * entry.cost_per_record
+        latency = card * entry.latency_per_record / pool_width
+    sel = entry.selectivity if isinstance(step.op, SemFilter) else None
+    return card, cost, latency, card if sel is None else card * sel
 
 
 def estimate(pplan: PhysicalPlan, stats: OperatorStats, input_cardinality: int,
@@ -233,47 +247,27 @@ def estimate(pplan: PhysicalPlan, stats: OperatorStats, input_cardinality: int,
     """Predict cost, latency, and quality of a bound plan over N records."""
     if input_cardinality < 0:
         raise ValidationError("input cardinality must be >= 0")
-    card = float(input_cardinality)
-    cost = 0.0
-    latency = 0.0
-    quality = 1.0
+    card, cost, latency, quality = float(input_cardinality), 0.0, 0.0, 1.0
     per_op: list[OpEstimate] = []
-    for i, pop in enumerate(pplan.ops):
-        op = pop.logical
-        if isinstance(op, Limit):
-            card = min(card, float(op.count))
-            continue
-        if not is_semantic(op):
-            continue
-        entry = stats.get(i, pop.model.model_id)
-        op_cost, op_latency = _charge(op, entry, card, pool_width)
+    for step in _steps(pplan.logical, stats, lambda i: (pplan.ops[i].model,)):
+        entry = step.entries[0]
+        card_in, op_cost, op_latency, card = _charge(step, entry, card, pool_width)
         cost += op_cost
         latency += op_latency
         quality *= entry.quality
-        per_op.append(OpEstimate(index=i, cardinality_in=card, cost=op_cost,
+        per_op.append(OpEstimate(index=step.index, cardinality_in=card_in, cost=op_cost,
                                  latency=op_latency, quality=entry.quality))
-        card = _card_out(op, entry, card)
     return CostEstimate(cost=cost, latency=latency, quality=quality,
                         per_op=tuple(per_op))
 
 
 # --- frontier search -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Step:
-    """One semantic position: its operator, the limits applied since the
-    previous semantic position, and its statistics under each catalog model."""
-
-    op: LogicalOp
-    limits: tuple[int, ...]
-    entries: tuple[StatsEntry, ...]
-
-
 @dataclass(eq=False)
 class _Partial:
     """A model (as a catalog index) for each of the first ``len(self.models)``
-    semantic positions, and the estimate accumulated over them with the same
-    float operations, in the same order, as ``estimate``."""
+    semantic positions, and the estimate accumulated over them by
+    ``_charge``, the cost model ``estimate`` uses."""
 
     models: tuple[int, ...]
     cost: float
@@ -284,32 +278,19 @@ class _Partial:
     pruned: list[_Partial] = field(default_factory=list)  # the ones it dropped
 
     def extend(self, step: _Step, m: int, pool_width: int) -> _Partial:
-        card = self.card
-        for count in step.limits:
-            card = min(card, float(count))
         entry = step.entries[m]
-        op_cost, op_latency = _charge(step.op, entry, card, pool_width)
+        _, op_cost, op_latency, card = _charge(step, entry, self.card, pool_width)
         return _Partial(self.models + (m,), self.cost + op_cost,
                         self.latency + op_latency, self.quality * entry.quality,
-                        _card_out(step.op, entry, card), self)
+                        card, self)
+
+    def estimate(self) -> CostEstimate:
+        return CostEstimate(cost=self.cost, latency=self.latency, quality=self.quality)
 
     def dominates(self, other: _Partial, with_card: bool) -> bool:
         return (self.cost <= other.cost and self.latency <= other.latency
                 and self.quality >= other.quality
                 and (not with_card or self.card <= other.card))
-
-
-def _steps(plan: LogicalPlan, stats: OperatorStats,
-           models: Sequence[ModelSpec]) -> list[_Step]:
-    steps, limits = [], []
-    for i, op in enumerate(plan.ops):
-        if isinstance(op, Limit):
-            limits.append(op.count)
-        elif is_semantic(op):
-            steps.append(_Step(op, tuple(limits),
-                               tuple(stats.get(i, m.model_id) for m in models)))
-            limits = []
-    return steps
 
 
 def _prune(grown: list[_Partial], with_card: bool) -> list[_Partial]:
@@ -341,7 +322,7 @@ def _frontier(steps: list[_Step], n_models: int, input_cardinality: int,
 
 
 def _ties(leaves: list[_Partial], steps: list[_Step], pool_width: int,
-          feasible, key, target) -> list[tuple[int, ...]]:
+          feasible, key, target) -> list[_Partial]:
     """Dropped full assignments whose estimate is feasible with ``key`` equal
     to ``target``, given the frontier ``leaves`` that reach it.
 
@@ -350,7 +331,7 @@ def _ties(leaves: list[_Partial], steps: list[_Step], pool_width: int,
     back from the leaves that reach it, through the partials each of their
     prefixes dropped, therefore finds every plan that does.
     """
-    found: list[tuple[int, ...]] = []
+    found: list[_Partial] = []
     todo = [(leaf.models, leaf) for leaf in leaves]
     while todo:
         full, node = todo.pop()
@@ -360,10 +341,9 @@ def _ties(leaves: list[_Partial], steps: list[_Step], pool_width: int,
                 tail = dropped
                 for step, m in zip(steps[depth:], full[depth:]):
                     tail = tail.extend(step, m, pool_width)
-                est = CostEstimate(cost=tail.cost, latency=tail.latency,
-                                   quality=tail.quality)
+                est = tail.estimate()
                 if feasible(est) and key(est) == target:
-                    found.append(tail.models)
+                    found.append(tail)
                     todo.append((tail.models, dropped.parent))
             node = node.parent
     return found
@@ -540,27 +520,25 @@ def _search(plan: LogicalPlan, stats: OperatorStats, models: Sequence[ModelSpec]
             input_cardinality: int, pool_width: int, policy: Policy
             ) -> tuple[list[PhysicalPlan], list[CostEstimate]]:
     """The frontier plans, plus every dropped plan whose policy key equals
-    the best feasible frontier plan's, bound and estimated, in the order
-    ``enumerate_physical_plans`` would list them."""
-    positions = semantic_positions(plan)
-    _require_catalog(positions, models)
-    steps = _steps(plan, stats, models)
+    the best feasible frontier plan's, bound, with the estimates their
+    nodes hold, in the order ``enumerate_physical_plans`` would list them."""
+    _require_catalog(semantic_positions(plan), models)
+    steps = _steps(plan, stats, lambda _i: models)
     leaves = _frontier(steps, len(models), input_cardinality, pool_width)
-
-    def bound(assignment):
-        pplan = bind_plan(plan, {i: models[m] for i, m in zip(positions, assignment)})
-        return pplan, estimate(pplan, stats, input_cardinality, pool_width)
-
-    rows = {leaf.models: bound(leaf.models) for leaf in leaves}
+    nodes = {leaf.models: leaf for leaf in leaves}
     feasible, key = _ranking(policy)
-    keys = {a: key(e) for a, (_, e) in rows.items() if feasible(e)}
+    keys = {leaf.models: key(e) for leaf in leaves if feasible(e := leaf.estimate())}
     if keys:
         target = min(keys.values())
         tied = [leaf for leaf in leaves if keys.get(leaf.models) == target]
-        for assignment in _ties(tied, steps, pool_width, feasible, key, target):
-            rows[assignment] = bound(assignment)
-    ordered = [rows[a] for a in sorted(rows)]
-    return [p for p, _ in ordered], [e for _, e in ordered]
+        for node in _ties(tied, steps, pool_width, feasible, key, target):
+            nodes[node.models] = node
+
+    def bound(node: _Partial) -> PhysicalPlan:
+        return bind_plan(plan, {s.index: models[m] for s, m in zip(steps, node.models)})
+
+    ordered = [nodes[a] for a in sorted(nodes)]
+    return [bound(p) for p in ordered], [p.estimate() for p in ordered]
 
 
 def optimize(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
@@ -597,13 +575,9 @@ def optimize(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
         input_cardinality=n,
         stats=stats.to_dict(),
         candidates=[
-            {
-                "plan_id": c.plan_id,
-                "models": {str(i): m for i, m in c.model_assignment().items()},
-                "cost": e.cost,
-                "latency": e.latency,
-                "quality": e.quality,
-            }
+            {"plan_id": c.plan_id,
+             "models": {str(i): m for i, m in c.model_assignment().items()},
+             **e.to_dict()}
             for c, e in zip(candidates, estimates)
         ],
         chosen_plan_id=chosen.plan_id,

@@ -100,7 +100,6 @@ class ContextStore:
 
     def __init__(self, directory, embed: Callable[[str], np.ndarray]):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self._embed = embed
         self.dim: int | None = None
         self._vectors: np.ndarray | None = None
@@ -111,13 +110,14 @@ class ContextStore:
         # bytes and lines of the entry log this instance has read or written
         self._log_end = self._log_lines = 0
         try:
+            self.directory.mkdir(parents=True, exist_ok=True)
             with open(self._entries_path, "rb") as log:
                 fcntl.flock(log, fcntl.LOCK_SH)
                 self._read_log(log)
         except FileNotFoundError:
             pass
         except OSError as exc:
-            raise StoreError(f"cannot read store at {self.directory}: {exc}") from exc
+            raise StoreError(f"cannot open store at {self.directory}: {exc}") from exc
 
     @property
     def _entries_path(self) -> Path:

@@ -251,6 +251,29 @@ def test_loop_reasks_exhausted_aborts(ctx, mk_backend):
     assert "worst" in failed.observation
 
 
+def test_loop_reasks_an_action_holding_text_that_is_not_unicode(ctx, mk_backend):
+    """A decoded action holding a lone surrogate is unparseable: re-asked,
+    then the run ends in action-parse once the re-asks run out."""
+    bad = _fenced({"thought": "t", "final_answer": "bad \udc80 text"})
+    assert "\\udc80" in bad  # the escape, as a model would send it
+    with pytest.raises(ValueError, match="action text is not valid Unicode"):
+        parse_action(bad)
+    recovered = _runtime(mk_backend(*_script(bad, _final("ok")))).run(
+        "q", ctx, _config())
+    assert recovered.outcome == "answered" and recovered.usage.calls == 2
+    trace = _runtime(mk_backend(*_script(bad, bad, bad))).run("q", ctx, _config())
+    assert trace.outcome == "aborted" and trace.abort_reason == "action-parse"
+    assert trace.usage.calls == 3
+    trace.to_json().encode("utf-8")
+
+
+def test_run_rejects_an_instruction_that_is_not_unicode(ctx, mk_backend):
+    backend = mk_backend(*_script(_final("never reached")))
+    with pytest.raises(ValidationError, match="instruction is not valid Unicode"):
+        _runtime(backend).run("q\udcff", ctx, _config())
+    assert backend.ledger.snapshot().total_calls == 0
+
+
 def test_loop_budget_abort(ctx, mk_backend):
     backend = mk_backend(*_script(_final("never reached")))
     trace = _runtime(backend).run("q", ctx, _config(cost_budget=0.0))

@@ -102,6 +102,14 @@ def test_load_dataset_jsonl(tmp_path):
         load_dataset_jsonl(file)
 
 
+def test_load_dataset_jsonl_text_that_is_not_unicode(tmp_path):
+    file = tmp_path / "rows.jsonl"
+    file.write_text('{"text": "ok"}\n{"text": "\\udc80 hi"}\n', encoding="utf-8")
+    with pytest.raises(DataAccessError,
+                       match=r":2: bad record: field value is not valid Unicode"):
+        load_dataset_jsonl(file)
+
+
 def test_load_dataset_builds_context(tmp_path, mk_backend):
     base = tmp_path / "ds"
     base.mkdir()
@@ -246,6 +254,17 @@ def test_cli_run_nan_budget_is_rejected(workspace, capsys):
     out = capsys.readouterr()
     assert code == 2
     assert out.err.startswith("error: validation-error: cost_budget")
+
+
+def test_cli_run_instruction_that_is_not_unicode(workspace, capsys):
+    """An undecodable argv byte arrives as a lone surrogate."""
+    run_dir = workspace / "out"
+    code = main(["--config", str(workspace / "config.json"), "run", "docs",
+                 "q\udcff", "--run-dir", str(run_dir)])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: validation-error: instruction is not valid Unicode")
+    assert not run_dir.exists()
 
 
 def test_cli_run_unknown_dataset(workspace, capsys):
@@ -534,3 +553,47 @@ def test_cli_bench_small_corpus(tmp_path, capsys):
     assert (out_dir / "results.json").exists()
     doc = json.loads((out_dir / "results.json").read_text())
     assert doc["scenarios"]
+
+
+# --- a directory argument that names a file ---------------------------------------
+
+def test_cli_cache_dir_that_is_a_file(workspace, capsys):
+    blocker = workspace / "not-a-dir"
+    blocker.write_text("x", encoding="utf-8")
+    code = main(["--config", str(workspace / "config.json"),
+                 "--cache-dir", str(blocker), "cache", "list"])
+    err = capsys.readouterr().err
+    assert code == 9
+    assert err.startswith(f"error: store-error: cannot open store at {blocker}")
+
+
+def test_cli_bench_out_that_is_a_file(tmp_path, capsys):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("x", encoding="utf-8")
+    code = main(["bench", "--n", "60", "--out", str(blocker)])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith(f"error: data-error: cannot write run artifact {blocker}")
+
+
+def test_cli_run_dir_that_is_a_file(workspace, capsys):
+    blocker = workspace / "not-a-dir"
+    blocker.write_text("x", encoding="utf-8")
+    code = main(["--config", str(workspace / "config.json"), "run", "docs",
+                 "count the filing memos", "--run-dir", str(blocker)])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith(f"error: data-error: cannot write run artifact {blocker}")
+
+
+def test_cli_pipeline_run_dir_under_a_file(workspace, capsys):
+    blocker = workspace / "not-a-dir"
+    blocker.write_text("x", encoding="utf-8")
+    pipe = workspace / "p.pz"
+    pipe.write_text(PIPELINE + "\n", encoding="utf-8")
+    run_dir = blocker / "run"
+    code = main(["--config", str(workspace / "config.json"), "pipeline", str(pipe),
+                 "--dataset", "docs", "--run-dir", str(run_dir)])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith(f"error: data-error: cannot write run artifact {run_dir}")

@@ -521,17 +521,18 @@ _BAD_VALUE_REPLIES = [
     ("items", "list", "items: " + "[" * 9 + "1" + "]" * 9, "items: [[1]]", [[1]]),
     ("items", "list", '{"items": ' + "[" * 100000 + "]" * 100000 + "}",
      "items: [[1]]", [[1]]),
+    ("tag", "text", '{"tag": "\\udc80"}', "tag: ok", "ok"),
 ]
 _BAD_VALUE_IDS = ["nan", "inf", "1e999", "json-NaN", "list-nan", "list-depth-9",
-                  "json-past-decoder-depth"]
+                  "json-past-decoder-depth", "lone-surrogate"]
 
 
 @pytest.mark.parametrize("name, ftype, bad, good, value", _BAD_VALUE_REPLIES,
                          ids=_BAD_VALUE_IDS)
 def test_map_reply_a_record_cannot_hold_is_reasked(mk_backend, name, ftype, bad,
                                                    good, value):
-    """A coerced value a record rejects (non-finite, nested past the cap)
-    makes the reply unusable: it is re-asked like an unparseable one."""
+    """A coerced value a record rejects (non-finite, nested past the cap,
+    text that is not valid Unicode) makes the reply unusable: it is re-asked like an unparseable one."""
     assert parse_map_response(bad, [(name, ftype)]) is None
     backend = mk_backend(("INSTRUCTION", bad, "substring", 1),
                          ("missing fields or malformed", good))

@@ -14,8 +14,8 @@ from semaq import (EstimationError, MaxQuality, MinCost, OperatorStats,
                    sample_stats)
 from semaq.backend import ModelSpec
 from semaq.engine import RunPolicy
-from semaq.lang import (Compute, Limit, Scan, SemFilter, SemMap, is_semantic,
-                        make_plan)
+from semaq.lang import (Compute, Limit, Project, Scan, SemFilter, SemMap,
+                        is_semantic, make_plan)
 from semaq.optimizer import (NOMINAL_INPUT_TOKENS, NOMINAL_OUTPUT_TOKENS,
                              StatsEntry, _ranking)
 from tests.conftest import CHEAP, STRONG
@@ -571,3 +571,77 @@ def test_optimize_never_enumerates_the_product(monkeypatch):
     assert len(report.candidates) <= 500  # 415 frontier plans
     assert report.chosen_plan_id == chosen.plan_id
     assert chosen.plan_id in {row["plan_id"] for row in report.candidates}
+
+
+# --- pinned numbers -------------------------------------------------------------
+
+def _pinned_case(rng):
+    """A seeded random plan of 1-5 ops (limits, projects, filters, maps,
+    computes) over 1-4 models, with stats, N, pool width and policy."""
+    n_models = rng.randint(1, 4)
+    models = [ModelSpec(f"m{i}", 0.001, 0.002, 0.9, 1.0) for i in range(n_models)]
+    ops = [Scan("src")]
+    for j in range(rng.randint(1, 5)):
+        kind = rng.choice(("filter", "map", "filter", "map", "compute",
+                           "limit", "project"))
+        if kind == "filter":
+            ops.append(SemFilter(f"pred {j}"))
+        elif kind == "map":
+            ops.append(SemMap(f"derive {j}", ((f"out{j}", "text"),)))
+        elif kind == "compute":
+            ops.append(Compute(f"answer {j}"))
+        elif kind == "limit":
+            ops.append(Limit(rng.choice((1, 5, 30))))
+        else:
+            ops.append(Project(("text",)))
+    plan = make_plan(ops)
+    coarse = rng.random() < 0.5
+    entries = {}
+    for idx, op in enumerate(plan.ops):
+        if not is_semantic(op):
+            continue
+        for model in models:
+            entries[(idx, model.model_id)] = StatsEntry(
+                selectivity=(_pick(rng, coarse, (0.0, 0.5, 1.0), 0.0, 1.0)
+                             if isinstance(op, SemFilter) else None),
+                quality=_pick(rng, coarse, (0.0, 0.5, 0.8, 1.0), 0.0, 1.0),
+                cost_per_record=_pick(rng, coarse, (0.0, 0.001, 0.002), 0.0, 0.01),
+                latency_per_record=_pick(rng, coarse, (0.0, 0.5, 1.0), 0.0, 2.0),
+                sample_size=0)
+    roll = rng.randrange(3)
+    if roll == 0:
+        policy = MinCost(quality_floor=rng.choice((0.0, 0.5, 1.0, rng.random())))
+    elif roll == 1:
+        policy = MaxQuality(cost_budget=rng.choice((0.0, 0.05, rng.uniform(0.0, 1.0))))
+    else:
+        policy = Weighted(*(rng.choice((0.0, 1.0, rng.random())) for _ in range(3)))
+    return (plan, models, OperatorStats(entries), rng.choice((0, 1, 7, 40, 250)),
+            rng.choice((1, 3, 8)), policy)
+
+
+def test_search_and_estimate_pinned():
+    """The search's rows, its choice, and every candidate's per-op estimate
+    over 500 seeded plans hash to a digest recorded before the cost model
+    was shared between ``estimate`` and the search."""
+    import hashlib
+
+    from semaq.optimizer import _search
+
+    rng = random.Random(1313)
+    digest = hashlib.sha256()
+    for _ in range(500):
+        plan, models, stats, n, width, policy = _pinned_case(rng)
+        candidates, estimates = _search(plan, stats, models, n, width, policy)
+        for c, e in zip(candidates, estimates):
+            digest.update(f"{c.plan_id} {e.cost.hex()} {e.latency.hex()} "
+                          f"{e.quality.hex()}\n".encode())
+            for o in estimate(c, stats, n, width).per_op:
+                digest.update(f"  {o.index} {o.cardinality_in.hex()} "
+                              f"{o.cost.hex()} {o.latency.hex()}\n".encode())
+        try:
+            digest.update(f"chosen {choose_plan(candidates, estimates, policy).plan_id}\n"
+                          .encode())
+        except PolicyInfeasibleError as exc:
+            digest.update(f"error {type(exc).__name__}\n".encode())
+    assert digest.hexdigest() == (
+        "e777aea86bd4f76b7dfc9eaa321dab4525daf6545ceaa2148d8dc46c09128d0d")
