@@ -162,7 +162,7 @@ def parse_action(text: str) -> tuple[str, Action]:
             f"expected exactly one fenced action block, found {len(blocks)}")
     try:
         doc = json.loads(blocks[0])
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # also an over-long integer literal
         raise _ActionParseError(f"action block is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise _ActionParseError("action block must be a JSON object")
@@ -472,11 +472,14 @@ class AgentRuntime:
                 break
 
             if action is None:
+                # escaped, so a reply UTF-8 cannot encode still leaves a
+                # trace that can be written
+                quoted = raw[:200].encode("utf-8", "backslashreplace").decode("utf-8")
                 trace.steps.append(AgentStep(
                     index=step_index, thought="", action=None,
                     observation="error: action-parse: no parseable action after "
                                 f"{config.reask_limit + 1} attempts; last reply "
-                                f"(truncated): {raw[:200]}"))
+                                f"(truncated): {quoted}"))
                 trace.outcome = "aborted"
                 trace.abort_reason = "action-parse"
                 break

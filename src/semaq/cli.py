@@ -316,9 +316,11 @@ def _trace_lines(doc) -> list[str]:
 
 
 def _report_lines(doc, name: str) -> list[str]:
+    # a report written before reuse existed has no total_reused
     return [f"{name}: plan {doc['plan_id']} "
             f"{doc['records_in']} -> {doc['records_out']} records, "
-            f"{doc['total_calls']} calls, cost {doc['total_cost']:.6f}"]
+            f"{doc['total_calls']} calls, {doc.get('total_reused', 0)} reused, "
+            f"cost {doc['total_cost']:.6f}"]
 
 
 def _artifact_lines(path: Path, render) -> list[str]:

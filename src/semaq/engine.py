@@ -12,14 +12,21 @@ calls block (HTTP), semantic operators fan out over one worker pool per run,
 each keeping at most ``pool_width`` calls in flight and yielding in input
 order; a run waits for every call it submitted before it returns or raises,
 so its report totals equal the ledger delta even after a ``limit`` cut-off.
-A sem_map with only project and sem_map stages between it and a
-``limit(n)`` keeps its calls in flight plus the records it has emitted
-within n, so it prefetches nothing the limit cannot take; when a record is
+Under a ``limit(n)`` reached through only project, sem_filter and sem_map
+stages, each semantic stage sizes its window by demand (see
+:class:`_Window`): it keeps at most ``ceil(need / rate)`` calls in flight,
+where ``need`` is the outputs of the stage the limit can still take and
+``rate`` its pass rate observed in this run (1 for a map).  So a map
+prefetches nothing the limit cannot take, and a filter looks ahead only as
+far as its observed selectivity says the limit can use; when a record is
 dropped downstream and nothing is in flight, a pull still starts one call.
-Filters keep the full window: their selectivity is unknown.  A backend
-that declares ``in_process`` (the mock) never blocks, so its calls run
-inline in the caller's thread: no threads, and no call past what a
+A backend that declares ``in_process`` (the mock) never blocks, so its calls
+run inline in the caller's thread: no threads, and no call past what a
 downstream ``limit`` pulls.
+
+A plan that ``optimizer.optimize`` chose carries the answers its sampler
+got at the plan's own (position, model) pairs; a stage answers a record
+from them, with no call, when the record has the sampled id and fields.
 """
 
 from __future__ import annotations
@@ -35,11 +42,12 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .backend import ChatMessage, ModelSpec, Usage, call_cost
-from .core import (Context, FieldValue, Record, context_derive, context_iterate,
-                   make_derived_record, record_to_json, validate_field_value)
+from .core import (Context, FieldValue, Record, canonical_fields_json,
+                   context_derive, context_iterate, make_derived_record,
+                   record_to_json, validate_field_value)
 from .errors import OperatorError, RunAbortedError, ValidationError
 from .lang import (Compute, Limit, LogicalOp, LogicalPlan, Project, Scan,
                    SemFilter, SemMap, is_agentic, is_semantic, print_pipeline)
@@ -71,11 +79,25 @@ class PhysicalOp:
             raise ValidationError("retry budget must be >= 0")
 
 
+# sampled answers by record id: (the sampled record, the filter's verdict or
+# the map's parsed fields)
+SampledAnswers = Mapping[str, tuple[Record, object]]
+
+
 @dataclass(frozen=True)
 class PhysicalPlan:
+    """A logical plan with a model bound at each semantic position.
+
+    ``answers`` holds sampled answers by (position, model id); the run reuses
+    them (see :func:`_semantic_stage`).  They stay out of ``plan_id`` and of
+    equality: two plans that differ only in them are the same plan.
+    """
+
     logical: LogicalPlan
     ops: tuple[PhysicalOp, ...]
     plan_id: str
+    answers: Mapping[tuple[int, str], SampledAnswers] = field(
+        default_factory=dict, compare=False, repr=False)
 
     def model_assignment(self) -> dict[int, str]:
         return {i: op.model.model_id for i, op in enumerate(self.ops)
@@ -105,11 +127,11 @@ class RunPolicy:
     ``pool_width`` bounds the in-flight model calls of each semantic
     operator separately, for backends whose calls block.  A run shares one
     executor among its k sem_filter and sem_map stages, so up to
-    k * ``pool_width`` calls are in flight at once.  A sem_map that feeds a
-    ``limit(n)`` through only project and sem_map stages holds fewer: its
-    calls in flight plus the records it has emitted stay within n.  With
-    ``pool_width == 1``, or a backend that declares ``in_process``, every
-    call runs inline without threads.
+    k * ``pool_width`` calls are in flight at once.  A stage that feeds a
+    ``limit(n)`` through only project, sem_filter and sem_map stages holds
+    fewer: no more than the limit can still take from it, divided by its
+    observed pass rate.  With ``pool_width == 1``, or a backend that
+    declares ``in_process``, every call runs inline without threads.
     """
 
     on_error: str = "drop"  # drop | abort
@@ -244,7 +266,7 @@ def parse_map_response(text: str,
             doc = json.loads(stripped)
             if isinstance(doc, dict):
                 raw = doc
-        except (json.JSONDecodeError, RecursionError):
+        except (ValueError, RecursionError):  # also an over-long integer literal
             raw = {}
     if not raw:
         for line in text.splitlines():
@@ -258,7 +280,7 @@ def parse_map_response(text: str,
         try:
             out[name] = _coerce_value(raw[name], ftype)
             validate_field_value(out[name])
-        except (ValueError, ValidationError, RecursionError):
+        except (ValueError, OverflowError, ValidationError, RecursionError):
             return None
     return out
 
@@ -299,11 +321,17 @@ def semantic_execute(backend, pop: PhysicalOp, record: Record, operator_id: str
             f"{failure} after {calls} attempt(s) on record {record.id}",
             raw_response=exchange.response, input_tokens=in_toks,
             output_tokens=out_toks, calls=calls)
-    usage = Usage(in_toks, out_toks)
+    return (_answer_output(op, record, parsed, operator_id), Usage(in_toks, out_toks),
+            calls)
+
+
+def _answer_output(op: LogicalOp, record: Record, answer, operator_id: str
+                   ) -> Record | None:
+    """The output of a sem_filter or sem_map whose model gave ``answer`` (a
+    verdict, or the parsed fields) on ``record``."""
     if isinstance(op, SemFilter):
-        return (record if parsed else None), usage, calls
-    return (make_derived_record({**record.fields, **parsed}, [record.id], operator_id),
-            usage, calls)
+        return record if answer else None
+    return make_derived_record({**record.fields, **answer}, [record.id], operator_id)
 
 
 # --- reports ------------------------------------------------------------------
@@ -322,9 +350,10 @@ class OpReport:
     cost: float = 0.0
     wall_seconds: float = 0.0
     failures: int = 0
+    reused: int = 0  # records answered from the sample, in records_in only
 
     def to_dict(self) -> dict:
-        return {
+        doc = {
             "index": self.index, "kind": self.kind, "detail": self.detail,
             "model_id": self.model_id, "records_in": self.records_in,
             "records_out": self.records_out, "calls": self.calls,
@@ -332,6 +361,9 @@ class OpReport:
             "cost": self.cost, "wall_seconds": self.wall_seconds,
             "failures": self.failures,
         }
+        if self.kind in ("sem_filter", "sem_map"):  # the only rows that reuse
+            doc["reused"] = self.reused
+        return doc
 
 
 @dataclass
@@ -367,6 +399,10 @@ class ExecutionReport:
     def total_failures(self) -> int:
         return sum(op.failures for op in self.ops)
 
+    @property
+    def total_reused(self) -> int:
+        return sum(op.reused for op in self.ops)
+
     def to_dict(self) -> dict:
         return {
             "plan_id": self.plan_id,
@@ -379,6 +415,7 @@ class ExecutionReport:
             "total_cost": self.total_cost,
             "total_wall_seconds": self.total_wall_seconds,
             "total_failures": self.total_failures,
+            "total_reused": self.total_reused,
             "answer_text": self.answer_text,
             "answer_value": self.answer_value,
         }
@@ -390,15 +427,16 @@ class ExecutionReport:
         lines = [
             f"plan {self.plan_id}: {self.pipeline_text}",
             f"{'#':>2} {'operator':<12} {'model':<14} {'in':>6} {'out':>6} "
-            f"{'calls':>6} {'cost':>10} {'wall_s':>8}",
+            f"{'calls':>6} {'reused':>6} {'cost':>10} {'wall_s':>8}",
         ]
         for op in self.ops:
             lines.append(
                 f"{op.index:>2} {op.kind:<12} {op.model_id or '-':<14} "
                 f"{op.records_in:>6} {op.records_out:>6} {op.calls:>6} "
-                f"{op.cost:>10.6f} {op.wall_seconds:>8.2f}")
+                f"{op.reused:>6} {op.cost:>10.6f} {op.wall_seconds:>8.2f}")
         lines.append(
-            f"   total: {self.total_calls} calls, cost {self.total_cost:.6f}, "
+            f"   total: {self.total_calls} calls, {self.total_reused} reused, "
+            f"cost {self.total_cost:.6f}, "
             f"wall {self.total_wall_seconds:.2f}s, {self.records_in} -> "
             f"{self.records_out} records, {self.total_failures} failure(s)")
         if self.answer_text is not None:
@@ -430,47 +468,133 @@ class _FailureTracker:
                 f"{self.allowed} allowed") from error
 
 
-def _ordered_pool_map(fn, items: Iterator, width: int,
-                      pool: ThreadPoolExecutor | None,
-                      room: Callable[[], float]) -> Iterator:
-    """Apply ``fn`` over ``items`` on ``pool``, yielding results in input
-    order; inline when ``pool`` is None.  Upstream pulls happen in the
-    caller's thread.
+class _Window:
+    """The calls one pooled sem_filter or sem_map stage keeps in flight.
 
-    At most ``width`` calls are in flight, and, counting the result being
-    handed over, at most ``room()``: the results the consumer can still use.
-    A pull that finds nothing in flight submits one item all the same, so a
-    result the consumer drops never stalls it.
+    Without a downstream ``limit`` the window is ``width`` wide.  Under one,
+    reached through only project, sem_filter and sem_map stages, the stage
+    keeps at most ``min(width, ceil(need / rate))`` calls in flight
+    (:meth:`cap`).  ``need`` is the outputs of this stage the limit can still
+    take: ``n`` less those emitted for the last semantic stage before the
+    limit, else the next semantic stage's ``ceil(need / rate)`` less that
+    stage's calls in flight.  ``rate`` is 1 for a map and
+    ``(passed + 1) / (decided + 1)`` for a filter, from the verdicts it has
+    handed over in this run, so it starts at 1 and tracks the filter's
+    selectivity.  An output being handed over counts as emitted.
+
+    Every count changes in the consumer's thread, in input order, so the
+    calls a run makes do not depend on when its calls complete.
     """
-    if pool is None:
-        yield from map(fn, items)
-        return
-    pending: deque = deque()
-    while True:
-        if not pending:
-            pending.extend(pool.submit(fn, item) for item in
-                           itertools.islice(items, max(1, min(width, room()))))
+
+    def __init__(self, width: int, is_filter: bool):
+        self.width = width
+        self.is_filter = is_filter
+        self.pending: deque = deque()  # submitted calls, in input order
+        self.emitted = 0
+        self.held = 0  # 1 while an output is being handed over
+        self.passed = self.decided = 0
+        self.limit: int | None = None  # set on the last stage before a limit
+        self.next: _Window | None = None  # set on a stage before another one
+
+    def _need(self) -> float:
+        if self.next is not None:
+            return self.next.demand() - len(self.next.pending) - self.held
+        if self.limit is not None:
+            return self.limit - self.emitted - self.held
+        return math.inf
+
+    def demand(self) -> float:
+        """Inputs this stage can still use: ``ceil(need / rate)``."""
+        need = self._need()
+        if need <= 0:
+            return 0
+        if need == math.inf or not self.is_filter:
+            return need
+        return -(-need * (self.decided + 1) // (self.passed + 1))
+
+    def cap(self) -> float:
+        return min(self.width, self.demand())
+
+    def run(self, fn, items: Iterator, pool: ThreadPoolExecutor) -> Iterator:
+        """Apply ``fn`` to ``items`` on ``pool``, yielding each (output or
+        None, error) in input order.  Upstream pulls happen in the caller's
+        thread.  A pull that finds nothing in flight submits one item all the
+        same, so a record dropped downstream never stalls the stage."""
+        pending = self.pending
+
+        def submit(count: float) -> None:
+            for item in itertools.islice(items, max(0, count)):
+                pending.append(pool.submit(fn, item))
+
+        while True:
             if not pending:
-                return
-        result = pending.popleft().result()
-        free = min(width, room() - 1) - len(pending)
-        pending.extend(pool.submit(fn, item)
-                       for item in itertools.islice(items, max(0, free)))
-        yield result
+                submit(max(1, self.cap()))
+                if not pending:
+                    return
+            out, error = pending.popleft().result()
+            if error is None:
+                self.decided += 1
+                self.passed += out is not None
+                self.held = int(out is not None)
+            submit(self.cap() - len(pending))
+            self.emitted += self.held
+            self.held = 0
+            yield out, error
+
+
+def _windows(ops: Sequence[PhysicalOp], width: int) -> dict[int, _Window]:
+    """A window for each sem_filter and sem_map position, each linked to
+    the next one, or given the count of the ``limit`` it reaches through
+    only project, sem_filter and sem_map stages."""
+    windows: dict[int, _Window] = {}
+    limit: int | None = None  # the count of the limit the stream reaches
+    below: _Window | None = None  # the next semantic stage before it
+    for i in range(len(ops) - 1, 0, -1):
+        op = ops[i].logical
+        if isinstance(op, (SemFilter, SemMap)):
+            window = windows[i] = _Window(width, isinstance(op, SemFilter))
+            if limit is not None:
+                if below is None:
+                    window.limit = limit
+                else:
+                    window.next = below
+                below = window
+        elif isinstance(op, Limit):
+            limit, below = op.count, None
+        elif not isinstance(op, Project):
+            limit, below = None, None
+    return windows
+
+
+def _same_record(a: Record, b: Record) -> bool:
+    """Whether ``a`` and ``b`` have one id and the same fields, in the same
+    order and of the same types: whether a model is asked the same about
+    them.  A record a filter passed on is the object it was given."""
+    return a is b or (a.id == b.id and canonical_fields_json(a.fields)
+                      == canonical_fields_json(b.fields))
 
 
 def _semantic_stage(upstream: Iterator[Record], pop: PhysicalOp, row: OpReport,
-                    backend, policy: RunPolicy, failures: _FailureTracker,
-                    operator_id: str, pool: ThreadPoolExecutor | None,
-                    cap: int | None) -> Iterator[Record]:
-    """Run a sem_filter or sem_map over ``upstream``.  With ``cap``, calls in
-    flight plus records already emitted stay within it (see
-    :func:`_limit_cap`)."""
+                    backend, failures: _FailureTracker, operator_id: str,
+                    pool: ThreadPoolExecutor | None, window: _Window,
+                    answers: SampledAnswers) -> Iterator[Record]:
+    """Run a sem_filter or sem_map over ``upstream``, inline when ``pool``
+    is None, else on ``pool`` within ``window``.
+
+    A record that ``answers`` holds with the same fields is answered from
+    it with no call; it counts in ``row.records_in`` and ``row.reused``.
+    """
     lock = threading.Lock()
 
     def work(record: Record):
         # (output record or None when a filter rejects, error); usage is
         # added to ``row`` here, where the call completes
+        sampled = answers.get(record.id)
+        if sampled is not None and _same_record(sampled[0], record):
+            with lock:
+                row.records_in += 1
+                row.reused += 1
+            return _answer_output(pop.logical, record, sampled[1], operator_id), None
         out, error = None, None
         try:
             out, usage, calls = semantic_execute(backend, pop, record, operator_id)
@@ -486,30 +610,13 @@ def _semantic_stage(upstream: Iterator[Record], pop: PhysicalOp, row: OpReport,
                 row.failures += 1
         return out, error
 
-    room = (lambda: math.inf) if cap is None else (lambda: cap - row.records_out)
-    for out, error in _ordered_pool_map(work, upstream, policy.pool_width, pool,
-                                        room):
+    results = map(work, upstream) if pool is None else window.run(work, upstream, pool)
+    for out, error in results:
         if error is not None:
             failures.register(error)
         elif out is not None:
             row.records_out += 1
             yield out
-
-
-def _limit_cap(ops: Sequence[PhysicalOp], i: int) -> int | None:
-    """The count of the first ``limit`` after the sem_map at ``i`` when only
-    project and sem_map stages lie between them, else None.  Each of those
-    passes a record on at most once, so the limit never takes more than its
-    count from the map; a filter's selectivity is unknown, so it gets no cap.
-    """
-    if not isinstance(ops[i].logical, SemMap):
-        return None
-    for pop in ops[i + 1:]:
-        if isinstance(pop.logical, Limit):
-            return pop.logical.count
-        if not isinstance(pop.logical, (Project, SemMap)):
-            return None
-    return None
 
 
 def _project_stage(upstream: Iterator[Record], op: Project, row: OpReport,
@@ -561,7 +668,8 @@ def pipeline_execute(pplan: PhysicalPlan, ctx: Context, backend,
     stream: Iterator[Record] = _scan_stage(ctx, scan_row)
     stage_ctx = ctx
 
-    n_semantic = sum(isinstance(pop.logical, (SemFilter, SemMap)) for pop in pplan.ops)
+    windows = _windows(pplan.ops, policy.pool_width)
+    n_semantic = len(windows)
     width = policy.pool_width
     pooled = (width > 1 and n_semantic
               and not getattr(backend, "in_process", False))
@@ -578,8 +686,9 @@ def pipeline_execute(pplan: PhysicalPlan, ctx: Context, backend,
                 row = OpReport(index=i, kind="sem_filter" if is_filter else "sem_map",
                                detail=op.predicate if is_filter else op.instruction,
                                model_id=pop.model.model_id)
-                stream = _semantic_stage(stream, pop, row, backend, policy, failures,
-                                         operator_id, pool, _limit_cap(pplan.ops, i))
+                answers = pplan.answers.get((i, pop.model.model_id), {})
+                stream = _semantic_stage(stream, pop, row, backend, failures,
+                                         operator_id, pool, windows[i], answers)
             elif isinstance(op, Project):
                 row = OpReport(index=i, kind="project", detail=", ".join(op.fields))
                 stream = _project_stage(stream, op, row, operator_id)

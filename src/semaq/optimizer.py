@@ -28,13 +28,13 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
 from .backend import ModelSpec, Usage, call_cost
 from .core import Context, context_iterate
-from .engine import (PhysicalOp, PhysicalPlan, RunPolicy, bind_plan,
-                     semantic_execute)
+from .engine import (PhysicalOp, PhysicalPlan, RunPolicy, SampledAnswers,
+                     bind_plan, semantic_execute)
 from .errors import (EstimationError, OperatorError, PolicyInfeasibleError,
                      StatsError, ValidationError)
 from .lang import (Limit, LogicalOp, LogicalPlan, SemFilter, is_agentic,
@@ -64,6 +64,8 @@ class OperatorStats:
 
     def __init__(self, entries: Mapping[tuple[int, str], StatsEntry]):
         self._entries = dict(entries)
+        # what ``sample_stats`` saw, by (position, model id); see PhysicalPlan
+        self.answers: dict[tuple[int, str], SampledAnswers] = {}
 
     def get(self, op_index: int, model_id: str) -> StatsEntry:
         entry = self._entries.get((op_index, model_id))
@@ -123,7 +125,9 @@ def sample_stats(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
     Each semantic operator runs over the first ``min(sample_size, N)`` source
     records under every candidate model.  Quality is the model's prior
     unless ``labels`` supplies per-record truth for an operator position, in
-    which case it is the observed agreement on the sample.
+    which case it is the observed agreement on the sample.  The answer of
+    every call that succeeded is kept in the result's ``answers``; a failed
+    one is not (sampling allows no re-ask).
     """
     if sample_size < 1:
         raise ValidationError("sample_size must be >= 1")
@@ -131,12 +135,15 @@ def sample_stats(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
     if not records:
         raise StatsError(f"context {ctx.id} yields no records to sample")
 
+    answers: dict[tuple[int, str], SampledAnswers] = {}
+
     def measure(idx: int, op: LogicalOp, model: ModelSpec) -> StatsEntry:
         op_labels = (labels or {}).get(idx)
         pop = PhysicalOp(logical=op, model=model, retry_budget=0)
         before = backend.ledger.snapshot().for_model(model.model_id)
         passes = 0
         agreements = 0
+        seen = answers[(idx, model.model_id)] = {}
         for record in records:
             try:
                 out, _, _ = semantic_execute(backend, pop, record, f"sample#{idx}")
@@ -145,6 +152,7 @@ def sample_stats(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
                     passes += got
                 else:
                     got = {name: out.fields.get(name) for name, _ in op.output_fields}
+                seen[record.id] = (record, got)
                 if op_labels is not None and op_labels.get(record.id) == got:
                     agreements += 1
             except OperatorError as exc:
@@ -159,7 +167,9 @@ def sample_stats(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
             latency_per_record=(after.wall_seconds - before.wall_seconds) / n,
             sample_size=n,
         )
-    return _stats(plan, models, measure)
+    stats = _stats(plan, models, measure)
+    stats.answers = answers
+    return stats
 
 
 def _require_catalog(positions: Sequence[int], models: Sequence[ModelSpec]) -> None:
@@ -481,6 +491,7 @@ class OptimizerReport:
     candidates: list[dict]
     chosen_plan_id: str
     plans_considered: int
+    sample_calls: int = 0  # the model calls sampling made
 
     def to_dict(self) -> dict:
         return {
@@ -488,6 +499,7 @@ class OptimizerReport:
             "pipeline": self.pipeline_text,
             "policy": self.policy,
             "sample_size": self.sample_size,
+            "sample_calls": self.sample_calls,
             "input_cardinality": self.input_cardinality,
             "stats": self.stats,
             "plans_considered": self.plans_considered,
@@ -502,6 +514,7 @@ class OptimizerReport:
         lines = [
             f"optimizing {self.logical_plan_id} under {self.policy} "
             f"(sample={self.sample_size}, N={self.input_cardinality})",
+            f"sampling made {self.sample_calls} model call(s)",
             f"{len(self.candidates)} frontier plans of "
             f"{self.plans_considered} model assignments",
             f"{'plan':<16} {'models':<40} {'cost':>10} {'latency':>9} {'quality':>8}",
@@ -553,20 +566,28 @@ def optimize(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
     Latency estimates model a blocking provider, so they divide across
     ``run_policy.pool_width`` workers even for a backend run inline.  The
     chosen plan is the one ``choose_plan`` picks over all
-    ``len(models) ** n`` assignments (see the module docstring).
+    ``len(models) ** n`` assignments (see the module docstring), and it
+    carries the sampled answers at its own (position, model) pairs, so
+    running it does not ask again what the sample already answered.
     """
     from .lang import print_pipeline
 
     if sample_size < 0:
         raise ValidationError("sample_size must be >= 0")
+    sample_calls = 0
     if sample_size >= 1:
+        before = backend.ledger.snapshot().total_calls
         stats = sample_stats(plan, ctx, models, sample_size, backend)
+        sample_calls = backend.ledger.snapshot().total_calls - before
     else:
         stats = prior_stats(plan, models)
     n = len(ctx.source)
     pool_width = (run_policy or RunPolicy()).pool_width
     candidates, estimates = _search(plan, stats, models, n, pool_width, policy)
     chosen = choose_plan(candidates, estimates, policy)
+    chosen = replace(chosen, answers={
+        key: stats.answers[key] for key in chosen.model_assignment().items()
+        if key in stats.answers})
     report = OptimizerReport(
         logical_plan_id=plan.plan_id,
         pipeline_text=print_pipeline(plan),
@@ -582,5 +603,6 @@ def optimize(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
         ],
         chosen_plan_id=chosen.plan_id,
         plans_considered=len(models) ** len(semantic_positions(plan)),
+        sample_calls=sample_calls,
     )
     return chosen, report

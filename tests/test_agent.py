@@ -88,6 +88,11 @@ def test_parse_action_plain_fence_without_language_tag():
     assert action == FinalAnswer(text="ok")
 
 
+# an integer literal past the interpreter's 4,300-digit conversion limit
+_HUGE_ACTION = ("```json\n" + '{"thought": "t", "final_answer": {"text": "n", '
+                '"value": ' + "7" * 5000 + "}}\n```")
+
+
 @pytest.mark.parametrize("reply", [
     "no fence at all",
     _final("a") + "\n" + _final("b"),                      # two blocks
@@ -98,6 +103,7 @@ def test_parse_action_plain_fence_without_language_tag():
     '```json\n{"thought":"x","tool":"t","args":[1]}\n```',  # args not object
     '```json\n{"thought":"x","final_answer":{"value":1}}\n```',  # missing text
     '```json\n{"thought":"x","final_answer":{"text":"t","value":{"a":1}}}\n```',
+    pytest.param(_HUGE_ACTION, id="over-long-integer"),
 ])
 def test_parse_action_rejects_malformed(reply):
     from semaq.agent import _ActionParseError
@@ -265,6 +271,28 @@ def test_loop_reasks_an_action_holding_text_that_is_not_unicode(ctx, mk_backend)
     assert trace.outcome == "aborted" and trace.abort_reason == "action-parse"
     assert trace.usage.calls == 3
     trace.to_json().encode("utf-8")
+
+
+def test_loop_reasks_an_action_holding_an_over_long_integer(ctx, mk_backend):
+    """The action is unparseable: re-asked, then action-parse once the
+    re-asks run out."""
+    recovered = _runtime(mk_backend(*_script(_HUGE_ACTION, _final("ok")))).run(
+        "q", ctx, _config())
+    assert recovered.outcome == "answered" and recovered.usage.calls == 2
+    trace = _runtime(mk_backend(*_script(*[_HUGE_ACTION] * 3))).run("q", ctx, _config())
+    assert trace.outcome == "aborted" and trace.abort_reason == "action-parse"
+    assert trace.usage.calls == 3
+
+
+def test_action_parse_observation_escapes_a_reply_utf8_cannot_encode(ctx, mk_backend):
+    """The failed step quotes the raw reply escaped, so the trace still
+    encodes as UTF-8."""
+    raw = "no action \udc80 here"
+    trace = _runtime(mk_backend(*_script(raw, raw, raw))).run("q", ctx, _config())
+    assert trace.abort_reason == "action-parse"
+    assert trace.steps[0].observation.endswith("last reply (truncated): "
+                                               "no action \\udc80 here")
+    json.loads(trace.to_json().encode("utf-8"))
 
 
 def test_run_rejects_an_instruction_that_is_not_unicode(ctx, mk_backend):

@@ -325,6 +325,50 @@ def test_cli_pipeline_execute_with_artifacts(workspace, capsys):
     assert abs(ledger["total_cost"] - report["total_cost"]) < 1e-9
 
 
+def test_cli_pipeline_reuses_sampled_answers_and_reports_them(workspace, capsys):
+    """With --sample 2 the run answers the 2 sampled records from the
+    sample; sampling calls plus run calls equal the ledger's calls."""
+    pipe = workspace / "p.pz"
+    pipe.write_text(PIPELINE + "\n", encoding="utf-8")
+    config = str(workspace / "config.json")
+    code = main(["--config", config, "pipeline", str(pipe), "--dataset", "docs",
+                 "--sample", "2", "--explain"])
+    assert code == 0
+    assert "sampling made 4 model call(s)" in capsys.readouterr().out
+    run_dir = workspace / "pipe-out"
+    code = main(["--config", config, "pipeline", str(pipe), "--dataset", "docs",
+                 "--sample", "2", "--run-dir", str(run_dir)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "total: 2 calls, 2 reused" in out and "4 -> 1 records" in out
+    report = json.loads((run_dir / "report.json").read_text())
+    opt = json.loads((run_dir / "optimizer.json").read_text())
+    ledger = json.loads((run_dir / "ledger.json").read_text())
+    assert report["ops"][1]["reused"] == report["total_reused"] == 2
+    assert "reused" not in report["ops"][0]  # only per-record operators reuse
+    assert opt["sample_calls"] == 4 and report["total_calls"] == 2
+    assert ledger["total_calls"] == opt["sample_calls"] + report["total_calls"]
+    assert main(["stats", str(run_dir)]) == 0
+    assert "report.json: plan pp-" in (stats := capsys.readouterr().out)
+    assert "2 calls, 2 reused" in stats
+
+
+def test_cli_run_action_parse_on_a_reply_utf8_cannot_encode(workspace, capsys):
+    """A reply holding a lone surrogate ends in action-parse, the documented
+    compute-error exit, and the trace it leaves encodes."""
+    script = workspace / "bad.json"
+    script.write_text(json.dumps({"rules": [
+        {"match": "AVAILABLE TOOLS", "response": "no action \udc80 here"}]}),
+        encoding="utf-8")
+    code = main(["--config", str(workspace / "config.json"), "--mock-script",
+                 str(script), "run", "docs", "count", "--run-dir",
+                 str(workspace / "out")])
+    err = capsys.readouterr().err
+    assert code == 6
+    assert err.startswith("error: compute-error: compute did not reach an answer "
+                          "(aborted: action-parse)")
+
+
 @pytest.mark.parametrize("width", ["0", "-1"])
 def test_cli_pipeline_rejects_pool_width_below_one(workspace, capsys, width):
     pipe = workspace / "p.pz"

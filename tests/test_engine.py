@@ -522,9 +522,11 @@ _BAD_VALUE_REPLIES = [
     ("items", "list", '{"items": ' + "[" * 100000 + "]" * 100000 + "}",
      "items: [[1]]", [[1]]),
     ("tag", "text", '{"tag": "\\udc80"}', "tag: ok", "ok"),
+    # past the interpreter's 4,300-digit int conversion limit
+    ("count", "number", '{"count": ' + "7" * 5000 + "}", '{"count": 2}', 2.0),
 ]
 _BAD_VALUE_IDS = ["nan", "inf", "1e999", "json-NaN", "list-nan", "list-depth-9",
-                  "json-past-decoder-depth", "lone-surrogate"]
+                  "json-past-decoder-depth", "lone-surrogate", "json-over-long-integer"]
 
 
 @pytest.mark.parametrize("name, ftype, bad, good, value", _BAD_VALUE_REPLIES,

@@ -13,7 +13,7 @@ from semaq import (EstimationError, MaxQuality, MinCost, OperatorStats,
                    optimize, parse_pipeline, parse_policy, prior_stats,
                    sample_stats)
 from semaq.backend import ModelSpec
-from semaq.engine import RunPolicy
+from semaq.engine import RunPolicy, bind_plan
 from semaq.lang import (Compute, Limit, Project, Scan, SemFilter, SemMap,
                         is_semantic, make_plan)
 from semaq.optimizer import (NOMINAL_INPUT_TOKENS, NOMINAL_OUTPUT_TOKENS,
@@ -422,6 +422,30 @@ def test_optimize_sampled_end_to_end(mk_backend, catalog):
     assert [row["models"] for row in doc["candidates"]] == [
         {"1": "cheap", "2": "cheap"}, {"1": "strong", "2": "cheap"},
         {"1": "strong", "2": "strong"}]
+
+
+def test_optimize_reports_its_sampling_calls_and_hands_over_the_answers(mk_backend,
+                                                                        catalog):
+    """``sample_calls`` is the ledger delta of sampling; the chosen plan
+    carries the answers at its own (position, model) pairs only, and they
+    stay out of its id and of equality."""
+    ctx, records = _sample_ctx()
+    backend = mk_backend(("INSTRUCTION", "a: v"), ("hit", "yes"),
+                         ("PREDICATE", "no"))
+    plan = parse_pipeline(FILTER_MAP)
+    chosen, report = optimize(plan, ctx, list(catalog.values()),
+                              MaxQuality(cost_budget=100.0), 5, backend)
+    # 5 records x 2 operators x 2 models
+    assert report.sample_calls == backend.ledger.snapshot().total_calls == 20
+    assert report.to_dict()["sample_calls"] == 20
+    assert "sampling made 20 model call(s)" in report.render_text()
+    assert set(chosen.answers) == {(1, "strong"), (2, "strong")}
+    assert chosen.answers[(1, "strong")][records[0].id][1] is True
+    assert chosen.answers[(2, "strong")][records[0].id][1] == {"a": "v"}
+    assert chosen == bind_plan(plan, {1: STRONG, 2: STRONG})
+    _, zero = optimize(plan, ctx, list(catalog.values()),
+                       MaxQuality(cost_budget=100.0), 0, backend)
+    assert zero.sample_calls == 0 and "sampling made 0 model call(s)" in zero.render_text()
 
 
 # --- frontier search against brute force -------------------------------------------
