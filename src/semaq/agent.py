@@ -316,7 +316,7 @@ def _tool_run_pipeline(env: ToolEnv, args: dict) -> str:
                                   env.sample_size, env.backend,
                                   run_policy=env.run_policy)
     out_ctx, report = pipeline_execute(chosen, target, env.backend,
-                                       policy=env.run_policy)
+                                       policy=env.run_policy, store=env.store)
     if env.store is not None:
         env.store.register(out_ctx, instruction=text)
     env.refs[out_ctx.id] = out_ctx

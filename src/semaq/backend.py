@@ -1,10 +1,11 @@
 """Model backends: a deterministic scripted mock and a real HTTP provider.
 
 Both expose the same surface: ``chat(model_id, messages, temperature)`` and
-``embed(text)``, with every chat recorded in a shared usage ledger.  The mock
-is the test and benchmark workhorse; it replays scripted responses, counts
-tokens with a fixed character rule, and charges deterministic wall time, so
-full runs are bit-reproducible.
+``embed(text)``, with every chat recorded in a shared usage ledger, and a
+``fingerprint`` that names what answers the chats (see
+:func:`backend_fingerprint`).  The mock is the test and benchmark workhorse;
+it replays scripted responses, counts tokens with a fixed character rule,
+and charges deterministic wall time, so full runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -375,7 +376,10 @@ class MockBackend:
 
     Token counts follow :func:`mock_token_count` over the rendered prompt and
     the raw response; wall time per call is the model's latency prior, so two
-    identical runs produce identical ledgers.
+    identical runs produce identical ledgers.  Its ``fingerprint`` is the
+    sha256 of the script it was built with; a caller that swaps ``script``
+    later keeps it, and so vouches that the new script answers an operator
+    prompt as the old one did.
     """
 
     in_process = True
@@ -387,6 +391,8 @@ class MockBackend:
         self.catalog = _resolve_catalog(catalog)
         self.ledger = UsageLedger()
         self._lock = threading.Lock()
+        self.fingerprint = "mock " + hashlib.sha256(json.dumps(
+            script.to_dict(), sort_keys=True).encode("ascii")).hexdigest()
 
     def chat(self, model_id: str, messages: Sequence[ChatMessage],
              temperature: float = 0.0) -> ChatExchange:
@@ -425,6 +431,7 @@ class HttpBackend:
     retried up to three attempts with exponential backoff (1s, then 2s).
     A reply whose content, usage, token counts or embedding has the wrong
     JSON type raises :class:`BackendError`, as does a non-finite embedding.
+    Its ``fingerprint`` is the ``base_url``.
     """
 
     max_attempts = 3
@@ -443,6 +450,7 @@ class HttpBackend:
         import requests
 
         self.base_url = base_url.rstrip("/")
+        self.fingerprint = "http " + self.base_url
         self.catalog = _resolve_catalog(catalog)
         self.embedding_model = embedding_model
         self.timeout = timeout
@@ -538,6 +546,19 @@ class HttpBackend:
         if norm == 0.0:
             raise BackendError("provider returned a zero embedding")
         return vec / norm
+
+
+def backend_fingerprint(backend) -> str | None:
+    """What names ``backend`` in the key of the store's answer log: its
+    ``fingerprint`` or, for a wrapper that declares none, that of the backend
+    it wraps (its ``inner``).  None when neither declares one: such a
+    backend's answers are never looked up or logged."""
+    while backend is not None:
+        fingerprint = getattr(backend, "fingerprint", None)
+        if isinstance(fingerprint, str):
+            return fingerprint
+        backend = getattr(backend, "inner", None)
+    return None
 
 
 def load_model_catalog(path) -> dict[str, ModelSpec]:

@@ -21,7 +21,8 @@ from .backend import (HttpBackend, MockBackend, MockScript, ModelSpec,
                       load_model_catalog)
 from .core import (Record, RecordSnapshot, VectorIndex, context_create,
                    make_source_record, record_from_json, write_artifacts)
-from .errors import ConfigurationError, DataAccessError, SemaqError
+from .errors import (AgentError, ConfigurationError, DataAccessError, SemaqError,
+                     StoreError)
 from .lang import parse_pipeline, validate_plan
 from .optimizer import MinCost, Policy, optimize, parse_policy
 from .engine import RunPolicy, pipeline_execute
@@ -245,11 +246,20 @@ def cmd_run(args) -> int:
     budget = args.budget if args.budget is not None else cfg.budget
     config = AgentConfig(model=agent_model_spec(cfg, backend.catalog),
                          max_steps=cfg.max_steps, cost_budget=budget)
-    result = runtime.compute(ctx, args.instruction, config)
+    run_dir = Path(args.run_dir) if args.run_dir else _fresh_run_dir(cfg.run_dir)
+    try:
+        result = runtime.compute(ctx, args.instruction, config)
+    except AgentError as exc:
+        # a run that ends without an answer still explains itself offline;
+        # it exits with its own error even when the artifacts cannot be written
+        try:
+            write_artifacts(run_dir, _run_artifacts(backend, runtime, exc.trace))
+        except DataAccessError as write_error:
+            logger.warning("%s", write_error)
+        raise
     print(result.answer_text)
     if result.answer_value is not None:
         print(f"value: {result.answer_value}")
-    run_dir = Path(args.run_dir) if args.run_dir else _fresh_run_dir(cfg.run_dir)
     write_artifacts(run_dir, {**_run_artifacts(backend, runtime, result.trace),
                               "answer.txt": result.answer_text})
     print(f"artifacts: {run_dir}", file=sys.stderr)
@@ -287,7 +297,7 @@ def cmd_pipeline(args) -> int:
     out_ctx, report = pipeline_execute(
         chosen, ctx, backend, policy=run_policy,
         agent_runner=make_stage_runner(runtime, max_steps=cfg.max_steps,
-                                       cost_budget=cfg.budget))
+                                       cost_budget=cfg.budget), store=store)
     store.register(out_ctx, instruction=text.strip())
     print(report.render_text())
     if args.run_dir:
@@ -358,10 +368,11 @@ def cmd_cache(args) -> int:
     if args.cache_cmd == "list":
         if not len(store):
             print("cache is empty")
-            return 0
         for entry in store.entries:
             head = entry.description.replace("\n", " ")[:70]
             print(f"{entry.seq:>4} {entry.context_id} [{entry.lineage_summary}] {head}")
+        # on stderr, so stdout stays one line per context
+        print(f"{store.read_answers()} logged answer(s)", file=sys.stderr)
         return 0
     if args.cache_cmd == "show":
         entry = store.get_entry(args.context_id)
@@ -375,9 +386,14 @@ def cmd_cache(args) -> int:
         print(entry.description)
         return 0
     if args.cache_cmd == "clear":
+        try:
+            answers = f"{store.read_answers()} logged answer(s)"
+        except StoreError:  # clearing is how a corrupt log is dropped
+            answers = "a corrupt answer log"
         count = len(store)
         store.clear()
         print(f"cleared {count} cached context(s)")
+        print(f"dropped {answers}")
         return 0
     raise ConfigurationError(f"unknown cache command {args.cache_cmd!r}")
 

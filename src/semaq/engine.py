@@ -27,6 +27,18 @@ downstream ``limit`` pulls.
 A plan that ``optimizer.optimize`` chose carries the answers its sampler
 got at the plan's own (position, model) pairs; a stage answers a record
 from them, with no call, when the record has the sampled id and fields.
+A run given a ``store`` then looks the rendered prompt up in the store's
+answer log, keyed by model id and the sha256 of the backend's fingerprint
+(:func:`~semaq.backend.backend_fingerprint`: the mock's script, the HTTP
+provider's ``base_url``) and the first-attempt messages (role and
+content), so another backend, predicate, instruction, field value, output
+field or field cap misses; a backend with no fingerprint never uses the
+log.  The store reads the log on its first lookup; a call that succeeds is
+added to it, a failed one never is, and the run appends its new answers in
+one write when it ends, aborted or not.  An append that fails is logged as
+a warning and neither fails the run nor replaces its own error.  Either
+kind of answer counts as ``reused`` in the report, not in its calls,
+tokens or cost.
 """
 
 from __future__ import annotations
@@ -44,13 +56,14 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .backend import ChatMessage, ModelSpec, Usage, call_cost
+from .backend import ChatMessage, ModelSpec, Usage, backend_fingerprint, call_cost
 from .core import (Context, FieldValue, Record, canonical_fields_json,
                    context_derive, context_iterate, make_derived_record,
                    record_to_json, validate_field_value)
-from .errors import OperatorError, RunAbortedError, ValidationError
+from .errors import OperatorError, RunAbortedError, StoreError, ValidationError
 from .lang import (Compute, Limit, LogicalOp, LogicalPlan, Project, Scan,
                    SemFilter, SemMap, is_agentic, is_semantic, print_pipeline)
+from .store import ContextStore, LoggedAnswer
 
 if TYPE_CHECKING:
     from .agent import AgentResult
@@ -287,7 +300,50 @@ def parse_map_response(text: str,
 
 # --- single-record operator execution ----------------------------------------
 
-def semantic_execute(backend, pop: PhysicalOp, record: Record, operator_id: str
+_NO_USAGE = Usage(0, 0)
+
+
+def _prompt_digest(backend: str, messages: Sequence[ChatMessage]) -> str:
+    """The sha256 of the ``backend``'s fingerprint and a prompt's messages,
+    each as its role, the length of its UTF-8 content and that content: with
+    the model id, the key of an answer in the store's answer log."""
+    fingerprint = backend.encode("utf-8", "surrogatepass")
+    digest = hashlib.sha256(b"%d\n%s" % (len(fingerprint), fingerprint))
+    for message in messages:
+        content = message.content.encode("utf-8", "surrogatepass")
+        digest.update(b"%s %d\n" % (message.role.encode("utf-8"), len(content)))
+        digest.update(content)
+    return digest.hexdigest()
+
+
+class _AnswerLog:
+    """The store's answer log as one run on ``backend`` (its fingerprint)
+    uses it: the answers its calls got are kept in ``new`` for one append
+    when the ``with`` block of the run ends.  The store reads the log under
+    its own lock, and pooled workers add with ``list.append``, which is
+    atomic."""
+
+    def __init__(self, store: ContextStore, backend: str):
+        self.store = store
+        self.backend = backend
+        self.new: list[LoggedAnswer] = []
+
+    def __enter__(self) -> "_AnswerLog":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        # the log only saves later calls: an append that fails must neither
+        # discard a result already paid for nor replace the run's own error
+        if self.new:
+            try:
+                self.store.add_answers(self.new)
+            except StoreError as exc:
+                logger.warning("%d answer(s) of the run not logged: %s",
+                               len(self.new), exc)
+
+
+def semantic_execute(backend, pop: PhysicalOp, record: Record, operator_id: str,
+                     log: _AnswerLog | None = None
                      ) -> tuple[Record | None, Usage, int]:
     """Run a bound sem_filter or sem_map on ``record``: the one call that
     prompts a model about a record.
@@ -296,7 +352,9 @@ def semantic_execute(backend, pop: PhysicalOp, record: Record, operator_id: str
     raising :class:`OperatorError`.  Returns (output record, None when a
     filter rejects it; summed usage; calls made).  A map's output keeps the
     input fields, adds the derived ones (overwriting on name collision) and
-    gets a fresh lineage-bearing id.
+    gets a fresh lineage-bearing id.  With an answer ``log``, a prompt the
+    model already answered makes no call (0 calls, zero usage), and a call
+    that succeeds is added to the log; a failed one is not.
     """
     op = pop.logical
     if isinstance(op, SemFilter):
@@ -307,9 +365,20 @@ def semantic_execute(backend, pop: PhysicalOp, record: Record, operator_id: str
         messages = render_map_prompt(record, op.instruction, op.output_fields)
         parse, reask, failure = (lambda text: parse_map_response(text, op.output_fields),
                                  _REASK_MAP, "map response missing fields")
+    model_id = pop.model.model_id
+    if log is not None:
+        prompt = _prompt_digest(log.backend, messages)
+        logged = log.store.answer(model_id, prompt)
+        if logged is not None:
+            answer = logged.answer
+            if (isinstance(answer, bool) != isinstance(op, SemFilter) or isinstance(
+                    op, SemMap) and list(answer) != [n for n, _ in op.output_fields]):
+                raise StoreError(f"logged answer of {model_id} to prompt {prompt} "
+                                 f"does not fit the {type(op).__name__}")
+            return _answer_output(op, record, answer, operator_id), _NO_USAGE, 0
     in_toks = out_toks = 0
     for calls in range(1, pop.retry_budget + 2):
-        exchange = backend.chat(pop.model.model_id, messages, temperature=0.0)
+        exchange = backend.chat(model_id, messages, temperature=0.0)
         in_toks += exchange.usage.input_tokens
         out_toks += exchange.usage.output_tokens
         parsed = parse(exchange.response)
@@ -321,6 +390,8 @@ def semantic_execute(backend, pop: PhysicalOp, record: Record, operator_id: str
             f"{failure} after {calls} attempt(s) on record {record.id}",
             raw_response=exchange.response, input_tokens=in_toks,
             output_tokens=out_toks, calls=calls)
+    if log is not None:
+        log.new.append(LoggedAnswer(model_id, prompt, parsed, in_toks, out_toks, calls))
     return (_answer_output(op, record, parsed, operator_id), Usage(in_toks, out_toks),
             calls)
 
@@ -350,7 +421,9 @@ class OpReport:
     cost: float = 0.0
     wall_seconds: float = 0.0
     failures: int = 0
-    reused: int = 0  # records answered from the sample, in records_in only
+    # records answered from the sample or from the store's answer log, with
+    # no call: in records_in only
+    reused: int = 0
 
     def to_dict(self) -> dict:
         doc = {
@@ -577,32 +650,34 @@ def _same_record(a: Record, b: Record) -> bool:
 def _semantic_stage(upstream: Iterator[Record], pop: PhysicalOp, row: OpReport,
                     backend, failures: _FailureTracker, operator_id: str,
                     pool: ThreadPoolExecutor | None, window: _Window,
-                    answers: SampledAnswers) -> Iterator[Record]:
+                    sampled: SampledAnswers, log: _AnswerLog | None
+                    ) -> Iterator[Record]:
     """Run a sem_filter or sem_map over ``upstream``, inline when ``pool``
     is None, else on ``pool`` within ``window``.
 
-    A record that ``answers`` holds with the same fields is answered from
-    it with no call; it counts in ``row.records_in`` and ``row.reused``.
+    A record that ``sampled`` holds with the same fields is answered from
+    it with no call; failing that, a prompt the answer ``log`` holds is.
+    Either counts in ``row.records_in`` and ``row.reused``.
     """
     lock = threading.Lock()
 
     def work(record: Record):
         # (output record or None when a filter rejects, error); usage is
         # added to ``row`` here, where the call completes
-        sampled = answers.get(record.id)
-        if sampled is not None and _same_record(sampled[0], record):
-            with lock:
-                row.records_in += 1
-                row.reused += 1
-            return _answer_output(pop.logical, record, sampled[1], operator_id), None
-        out, error = None, None
-        try:
-            out, usage, calls = semantic_execute(backend, pop, record, operator_id)
-        except OperatorError as exc:
-            usage, calls, error = (Usage(exc.input_tokens, exc.output_tokens),
-                                   exc.calls, exc)
+        out, error, usage, calls = None, None, _NO_USAGE, 0
+        answer = sampled.get(record.id)
+        if answer is not None and _same_record(answer[0], record):
+            out = _answer_output(pop.logical, record, answer[1], operator_id)
+        else:
+            try:
+                out, usage, calls = semantic_execute(backend, pop, record,
+                                                     operator_id, log)
+            except OperatorError as exc:
+                usage, calls, error = (Usage(exc.input_tokens, exc.output_tokens),
+                                       exc.calls, exc)
         with lock:
             row.records_in += 1
+            row.reused += not calls  # a failure made at least one call
             row.calls += calls
             row.input_tokens += usage.input_tokens
             row.output_tokens += usage.output_tokens
@@ -647,13 +722,18 @@ def _scan_stage(ctx: Context, row: OpReport) -> Iterator[Record]:
 
 def pipeline_execute(pplan: PhysicalPlan, ctx: Context, backend,
                      policy: RunPolicy | None = None,
-                     agent_runner: AgentRunner | None = None
+                     agent_runner: AgentRunner | None = None, *,
+                     store: ContextStore | None = None
                      ) -> tuple[Context, ExecutionReport]:
     """Run a bound plan over ``ctx``.
 
     Returns the derived output context and a per-operator report whose cost
     totals agree with the backend ledger delta for the run.  Agentic
-    operators (compute/search) require an injected ``agent_runner``.
+    operators (compute/search) require an injected ``agent_runner``.  With
+    a ``store`` and a backend with a fingerprint, semantic stages answer
+    from the store's answer log what the model already answered there on
+    that backend, and the answers this run's calls got are appended to it
+    in one write when the run ends, aborted or not.
     """
     policy = policy or RunPolicy()
     canonical = print_pipeline(pplan.logical)
@@ -675,9 +755,13 @@ def pipeline_execute(pplan: PhysicalPlan, ctx: Context, backend,
               and not getattr(backend, "in_process", False))
     executor = (ThreadPoolExecutor(max_workers=width * n_semantic)
                 if pooled else nullcontext())
+    fingerprint = backend_fingerprint(backend) if store is not None else None
+    answer_log = (_AnswerLog(store, fingerprint) if fingerprint is not None
+                  else nullcontext())
     # leaving the block waits for every submitted call, on return and on
-    # raise, so a limit cut-off or an abort leaves no call unaccounted
-    with executor as pool:
+    # raise, so a limit cut-off or an abort leaves no call unaccounted, and
+    # then appends every answer those calls got to the log
+    with answer_log as log, executor as pool:
         for i, pop in enumerate(pplan.ops[1:], start=1):
             op = pop.logical
             operator_id = f"{pplan.plan_id}#op{i}"
@@ -686,9 +770,9 @@ def pipeline_execute(pplan: PhysicalPlan, ctx: Context, backend,
                 row = OpReport(index=i, kind="sem_filter" if is_filter else "sem_map",
                                detail=op.predicate if is_filter else op.instruction,
                                model_id=pop.model.model_id)
-                answers = pplan.answers.get((i, pop.model.model_id), {})
+                sampled = pplan.answers.get((i, pop.model.model_id), {})
                 stream = _semantic_stage(stream, pop, row, backend, failures,
-                                         operator_id, pool, windows[i], answers)
+                                         operator_id, pool, windows[i], sampled, log)
             elif isinstance(op, Project):
                 row = OpReport(index=i, kind="project", detail=", ".join(op.fields))
                 stream = _project_stage(stream, op, row, operator_id)

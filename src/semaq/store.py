@@ -9,6 +9,14 @@ yet and verifies each against its vector row: a reopen is that read from byte
 0 under a shared ``flock``; a registration repeats it under an exclusive
 ``flock`` on the entry log before it takes its seq and appends, so processes
 sharing a directory append one at a time and store a context once.
+
+The same directory holds the answer log, ``answers.jsonl``: one line per
+(model id, sha256 of a backend's fingerprint and a rendered prompt) with
+the parsed answer and the usage of the calls that got it, so a pipeline
+run need not ask a model again what an earlier run already asked it.  The log is read on the first
+lookup, not on reopen, and caught up under an exclusive ``flock`` on it at
+each append, as registration catches up on the entry log; both logs share
+the line reader :func:`_read_lines` and its torn-tail rule.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import Context, context_derive, cosine_topk
+from .core import Context, context_derive, cosine_topk, validate_fields
 from .errors import StoreConflictError, StoreError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -36,6 +44,7 @@ MATCH_DESCRIPTION_CAP = 2000
 
 _ENTRIES_FILE = "entries.jsonl"
 _VECTORS_FILE = "vectors.bin"
+_ANSWERS_FILE = "answers.jsonl"
 
 
 @dataclass(frozen=True)
@@ -56,9 +65,10 @@ def _checksum(description: str, vector_bytes: bytes | memoryview) -> str:
     return digest.hexdigest()
 
 
-def _parse_entry(line: bytes, lineno: int) -> tuple[ContextEntry, int, str]:
+def _parse_entry(line: bytes, lineno: int) -> tuple[ContextEntry, int, str, int]:
     """One entry-log line as its entry, whose ``embedding`` is not read
-    yet, its positive int ``dim`` and its checksum; every text a string."""
+    yet, its positive int ``dim``, its checksum and ``lineno``; every text a
+    string."""
     try:
         doc = json.loads(line)
         entry = ContextEntry(
@@ -78,7 +88,90 @@ def _parse_entry(line: bytes, lineno: int) -> tuple[ContextEntry, int, str]:
     if dim < 1 or not all(isinstance(text, str) for text in texts):
         raise StoreError(f"corrupt store entry at line {lineno}: dim {dim}, "
                          "or a text field that is not a string")
-    return entry, dim, checksum
+    return entry, dim, checksum, lineno
+
+
+@dataclass(frozen=True)
+class LoggedAnswer:
+    """What ``model`` answered to the prompt keyed ``prompt`` (the sha256 of
+    the backend's fingerprint and the rendered messages): a sem_filter's
+    verdict or a sem_map's parsed fields, and the usage of the calls
+    (re-asks included) that got it."""
+
+    model: str
+    prompt: str
+    answer: bool | dict
+    input_tokens: int
+    output_tokens: int
+    calls: int
+
+    def to_line(self) -> bytes:
+        # ASCII JSON: a field text holding any code point still encodes
+        return (json.dumps({"model": self.model, "prompt": self.prompt,
+                            "answer": self.answer, "input_tokens": self.input_tokens,
+                            "output_tokens": self.output_tokens, "calls": self.calls})
+                + "\n").encode("ascii")
+
+
+def _parse_answer(line: bytes, lineno: int) -> LoggedAnswer:
+    """One answer-log line; a line of another shape or type is corrupt."""
+    try:
+        doc = json.loads(line)
+        logged = LoggedAnswer(doc["model"], doc["prompt"], doc["answer"],
+                              doc["input_tokens"], doc["output_tokens"], doc["calls"])
+        if not isinstance(logged.answer, bool):
+            validate_fields(logged.answer or None)  # fields, at least one
+        counts = (logged.input_tokens, logged.output_tokens, logged.calls)
+        if not (isinstance(logged.model, str) and isinstance(logged.prompt, str)
+                and all(type(n) is int and n >= 0 for n in counts) and logged.calls):
+            raise TypeError("a key that is not a string, or a count that is "
+                            "not a non-negative integer (calls positive)")
+    except (KeyError, TypeError, ValueError, RecursionError, ValidationError) as exc:
+        # JSON and UTF-8 errors too
+        raise StoreError(f"corrupt answer at line {lineno}: {exc!r}") from exc
+    return logged
+
+
+def _read_lines(log, end: int, lines: int, parse, path: Path
+                ) -> tuple[list, int, int, int]:
+    """``parse(line, lineno)`` for each line of the locked ``log`` past byte
+    ``end``, ``lines`` lines in; return (parsed values, the log's size, the
+    new end, the new line count).
+
+    Lines split on \\n only: texts are written raw and may hold U+2028,
+    U+2029 or U+0085.  A line that does not parse (``StoreError``) is fatal,
+    unless it is the last and lacks its \\n: an append torn by a crash,
+    skipped with a warning and left past the new end.  A last line that
+    parses but lost only its \\n is kept, and the new end counts the \\n
+    it lacks.
+    """
+    size = log.seek(0, os.SEEK_END)
+    if size <= end:  # nothing appended since the last read
+        return [], size, end, lines
+    log.seek(end)
+    parsed, torn = [], 0
+    for lineno, line in enumerate(log, start=lines + 1):
+        if not line.strip():
+            continue
+        try:
+            parsed.append(parse(line, lineno))
+        except StoreError as exc:
+            if line.endswith(b"\n"):
+                raise
+            logger.warning("skipping torn last line of %s: %s", path, exc)
+            torn = len(line)
+    open_line = not torn and not line.endswith(b"\n")
+    return parsed, size, size - torn + open_line, lineno - (torn > 0)
+
+
+def _mend_tail(log, size: int, end: int) -> None:
+    """Before appending to the exclusively locked ``log`` that
+    :func:`_read_lines` read to ``end``: cut a torn last line off, or end a
+    last line that lost its \\n."""
+    if size > end:
+        log.truncate(end)
+    elif size < end:
+        log.write(b"\n")
 
 
 class ContextStore:
@@ -96,6 +189,11 @@ class ContextStore:
     :func:`~semaq.core.cosine_topk` scan over that matrix: similarity is
     cosine mapped to [0, 1], entries below ``tau`` are dropped, and ties
     break by earlier registration then ascending id.
+
+    The answer log is kept apart from the entries: :meth:`read_answers`
+    loads the lines past ``_answers_end``, on the first :meth:`answer`,
+    and :meth:`add_answers` loads them too before it appends, each under a
+    ``flock`` on ``answers.jsonl``.
     """
 
     def __init__(self, directory, embed: Callable[[str], np.ndarray]):
@@ -109,6 +207,10 @@ class ContextStore:
         self._objects: dict[str, Context] = {}
         # bytes and lines of the entry log this instance has read or written
         self._log_end = self._log_lines = 0
+        # answers by (model id, prompt digest); read on the first lookup
+        self._answers: dict[tuple[str, str], LoggedAnswer] = {}
+        self._answers_end = self._answers_lines = 0
+        self._answers_read = False
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             with open(self._entries_path, "rb") as log:
@@ -127,46 +229,29 @@ class ContextStore:
     def _vectors_path(self) -> Path:
         return self.directory / _VECTORS_FILE
 
+    @property
+    def _answers_path(self) -> Path:
+        return self.directory / _ANSWERS_FILE
+
     def _read_log(self, log) -> int:
         """Load, last and in (seq, id) order, the entries of the lines
         appended to the locked ``log`` since this store last read it (all of
-        them on reopen); return the log's size.
-
-        Lines split on \\n only: descriptions are written raw and may hold
-        U+2028, U+2029 or U+0085.  A line that does not parse is fatal,
-        unless it is the last and lacks its \\n: an append torn by a crash,
-        skipped with a warning and left past ``_log_end``.  A last line that
-        parses but lost only its \\n is loaded, and ``_log_end`` counts the
-        \\n it lacks.  Nothing is loaded unless every new line's dim, vector
-        row and checksum verify.
+        them on reopen), by :func:`_read_lines`; return the log's size.
+        Nothing is loaded unless every new line's dim, vector row and
+        checksum verify.
         """
-        size = log.seek(0, os.SEEK_END)
-        if size <= self._log_end:  # nothing appended since the last read
-            return size
-        log.seek(self._log_end)
-        dim, new, torn = self.dim, [], 0
-        for lineno, line in enumerate(log, start=self._log_lines + 1):
-            if not line.strip():
-                continue
-            try:
-                entry, width, checksum = _parse_entry(line, lineno)
-            except StoreError as exc:
-                if line.endswith(b"\n"):
-                    raise
-                logger.warning("skipping torn last line of %s: %s",
-                               self._entries_path, exc)
-                torn = len(line)
-                continue
-            dim = dim or width
-            if width != dim:
-                raise StoreError(f"store entry at line {lineno} has dim {width}, "
-                                 f"earlier entries have dim {dim}")
-            new.append((entry, checksum))
+        new, size, end, lines = _read_lines(log, self._log_end, self._log_lines,
+                                            _parse_entry, self._entries_path)
         if new:
+            dim = self.dim or new[0][1]
+            for _, width, _, lineno in new:
+                if width != dim:
+                    raise StoreError(f"store entry at line {lineno} has dim "
+                                     f"{width}, earlier entries have dim {dim}")
             # rows lowest .. highest new seq, in one read into the matrix,
             # gathered to the entries' rows when their seqs skip or repeat one
-            new.sort(key=lambda pair: (pair[0].seq, pair[0].context_id))
-            seqs = [entry.seq for entry, _ in new]
+            new.sort(key=lambda parsed: (parsed[0].seq, parsed[0].context_id))
+            seqs = [parsed[0].seq for parsed in new]
             lo, hi, n, stride = seqs[0], seqs[-1], len(self.entries), dim * 8
             path = self._vectors_path
             rows = path.stat().st_size // stride if path.exists() else 0
@@ -182,15 +267,14 @@ class ContextStore:
                 vectors.readinto(memoryview(block).cast("B"))
             if seqs != list(range(lo, lo + len(seqs))):
                 block[:len(seqs)] = block[np.array(seqs) - lo]
-            for (entry, checksum), embedding in zip(new, block):
+            for (entry, _, checksum, _), embedding in zip(new, block):
                 if _checksum(entry.description, embedding.data) != checksum:
                     raise StoreError("checksum mismatch for stored context "
                                      f"{entry.context_id}")
                 object.__setattr__(entry, "embedding", embedding)
-            self.entries += [entry for entry, _ in new]
-            self._by_id.update((entry.context_id, entry) for entry, _ in new)
-        open_line = not torn and not line.endswith(b"\n")
-        self._log_end, self._log_lines = size - torn + open_line, lineno - (torn > 0)
+            self.entries += [parsed[0] for parsed in new]
+            self._by_id.update((entry.context_id, entry) for entry in self.entries[n:])
+        self._log_end, self._log_lines = end, lines
         return size
 
     def _check_width(self, vector: np.ndarray) -> None:
@@ -240,11 +324,7 @@ class ContextStore:
                 with open(self._entries_path, "a+b") as log:
                     # seq and both appends, one registering process at a time
                     fcntl.flock(log, fcntl.LOCK_EX)
-                    size = self._read_log(log)
-                    if size > self._log_end:  # a torn last line: cut it off
-                        log.truncate(self._log_end)
-                    elif size < self._log_end:  # a last line that lost its \n
-                        log.write(b"\n")
+                    _mend_tail(log, self._read_log(log), self._log_end)
                     existing = self._stored(ctx)
                     if existing is not None:
                         return existing
@@ -357,13 +437,77 @@ class ContextStore:
         return context_derive(ctx, f"reuse: {reused}", description,
                               operator="augment")
 
-    def clear(self) -> None:
+    # --- the answer log ------------------------------------------------------
+
+    def _read_answers(self, log) -> int:
+        """Load the answers appended to the locked ``log`` since this store
+        last read it; return the log's size."""
+        new, size, self._answers_end, self._answers_lines = _read_lines(
+            log, self._answers_end, self._answers_lines, _parse_answer,
+            self._answers_path)
+        self._answers.update(((a.model, a.prompt), a) for a in new)
+        self._answers_read = True
+        return size
+
+    def read_answers(self) -> int:
+        """Load the answers other store objects and processes appended
+        since this store last read the log (all of them the first time);
+        return how many answers it holds."""
         with self._lock:
-            for path in (self._entries_path, self._vectors_path):
+            try:
+                with open(self._answers_path, "rb") as log:
+                    fcntl.flock(log, fcntl.LOCK_SH)
+                    self._read_answers(log)
+            except FileNotFoundError:
+                self._answers_read = True
+            except OSError as exc:
+                raise StoreError(f"cannot read the answer log: {exc}") from exc
+            return len(self._answers)
+
+    def answer(self, model_id: str, prompt: str) -> LoggedAnswer | None:
+        """The logged answer of ``model_id`` to the prompt keyed ``prompt``.
+        The first call reads the log; later ones see what this store
+        appended, and what others appended before its last append or
+        :meth:`read_answers`."""
+        if not self._answers_read:
+            self.read_answers()
+        return self._answers.get((model_id, prompt))
+
+    def add_answers(self, answers: Iterable[LoggedAnswer]) -> None:
+        """Append, in one write, the ``answers`` whose key the log does not
+        hold yet.  Under an exclusive ``flock`` it first loads what others
+        appended, then cuts a torn last line or ends one that lost its \\n."""
+        with self._lock:
+            try:
+                with open(self._answers_path, "a+b") as log:
+                    fcntl.flock(log, fcntl.LOCK_EX)
+                    _mend_tail(log, self._read_answers(log), self._answers_end)
+                    new = {}
+                    for logged in answers:
+                        key = (logged.model, logged.prompt)
+                        if key not in self._answers:
+                            new.setdefault(key, logged)
+                    if not new:
+                        return
+                    log.write(b"".join(logged.to_line() for logged in new.values()))
+                    log.flush()
+                    self._answers_end = log.tell()
+                    self._answers_lines += len(new)
+                    self._answers.update(new)
+            except OSError as exc:
+                raise StoreError(f"cannot append to the answer log: {exc}") from exc
+
+    def clear(self) -> None:
+        """Remove every entry and every logged answer."""
+        with self._lock:
+            for path in (self._entries_path, self._vectors_path, self._answers_path):
                 if path.exists():
                     path.unlink()
             self.entries.clear()
             self.dim = self._vectors = None
             self._log_end = self._log_lines = 0
+            self._answers.clear()
+            self._answers_end = self._answers_lines = 0
+            self._answers_read = False
             self._by_id.clear()
             self._objects.clear()

@@ -641,3 +641,91 @@ def test_cli_pipeline_run_dir_under_a_file(workspace, capsys):
     err = capsys.readouterr().err
     assert code == 5
     assert err.startswith(f"error: data-error: cannot write run artifact {run_dir}")
+
+
+# --- runs that end without an answer, and the answer log ----------------------------
+
+def test_cli_run_without_an_answer_leaves_a_run_dir_stats_renders(workspace, capsys):
+    """The agent runs a pipeline, then replies with no action: the run exits
+    6 (action-parse) and its directory holds the ledger, the trace and the
+    pipeline's reports, which ``semaq stats`` renders."""
+    script = workspace / "noaction.json"
+    rules = [dict(_RUN_SCRIPT["rules"][0]),
+             {"match": "AVAILABLE TOOLS", "response": "I will not pick an action"},
+             *_RUN_SCRIPT["rules"][2:]]
+    script.write_text(json.dumps({"rules": rules}), encoding="utf-8")
+    run_dir = workspace / "out"
+    code = main(["--config", str(workspace / "config.json"), "--mock-script",
+                 str(script), "run", "docs", "count", "--run-dir", str(run_dir)])
+    out = capsys.readouterr()
+    assert code == 6 and out.out == ""
+    assert out.err.startswith("error: compute-error: compute did not reach an answer "
+                              "(aborted: action-parse)")
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "ledger.json", "optimizer-000.json", "report-000.json", "trace.json"]
+    ledger = json.loads((run_dir / "ledger.json").read_text())
+    trace = json.loads((run_dir / "trace.json").read_text())
+    assert trace["outcome"] == "aborted" and trace["abort_reason"] == "action-parse"
+    assert ledger["total_calls"] == trace["usage"]["calls"] + 4
+    assert main(["stats", str(run_dir)]) == 0
+    stats = capsys.readouterr().out
+    assert "trace: 2 step(s), outcome aborted" in stats
+    assert "report-000.json: plan pp-" in stats and "4 calls, 0 reused" in stats
+
+
+def test_cli_runs_answer_from_the_stores_answer_log(workspace, capsys):
+    """A second ``pipeline`` or ``run`` on one cache asks no model what the
+    first already asked; ``semaq bench`` passes no store."""
+    config = str(workspace / "config.json")
+    pipe = workspace / "p.pz"
+    pipe.write_text(PIPELINE + "\n", encoding="utf-8")
+    for expected in ("total: 4 calls, 0 reused", "total: 0 calls, 4 reused"):
+        assert main(["--config", config, "pipeline", str(pipe), "--dataset", "docs",
+                     "--run-dir", str(workspace / "pipe-out")]) == 0
+        assert expected in capsys.readouterr().out
+    ledger = json.loads((workspace / "pipe-out" / "ledger.json").read_text())
+    assert ledger["total_calls"] == 0
+    assert main(["--config", config, "run", "docs", "count the filing memos",
+                 "--run-dir", str(workspace / "r1")]) == 0
+    report = json.loads((workspace / "r1" / "report-000.json").read_text())
+    assert (report["total_calls"], report["total_reused"]) == (0, 4)
+    assert report["records_out"] == 1
+
+
+def test_cli_cache_list_counts_and_clear_drops_logged_answers(workspace, capsys):
+    config = str(workspace / "config.json")
+    main(["--config", config, "run", "docs", "count the filing memos",
+          "--run-dir", str(workspace / "out")])
+    capsys.readouterr()
+    assert main(["--config", config, "cache", "list"]) == 0
+    listing = capsys.readouterr()
+    assert len(listing.out.splitlines()) == 3
+    assert listing.err == "4 logged answer(s)\n"
+    assert main(["--config", config, "cache", "clear"]) == 0
+    assert capsys.readouterr().out == ("cleared 3 cached context(s)\n"
+                                       "dropped 4 logged answer(s)\n")
+    assert not (workspace / "cache" / "answers.jsonl").exists()
+    assert main(["--config", config, "cache", "list"]) == 0
+    listing = capsys.readouterr()
+    assert listing.out == "cache is empty\n"
+    assert listing.err == "0 logged answer(s)\n"
+
+
+def test_cli_pipeline_on_another_mock_script_follows_its_own_script(workspace, capsys):
+    """Two ``pipeline`` runs on one cache with two mock scripts that give
+    different verdicts: the second follows its own script, asking its model
+    again; a third on the first script reuses the first one's answers."""
+    config = str(workspace / "config.json")
+    pipe = workspace / "p.pz"
+    pipe.write_text(PIPELINE + "\n", encoding="utf-8")
+    every = workspace / "every.json"
+    every.write_text(json.dumps({"rules": [{"match": "PREDICATE", "response": "yes"}]}),
+                     encoding="utf-8")
+    for script, expected in ((workspace / "script.json", "total: 4 calls, 0 reused"),
+                             (every, "total: 4 calls, 0 reused"),
+                             (workspace / "script.json", "total: 0 calls, 4 reused")):
+        assert main(["--config", config, "--mock-script", str(script), "pipeline",
+                     str(pipe), "--dataset", "docs"]) == 0
+        out = capsys.readouterr().out
+        assert expected in out
+        assert ("4 -> 4 records" if script == every else "4 -> 1 records") in out

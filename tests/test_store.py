@@ -12,11 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semaq import (ContextStore, StoreConflictError, StoreError,
-                   ValidationError, context_create, context_derive,
-                   hashing_embed, make_source_record)
+import semaq.store as store_mod
+from semaq import (ContextStore, MockBackend, MockRule, MockScript,
+                   StoreConflictError, StoreError, ValidationError, bind_plan,
+                   context_create, context_derive, hashing_embed,
+                   make_source_record, parse_pipeline, pipeline_execute)
 from semaq.core import Context, cosine_to_score
-from semaq.store import _checksum
+from semaq.store import LoggedAnswer, _checksum
+from tests.conftest import CHEAP
 
 
 def _ctx(description, seed="x"):
@@ -605,3 +608,132 @@ def test_clear_removes_everything(tmp_path):
     assert store.retrieve("ephemeral") == []
     reopened = ContextStore(path, hashing_embed)
     assert len(reopened) == 0
+
+
+# --- the answer log ----------------------------------------------------------------
+
+def _answer(i, model="m"):
+    """Answer ``i``: a verdict when i is even, a map's fields when odd."""
+    answer = i % 4 == 0 if i % 2 == 0 else {"f": f"v{i}", "n": float(i), "l": [i, "x"]}
+    return LoggedAnswer(model, f"{i:064x}", answer, 10 + i, 1 + i % 3, 1 + i % 2)
+
+
+def test_answer_log_round_trips_and_is_read_on_demand(tmp_path):
+    path = tmp_path / "s"
+    store = ContextStore(path, hashing_embed)
+    assert store.read_answers() == 0 and not (path / "answers.jsonl").exists()
+    store.add_answers([_answer(i) for i in range(4)] + [_answer(0)])
+    assert len((path / "answers.jsonl").read_bytes().splitlines()) == 4
+    reopened = ContextStore(path, hashing_embed)
+    assert reopened._answers_end == 0  # a reopen does not read the log
+    for i in range(4):  # the first lookup does
+        assert reopened.answer("m", _answer(i).prompt) == _answer(i)
+    assert reopened.answer("other", _answer(1).prompt) is None
+    assert reopened.read_answers() == 4
+
+
+def test_answer_log_skips_a_torn_last_line_and_cuts_it_on_append(tmp_path, caplog):
+    path = tmp_path / "s"
+    ContextStore(path, hashing_embed).add_answers([_answer(0), _answer(1)])
+    log = path / "answers.jsonl"
+    whole = log.read_bytes()
+    log.write_bytes(whole[:-10])
+    reopened = ContextStore(path, hashing_embed)
+    with caplog.at_level(logging.WARNING, logger="semaq.store"):
+        assert reopened.read_answers() == 1
+    assert "torn last line" in caplog.text
+    assert log.read_bytes() == whole[:-10]  # a read writes nothing
+    reopened.add_answers([_answer(2)])
+    assert log.read_bytes() == _answer(0).to_line() + _answer(2).to_line()
+    again = ContextStore(path, hashing_embed)
+    assert again.read_answers() == 2
+    assert again.answer("m", _answer(1).prompt) is None
+    assert again.answer("m", _answer(2).prompt) == _answer(2)
+
+
+def test_answer_log_restores_a_lost_final_newline(tmp_path):
+    path = tmp_path / "s"
+    ContextStore(path, hashing_embed).add_answers([_answer(0), _answer(1)])
+    log = path / "answers.jsonl"
+    whole = log.read_bytes()
+    log.write_bytes(whole.rstrip(b"\n"))
+    reopened = ContextStore(path, hashing_embed)
+    assert reopened.read_answers() == 2
+    reopened.add_answers([_answer(2)])
+    assert log.read_bytes() == whole + _answer(2).to_line()
+    assert ContextStore(path, hashing_embed).read_answers() == 3
+
+
+@pytest.mark.parametrize("field,value", [
+    ("model", 5), ("prompt", None), ("answer", "yes"), ("answer", [True]),
+    ("answer", {"f": float("nan")}), ("answer", {"": "v"}), ("answer", {}),
+    ("input_tokens", "3"), ("output_tokens", -1), ("calls", 0), ("calls", 1.0),
+    ("calls", True), ("answer", None),
+])
+def test_a_mistyped_answer_line_is_a_store_error(tmp_path, capsys, field, value):
+    from semaq.cli import main
+
+    path = tmp_path / "s"
+    ContextStore(path, hashing_embed).add_answers([_answer(0)])
+    doc = json.loads(_answer(1).to_line())
+    doc[field] = value
+    with open(path / "answers.jsonl", "a", encoding="utf-8") as log:
+        log.write(json.dumps(doc) + "\n")
+    with pytest.raises(StoreError, match="corrupt answer at line 2"):
+        ContextStore(path, hashing_embed).read_answers()
+    assert main(["--cache-dir", str(path), "cache", "list"]) == 9
+    assert capsys.readouterr().err.startswith(
+        "error: store-error: corrupt answer at line 2")
+    assert main(["--cache-dir", str(path), "cache", "clear"]) == 0
+    assert capsys.readouterr().out.endswith("dropped a corrupt answer log\n")
+    assert ContextStore(path, hashing_embed).read_answers() == 0
+
+
+def test_two_store_objects_see_each_others_answers_after_an_append(tmp_path):
+    path = tmp_path / "shared"
+    first = ContextStore(path, hashing_embed)
+    second = ContextStore(path, hashing_embed)
+    assert first.read_answers() == second.read_answers() == 0
+    first.add_answers([_answer(0)])
+    assert second.answer("m", _answer(0).prompt) is None  # read before the append
+    assert second.read_answers() == 1
+    assert second.answer("m", _answer(0).prompt) == _answer(0)
+    # an append loads what others appended first, and skips what it holds
+    second.add_answers([_answer(0), _answer(1)])
+    first.add_answers([_answer(1), _answer(2)])
+    assert first.answer("m", _answer(1).prompt) == _answer(1)  # caught up
+    log = (path / "answers.jsonl").read_bytes()
+    assert log == b"".join(_answer(i).to_line() for i in range(3))
+    assert first.read_answers() == second.read_answers() == 3
+    assert second.answer("m", _answer(2).prompt) == _answer(2)
+
+
+def test_reopen_does_not_read_a_10k_answer_log_until_a_run_asks(tmp_path, monkeypatch):
+    path = tmp_path / "big"
+    ContextStore(path, hashing_embed).add_answers(_answer(i) for i in range(10_000))
+    parsed = []
+    parse = store_mod._parse_answer
+    monkeypatch.setattr(store_mod, "_parse_answer",
+                        lambda line, lineno: parsed.append(lineno) or parse(line, lineno))
+    store = ContextStore(path, hashing_embed)
+    assert parsed == [] and len(store) == 0
+    records = [make_source_record({"text": f"row {i}"}, origin=f"{i}#0")
+               for i in range(3)]
+    backend = MockBackend(MockScript([MockRule("PREDICATE", "yes")]), {"cheap": CHEAP})
+    plan = parse_pipeline('scan(d) | sem_filter("p")')
+    pipeline_execute(bind_plan(plan, {1: CHEAP}), context_create(records, "d"), backend,
+                     store=store)
+    assert len(parsed) == 10_000
+    assert store.read_answers() == 10_003 and len(parsed) == 10_000
+
+
+def test_clear_drops_the_answer_log(tmp_path):
+    path = tmp_path / "wipe"
+    store = ContextStore(path, hashing_embed)
+    store.add_answers([_answer(0), _answer(1)])
+    store.clear()
+    assert not (path / "answers.jsonl").exists()
+    assert store.answer("m", _answer(0).prompt) is None
+    assert store.read_answers() == 0
+    store.add_answers([_answer(2)])
+    assert (path / "answers.jsonl").read_bytes() == _answer(2).to_line()
