@@ -24,6 +24,12 @@ A backend that declares ``in_process`` (the mock) never blocks, so its calls
 run inline in the caller's thread: no threads, and no call past what a
 downstream ``limit`` pulls.
 
+Each operator runs as one stage from one table.  A report row's ``in`` is
+the records its stage pulled and ``out`` the records it passed on, both
+counted in one wrapper; a compute or search row's ``out`` is its output
+context's size, however many of them a downstream ``limit`` takes.  Cost
+and modeled time are priced after the run's last call finishes.
+
 A plan that ``optimizer.optimize`` chose carries the answers its sampler
 got at the plan's own (position, model) pairs; a stage answers a record
 from them, with no call, when the record has the sampled id and fields.
@@ -61,8 +67,8 @@ from .core import (Context, FieldValue, Record, canonical_fields_json,
                    context_derive, context_iterate, make_derived_record,
                    record_to_json, validate_field_value)
 from .errors import OperatorError, RunAbortedError, StoreError, ValidationError
-from .lang import (Compute, Limit, LogicalOp, LogicalPlan, Project, Scan,
-                   SemFilter, SemMap, is_agentic, is_semantic, print_pipeline)
+from .lang import (Compute, Limit, LogicalOp, LogicalPlan, Project, Scan, Search,
+                   SemFilter, SemMap, is_semantic, print_pipeline)
 from .store import ContextStore, LoggedAnswer
 
 if TYPE_CHECKING:
@@ -216,19 +222,13 @@ _REASK_MAP = ChatMessage(
 
 _WORD_RE = re.compile(r"[A-Za-z]+")
 _KV_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.*?)\s*$")
+_VERDICTS = {"yes": True, "no": False}
 
 
 def parse_filter_response(text: str) -> bool | None:
     """First alphabetic token, lowercased, must be yes or no; else None."""
     match = _WORD_RE.search(text)
-    if match is None:
-        return None
-    word = match.group(0).lower()
-    if word == "yes":
-        return True
-    if word == "no":
-        return False
-    return None
+    return None if match is None else _VERDICTS.get(match.group(0).lower())
 
 
 def _coerce_value(raw, ftype: str) -> FieldValue:
@@ -426,16 +426,9 @@ class OpReport:
     reused: int = 0
 
     def to_dict(self) -> dict:
-        doc = {
-            "index": self.index, "kind": self.kind, "detail": self.detail,
-            "model_id": self.model_id, "records_in": self.records_in,
-            "records_out": self.records_out, "calls": self.calls,
-            "input_tokens": self.input_tokens, "output_tokens": self.output_tokens,
-            "cost": self.cost, "wall_seconds": self.wall_seconds,
-            "failures": self.failures,
-        }
-        if self.kind in ("sem_filter", "sem_map"):  # the only rows that reuse
-            doc["reused"] = self.reused
+        doc = dict(vars(self))  # the fields, in their order
+        if self.kind not in ("sem_filter", "sem_map"):  # the only rows that reuse
+            del doc["reused"]
         return doc
 
 
@@ -522,23 +515,6 @@ class ExecutionReport:
 # runner(kind, instruction, ctx, model) -> agent.AgentResult for kind "compute"
 # or "search"; the stage reads its context, trace.usage and (compute) answer
 AgentRunner = Callable[[str, str, Context, ModelSpec], "AgentResult"]
-
-
-class _FailureTracker:
-    def __init__(self, policy: RunPolicy, input_size: int):
-        self.policy = policy
-        self.allowed = math.ceil(policy.failure_budget * input_size)
-        self.count = 0
-
-    def register(self, error: OperatorError) -> None:
-        if self.policy.on_error == "abort":
-            raise error
-        self.count += 1
-        logger.warning("dropped record after operator failure: %s", error)
-        if self.count > self.allowed:
-            raise RunAbortedError(
-                f"failure budget exceeded: {self.count} failures > "
-                f"{self.allowed} allowed") from error
 
 
 class _Window:
@@ -647,18 +623,49 @@ def _same_record(a: Record, b: Record) -> bool:
                       == canonical_fields_json(b.fields))
 
 
-def _semantic_stage(upstream: Iterator[Record], pop: PhysicalOp, row: OpReport,
-                    backend, failures: _FailureTracker, operator_id: str,
-                    pool: ThreadPoolExecutor | None, window: _Window,
-                    sampled: SampledAnswers, log: _AnswerLog | None
-                    ) -> Iterator[Record]:
-    """Run a sem_filter or sem_map over ``upstream``, inline when ``pool``
-    is None, else on ``pool`` within ``window``.
+@dataclass
+class _Run:
+    """What the stages of one run share.  ``pool`` is None when calls run
+    inline, ``context`` is the context the next agentic stage reads, and
+    ``agentic`` holds each agentic stage's output size by position."""
 
-    A record that ``sampled`` holds with the same fields is answered from
-    it with no call; failing that, a prompt the answer ``log`` holds is.
-    Either counts in ``row.records_in`` and ``row.reused``.
+    plan: PhysicalPlan
+    backend: object
+    policy: RunPolicy
+    agent_runner: AgentRunner | None
+    pool: ThreadPoolExecutor | None
+    windows: dict[int, _Window]
+    log: _AnswerLog | None
+    context: Context
+    report: ExecutionReport
+    allowed: int  # failures the budget allows
+    agentic: dict[int, int] = field(default_factory=dict)
+    failures: int = 0
+
+    def fail(self, error: OperatorError) -> None:
+        """Drop the record ``error`` failed on, or raise under ``abort`` or
+        once the failures exceed the budget."""
+        if self.policy.on_error == "abort":
+            raise error
+        self.failures += 1
+        logger.warning("dropped record after operator failure: %s", error)
+        if self.failures > self.allowed:
+            raise RunAbortedError(
+                f"failure budget exceeded: {self.failures} failures > "
+                f"{self.allowed} allowed") from error
+
+
+def _semantic_stage(run: _Run, i: int, pop: PhysicalOp, upstream: Iterator[Record],
+                    row: OpReport) -> Iterator[Record]:
+    """Run a sem_filter or sem_map over ``upstream``, inline without a pool,
+    else on the pool within the stage's window.
+
+    A record the plan's sampled answers hold with the same fields is
+    answered from them with no call; failing that, a prompt the answer log
+    holds is.  Either counts in ``row.reused``.
     """
+    operator_id = f"{run.plan.plan_id}#op{i}"
+    sampled = run.plan.answers.get((i, pop.model.model_id), {})
     lock = threading.Lock()
 
     def work(record: Record):
@@ -670,54 +677,97 @@ def _semantic_stage(upstream: Iterator[Record], pop: PhysicalOp, row: OpReport,
             out = _answer_output(pop.logical, record, answer[1], operator_id)
         else:
             try:
-                out, usage, calls = semantic_execute(backend, pop, record,
-                                                     operator_id, log)
+                out, usage, calls = semantic_execute(run.backend, pop, record,
+                                                     operator_id, run.log)
             except OperatorError as exc:
                 usage, calls, error = (Usage(exc.input_tokens, exc.output_tokens),
                                        exc.calls, exc)
         with lock:
-            row.records_in += 1
             row.reused += not calls  # a failure made at least one call
             row.calls += calls
             row.input_tokens += usage.input_tokens
             row.output_tokens += usage.output_tokens
-            if error is not None:
-                row.failures += 1
+            row.failures += error is not None
         return out, error
 
-    results = map(work, upstream) if pool is None else window.run(work, upstream, pool)
+    results = (map(work, upstream) if run.pool is None
+               else run.windows[i].run(work, upstream, run.pool))
     for out, error in results:
         if error is not None:
-            failures.register(error)
+            run.fail(error)
         elif out is not None:
-            row.records_out += 1
             yield out
 
 
-def _project_stage(upstream: Iterator[Record], op: Project, row: OpReport,
-                   operator_id: str) -> Iterator[Record]:
+def _project_stage(run: _Run, i: int, pop: PhysicalOp, upstream: Iterator[Record],
+                   row: OpReport) -> Iterator[Record]:
     for record in upstream:
-        row.records_in += 1
-        fields = {name: record.fields[name] for name in op.fields
+        fields = {name: record.fields[name] for name in pop.logical.fields
                   if name in record.fields}
-        row.records_out += 1
-        yield make_derived_record(fields, [record.id], operator_id)
+        yield make_derived_record(fields, [record.id], f"{run.plan.plan_id}#op{i}")
 
 
-def _limit_stage(upstream: Iterator[Record], op: Limit, row: OpReport) -> Iterator[Record]:
-    for record in upstream:
-        row.records_in += 1
-        row.records_out += 1
-        yield record
-        if row.records_out >= op.count:
-            return
+def _agentic_stage(run: _Run, i: int, pop: PhysicalOp, upstream: Iterator[Record],
+                   row: OpReport) -> Iterator[Record]:
+    """Hand the records ``upstream`` passes on to the agent runner and pass on
+    its output context's; a missing runner fails before the run's first call."""
+    if run.agent_runner is None:
+        raise OperatorError(f"{row.kind} operator requires an agent runner")
+
+    def records() -> Iterator[Record]:
+        upstream_records = list(upstream)
+        stage_input = run.context if i == 1 else context_derive(
+            run.context, run.report.pipeline_text,
+            run.context.description + f"\n\n[pipeline-stage {run.plan.plan_id}#op{i}] "
+            f"{len(upstream_records)} records after upstream operators.",
+            records=upstream_records, operator="pipeline")
+        result = run.agent_runner(row.kind, pop.logical.instruction, stage_input,
+                                  pop.model)
+        usage = result.trace.usage
+        row.calls, row.input_tokens, row.output_tokens, row.wall_seconds = (
+            usage.calls, usage.input_tokens, usage.output_tokens, usage.wall_seconds)
+        run.agentic[i] = len(result.context.source)
+        if row.kind == "compute":
+            run.report.answer_text = result.answer_text
+            run.report.answer_value = result.answer_value
+        run.context = result.context
+        yield from context_iterate(result.context)
+
+    return records()
 
 
-def _scan_stage(ctx: Context, row: OpReport) -> Iterator[Record]:
-    for record in context_iterate(ctx):
-        row.records_in += 1
-        row.records_out += 1
-        yield record
+# operator type -> (report row kind, its detail, stage(run, position, bound
+# op, upstream, row) -> the records it passes on); each stage is built before
+# the run's first call, and only _counted counts its records
+_STAGES: dict[type, tuple[str, Callable[[LogicalOp], str], Callable]] = {
+    Scan: ("scan", lambda op: op.context_ref,
+           lambda run, i, pop, upstream, row: upstream),
+    SemFilter: ("sem_filter", lambda op: op.predicate, _semantic_stage),
+    SemMap: ("sem_map", lambda op: op.instruction, _semantic_stage),
+    Project: ("project", lambda op: ", ".join(op.fields), _project_stage),
+    Limit: ("limit", lambda op: str(op.count), lambda run, i, pop, upstream, row:
+            itertools.islice(upstream, pop.logical.count)),
+    Compute: ("compute", lambda op: op.instruction, _agentic_stage),
+    Search: ("search", lambda op: op.instruction, _agentic_stage),
+}
+
+
+def _counted(stage: Callable, run: _Run, i: int, pop: PhysicalOp,
+             upstream: Iterator[Record], row: OpReport) -> Iterator[Record]:
+    """Build ``stage`` on ``upstream``, counting in ``row`` the records it
+    pulls (``records_in``) and the records it passes on (``records_out``)."""
+
+    def pulled() -> Iterator[Record]:
+        for record in upstream:
+            row.records_in += 1
+            yield record
+
+    def passed(records: Iterator[Record]) -> Iterator[Record]:
+        for record in records:
+            row.records_out += 1
+            yield record
+
+    return passed(stage(run, i, pop, pulled(), row))
 
 
 def pipeline_execute(pplan: PhysicalPlan, ctx: Context, backend,
@@ -737,23 +787,11 @@ def pipeline_execute(pplan: PhysicalPlan, ctx: Context, backend,
     """
     policy = policy or RunPolicy()
     canonical = print_pipeline(pplan.logical)
-    rows: list[OpReport] = []
-    failures = _FailureTracker(policy, len(ctx.source))
-    report = ExecutionReport(plan_id=pplan.plan_id, pipeline_text=canonical,
-                             context_id="")
-
-    scan_op: Scan = pplan.ops[0].logical  # type: ignore[assignment]
-    scan_row = OpReport(index=0, kind="scan", detail=scan_op.context_ref)
-    rows.append(scan_row)
-    stream: Iterator[Record] = _scan_stage(ctx, scan_row)
-    stage_ctx = ctx
-
+    report = ExecutionReport(pplan.plan_id, canonical, context_id="")
     windows = _windows(pplan.ops, policy.pool_width)
-    n_semantic = len(windows)
-    width = policy.pool_width
-    pooled = (width > 1 and n_semantic
+    pooled = (policy.pool_width > 1 and windows
               and not getattr(backend, "in_process", False))
-    executor = (ThreadPoolExecutor(max_workers=width * n_semantic)
+    executor = (ThreadPoolExecutor(max_workers=policy.pool_width * len(windows))
                 if pooled else nullcontext())
     fingerprint = backend_fingerprint(backend) if store is not None else None
     answer_log = (_AnswerLog(store, fingerprint) if fingerprint is not None
@@ -762,74 +800,34 @@ def pipeline_execute(pplan: PhysicalPlan, ctx: Context, backend,
     # raise, so a limit cut-off or an abort leaves no call unaccounted, and
     # then appends every answer those calls got to the log
     with answer_log as log, executor as pool:
-        for i, pop in enumerate(pplan.ops[1:], start=1):
-            op = pop.logical
-            operator_id = f"{pplan.plan_id}#op{i}"
-            if isinstance(op, (SemFilter, SemMap)):
-                is_filter = isinstance(op, SemFilter)
-                row = OpReport(index=i, kind="sem_filter" if is_filter else "sem_map",
-                               detail=op.predicate if is_filter else op.instruction,
-                               model_id=pop.model.model_id)
-                sampled = pplan.answers.get((i, pop.model.model_id), {})
-                stream = _semantic_stage(stream, pop, row, backend, failures,
-                                         operator_id, pool, windows[i], sampled, log)
-            elif isinstance(op, Project):
-                row = OpReport(index=i, kind="project", detail=", ".join(op.fields))
-                stream = _project_stage(stream, op, row, operator_id)
-            elif isinstance(op, Limit):
-                row = OpReport(index=i, kind="limit", detail=str(op.count))
-                stream = _limit_stage(stream, op, row)
-            elif is_agentic(op):
-                if agent_runner is None:
-                    raise OperatorError(f"{type(op).__name__.lower()} operator "
-                                        "requires an agent runner")
-                kind = "compute" if isinstance(op, Compute) else "search"
-                row = OpReport(index=i, kind=kind, detail=op.instruction,
-                               model_id=pop.model.model_id)
-                upstream_records = list(stream)
-                row.records_in = len(upstream_records)
-                if i == 1:
-                    stage_input = stage_ctx
-                else:
-                    stage_input = context_derive(
-                        stage_ctx, canonical,
-                        stage_ctx.description + f"\n\n[pipeline-stage {operator_id}] "
-                        f"{len(upstream_records)} records after upstream operators.",
-                        records=upstream_records, operator="pipeline")
-                result = agent_runner(kind, op.instruction, stage_input, pop.model)
-                usage = result.trace.usage
-                row.records_out = len(result.context.source)
-                row.calls = usage.calls
-                row.input_tokens = usage.input_tokens
-                row.output_tokens = usage.output_tokens
-                row.cost = call_cost(pop.model,
-                                     Usage(usage.input_tokens, usage.output_tokens))
-                row.wall_seconds = usage.wall_seconds
-                if kind == "compute":
-                    report.answer_text = result.answer_text
-                    report.answer_value = result.answer_value
-                stage_ctx = result.context
-                stream = iter(list(context_iterate(result.context)))
-            else:
-                raise ValidationError(f"unsupported operator {op!r}")
-            rows.append(row)
-
+        run = _Run(pplan, backend, policy, agent_runner, pool, windows, log, ctx, report,
+                   math.ceil(policy.failure_budget * len(ctx.source)))
+        stream = context_iterate(ctx)
+        for i, pop in enumerate(pplan.ops):
+            if type(pop.logical) not in _STAGES:
+                raise ValidationError(f"unsupported operator {pop.logical!r}")
+            kind, detail, stage = _STAGES[type(pop.logical)]
+            row = OpReport(index=i, kind=kind, detail=detail(pop.logical),
+                           model_id=pop.model and pop.model.model_id)
+            report.ops.append(row)
+            stream = _counted(stage, run, i, pop, stream, row)
         out_records = list(stream)
 
-    # cost and modeled time per semantic op from its integer totals
-    for pop, row in zip(pplan.ops, rows):
-        if pop.model is not None and row.kind in ("sem_filter", "sem_map"):
-            row.cost = call_cost(pop.model, Usage(row.input_tokens, row.output_tokens))
+    # price each row with a model, once every call the run submitted has ended
+    for pop, row in zip(pplan.ops, report.ops):
+        if pop.model is None:
+            continue
+        row.cost = call_cost(pop.model, Usage(row.input_tokens, row.output_tokens))
+        if row.index in run.agentic:  # its stage set calls and time from the trace
+            row.records_out = run.agentic[row.index]  # its output context's size
+        else:
             row.wall_seconds = row.calls * pop.model.latency_prior
 
-    n_in, n_out = len(ctx.source), len(out_records)
-    description = (ctx.description
-                   + f"\n\n[pipeline {pplan.plan_id}] {canonical}; "
-                     f"records in: {n_in}; records out: {n_out}.")
+    description = (ctx.description + f"\n\n[pipeline {pplan.plan_id}] {canonical}; "
+                   f"records in: {len(ctx.source)}; records out: {len(out_records)}.")
     out_ctx = context_derive(ctx, canonical, description, records=out_records,
                              operator="pipeline")
     report.context_id = out_ctx.id
-    report.ops = rows
     return out_ctx, report
 
 

@@ -1,6 +1,7 @@
 """Execution engine: prompts, parsing, operators, iterator pipelines."""
 
 import contextlib
+import random
 import threading
 
 import pytest
@@ -14,6 +15,7 @@ from semaq.engine import (PhysicalOp, parse_filter_response, parse_map_response,
                           render_filter_prompt, render_map_prompt, semantic_execute)
 from semaq.lang import SemFilter, SemMap
 from tests.conftest import CHEAP, STRONG, BlockingBackend
+from tests.test_run_calls import _case, _cheap, _run
 
 
 def _ctx(records, description="test docs"):
@@ -636,3 +638,62 @@ def test_bind_plan_validation():
     assert bound.model_assignment() == {1: "cheap"}
     other = bind_plan(plan, {1: STRONG})
     assert other.plan_id != bound.plan_id
+
+
+# --- report row counts -------------------------------------------------------------
+
+@pytest.mark.parametrize("blocking", [False, True], ids=["inline", "blocking"])
+@pytest.mark.parametrize("width", [1, 3, 8])
+def test_each_row_pulls_what_the_row_before_passed_on(width, blocking):
+    """Oracle on seeded random plans, with and without a limit: a row's
+    ``records_in`` is the ``records_out`` of the row before it, and the last
+    row's ``records_out`` is the number of output records."""
+    rng = random.Random(f"rows-{width}-{blocking}")
+    for _ in range(12):
+        records, plan, rules = _case(rng, limited=rng.random() < 0.5)
+        _, out, report = _run(_cheap(plan), records, rules, {"cheap": CHEAP},
+                              blocking, width)
+        rows = report.ops
+        assert rows[0].records_in == rows[0].records_out
+        assert [row.records_in for row in rows[1:]] == [
+            row.records_out for row in rows[:-1]]
+        assert rows[-1].records_out == len(out)
+
+
+def _keep_all_runner(kind, instruction, stage_ctx, model):
+    """An agent runner whose output context holds every record it was given,
+    after one call."""
+    trace = AgentTrace(instruction, model.model_id,
+                       usage=AgentUsage(calls=1, input_tokens=7, output_tokens=3,
+                                        wall_seconds=model.latency_prior))
+    return AgentResult(context=context_create(list(stage_ctx.source),
+                                              stage_ctx.description + "\nkept"),
+                       trace=trace)
+
+
+def test_agentic_row_counts_its_output_context_under_a_limit(mk_backend):
+    """The search row's ``out`` is the size of its output context, 5, though
+    the limit downstream takes only 2 of its records."""
+    pplan = _bind('scan(d) | search("look") | limit(2)')
+    out_ctx, report = pipeline_execute(pplan, _ctx(_numbered(5)), mk_backend(),
+                                       agent_runner=_keep_all_runner)
+    counts = [(op.kind, op.records_in, op.records_out) for op in report.ops]
+    assert counts == [("scan", 5, 5), ("search", 5, 5), ("limit", 2, 2)]
+    assert len(out_ctx.source) == 2
+    assert report.ops[1].calls == 1
+    assert report.ops[1].cost == pytest.approx(
+        (7 * CHEAP.input_cost_per_1k + 3 * CHEAP.output_cost_per_1k) / 1000)
+
+
+@pytest.mark.parametrize("blocking", [False, True], ids=["inline", "blocking"])
+def test_missing_agent_runner_fails_before_any_call(mk_backend, blocking):
+    """The compute stage's missing runner is found before the filter above
+    it makes a call."""
+    backend = mk_backend(("PREDICATE", "yes"))
+    if blocking:
+        backend = BlockingBackend(backend)
+    pplan = _bind('scan(d) | sem_filter("p") | compute("answer")')
+    with pytest.raises(OperatorError, match="requires an agent runner"):
+        pipeline_execute(pplan, _ctx(_numbered(6)), backend,
+                         policy=RunPolicy(pool_width=8))
+    assert backend.ledger.snapshot().total_calls == 0

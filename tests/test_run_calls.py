@@ -29,16 +29,25 @@ _TAGS = {"a": 0.5, "b": 0.25, "c": 0.8, "x": 0.15}
 
 class Watch:
     """Wraps a backend: logs each first ask as (stage, record id), and keeps
-    the peak number of calls in flight per stage."""
+    the peak number of calls in flight per stage.
 
-    def __init__(self, inner):
+    With a ``gate``, a stage's first calls wait, up to ``GATE_SECONDS``,
+    until ``gate`` of them are in flight at once, so a call that completes
+    fast cannot keep the stage below the gate; after that first wait the
+    stage's calls pass straight through."""
+
+    GATE_SECONDS = 0.05
+
+    def __init__(self, inner, gate: int | None = None):
         self.inner = inner
         self.ledger = inner.ledger
         self.in_process = getattr(inner, "in_process", False)
         self.asked: list[tuple[str, str]] = []
         self.peak: Counter = Counter()
         self._live: Counter = Counter()
-        self._lock = threading.Lock()
+        self._lock = threading.Condition()
+        self._gate = gate
+        self._opened: set[str] = set()
 
     def chat(self, model_id, messages, temperature=0.0):
         stage, record_id = _STAGE_RE.search(messages[1].content).groups()
@@ -47,6 +56,11 @@ class Watch:
                 self.asked.append((stage, record_id))
             self._live[stage] += 1
             self.peak[stage] = max(self.peak[stage], self._live[stage])
+            if self._gate is not None and stage not in self._opened:
+                self._lock.notify_all()
+                self._lock.wait_for(lambda: self._live[stage] >= self._gate,
+                                    timeout=self.GATE_SECONDS)
+                self._opened.add(stage)
         try:
             return self.inner.chat(model_id, messages, temperature)
         finally:
@@ -93,10 +107,10 @@ def _mock(rules, catalog):
     return MockBackend(MockScript([MockRule(*rule) for rule in rules]), catalog)
 
 
-def _run(pplan, records, rules, catalog, blocking, width):
+def _run(pplan, records, rules, catalog, blocking, width, gate=None):
     """Execute ``pplan`` on a fresh backend: (watch, outputs, report)."""
     inner = _mock(rules, catalog)
-    backend = Watch(BlockingBackend(inner) if blocking else inner)
+    backend = Watch(BlockingBackend(inner) if blocking else inner, gate)
     out_ctx, report = pipeline_execute(pplan, context_create(records, "docs"), backend,
                                        policy=RunPolicy(pool_width=width))
     assert report.total_calls == backend.ledger.snapshot().total_calls
@@ -340,8 +354,10 @@ def test_no_stage_ever_has_more_than_pool_width_calls_in_flight(width, blocking)
     for _ in range(10):
         records, plan, rules = _case(rng, limited=rng.random() < 0.5)
         pplan = _cheap(plan)
-        watch, _, _ = _run(pplan, records, rules, {"cheap": CHEAP}, blocking, width)
+        watch, _, _ = _run(pplan, records, rules, {"cheap": CHEAP}, blocking, width,
+                           gate=width if blocking else None)
         assert all(peak <= width for peak in watch.peak.values()), watch.peak
         top = max([top, *watch.peak.values()])
-    # the bound is reached, so the check can see a breach
+    # the bound is reached, so the check can see a breach; the gate holds
+    # each stage's first calls until the pool has started ``width`` of them
     assert top == (width if blocking else 1)
