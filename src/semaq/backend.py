@@ -11,6 +11,7 @@ and charges deterministic wall time, so full runs are bit-reproducible.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import logging
 import math
@@ -31,7 +32,7 @@ from .errors import (BackendError, ConfigurationError, MockMissError,
 logger = logging.getLogger(__name__)
 
 DEFAULT_EMBED_DIM = 256
-# distinct (token, dim) pairs whose hash bucket and sign hashing_embed keeps
+# distinct (token, dim) pairs whose signed slot hashing_embed keeps
 EMBED_MEMO_TOKENS = 1 << 15
 API_KEY_ENV = "SEMAQ_API_KEY"
 
@@ -215,37 +216,49 @@ class UsageLedger:
             return LedgerSnapshot(per_model=tuple(rows))
 
 
+# each byte of a token (ASCII a-z, 0-9) maps to itself, every other byte to a
+# space: the bytes of a non-ASCII character are all >= 0x80
+_TOKEN_BYTES = bytes(b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789" else 0x20
+                     for b in range(256))
+
+
 @functools.lru_cache(maxsize=EMBED_MEMO_TOKENS)
-def _token_slot(token: str, dim: int) -> tuple[int, float]:
-    """The bucket and sign that ``token`` adds to a ``dim``-wide embedding."""
-    digest = hashlib.sha256(token.encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "big") % dim, 1.0 if digest[4] & 1 else -1.0
+def _token_slot(token: bytes, dim: int) -> int:
+    """Where ``token`` (UTF-8) adds to a ``dim``-wide embedding, as one signed
+    slot: its bucket when it adds +1, its bucket + ``dim`` when it adds -1."""
+    digest = hashlib.sha256(token).digest()
+    bucket = int.from_bytes(digest[:4], "big") % dim
+    return bucket if digest[4] & 1 else bucket + dim
 
 
 def hashing_embed(text: str, dim: int = DEFAULT_EMBED_DIM) -> np.ndarray:
     """Deterministic bag-of-words embedding via signed feature hashing.
 
-    Tokens are lowercased alphanumeric runs; each token adds +/-1 to one
-    bucket chosen by a cryptographic hash of the token.  The result is
+    Tokens are the runs of ASCII letters and digits in the lowercased text
+    (the whole lowercased text when it has none); each token adds +/-1 to
+    one bucket chosen by a cryptographic hash of the token.  The result is
     L2-normalized, so identical texts embed identically on every platform.
-    Each token's bucket and sign are hashed once per process and kept in a
-    memo bounded at ``EMBED_MEMO_TOKENS`` entries; the bucket sums are
-    small integers, exact in any order, so the memo changes no bit.
+    Each token's signed slot is hashed once per process and kept in a memo
+    bounded at ``EMBED_MEMO_TOKENS`` entries; the bucket sums are small
+    integers, exact in any order, so the memo changes no bit.  Text that
+    UTF-8 cannot encode (a lone surrogate) is a :class:`ValidationError`.
     """
-    tokens = re.findall(r"[a-z0-9]+", text.lower())
-    if not tokens:
-        tokens = [text.lower()]
-    counts = [0.0] * dim
-    for token in tokens:
-        bucket, sign = _token_slot(token, dim)
-        counts[bucket] += sign
-    vec = np.array(counts, dtype=np.float64)
-    norm = float(np.linalg.norm(vec))
+    try:
+        data = text.lower().encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError("text to embed is not valid Unicode") from None
+    tokens = data.translate(_TOKEN_BYTES).split() or [data]
+    slots = np.bincount(np.fromiter(map(_token_slot, tokens, itertools.repeat(dim)),
+                                    np.intp, len(tokens)), minlength=2 * dim)
+    counts = slots[:dim] - slots[dim:]
+    # the counts are small integers, so their sum of squares is exact and its
+    # root is the float64 norm np.linalg.norm would give, bit for bit
+    norm = math.sqrt(counts @ counts)
     if norm == 0.0:
         # total cancellation; fall back to a fixed unit vector
-        vec[0] = 1.0
+        counts[0] = 1
         norm = 1.0
-    return vec / norm
+    return counts / norm
 
 
 def load_json_object(path, what: str) -> dict:

@@ -5,6 +5,11 @@ records together with a natural-language description of what they are, an
 optional vector index, a tool registry, and lineage describing how the
 context was derived.  Everything downstream (operators, agents, the store)
 builds on these types.
+
+A record's fields are validated once, where it is made: the id functions
+validate before they hash, so text UTF-8 cannot encode, a non-finite number
+or a list nested past ``MAX_FIELD_NESTING`` fails before any hashing, and
+the record constructors then skip the dataclass's own second pass.
 """
 
 from __future__ import annotations
@@ -73,18 +78,26 @@ def _short_hash(payload: str, prefix: str, length: int = 12) -> str:
     return f"{prefix}{digest[:length]}"
 
 
+# json.dumps with these arguments builds a new encoder on every call; one
+# shared encoder gives the same text (encoding keeps no state between calls)
+_CANONICAL_JSON = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
+
 def canonical_fields_json(fields: dict) -> str:
     """Serialize fields preserving insertion order; used for hashing and dumps."""
-    return json.dumps(fields, ensure_ascii=False, separators=(",", ":"))
+    return _CANONICAL_JSON.encode(fields)
 
 
 def source_record_id(fields: dict, origin: str = "") -> str:
-    """Stable id for a source record: content hash plus where it came from."""
+    """Stable id for a source record: content hash plus where it came from.
+    The fields are validated first, so invalid ones fail before hashing."""
     validate_fields(fields)
     return _short_hash(canonical_fields_json(fields) + "\x1f" + origin, "r")
 
 
 def derived_record_id(parent_ids: Sequence[str], operator: str, fields: dict) -> str:
+    """Stable id for a derived record: its parents, operator and fields.
+    The fields are validated first, so invalid ones fail before hashing."""
     validate_fields(fields)
     payload = ",".join(parent_ids) + "\x1f" + operator + "\x1f" + canonical_fields_json(fields)
     return _short_hash(payload, "r")
@@ -100,7 +113,11 @@ class RecordLineage:
 
 @dataclass(frozen=True)
 class Record:
-    """One unit of data: a stable id plus an ordered mapping of named fields."""
+    """One unit of data: a stable id plus an ordered mapping of named fields.
+
+    Constructing one validates its id and fields.  :func:`make_source_record`
+    and :func:`make_derived_record` validate the fields once, in the id
+    function, and skip this second pass."""
 
     id: str
     fields: dict
@@ -111,16 +128,29 @@ class Record:
         validate_fields(self.fields)
 
 
+def _validated_record(id: str, fields: dict,
+                      lineage: RecordLineage | None = None) -> Record:
+    """A Record whose fields the id function has validated and whose id is
+    a hex digest, built without ``__post_init__``'s second pass."""
+    record = object.__new__(Record)
+    object.__setattr__(record, "id", id)
+    object.__setattr__(record, "fields", fields)
+    object.__setattr__(record, "lineage", lineage)
+    return record
+
+
 def make_source_record(fields: dict, origin: str = "") -> Record:
-    return Record(id=source_record_id(fields, origin), fields=dict(fields))
+    """A source record over a copy of ``fields``, id'd by
+    :func:`source_record_id`, which validates them."""
+    return _validated_record(source_record_id(fields, origin), dict(fields))
 
 
 def make_derived_record(fields: dict, parents: Sequence[str], operator: str) -> Record:
-    return Record(
-        id=derived_record_id(parents, operator, fields),
-        fields=dict(fields),
-        lineage=RecordLineage(parents=tuple(parents), operator=operator),
-    )
+    """A derived record over a copy of ``fields``, id'd by
+    :func:`derived_record_id`, which validates them."""
+    return _validated_record(derived_record_id(parents, operator, fields),
+                             dict(fields),
+                             RecordLineage(parents=tuple(parents), operator=operator))
 
 
 def record_to_json(record: Record) -> str:

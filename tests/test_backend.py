@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import random
 import re
 import sys
 import threading
@@ -233,6 +234,65 @@ def test_memoized_embed_matches_per_token_digest_loop():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
+
+
+# characters whose lowercase is ASCII (KELVIN SIGN, I WITH DOT ABOVE), that
+# look like token characters but are not ASCII (full-width digits and
+# letters, sharp s and its capital, Greek), NBSP and the ASCII whitespace
+_EMBED_ALPHABET = ("abcxyzABCXYZ0189 \t\n\r\x0b\x0c.,;:!?-_'\"()[]{}#@/\\"
+                   "\u212a\u0130\u00df\u1e9e\u00a0\uff10\uff19\uff41\uff3a"
+                   "\u00e9\u00c9\u0391\u03c3\u03a3\u65e5\u672c\U0001f600")
+
+
+def _random_unicode_text(rng):
+    """Text of ASCII words and characters drawn from ``_EMBED_ALPHABET`` or
+    from any code point that is not a surrogate."""
+    parts = []
+    for _ in range(rng.randrange(0, 60)):
+        roll = rng.random()
+        if roll < 0.3:
+            parts.append("".join(rng.choice("abcdefghijklmnopqrstuvwxyzABCXYZ0123456789")
+                                 for _ in range(rng.randrange(1, 8))))
+        elif roll < 0.85:
+            parts.append(rng.choice(_EMBED_ALPHABET))
+        else:
+            code = rng.randrange(0x80, 0x110000 - 0x800)
+            parts.append(chr(code + 0x800 if code >= 0xD800 else code))
+    return "".join(parts)
+
+
+def test_embed_matches_reference_on_random_unicode_text():
+    rng = random.Random(19)
+    texts = [_random_unicode_text(rng) for _ in range(400)]
+    texts += [
+        "", " \t\n ", "!!! ... ???", "\u00a0\u00a0", "\u212a\u0130\u00df",
+        "\u212aelvin \u0130stanbul stra\u00dfe \uff11\uff12 12", "a\tb\nc\rd\u00a0e",
+        "\uff10\uff11\uff12", " ".join(rng.choice(["invoice", "Q3", "deal", "\u212a"])
+                                       for _ in range(5000))]
+    widths = (1, 64, 256, 1536)
+    # a pair cancels at its own width and falls back to the unit vector
+    texts += [" ".join(_cancelling_pair(dim)) for dim in widths]
+    for dim in widths:
+        for text in texts:
+            assert hashing_embed(text, dim).tobytes() == \
+                _reference_embed(text, dim).tobytes(), (text[:40], dim)
+
+
+def test_embed_of_email_corpus_pinned():
+    """The embeddings' bytes (little-endian float64) as computed by the
+    per-token digest loop, so every Python version checks the same bits."""
+    digest = hashlib.sha256()
+    for dim in (1, 64, 256, 1536):
+        for record in gen_email_corpus(seed=7, n=250).records:
+            digest.update(hashing_embed(record_text(record), dim).tobytes())
+    assert digest.hexdigest() == \
+        "b86ad9d18520db68e04f8a6c98efb930cdb893a6e7ec96bada84cdd3129f890a"
+
+
+@pytest.mark.parametrize("text", ["ok \ud800", "\udcff", "\udcff ok", "A\udc80B"])
+def test_embed_rejects_text_utf8_cannot_encode(text):
+    with pytest.raises(ValidationError, match="not valid Unicode"):
+        hashing_embed(text)
 
 
 # --- HTTP backend ---------------------------------------------------------------

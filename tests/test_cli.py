@@ -267,6 +267,22 @@ def test_cli_run_instruction_that_is_not_unicode(workspace, capsys):
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize("use_cache", [False, True])
+def test_cli_run_undecodable_instruction_is_a_validation_error_with_and_without_cache(
+        workspace, capsys, use_cache):
+    """With --use-cache the instruction is embedded to search the store
+    before the agent sees it; that embed rejects it as invalid too."""
+    run_dir = workspace / "out"
+    code = main(["--config", str(workspace / "config.json"), "run",
+                 *(["--use-cache"] if use_cache else []), "docs", "\udcff",
+                 "--run-dir", str(run_dir)])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: validation-error: ")
+    assert "is not valid Unicode" in out.err
+    assert not run_dir.exists()
+
+
 def test_cli_run_unknown_dataset(workspace, capsys):
     code = main(["--config", str(workspace / "config.json"), "run", "ghost",
                  "anything"])

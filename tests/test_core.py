@@ -1,6 +1,10 @@
 """Records, contexts, snapshots, and the exact vector index."""
 
+import hashlib
+import json
 import math
+import random
+import types
 
 import numpy as np
 import pytest
@@ -10,8 +14,10 @@ from semaq import (CapabilityError, ContextStore, RecordSnapshot, ToolParam,
                    context_derive, context_lookup, context_topk, hashing_embed,
                    make_derived_record, make_source_record, record_from_json,
                    record_to_json)
-from semaq.core import (context_iterate, cosine_to_score, cosine_topk,
-                        record_text, source_record_id, validate_field_value)
+from semaq import core
+from semaq.core import (Record, RecordLineage, context_iterate, cosine_to_score,
+                        cosine_topk, record_text, source_record_id,
+                        validate_field_value, validate_fields)
 
 
 # --- field validation ----------------------------------------------------------
@@ -74,6 +80,144 @@ def test_record_from_bare_field_map_uses_origin():
 def test_record_rejects_non_finite_fields():
     with pytest.raises(ValidationError):
         make_source_record({"x": math.inf})
+
+
+# --- record construction oracle ---------------------------------------------------
+
+_FIELD_TEXT = "ab yz09 \t\n.,\"\\\u00e9\u00df\u212a\u0130\u00a0\uff10\u65e5\U0001f600"
+
+
+def _random_text(rng, least=0):
+    return "".join(rng.choice(_FIELD_TEXT) for _ in range(rng.randrange(least, 12)))
+
+
+def _random_value(rng, depth=0):
+    """A valid field value: lists nest at most 8 deep, like the cap."""
+    roll = rng.random()
+    if roll < 0.25 and depth < 8:
+        return [_random_value(rng, depth + 1) for _ in range(rng.randrange(0, 4))]
+    if roll < 0.45:
+        return _random_text(rng)
+    if roll < 0.65:
+        return rng.choice([-0.0, 0.5, 1e-300, 1.7e308, -2.5e-5, rng.uniform(-1e6, 1e6),
+                           rng.random() * 10 ** rng.randrange(-20, 20)])
+    if roll < 0.85:
+        return rng.choice([0, -7, 2 ** 63, rng.randrange(-10 ** 30, 10 ** 30)])
+    return rng.choice([None, True, False])
+
+
+def _random_fields(rng):
+    return {_random_text(rng, least=1): _random_value(rng)
+            for _ in range(rng.randrange(0, 6))}
+
+
+def _reference_id(payload):
+    return "r" + hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+
+
+def _reference_json(fields):
+    return json.dumps(fields, ensure_ascii=False, separators=(",", ":"))
+
+
+def _reference_source_record(fields, origin=""):
+    """The two-validation construction: the id function validates, and so
+    does ``Record.__post_init__``."""
+    validate_fields(fields)
+    return Record(id=_reference_id(_reference_json(fields) + "\x1f" + origin),
+                  fields=dict(fields))
+
+
+def _reference_derived_record(fields, parents, operator):
+    validate_fields(fields)
+    payload = ",".join(parents) + "\x1f" + operator + "\x1f" + _reference_json(fields)
+    return Record(id=_reference_id(payload), fields=dict(fields),
+                  lineage=RecordLineage(parents=tuple(parents), operator=operator))
+
+
+def _same_record(got, want):
+    assert type(got) is Record
+    assert got == want
+    assert list(got.fields) == list(want.fields)
+    assert _reference_json(got.fields) == _reference_json(want.fields)
+
+
+def test_record_construction_matches_two_validation_reference():
+    rng = random.Random(19)
+    for case in range(300):
+        fields = _random_fields(rng)
+        origin = _random_text(rng)
+        source = make_source_record(fields, origin)
+        _same_record(source, _reference_source_record(fields, origin))
+        assert source.fields is not fields
+        _same_record(record_from_json(_reference_json(fields), origin), source)
+        parents = [source.id, f"r{case:012d}"][:rng.randrange(0, 3)]
+        operator = f"plan-{case}#op{rng.randrange(5)}"
+        derived = make_derived_record(fields, parents, operator)
+        _same_record(derived, _reference_derived_record(fields, parents, operator))
+        assert derived.fields is not fields
+        _same_record(record_from_json(record_to_json(derived)), derived)
+
+
+_NESTED_TOO_DEEP = [[[[[[[[[1]]]]]]]]]
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"na\ud800me": 1}, "field name is not valid Unicode"),
+    ({"name": "val\udcffue"}, "field value is not valid Unicode"),
+    ({"name": ["ok", ["\ud800"]]}, "field value is not valid Unicode"),
+    ({"x": math.nan}, "field value must be finite, got nan"),
+    ({"x": [1, -math.inf]}, "field value must be finite, got -inf"),
+    ({"x": _NESTED_TOO_DEEP}, "field value nesting exceeds 8 levels"),
+    ({"": 1}, "field names must be non-empty strings"),
+    ({1: 1}, "field names must be non-empty strings"),
+    ([("x", 1)], "record fields must be a mapping"),
+    (types.MappingProxyType({"x": 1}), "record fields must be a mapping"),
+], ids=["surrogate-name", "surrogate-value", "surrogate-nested", "nan", "inf",
+        "too-deep", "empty-name", "int-name", "pairs", "mapping-proxy"])
+def test_invalid_fields_fail_before_any_hashing(monkeypatch, fields, message):
+    def no_hashing(*args):
+        raise AssertionError("hashed before validating")
+
+    monkeypatch.setattr(core, "_short_hash", no_hashing)
+    monkeypatch.setattr(core, "canonical_fields_json", no_hashing)
+    with pytest.raises(ValidationError) as source_error:
+        make_source_record(fields, "o#0")
+    with pytest.raises(ValidationError) as derived_error:
+        make_derived_record(fields, ["r0"], "sem_map")
+    assert str(source_error.value) == str(derived_error.value) == message
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"na\\ud800me": 1}', "field name is not valid Unicode"),
+    ('{"x": "\\udcff"}', "field value is not valid Unicode"),
+    ('{"x": NaN}', "field value must be finite, got nan"),
+    ('{"x": Infinity}', "field value must be finite, got inf"),
+    ('{"x": [[[[[[[[[1]]]]]]]]]}', "field value nesting exceeds 8 levels"),
+    ('{"": 1}', "field names must be non-empty strings"),
+    ('{"id": "r1", "fields": {"x": NaN}}', "field value must be finite, got nan"),
+    ('[1]', "record line must be a JSON object"),
+])
+def test_record_from_json_rejects_invalid_fields_before_any_hashing(
+        monkeypatch, line, message):
+    def no_hashing(*args):
+        raise AssertionError("hashed before validating")
+
+    monkeypatch.setattr(core, "_short_hash", no_hashing)
+    with pytest.raises(ValidationError) as error:
+        record_from_json(line, "o#0")
+    assert str(error.value) == message
+
+
+def test_direct_record_construction_still_validates():
+    with pytest.raises(ValidationError, match="record id is not valid Unicode"):
+        Record(id="r\ud800", fields={})
+    with pytest.raises(ValidationError, match="must be finite"):
+        Record(id="r1", fields={"x": math.inf})
+    with pytest.raises(ValidationError, match="record fields must be a mapping"):
+        Record(id="r1", fields=[("x", 1)])
+    with pytest.raises(ValidationError, match="nesting exceeds 8 levels"):
+        Record(id="r1", fields={"x": _NESTED_TOO_DEEP},
+               lineage=RecordLineage(parents=("r0",), operator="sem_map"))
 
 
 def test_record_text_prefers_text_field():
