@@ -176,12 +176,17 @@ def record_from_json(line: str, origin: str = "") -> Record:
         raw = doc.get("lineage")
         if raw:
             if not (isinstance(raw, dict) and isinstance(raw.get("parents"), list)
+                    and all(isinstance(parent, str) for parent in raw["parents"])
                     and isinstance(raw.get("operator"), str)):
                 raise ValidationError(
-                    "record lineage must be {parents: list, operator: str}")
+                    "record lineage must be {parents: list of str, operator: str}")
             lineage = RecordLineage(parents=tuple(raw["parents"]),
                                     operator=raw["operator"])
-        rec_id = doc.get("id") or source_record_id(doc["fields"], origin)
+        rec_id = doc.get("id")
+        if rec_id is not None and not isinstance(rec_id, str):
+            raise ValidationError(
+                f"record id must be a string, not {type(rec_id).__name__}")
+        rec_id = rec_id or source_record_id(doc["fields"], origin)
         return Record(id=rec_id, fields=doc["fields"], lineage=lineage)
     return make_source_record(doc, origin)
 

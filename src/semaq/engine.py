@@ -68,7 +68,7 @@ from .core import (Context, FieldValue, Record, canonical_fields_json,
                    record_to_json, validate_field_value)
 from .errors import OperatorError, RunAbortedError, StoreError, ValidationError
 from .lang import (Compute, Limit, LogicalOp, LogicalPlan, Project, Scan, Search,
-                   SemFilter, SemMap, is_semantic, print_pipeline)
+                   SemFilter, SemMap, describe_op, is_semantic, print_pipeline)
 from .store import ContextStore, LoggedAnswer
 
 if TYPE_CHECKING:
@@ -736,19 +736,17 @@ def _agentic_stage(run: _Run, i: int, pop: PhysicalOp, upstream: Iterator[Record
     return records()
 
 
-# operator type -> (report row kind, its detail, stage(run, position, bound
-# op, upstream, row) -> the records it passes on); each stage is built before
-# the run's first call, and only _counted counts its records
-_STAGES: dict[type, tuple[str, Callable[[LogicalOp], str], Callable]] = {
-    Scan: ("scan", lambda op: op.context_ref,
-           lambda run, i, pop, upstream, row: upstream),
-    SemFilter: ("sem_filter", lambda op: op.predicate, _semantic_stage),
-    SemMap: ("sem_map", lambda op: op.instruction, _semantic_stage),
-    Project: ("project", lambda op: ", ".join(op.fields), _project_stage),
-    Limit: ("limit", lambda op: str(op.count), lambda run, i, pop, upstream, row:
-            itertools.islice(upstream, pop.logical.count)),
-    Compute: ("compute", lambda op: op.instruction, _agentic_stage),
-    Search: ("search", lambda op: op.instruction, _agentic_stage),
+# operator type -> stage(run, position, bound op, upstream, row) -> the
+# records it passes on; each stage is built before the run's first call, and
+# only _counted counts its records
+_STAGES: dict[type, Callable] = {
+    Scan: lambda run, i, pop, upstream, row: upstream,
+    SemFilter: _semantic_stage,
+    SemMap: _semantic_stage,
+    Project: _project_stage,
+    Limit: lambda run, i, pop, upstream, row: itertools.islice(upstream, pop.logical.count),
+    Compute: _agentic_stage,
+    Search: _agentic_stage,
 }
 
 
@@ -806,11 +804,11 @@ def pipeline_execute(pplan: PhysicalPlan, ctx: Context, backend,
         for i, pop in enumerate(pplan.ops):
             if type(pop.logical) not in _STAGES:
                 raise ValidationError(f"unsupported operator {pop.logical!r}")
-            kind, detail, stage = _STAGES[type(pop.logical)]
-            row = OpReport(index=i, kind=kind, detail=detail(pop.logical),
+            kind, detail = describe_op(pop.logical)
+            row = OpReport(index=i, kind=kind, detail=detail,
                            model_id=pop.model and pop.model.model_id)
             report.ops.append(row)
-            stream = _counted(stage, run, i, pop, stream, row)
+            stream = _counted(_STAGES[type(pop.logical)], run, i, pop, stream, row)
         out_records = list(stream)
 
     # price each row with a model, once every call the run submitted has ended

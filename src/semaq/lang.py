@@ -18,16 +18,22 @@ Supported operators::
     search("instruction")
 
 String literals are double-quoted with backslash escapes (``\\"``, ``\\\\``,
-``\\n``, ``\\t``, ``\\r``).  ``print_pipeline`` emits a canonical form and
-``parse(print(parse(text)))`` is a fixed point.  A plan's id is a hash of its
-canonical text, so insignificant whitespace never changes identity.
+``\\n``, ``\\t``, ``\\r``).  Identifiers are ASCII ``[A-Za-z_][A-Za-z0-9_]*``;
+a number is decimal digits of any script.  ``_TOKEN`` is the whole token
+grammar, and ``_SHAPES`` is the one place an operator's name and argument
+shape live: the parser, the printer and the run report's rows all read it.
+
+``print_pipeline`` emits a canonical form and ``parse(print(parse(text)))``
+is a fixed point.  A plan's id is a hash of its canonical text, so
+insignificant whitespace never changes identity.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import PipelineSyntaxError, ValidationError
 
@@ -139,42 +145,70 @@ def make_plan(ops: Sequence[LogicalOp]) -> LogicalPlan:
         raise ValidationError("a pipeline must start with scan(...)")
     if any(isinstance(op, Scan) for op in ops[1:]):
         raise ValidationError("scan may only appear first")
-    canonical = _print_ops(ops)
-    plan_id = "lp-" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+    try:
+        canonical = _print_ops(ops).encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate in an argument
+        raise ValidationError("pipeline text is not valid Unicode") from None
+    plan_id = "lp-" + hashlib.sha256(canonical).hexdigest()[:12]
     return LogicalPlan(ops=ops, plan_id=plan_id)
+
+
+# --- the operator table -----------------------------------------------------
+
+# operator type -> (name, the kind of each argument in dataclass field order,
+# which is the order vars(op) lists them in); the parser reads, the printer
+# writes and the run report describes each argument by its kind
+_SHAPES: dict[type, tuple[str, tuple[str, ...]]] = {
+    Scan: ("scan", ("ident",)),
+    SemFilter: ("sem_filter", ("string",)),
+    SemMap: ("sem_map", ("string", "fields")),
+    Project: ("project", ("idents",)),
+    Limit: ("limit", ("number",)),
+    Compute: ("compute", ("string",)),
+    Search: ("search", ("string",)),
+}
+_BY_NAME = {name: op_type for op_type, (name, _) in _SHAPES.items()}
+
+
+def _shape(op: LogicalOp) -> tuple[str, tuple[str, ...]]:
+    shape = _SHAPES.get(type(op))
+    if shape is None:
+        raise ValidationError(f"unknown operator: {op!r}")
+    return shape
+
+
+def describe_op(op: LogicalOp) -> tuple[str, str]:
+    """A run report row's kind and detail for ``op``: its name and its
+    first argument, unquoted."""
+    name, kinds = _shape(op)
+    first = next(iter(vars(op).values()))
+    return name, ", ".join(first) if kinds[0] == "idents" else str(first)
 
 
 # --- printing ---------------------------------------------------------------
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"})
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
 
 def escape_string(text: str) -> str:
-    return "".join(_ESCAPES.get(ch, ch) for ch in text)
+    return text.translate(_ESCAPES)
 
 
-def _quote(text: str) -> str:
-    return f'"{escape_string(text)}"'
+_FORMATS = {
+    "ident": str,
+    "string": lambda text: f'"{escape_string(text)}"',
+    "number": str,
+    "idents": ", ".join,
+    "fields": lambda fields: "{" + ", ".join(f"{name}: {ftype}"
+                                             for name, ftype in fields) + "}",
+}
 
 
 def _print_op(op: LogicalOp) -> str:
-    if isinstance(op, Scan):
-        return f"scan({op.context_ref})"
-    if isinstance(op, SemFilter):
-        return f"sem_filter({_quote(op.predicate)})"
-    if isinstance(op, SemMap):
-        fields = ", ".join(f"{name}: {ftype}" for name, ftype in op.output_fields)
-        return f"sem_map({_quote(op.instruction)}, {{{fields}}})"
-    if isinstance(op, Project):
-        return f"project({', '.join(op.fields)})"
-    if isinstance(op, Limit):
-        return f"limit({op.count})"
-    if isinstance(op, Compute):
-        return f"compute({_quote(op.instruction)})"
-    if isinstance(op, Search):
-        return f"search({_quote(op.instruction)})"
-    raise ValidationError(f"unknown operator: {op!r}")
+    name, kinds = _shape(op)
+    args = ", ".join(_FORMATS[kind](value) for kind, value in zip(kinds, vars(op).values()))
+    return f"{name}({args})"
 
 
 def _print_ops(ops: Sequence[LogicalOp]) -> str:
@@ -188,97 +222,60 @@ def print_pipeline(plan: LogicalPlan) -> str:
 
 # --- lexing -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ident | string | number | punct | eof
     value: str
     line: int
     column: int
 
 
-_PUNCT = "|(){}:,"
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
+# the longest valid prefix of a string literal, which lacks only the closing quote
+_OPEN_STRING = re.compile(r'"[^"\\\n]*(?:\\["\\ntr][^"\\\n]*)*')
+# one alternative per token kind; "error" takes any other character.  \d is
+# what str.isdecimal accepts, the digits int() reads ('²' is not one)
+_TOKEN = re.compile(rf"""
+    (?P<blank>[ \t\r]+|\#[^\n]*)
+  | (?P<newline>\n)
+  | (?P<punct>[|(){{}}:,])
+  | (?P<string>{_OPEN_STRING.pattern}")
+  | (?P<number>\d+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<error>.)
+""", re.VERBOSE)
+_ESCAPE = re.compile(r"\\(.)")
+
+
+def _string_error(text: str, start: int, line: int, line_start: int) -> PipelineSyntaxError:
+    """Say why the string literal opening at ``start`` does not close: the
+    character after its longest valid prefix tells."""
+    end = _OPEN_STRING.match(text, start).end()
+    if end == len(text):
+        return PipelineSyntaxError("unterminated string literal", line, start - line_start + 1)
+    column = end - line_start + 1
+    if text[end] == "\n":
+        return PipelineSyntaxError("raw newline in string literal (use \\n)", line, column)
+    if end + 1 == len(text):
+        return PipelineSyntaxError("dangling escape", line, column)
+    return PipelineSyntaxError(f"unknown escape \\{text[end + 1]}", line, column)
 
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            out = []
-            while True:
-                if i >= n:
-                    raise PipelineSyntaxError("unterminated string literal",
-                                              start_line, start_col)
-                ch = text[i]
-                if ch == '"':
-                    i += 1
-                    col += 1
-                    break
-                if ch == "\n":
-                    raise PipelineSyntaxError(
-                        "raw newline in string literal (use \\n)", line, col)
-                if ch == "\\":
-                    if i + 1 >= n:
-                        raise PipelineSyntaxError("dangling escape", line, col)
-                    esc = text[i + 1]
-                    if esc not in _UNESCAPES:
-                        raise PipelineSyntaxError(f"unknown escape \\{esc}", line, col)
-                    out.append(_UNESCAPES[esc])
-                    i += 2
-                    col += 2
-                    continue
-                out.append(ch)
-                i += 1
-                col += 1
-            tokens.append(_Token("string", "".join(out), start_line, start_col))
-            continue
-        # isdecimal, not isdigit: '²' is a digit that int() rejects
-        if ch.isdecimal():
-            start_col = col
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(_Token("number", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _IDENT_START:
-            start_col = col
-            j = i
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise PipelineSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, value, start = match.lastgroup, match.group(), match.start()
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "error":
+            if value == '"':
+                raise _string_error(text, start, line, line_start)
+            raise PipelineSyntaxError(f"unexpected character {value!r}",
+                                      line, start - line_start + 1)
+        elif kind != "blank":
+            if kind == "string":
+                value = _ESCAPE.sub(lambda esc: _UNESCAPES[esc.group(1)], value[1:-1])
+            tokens.append(_Token(kind, value, line, start - line_start + 1))
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -306,68 +303,60 @@ class _Parser:
                 tok.line, tok.column)
         return tok
 
+    def _at(self, punct: str) -> bool:
+        tok = self._peek()
+        return tok.kind == "punct" and tok.value == punct
+
     def parse(self) -> LogicalPlan:
-        ops: list[LogicalOp] = [self._parse_scan()]
-        while True:
-            tok = self._peek()
-            if tok.kind == "eof":
-                break
-            if tok.kind == "punct" and tok.value == "|":
-                self._next()
-                ops.append(self._parse_op())
-                continue
-            raise PipelineSyntaxError(
-                f"expected '|' or end of pipeline, found {tok.value!r}",
-                tok.line, tok.column)
+        ops: list[LogicalOp] = [self._parse_op(first=True)]
+        while (tok := self._peek()).kind != "eof":
+            if not self._at("|"):
+                raise PipelineSyntaxError(
+                    f"expected '|' or end of pipeline, found {tok.value!r}",
+                    tok.line, tok.column)
+            self._next()
+            ops.append(self._parse_op(first=False))
         try:
             return make_plan(ops)
         except ValidationError as exc:
             raise PipelineSyntaxError(str(exc)) from exc
 
-    def _parse_scan(self) -> Scan:
-        tok = self._expect("ident")
-        if tok.value != "scan":
-            raise PipelineSyntaxError(
-                f"pipeline must start with scan(...), found {tok.value!r}",
-                tok.line, tok.column)
-        self._expect("punct", "(")
-        ref = self._expect("ident")
-        self._expect("punct", ")")
-        return Scan(context_ref=ref.value)
-
-    def _parse_op(self) -> LogicalOp:
+    def _parse_op(self, first: bool) -> LogicalOp:
         name_tok = self._expect("ident")
         name = name_tok.value
+        if first and name != "scan":
+            raise PipelineSyntaxError(
+                f"pipeline must start with scan(...), found {name!r}",
+                name_tok.line, name_tok.column)
         self._expect("punct", "(")
-        try:
-            if name == "sem_filter":
-                op: LogicalOp = SemFilter(predicate=self._expect("string").value)
-            elif name == "sem_map":
-                instruction = self._expect("string").value
+        op_type = _BY_NAME.get(name)
+        if op_type is None:
+            raise PipelineSyntaxError(f"unknown operator {name!r}",
+                                      name_tok.line, name_tok.column)
+        if op_type is Scan and not first:
+            raise PipelineSyntaxError("scan may only appear first",
+                                      name_tok.line, name_tok.column)
+        args = []
+        for i, kind in enumerate(_SHAPES[op_type][1]):
+            if i:
                 self._expect("punct", ",")
-                op = SemMap(instruction=instruction, output_fields=self._parse_field_map())
-            elif name == "project":
-                op = Project(fields=self._parse_ident_list())
-            elif name == "limit":
-                count_tok = self._expect("number")
-                op = Limit(count=int(count_tok.value))
-            elif name == "compute":
-                op = Compute(instruction=self._expect("string").value)
-            elif name == "search":
-                op = Search(instruction=self._expect("string").value)
-            elif name == "scan":
-                raise PipelineSyntaxError("scan may only appear first",
-                                          name_tok.line, name_tok.column)
-            else:
-                raise PipelineSyntaxError(f"unknown operator {name!r}",
-                                          name_tok.line, name_tok.column)
+            args.append(self._READERS[kind](self))
+        try:
+            op = op_type(*args)
         except ValidationError as exc:
             raise PipelineSyntaxError(f"{name}: {exc}",
                                       name_tok.line, name_tok.column) from exc
         self._expect("punct", ")")
         return op
 
-    def _parse_field_map(self) -> tuple[tuple[str, str], ...]:
+    def _read_idents(self) -> tuple[str, ...]:
+        names = [self._expect("ident").value]
+        while self._at(","):
+            self._next()
+            names.append(self._expect("ident").value)
+        return tuple(names)
+
+    def _read_fields(self) -> tuple[tuple[str, str], ...]:
         self._expect("punct", "{")
         fields: list[tuple[str, str]] = []
         while True:
@@ -381,21 +370,20 @@ class _Parser:
                     ftype.line, ftype.column)
             fields.append((name.value, ftype.value))
             tok = self._next()
-            if tok.kind == "punct" and tok.value == ",":
-                continue
-            if tok.kind == "punct" and tok.value == "}":
-                break
-            raise PipelineSyntaxError(
-                f"expected ',' or '}}' in field map, found {tok.value!r}",
-                tok.line, tok.column)
-        return tuple(fields)
+            if tok.kind != "punct" or tok.value not in ",}":
+                raise PipelineSyntaxError(
+                    f"expected ',' or '}}' in field map, found {tok.value!r}",
+                    tok.line, tok.column)
+            if tok.value == "}":
+                return tuple(fields)
 
-    def _parse_ident_list(self) -> tuple[str, ...]:
-        names = [self._expect("ident").value]
-        while self._peek().kind == "punct" and self._peek().value == ",":
-            self._next()
-            names.append(self._expect("ident").value)
-        return tuple(names)
+    _READERS = {
+        "ident": lambda self: self._expect("ident").value,
+        "string": lambda self: self._expect("string").value,
+        "number": lambda self: int(self._expect("number").value),
+        "idents": _read_idents,
+        "fields": _read_fields,
+    }
 
 
 def parse_pipeline(text: str) -> LogicalPlan:

@@ -110,6 +110,25 @@ def test_load_dataset_jsonl_text_that_is_not_unicode(tmp_path):
         load_dataset_jsonl(file)
 
 
+@pytest.mark.parametrize("row", [
+    {"id": 5, "fields": {"text": "hello"}},
+    {"id": ["x"], "fields": {"text": "hello"}},
+    {"id": "r1", "fields": {"text": "hello"},
+     "lineage": {"parents": [1], "operator": "sem_map"}},
+])
+def test_cli_pipeline_reports_a_record_id_that_is_not_a_string(workspace, capsys, row):
+    (workspace / "rows.jsonl").write_text(json.dumps(row) + "\n", encoding="utf-8")
+    _edit_json(workspace / "config.json", lambda doc: doc["datasets"].update(
+        docs={"kind": "jsonl", "path": str(workspace / "rows.jsonl")}))
+    pipe = workspace / "p.pz"
+    pipe.write_text(PIPELINE + "\n", encoding="utf-8")
+    code = main(["--config", str(workspace / "config.json"),
+                 "pipeline", str(pipe), "--dataset", "docs"])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith("error: data-error: ") and "rows.jsonl:1: bad record: " in err
+
+
 def test_load_dataset_builds_context(tmp_path, mk_backend):
     base = tmp_path / "ds"
     base.mkdir()

@@ -77,6 +77,25 @@ def test_record_from_bare_field_map_uses_origin():
     assert rec.id == source_record_id({"text": "hi"}, "data.jsonl#3")
 
 
+@pytest.mark.parametrize("line, message", [
+    ('{"id": 5, "fields": {"text": "hello"}}', "record id must be a string, not int"),
+    ('{"id": ["x"], "fields": {"text": "hello"}}', "record id must be a string, not list"),
+    ('{"id": 0, "fields": {"text": "hello"}}', "record id must be a string, not int"),
+    ('{"id": false, "fields": {"text": "hello"}}', "record id must be a string, not bool"),
+    ('{"id": "r1", "fields": {}, "lineage": {"parents": [1], "operator": "sem_map"}}',
+     "record lineage must be {parents: list of str, operator: str}"),
+])
+def test_record_from_json_rejects_ids_and_parents_that_are_not_strings(line, message):
+    with pytest.raises(ValidationError) as error:
+        record_from_json(line, "o#0")
+    assert str(error.value) == message
+
+
+def test_record_from_json_derives_a_missing_or_null_id_from_content():
+    for line in ('{"fields": {"text": "hi"}}', '{"id": null, "fields": {"text": "hi"}}'):
+        assert record_from_json(line, "o#0").id == source_record_id({"text": "hi"}, "o#0")
+
+
 def test_record_rejects_non_finite_fields():
     with pytest.raises(ValidationError):
         make_source_record({"x": math.inf})

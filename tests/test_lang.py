@@ -161,3 +161,35 @@ def test_shipped_pipelines_parse():
     for path in paths:
         plan = parse_pipeline(path.read_text(encoding="utf-8"))
         assert isinstance(plan, LogicalPlan)
+
+
+def test_lone_surrogate_in_a_string_is_invalid_text():
+    with pytest.raises(ValidationError, match="not valid Unicode"):
+        make_plan([Scan("a"), SemFilter("x\ud800")])
+    with pytest.raises(PipelineSyntaxError, match="not valid Unicode"):
+        parse_pipeline('scan(a) | sem_filter("x\ud800")')
+
+
+def test_eof_after_a_trailing_comment_is_at_the_end_of_the_text():
+    for text, line, column in (("scan(a) |  # todo", 1, 18),
+                               ("scan(a)\n  | # todo", 2, 11)):
+        with pytest.raises(PipelineSyntaxError) as err:
+            parse_pipeline(text)
+        assert "found 'eof'" in str(err.value)
+        assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_a_number_is_exactly_the_characters_str_isdecimal_accepts():
+    from semaq.lang import _TOKEN
+    numbers = {chr(code) for code in range(0x110000)
+               if _TOKEN.match(chr(code)).lastgroup == "number"}
+    assert numbers == {chr(code) for code in range(0x110000) if chr(code).isdecimal()}
+
+
+def test_describe_op_gives_a_report_row_its_kind_and_unquoted_detail():
+    from semaq.lang import describe_op
+    plan = parse_pipeline('scan(d) | sem_filter("p \\"q\\"") | sem_map("m", {a: text}) | '
+                          'project(a, b) | limit(٣) | compute("c") | search("s")')
+    assert [describe_op(op) for op in plan.ops] == [
+        ("scan", "d"), ("sem_filter", 'p "q"'), ("sem_map", "m"), ("project", "a, b"),
+        ("limit", "3"), ("compute", "c"), ("search", "s")]
