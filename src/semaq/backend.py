@@ -16,7 +16,6 @@ import json
 import logging
 import math
 import re
-import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ import hashlib
 
 import numpy as np
 
+from .core import json_value
 from .errors import (BackendError, ConfigurationError, MockMissError,
                      RetryableBackendError, ValidationError)
 
@@ -272,39 +272,6 @@ def load_json_object(path, what: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigurationError(f"cannot load {what} {path}: not a JSON object")
     return doc
-
-
-_REQUIRED = object()
-
-
-_JSON_KINDS = {bool: "a boolean", int: "an integer", float: "a number",
-               str: "a string", list: "a list", dict: "an object"}
-
-
-def json_value(doc, key: str, kind: type, where: str, default=_REQUIRED):
-    """``doc[key]`` if it is a JSON value of ``kind`` (a key of
-    ``_JSON_KINDS``), or ``default`` when the key is absent or null.  Types
-    are checked, not converted: a bool is never an int or a float, an
-    integer is a float only as a float, and a float must be finite (NaN,
-    Infinity and integers past the float range are not).  A ``doc`` that is
-    not an object, a missing required key, or a value of another type
-    raises :class:`ConfigurationError` naming ``where`` and ``key``."""
-    if not isinstance(doc, Mapping):
-        raise ConfigurationError(
-            f"{where}: expected a JSON object, got {type(doc).__name__}")
-    value = doc.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise ConfigurationError(f"{where}: missing key {key!r}")
-        return default
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
-        raise ConfigurationError(f"{where}: bad value for {key!r}: expected "
-                                 f"{_JSON_KINDS[kind]}, got {value!r}")
-    if kind is float and not abs(value) <= sys.float_info.max:
-        raise ConfigurationError(f"{where}: bad value for {key!r}: expected "
-                                 f"a finite number, got {value!r}")
-    return float(value) if kind is float else value
 
 
 def _resolve_catalog(catalog: Mapping[str, ModelSpec] | Iterable[ModelSpec]) -> dict[str, ModelSpec]:

@@ -88,16 +88,11 @@ class RunConfig:
         cfg.catalog_path = (json_value(backend_doc, "catalog", str, where, None)
                             or json_value(doc, "catalog", str, where, None))
         cfg.datasets = json_value(doc, "datasets", dict, where, {})
-        if "policy" in doc:
-            cfg.policy = parse_policy(doc["policy"])
-        cfg.pool_width = json_value(doc, "pool_width", int, where, cfg.pool_width)
-        cfg.sample_size = json_value(doc, "sample_size", int, where, cfg.sample_size)
-        cfg.run_dir = json_value(doc, "run_dir", str, where, cfg.run_dir)
-        cfg.cache_dir = json_value(doc, "cache_dir", str, where, cfg.cache_dir)
-        cfg.tau = json_value(doc, "tau", float, where, cfg.tau)
-        cfg.agent_model = json_value(doc, "agent_model", str, where, None)
-        cfg.max_steps = json_value(doc, "max_steps", int, where, cfg.max_steps)
-        cfg.budget = json_value(doc, "budget", float, where, None)
+        cfg.policy = parse_policy(json_value(doc, "policy", dict, where, cfg.policy))
+        for key, kind in (("pool_width", int), ("sample_size", int), ("run_dir", str),
+                          ("cache_dir", str), ("tau", float), ("agent_model", str),
+                          ("max_steps", int), ("budget", float)):
+            setattr(cfg, key, json_value(doc, key, kind, where, getattr(cfg, key)))
         cfg.build_index = json_value(doc, "index", bool, where, cfg.build_index)
         return cfg
 

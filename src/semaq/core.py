@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -71,6 +72,47 @@ def validate_fields(fields: dict) -> None:
             raise ValidationError("field names must be non-empty strings")
         require_unicode(name, "field name")
         validate_field_value(value)
+
+
+_REQUIRED = object()
+
+_JSON_KINDS = {bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string", list: "a list", dict: "an object"}
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def json_value(doc, key: str, kind: type, where: str, default=_REQUIRED, *,
+               error: type = ConfigurationError):
+    """``doc[key]`` as a JSON value of ``kind`` (a key of ``_JSON_KINDS``):
+    the one type check of the JSON semaq reads back, from the config, mock
+    script, model catalog and policy to store entries and the answer log.
+
+    - An absent key and a null one read alike: ``default``, or ``missing
+      key`` when there is none.
+    - Types are checked, never converted; an integer read as a float is
+      returned as a float.
+    - A bool is never a number.
+    - A float must be finite: NaN, Infinity and integers past its range are not.
+
+    Any other value, or a ``doc`` that is not an object, raises ``error``
+    naming ``where`` and ``key``."""
+    if type(doc) is not dict and not isinstance(doc, Mapping):
+        raise error(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    value = doc.get(key)
+    if type(value) is not kind:
+        if value is None:
+            if default is _REQUIRED:
+                raise error(f"{where}: missing key {key!r}")
+            return default
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
+            raise error(f"{where}: bad value for {key!r}: expected "
+                        f"{_JSON_KINDS[kind]}, got {value!r}")
+    if kind is float and not abs(value) <= _FLOAT_MAX:
+        raise error(f"{where}: bad value for {key!r}: expected "
+                    f"a finite number, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def _short_hash(payload: str, prefix: str, length: int = 12) -> str:
@@ -166,7 +208,9 @@ def record_from_json(line: str, origin: str = "") -> Record:
 
     Accepts the full ``{"id", "fields", "lineage"}`` form written by
     :func:`record_to_json`, or a bare field mapping (as in dataset files),
-    in which case a stable id is derived from content and origin.
+    in which case a stable id is derived from content and origin.  In the
+    full form so is a null ``id``; any other must be a non-empty string, and
+    a ``lineage`` that is not null must be the lineage object.
     """
     doc = json.loads(line)
     if not isinstance(doc, dict):
@@ -174,19 +218,20 @@ def record_from_json(line: str, origin: str = "") -> Record:
     if "fields" in doc and isinstance(doc.get("fields"), dict):
         lineage = None
         raw = doc.get("lineage")
-        if raw:
+        if raw is not None:
             if not (isinstance(raw, dict) and isinstance(raw.get("parents"), list)
                     and all(isinstance(parent, str) for parent in raw["parents"])
                     and isinstance(raw.get("operator"), str)):
                 raise ValidationError(
                     "record lineage must be {parents: list of str, operator: str}")
-            lineage = RecordLineage(parents=tuple(raw["parents"]),
-                                    operator=raw["operator"])
+            lineage = RecordLineage(tuple(raw["parents"]), raw["operator"])
         rec_id = doc.get("id")
-        if rec_id is not None and not isinstance(rec_id, str):
-            raise ValidationError(
-                f"record id must be a string, not {type(rec_id).__name__}")
-        rec_id = rec_id or source_record_id(doc["fields"], origin)
+        if rec_id is None:
+            rec_id = source_record_id(doc["fields"], origin)
+        elif not isinstance(rec_id, str):
+            raise ValidationError(f"record id must be a string, not {type(rec_id).__name__}")
+        elif not rec_id:
+            raise ValidationError("record id must not be empty")
         return Record(id=rec_id, fields=doc["fields"], lineage=lineage)
     return make_source_record(doc, origin)
 

@@ -27,12 +27,11 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 from .backend import ModelSpec, Usage, call_cost
-from .core import Context, context_iterate
+from .core import Context, context_iterate, json_value
 from .engine import (PhysicalOp, PhysicalPlan, RunPolicy, SampledAnswers,
                      bind_plan, semantic_execute)
 from .errors import (EstimationError, OperatorError, PolicyInfeasibleError,
@@ -445,35 +444,20 @@ def choose_plan(candidates: Sequence[PhysicalPlan],
         f"candidate {best[0].plan_id} costs {best[1].cost:.6f}")
 
 
+_POLICY_KINDS = {"min_cost": MinCost, "max_quality": MaxQuality, "weighted": Weighted}
+
+
 def parse_policy(doc) -> Policy:
-    """Policy from config: {"kind": "min_cost", "quality_floor": 0.8} etc."""
+    """Policy from config: {"kind": "min_cost", "quality_floor": 0.8} etc.;
+    the numbers are the fields of the kind's class, read by ``json_value``."""
     if isinstance(doc, (MinCost, MaxQuality, Weighted)):
         return doc
-    if not isinstance(doc, Mapping):
-        raise ValidationError(f"policy must be a mapping, got {doc!r}")
-    kind = doc.get("kind")
-
-    def number(key: str) -> float:
-        # checked, not converted: a string or a bool is not a number
-        value = doc[key]
-        if type(value) not in (int, float) or not math.isfinite(value):
-            raise ValueError(f"{key} must be a finite number, got {value!r}")
-        return float(value)
-
-    try:
-        if kind == "min_cost":
-            return MinCost(quality_floor=number("quality_floor"))
-        if kind == "max_quality":
-            return MaxQuality(cost_budget=number("cost_budget"))
-        if kind == "weighted":
-            return Weighted(cost_weight=number("cost_weight"),
-                            latency_weight=number("latency_weight"),
-                            quality_weight=number("quality_weight"))
-    except KeyError as exc:
-        raise ValidationError(f"policy missing key: {exc}") from exc
-    except (ValueError, OverflowError) as exc:
-        raise ValidationError(f"policy has a bad value: {exc}") from exc
-    raise ValidationError(f"unknown policy kind {kind!r}")
+    kind = json_value(doc, "kind", str, "policy", error=ValidationError)
+    if kind not in _POLICY_KINDS:
+        raise ValidationError(f"unknown policy kind {kind!r}")
+    cls = _POLICY_KINDS[kind]
+    return cls(*(json_value(doc, f.name, float, "policy", error=ValidationError)
+                 for f in fields(cls)))
 
 
 @dataclass

@@ -11,12 +11,14 @@ yet and verifies each against its vector row: a reopen is that read from byte
 sharing a directory append one at a time and store a context once.
 
 The same directory holds the answer log, ``answers.jsonl``: one line per
-(model id, sha256 of a backend's fingerprint and a rendered prompt) with
-the parsed answer and the usage of the calls that got it, so a pipeline
-run need not ask a model again what an earlier run already asked it.  The log is read on the first
-lookup, not on reopen, and caught up under an exclusive ``flock`` on it at
-each append, as registration catches up on the entry log; both logs share
-the line reader :func:`_read_lines` and its torn-tail rule.
+(model id, sha256 of a backend's fingerprint and a rendered prompt) with the
+parsed answer and the usage of the calls that got it, so a pipeline run need
+not ask a model again what an earlier run asked it.  It is read on the first
+lookup, not on reopen, and caught up under an exclusive ``flock`` at each
+append, as registration catches up on the entry log.  Both logs share the
+line reader :func:`_read_lines` and its torn-tail rule, and read each key of
+a line with :func:`~semaq.core.json_value`, so a null optional key reads as
+its default.  Two entry lines of one read that share a seq are corrupt.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import Context, context_derive, cosine_topk, validate_fields
+from .core import (Context, context_derive, cosine_topk, json_value,
+                   validate_fields)
 from .errors import StoreConflictError, StoreError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -67,28 +70,27 @@ def _checksum(description: str, vector_bytes: bytes | memoryview) -> str:
 
 def _parse_entry(line: bytes, lineno: int) -> tuple[ContextEntry, int, str, int]:
     """One entry-log line as its entry, whose ``embedding`` is not read
-    yet, its positive int ``dim``, its checksum and ``lineno``; every text a
-    string."""
+    yet, its positive ``dim``, its checksum and ``lineno``."""
+    where = f"corrupt store entry at line {lineno}"
     try:
-        doc = json.loads(line)
-        entry = ContextEntry(
-            context_id=doc["context_id"],
-            description=doc["description"],
-            instruction=doc.get("instruction", ""),
-            lineage_summary=doc.get("lineage", ""),
-            seq=int(doc["seq"]),
-            created_at=float(doc.get("created_at", 0.0)),
-            embedding=None,
-        )
-        dim, checksum = int(doc["dim"]), doc["checksum"]
-    except (KeyError, TypeError, ValueError) as exc:  # JSON and UTF-8 errors too
-        raise StoreError(f"corrupt store entry at line {lineno}: {exc!r}") from exc
-    texts = (entry.context_id, entry.description, entry.instruction,
-             entry.lineage_summary, checksum)
-    if dim < 1 or not all(isinstance(text, str) for text in texts):
-        raise StoreError(f"corrupt store entry at line {lineno}: dim {dim}, "
-                         "or a text field that is not a string")
-    return entry, dim, checksum, lineno
+        # strict UTF-8: json.loads on bytes sniffs each line's encoding and
+        # lets the bytes of an encoded lone surrogate through
+        doc = json.loads(line.decode())
+    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors
+        raise StoreError(f"{where}: {exc!r}") from exc
+    entry = ContextEntry(
+        context_id=json_value(doc, "context_id", str, where, error=StoreError),
+        description=json_value(doc, "description", str, where, error=StoreError),
+        instruction=json_value(doc, "instruction", str, where, "", error=StoreError),
+        lineage_summary=json_value(doc, "lineage", str, where, "", error=StoreError),
+        seq=json_value(doc, "seq", int, where, error=StoreError),
+        created_at=json_value(doc, "created_at", float, where, 0.0, error=StoreError),
+        embedding=None,
+    )
+    dim = json_value(doc, "dim", int, where, error=StoreError)
+    if dim < 1:
+        raise StoreError(f"{where}: dim {dim}")
+    return entry, dim, json_value(doc, "checksum", str, where, error=StoreError), lineno
 
 
 @dataclass(frozen=True)
@@ -115,21 +117,22 @@ class LoggedAnswer:
 
 def _parse_answer(line: bytes, lineno: int) -> LoggedAnswer:
     """One answer-log line; a line of another shape or type is corrupt."""
+    where = f"corrupt answer at line {lineno}"
     try:
-        doc = json.loads(line)
-        logged = LoggedAnswer(doc["model"], doc["prompt"], doc["answer"],
-                              doc["input_tokens"], doc["output_tokens"], doc["calls"])
-        if not isinstance(logged.answer, bool):
-            validate_fields(logged.answer or None)  # fields, at least one
-        counts = (logged.input_tokens, logged.output_tokens, logged.calls)
-        if not (isinstance(logged.model, str) and isinstance(logged.prompt, str)
-                and all(type(n) is int and n >= 0 for n in counts) and logged.calls):
-            raise TypeError("a key that is not a string, or a count that is "
-                            "not a non-negative integer (calls positive)")
-    except (KeyError, TypeError, ValueError, RecursionError, ValidationError) as exc:
-        # JSON and UTF-8 errors too
-        raise StoreError(f"corrupt answer at line {lineno}: {exc!r}") from exc
-    return logged
+        doc = json.loads(line.decode())
+        model = json_value(doc, "model", str, where, error=StoreError)
+        prompt = json_value(doc, "prompt", str, where, error=StoreError)
+        answer = doc.get("answer")
+        if type(answer) is not bool:  # a verdict, or the fields of a map
+            answer = json_value(doc, "answer", dict, where, error=StoreError)
+            validate_fields(answer or None)  # at least one
+    except (ValueError, RecursionError, ValidationError) as exc:  # JSON, UTF-8 too
+        raise StoreError(f"{where}: {exc!r}") from exc
+    counts = [json_value(doc, key, int, where, error=StoreError)
+              for key in ("input_tokens", "output_tokens", "calls")]
+    if min(counts) < 0 or counts[2] < 1:
+        raise StoreError(f"{where}: counts {counts}, not >= 0 with calls >= 1")
+    return LoggedAnswer(model, prompt, answer, *counts)
 
 
 def _read_lines(log, end: int, lines: int, parse, path: Path
@@ -183,12 +186,12 @@ class ContextStore:
     ``entry.embedding`` is a view of its row.  ``_read_log`` is the one
     reader of the entry log: it loads the lines past ``_log_end`` (all of
     them on reopen), reads their vector rows with one read into the matrix,
-    and appends them in (seq, id) order; a log another store object has not
-    grown costs no read.  The width comes from the data: the entries' stored
+    and appends them in seq order; a log another store object has not grown
+    costs no read.  The width comes from the data: the entries' stored
     ``dim``, or the first vector registered.  Retrieval is the exact
     :func:`~semaq.core.cosine_topk` scan over that matrix: similarity is
     cosine mapped to [0, 1], entries below ``tau`` are dropped, and ties
-    break by earlier registration then ascending id.
+    break by earlier registration.
 
     The answer log is kept apart from the entries: :meth:`read_answers`
     loads the lines past ``_answers_end``, on the first :meth:`answer`,
@@ -234,11 +237,11 @@ class ContextStore:
         return self.directory / _ANSWERS_FILE
 
     def _read_log(self, log) -> int:
-        """Load, last and in (seq, id) order, the entries of the lines
+        """Load, last and in seq order, the entries of the lines
         appended to the locked ``log`` since this store last read it (all of
         them on reopen), by :func:`_read_lines`; return the log's size.
         Nothing is loaded unless every new line's dim, vector row and
-        checksum verify.
+        checksum verify and no two new lines share a seq.
         """
         new, size, end, lines = _read_lines(log, self._log_end, self._log_lines,
                                             _parse_entry, self._entries_path)
@@ -249,8 +252,12 @@ class ContextStore:
                     raise StoreError(f"store entry at line {lineno} has dim "
                                      f"{width}, earlier entries have dim {dim}")
             # rows lowest .. highest new seq, in one read into the matrix,
-            # gathered to the entries' rows when their seqs skip or repeat one
-            new.sort(key=lambda parsed: (parsed[0].seq, parsed[0].context_id))
+            # gathered to the entries' rows when their seqs skip one
+            new.sort(key=lambda parsed: (parsed[0].seq, parsed[3]))
+            for (entry, _, _, line), (twin, _, _, other) in zip(new, new[1:]):
+                if entry.seq == twin.seq:
+                    raise StoreError(f"store entries at lines {line} and {other} "
+                                     f"share seq {entry.seq}")
             seqs = [parsed[0].seq for parsed in new]
             lo, hi, n, stride = seqs[0], seqs[-1], len(self.entries), dim * 8
             path = self._vectors_path

@@ -129,6 +129,26 @@ def test_cli_pipeline_reports_a_record_id_that_is_not_a_string(workspace, capsys
     assert err.startswith("error: data-error: ") and "rows.jsonl:1: bad record: " in err
 
 
+@pytest.mark.parametrize("row, message", [
+    ({"id": "", "fields": {"text": "hello"}}, "record id must not be empty"),
+    ({"id": "r1", "fields": {"text": "hello"}, "lineage": []},
+     "record lineage must be {parents: list of str, operator: str}"),
+])
+def test_cli_pipeline_reports_an_empty_record_id_or_a_lineage_that_is_not_one(
+        workspace, capsys, row, message):
+    (workspace / "rows.jsonl").write_text(json.dumps(row) + "\n", encoding="utf-8")
+    _edit_json(workspace / "config.json", lambda doc: doc["datasets"].update(
+        docs={"kind": "jsonl", "path": str(workspace / "rows.jsonl")}))
+    pipe = workspace / "p.pz"
+    pipe.write_text(PIPELINE + "\n", encoding="utf-8")
+    code = main(["--config", str(workspace / "config.json"),
+                 "pipeline", str(pipe), "--dataset", "docs"])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith("error: data-error: ")
+    assert f"rows.jsonl:1: bad record: {message}" in err
+
+
 def test_load_dataset_builds_context(tmp_path, mk_backend):
     base = tmp_path / "ds"
     base.mkdir()
@@ -147,6 +167,14 @@ def test_load_dataset_builds_context(tmp_path, mk_backend):
 
 
 # --- config -----------------------------------------------------------------------
+
+def test_run_config_reads_a_null_key_as_its_default(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"policy": None, "pool_width": None, "tau": None}),
+                    encoding="utf-8")
+    cfg = RunConfig.from_file(path)
+    assert (cfg.policy, cfg.pool_width, cfg.tau) == (MinCost(quality_floor=0.8), 8, 0.75)
+
 
 def test_run_config_from_file(tmp_path):
     path = tmp_path / "cfg.json"

@@ -9,8 +9,8 @@ import types
 import numpy as np
 import pytest
 
-from semaq import (CapabilityError, ContextStore, RecordSnapshot, ToolParam,
-                   ToolSpec, ValidationError, VectorIndex, context_create,
+from semaq import (CapabilityError, ContextStore, RecordSnapshot, StoreError,
+                   ToolParam, ToolSpec, ValidationError, VectorIndex, context_create,
                    context_derive, context_lookup, context_topk, hashing_embed,
                    make_derived_record, make_source_record, record_from_json,
                    record_to_json)
@@ -94,6 +94,29 @@ def test_record_from_json_rejects_ids_and_parents_that_are_not_strings(line, mes
 def test_record_from_json_derives_a_missing_or_null_id_from_content():
     for line in ('{"fields": {"text": "hi"}}', '{"id": null, "fields": {"text": "hi"}}'):
         assert record_from_json(line, "o#0").id == source_record_id({"text": "hi"}, "o#0")
+
+
+@pytest.mark.parametrize("lineage", [0, [], "", {}, False])
+def test_record_from_json_rejects_a_falsy_lineage_that_is_not_null(lineage):
+    line = json.dumps({"id": "r1", "fields": {"text": "hi"}, "lineage": lineage})
+    with pytest.raises(ValidationError) as error:
+        record_from_json(line, "o#0")
+    assert str(error.value) == "record lineage must be {parents: list of str, operator: str}"
+
+
+def test_record_from_json_rejects_an_empty_id():
+    with pytest.raises(ValidationError, match="record id must not be empty"):
+        record_from_json('{"id": "", "fields": {"text": "hi"}}', "o#0")
+
+
+def test_json_value_raises_the_error_class_it_is_given():
+    with pytest.raises(StoreError, match=r"line 3: bad value for 'seq': expected an "
+                                         r"integer, got '1'"):
+        core.json_value({"seq": "1"}, "seq", int, "line 3", error=StoreError)
+    with pytest.raises(StoreError, match="line 3: missing key 'seq'"):
+        core.json_value({"seq": None}, "seq", int, "line 3", error=StoreError)
+    with pytest.raises(StoreError, match="line 3: expected a JSON object, got list"):
+        core.json_value([], "seq", int, "line 3", error=StoreError)
 
 
 def test_record_rejects_non_finite_fields():

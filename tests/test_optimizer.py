@@ -380,6 +380,22 @@ def test_parse_policy_rejects_malformed(doc):
         parse_policy(doc)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "min_cost", "quality_floor": "0.8"},
+     "policy: bad value for 'quality_floor': expected a number, got '0.8'"),
+    ({"kind": "max_quality", "cost_budget": float("inf")},
+     "policy: bad value for 'cost_budget': expected a finite number, got inf"),
+    ({"kind": "weighted", "cost_weight": 1, "latency_weight": 0},
+     "policy: missing key 'quality_weight'"),
+    ({"quality_floor": 0.5}, "policy: missing key 'kind'"),
+    ("min_cost", "policy: expected a JSON object, got str"),
+])
+def test_parse_policy_reads_by_the_shared_json_rule(doc, message):
+    with pytest.raises(ValidationError) as error:
+        parse_policy(doc)
+    assert str(error.value) == message
+
+
 # --- end-to-end ---------------------------------------------------------------------
 
 def test_optimize_zero_sample_makes_no_calls(mk_backend, catalog):

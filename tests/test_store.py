@@ -1,8 +1,11 @@
 """Context store: durable registration, similarity retrieval, augmentation."""
 
+import hashlib
 import json
 import logging
+import math
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -325,6 +328,136 @@ def test_reopen_rejects_a_mistyped_entry_field(tmp_path, field, value):
     with pytest.raises(StoreError, match="corrupt store entry at line 1"):
         late.register(_ctx("third", seed="c"))
     assert len(late) == 0
+
+
+def _set_entry_key(path, index, key, value):
+    """Set ``key`` to ``value`` in entry line ``index`` of the store at ``path``."""
+    log = path / "entries.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines()
+    doc = json.loads(lines[index])
+    doc[key] = value
+    lines[index] = json.dumps(doc)
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seq", True), ("seq", 1.9), ("seq", "1"), ("dim", 256.5), ("dim", "256"),
+    ("created_at", "nan"), ("created_at", True), ("created_at", math.nan),
+], ids=["seq-true", "seq-1.9", "seq-str", "dim-256.5", "dim-str", "created-str-nan",
+        "created-true", "created-NaN-literal"])
+def test_reopen_checks_entry_numbers_without_converting(tmp_path, capsys, field, value):
+    """A seq or dim that is not a JSON integer, or a created_at that is not a
+    finite JSON number, is corrupt: it is not converted into one."""
+    from semaq.cli import main
+
+    path = tmp_path / "typed"
+    store = ContextStore(path, hashing_embed)
+    store.register(_ctx("first", seed="a"))
+    store.register(_ctx("second", seed="b"))
+    _set_entry_key(path, 0, field, value)
+    with pytest.raises(StoreError, match="corrupt store entry at line 1"):
+        ContextStore(path, hashing_embed)
+    assert main(["--cache-dir", str(path), "cache", "list"]) == 9
+    assert capsys.readouterr().err.startswith(
+        "error: store-error: corrupt store entry at line 1: bad value for ")
+
+
+def test_two_entry_lines_with_one_seq_are_a_store_error(tmp_path, capsys):
+    from semaq.cli import main
+
+    path = tmp_path / "twins"
+    late = ContextStore(path, hashing_embed)
+    store = ContextStore(path, hashing_embed)
+    for i in range(3):
+        store.register(_ctx(f"topic {i}", seed=str(i)))
+    _set_entry_key(path, 2, "seq", 0)
+    with pytest.raises(StoreError, match="store entries at lines 1 and 3 share seq 0"):
+        ContextStore(path, hashing_embed)
+    with pytest.raises(StoreError, match="lines 1 and 3 share seq 0"):
+        late.register(_ctx("after the twins", seed="after"))
+    assert len(late) == 0
+    assert main(["--cache-dir", str(path), "cache", "list"]) == 9
+    assert capsys.readouterr().err.startswith(
+        "error: store-error: store entries at lines 1 and 3 share seq 0")
+
+
+def test_an_entry_line_that_is_not_strict_utf8_is_corrupt(tmp_path, capsys):
+    """A line is decoded as strict UTF-8 before it is parsed, so the bytes of
+    an encoded lone surrogate make it corrupt rather than an entry whose
+    description cannot be hashed."""
+    from semaq.cli import main
+
+    path = tmp_path / "surrogate"
+    ContextStore(path, hashing_embed).register(_ctx("plain text"))
+    log = path / "entries.jsonl"
+    log.write_bytes(log.read_bytes().replace(b"plain text", b"plain \xed\xa0\x80text"))
+    with pytest.raises(StoreError, match="corrupt store entry at line 1: UnicodeDecodeError"):
+        ContextStore(path, hashing_embed)
+    assert main(["--cache-dir", str(path), "cache", "list"]) == 9
+    assert capsys.readouterr().err.startswith(
+        "error: store-error: corrupt store entry at line 1")
+
+
+def test_a_null_optional_entry_key_reads_as_its_default(tmp_path):
+    path = tmp_path / "nulls"
+    store = ContextStore(path, hashing_embed)
+    ctx = _ctx("first", seed="a")
+    store.register(context_derive(ctx, "narrow it", "narrowed first"), instruction="do a")
+    for key in ("instruction", "lineage", "created_at"):
+        _set_entry_key(path, 0, key, None)
+    (entry,) = ContextStore(path, hashing_embed).entries
+    assert (entry.instruction, entry.lineage_summary, entry.created_at) == ("", "", 0.0)
+    assert entry.description == "narrowed first" and entry.seq == 0
+
+
+# Written by semaq at commit 4addca2 (hashing_embed, dim 256): three entries,
+# the third holding non-ASCII text and a U+2028, and an answer log with a
+# sem_filter verdict and a sem_map's fields.
+STORE_FIXTURE = Path(__file__).parent / "data" / "store_4addca2"
+FIXTURE_ENTRIES = [
+    ("ctx-b7f1ad111bf8", "Quarterly budget memos from the finance team", "", "root",
+     0, 1792392469.1279538,
+     "8088ce422666773fbd20b56f669f77d2182cab80d6d941432d307f4cff77e170"),
+    ("ctx-01c6cee2641d", "Finance memos that mention a signed deal, with amounts",
+     "emails that mention a deal", "derive of ctx-b7f1ad111bf8", 1, 1792392469.1283078,
+     "984819e8a30bdae0c2df76e8538e785b75bede80a248fcb5de22d3e37198b8c5"),
+    ("ctx-b72f6e60acc3",
+     "Résumé des notes d’équipe — café ☕ et «budget»\u2028fin",
+     "résumer les notes", "root", 2, 1792392469.1285636,
+     "1e75f6695111a30cdab97e758d32393f67f87aea437ec58cbe029612a6529264"),
+]
+FIXTURE_ANSWERS = [
+    LoggedAnswer("mock-small",
+                 "e1baf7a505923edae4a3998779cce311813b872732b95de50cbe4ab6b6744efc",
+                 True, 41, 1, 1),
+    LoggedAnswer("mock-large",
+                 "7a50871a5dffa9f04925e83f37238742e549d98628fc994d7d58d0fdbb9246c0",
+                 {"deal": "yes", "amount": 1200, "ratio": 0.25, "tags": ["q3", "ü"],
+                  "note": None}, 88, 14, 2),
+]
+
+
+def test_a_store_written_by_an_earlier_version_reopens_unchanged(tmp_path):
+    path = tmp_path / "old"
+    shutil.copytree(STORE_FIXTURE, path)
+    store = ContextStore(path, hashing_embed)
+    assert [(e.context_id, e.description, e.instruction, e.lineage_summary, e.seq,
+             e.created_at, hashlib.sha256(e.embedding.tobytes()).hexdigest())
+            for e in store.entries] == FIXTURE_ENTRIES
+    for entry in store.entries:
+        np.testing.assert_array_equal(entry.embedding, hashing_embed(entry.description))
+    assert store.read_answers() == len(FIXTURE_ANSWERS)
+    for logged in FIXTURE_ANSWERS:
+        assert store.answer(logged.model, logged.prompt) == logged
+    # it takes new entries and answers in the same format
+    store.register(_ctx("a fourth topic", seed="d"))
+    store.add_answers([_answer(0)])
+    again = ContextStore(path, hashing_embed)
+    assert [e.seq for e in again.entries] == [0, 1, 2, 3]
+    assert again.read_answers() == 3
+    for name in ("entries.jsonl", "vectors.bin", "answers.jsonl"):
+        old = (STORE_FIXTURE / name).read_bytes()
+        assert (path / name).read_bytes()[:len(old)] == old
 
 
 def test_reopen_with_seq_gaps_ranks_by_seq_then_id(tmp_path):
