@@ -353,7 +353,9 @@ def _context_id(description: str, source: RecordSnapshot,
         lineage.operator if lineage else "",
         ",".join(t.name for t in tools),
     ]
-    return _short_hash("\x1f".join(parts), "ctx-")
+    payload = "\x1f".join(parts)
+    require_unicode(payload, "context description or lineage")
+    return _short_hash(payload, "ctx-")
 
 
 def context_create(records: Iterable[Record] | RecordSnapshot, description: str,

@@ -5,10 +5,12 @@ lineage summary), so later queries can rediscover and reuse prior work.  It
 persists as an append-only JSONL entry log plus a sidecar binary vector file;
 each log line carries a checksum over its description and vector bytes.  One
 reader, ``ContextStore._read_log``, loads the log lines a store has not read
-yet and verifies each against its vector row: a reopen is that read from byte
-0 under a shared ``flock``; a registration repeats it under an exclusive
-``flock`` on the entry log before it takes its seq and appends, so processes
-sharing a directory append one at a time and store a context once.
+yet and verifies each against its vector row, and it is the only way an
+entry gets into a store's memory: a reopen is that read from byte 0 under a
+shared ``flock``; a registration repeats it under an exclusive ``flock`` on
+the entry log, takes its seq, appends, and then reads its own line back the
+same way.  So processes sharing a directory append one at a time, store a
+context once, and a live store holds what a reopen of its directory holds.
 
 The same directory holds the answer log, ``answers.jsonl``: one line per
 (model id, sha256 of a backend's fingerprint and a rendered prompt) with the
@@ -18,7 +20,8 @@ lookup, not on reopen, and caught up under an exclusive ``flock`` at each
 append, as registration catches up on the entry log.  Both logs share the
 line reader :func:`_read_lines` and its torn-tail rule, and read each key of
 a line with :func:`~semaq.core.json_value`, so a null optional key reads as
-its default.  Two entry lines of one read that share a seq are corrupt.
+its default.  An entry line whose seq an earlier line holds is corrupt, and
+so is one whose text UTF-8 cannot encode (a JSON escape of a lone surrogate).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .core import (Context, context_derive, cosine_topk, json_value,
-                   validate_fields)
+                   require_unicode, validate_fields)
 from .errors import StoreConflictError, StoreError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -75,18 +78,26 @@ def _parse_entry(line: bytes, lineno: int) -> tuple[ContextEntry, int, str, int]
     try:
         # strict UTF-8: json.loads on bytes sniffs each line's encoding and
         # lets the bytes of an encoded lone surrogate through
-        doc = json.loads(line.decode())
-    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors
+        text = line.decode()
+        doc = json.loads(text)
+        entry = ContextEntry(
+            context_id=json_value(doc, "context_id", str, where, error=StoreError),
+            description=json_value(doc, "description", str, where, error=StoreError),
+            instruction=json_value(doc, "instruction", str, where, "",
+                                   error=StoreError),
+            lineage_summary=json_value(doc, "lineage", str, where, "",
+                                       error=StoreError),
+            seq=json_value(doc, "seq", int, where, error=StoreError),
+            created_at=json_value(doc, "created_at", float, where, 0.0,
+                                  error=StoreError),
+            embedding=None,
+        )
+        if "\\u" in text:  # only a \u escape can spell a lone surrogate
+            require_unicode("".join((entry.context_id, entry.description,
+                                     entry.instruction, entry.lineage_summary)),
+                            "entry text")
+    except (ValueError, RecursionError, ValidationError) as exc:  # JSON, UTF-8 too
         raise StoreError(f"{where}: {exc!r}") from exc
-    entry = ContextEntry(
-        context_id=json_value(doc, "context_id", str, where, error=StoreError),
-        description=json_value(doc, "description", str, where, error=StoreError),
-        instruction=json_value(doc, "instruction", str, where, "", error=StoreError),
-        lineage_summary=json_value(doc, "lineage", str, where, "", error=StoreError),
-        seq=json_value(doc, "seq", int, where, error=StoreError),
-        created_at=json_value(doc, "created_at", float, where, 0.0, error=StoreError),
-        embedding=None,
-    )
     dim = json_value(doc, "dim", int, where, error=StoreError)
     if dim < 1:
         raise StoreError(f"{where}: dim {dim}")
@@ -184,14 +195,15 @@ class ContextStore:
     was stored with different content.  The embeddings live in one float64
     matrix, their only copy: row ``i`` embeds ``entries[i]``, and each
     ``entry.embedding`` is a view of its row.  ``_read_log`` is the one
-    reader of the entry log: it loads the lines past ``_log_end`` (all of
-    them on reopen), reads their vector rows with one read into the matrix,
-    and appends them in seq order; a log another store object has not grown
-    costs no read.  The width comes from the data: the entries' stored
-    ``dim``, or the first vector registered.  Retrieval is the exact
-    :func:`~semaq.core.cosine_topk` scan over that matrix: similarity is
-    cosine mapped to [0, 1], entries below ``tau`` are dropped, and ties
-    break by earlier registration.
+    reader of the entry log and the only code that adds an entry: it loads
+    the lines past ``_log_end`` (all of them on reopen, the registered line
+    after a registration's append), reads their vector rows with one read
+    into the matrix, and appends them in seq order; a log another store
+    object has not grown costs no read.  The width comes from the data: the
+    entries' stored ``dim``, or the first vector registered.  Retrieval is
+    the exact :func:`~semaq.core.cosine_topk` scan over that matrix:
+    similarity is cosine mapped to [0, 1], entries below ``tau`` are
+    dropped, and ties break by earlier registration.
 
     The answer log is kept apart from the entries: :meth:`read_answers`
     loads the lines past ``_answers_end``, on the first :meth:`answer`,
@@ -202,18 +214,11 @@ class ContextStore:
     def __init__(self, directory, embed: Callable[[str], np.ndarray]):
         self.directory = Path(directory)
         self._embed = embed
-        self.dim: int | None = None
-        self._vectors: np.ndarray | None = None
+        self._entries_path = self.directory / _ENTRIES_FILE
+        self._vectors_path = self.directory / _VECTORS_FILE
+        self._answers_path = self.directory / _ANSWERS_FILE
         self._lock = threading.Lock()
-        self.entries: list[ContextEntry] = []
-        self._by_id: dict[str, ContextEntry] = {}
-        self._objects: dict[str, Context] = {}
-        # bytes and lines of the entry log this instance has read or written
-        self._log_end = self._log_lines = 0
-        # answers by (model id, prompt digest); read on the first lookup
-        self._answers: dict[tuple[str, str], LoggedAnswer] = {}
-        self._answers_end = self._answers_lines = 0
-        self._answers_read = False
+        self._forget()
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             with open(self._entries_path, "rb") as log:
@@ -224,44 +229,56 @@ class ContextStore:
         except OSError as exc:
             raise StoreError(f"cannot open store at {self.directory}: {exc}") from exc
 
-    @property
-    def _entries_path(self) -> Path:
-        return self.directory / _ENTRIES_FILE
-
-    @property
-    def _vectors_path(self) -> Path:
-        return self.directory / _VECTORS_FILE
-
-    @property
-    def _answers_path(self) -> Path:
-        return self.directory / _ANSWERS_FILE
+    def _forget(self) -> None:
+        """Hold nothing: what an empty directory reads as."""
+        self.dim: int | None = None
+        self._vectors: np.ndarray | None = None
+        self.entries: list[ContextEntry] = []
+        self._by_id: dict[str, ContextEntry] = {}
+        # the line of each loaded entry by its seq, which no later line may hold
+        self._seq_lines: dict[int, int] = {}
+        self._objects: dict[str, Context] = {}
+        # bytes and lines of the entry log this instance has read
+        self._log_end = self._log_lines = 0
+        # answers by (model id, prompt digest); read on the first lookup
+        self._answers: dict[tuple[str, str], LoggedAnswer] = {}
+        self._answers_end = self._answers_lines = 0
+        self._answers_read = False
 
     def _read_log(self, log) -> int:
         """Load, last and in seq order, the entries of the lines
         appended to the locked ``log`` since this store last read it (all of
         them on reopen), by :func:`_read_lines`; return the log's size.
         Nothing is loaded unless every new line's dim, vector row and
-        checksum verify and no two new lines share a seq.
+        checksum verify and, in file order, no line holds a seq that a
+        loaded entry or an earlier new line holds.  A log shorter than what
+        this store read (another object cleared it) is read again from 0.
         """
+        if log.seek(0, os.SEEK_END) + 1 < self._log_end:
+            self._forget()
         new, size, end, lines = _read_lines(log, self._log_end, self._log_lines,
                                             _parse_entry, self._entries_path)
         if new:
             dim = self.dim or new[0][1]
-            for _, width, _, lineno in new:
+            seq_lines: dict[int, int] = {}
+            for entry, width, _, lineno in new:
                 if width != dim:
                     raise StoreError(f"store entry at line {lineno} has dim "
                                      f"{width}, earlier entries have dim {dim}")
+                line = self._seq_lines.get(entry.seq) or seq_lines.get(entry.seq)
+                if line:
+                    raise StoreError(f"store entries at lines {line} and {lineno} "
+                                     f"share seq {entry.seq}")
+                seq_lines[entry.seq] = lineno
             # rows lowest .. highest new seq, in one read into the matrix,
             # gathered to the entries' rows when their seqs skip one
-            new.sort(key=lambda parsed: (parsed[0].seq, parsed[3]))
-            for (entry, _, _, line), (twin, _, _, other) in zip(new, new[1:]):
-                if entry.seq == twin.seq:
-                    raise StoreError(f"store entries at lines {line} and {other} "
-                                     f"share seq {entry.seq}")
+            new.sort(key=lambda parsed: parsed[0].seq)
             seqs = [parsed[0].seq for parsed in new]
             lo, hi, n, stride = seqs[0], seqs[-1], len(self.entries), dim * 8
-            path = self._vectors_path
-            rows = path.stat().st_size // stride if path.exists() else 0
+            try:
+                rows = os.stat(self._vectors_path).st_size // stride
+            except FileNotFoundError:
+                rows = 0
             if lo < 0 or hi >= rows:
                 bad = new[0][0] if lo < 0 else new[-1][0]
                 raise StoreError(f"vector file truncated at entry {bad.seq} "
@@ -269,7 +286,7 @@ class ContextStore:
             self.dim = dim
             self._reserve(n + hi - lo + 1)
             block = self._vectors[n:n + hi - lo + 1]
-            with open(path, "rb") as vectors:
+            with open(self._vectors_path, "rb") as vectors:
                 vectors.seek(lo * stride)
                 vectors.readinto(memoryview(block).cast("B"))
             if seqs != list(range(lo, lo + len(seqs))):
@@ -281,14 +298,16 @@ class ContextStore:
                 object.__setattr__(entry, "embedding", embedding)
             self.entries += [parsed[0] for parsed in new]
             self._by_id.update((entry.context_id, entry) for entry in self.entries[n:])
+            self._seq_lines.update(seq_lines)
         self._log_end, self._log_lines = end, lines
         return size
 
-    def _check_width(self, vector: np.ndarray) -> None:
-        if vector.shape != (self.dim,):
+    @staticmethod
+    def _check_width(vector: np.ndarray, dim: int | None) -> None:
+        if vector.shape != (dim,):
             raise ValidationError(
                 f"embedding dimension {vector.shape} does not match store "
-                f"dim {self.dim}")
+                f"dim {dim}")
 
     def _reserve(self, rows: int) -> None:
         """Grow the matrix to hold ``rows`` rows, with an eighth more room
@@ -321,11 +340,18 @@ class ContextStore:
         entry; the same id with different content raises
         :class:`StoreConflictError`.  That holds for entries another store
         object or process appended since this one last read the log, too.
+        The new entry is the one :meth:`_read_log` loads from the appended
+        line, as a reopen would load it.  Text UTF-8 cannot encode is a
+        :class:`ValidationError`, raised before anything is written.
         """
         with self._lock:
             existing = self._stored(ctx)
             if existing is not None:
                 return existing
+            lineage = (f"{ctx.lineage.operator} of {ctx.lineage.parent_id}"
+                       if ctx.lineage else "root")
+            require_unicode("".join((ctx.id, ctx.description, instruction, lineage)),
+                            "context id, description, instruction or lineage")
             vector = np.asarray(self._embed(ctx.description), dtype=np.float64)
             try:
                 with open(self._entries_path, "a+b") as log:
@@ -335,42 +361,31 @@ class ContextStore:
                     existing = self._stored(ctx)
                     if existing is not None:
                         return existing
-                    if self.dim is None and vector.ndim == 1 and vector.size:
-                        self.dim = len(vector)
-                    self._check_width(vector)
+                    dim = self.dim
+                    if dim is None and vector.ndim == 1 and vector.size:
+                        dim = len(vector)
+                    self._check_width(vector, dim)
                     vector_bytes = vector.astype("<f8").tobytes()
-                    seq = self._append_vector(vector_bytes)
-                    entry = ContextEntry(
-                        context_id=ctx.id,
-                        description=ctx.description,
-                        instruction=instruction,
-                        lineage_summary=(
-                            f"{ctx.lineage.operator} of {ctx.lineage.parent_id}"
-                            if ctx.lineage else "root"),
-                        seq=seq,
-                        created_at=time.time(),
-                        embedding=vector,
-                    )
+                    seq = self._append_vector(vector_bytes)  # before its line
                     doc = {
-                        "context_id": entry.context_id,
-                        "description": entry.description,
-                        "instruction": entry.instruction,
-                        "lineage": entry.lineage_summary,
-                        "seq": entry.seq,
-                        "created_at": entry.created_at,
-                        "dim": self.dim,
-                        "checksum": _checksum(entry.description, vector_bytes),
+                        "context_id": ctx.id,
+                        "description": ctx.description,
+                        "instruction": instruction,
+                        "lineage": lineage,
+                        "seq": seq,
+                        "created_at": time.time(),
+                        "dim": dim,
+                        "checksum": _checksum(ctx.description, vector_bytes),
                     }
                     log.write((json.dumps(doc, ensure_ascii=False) + "\n")
                               .encode("utf-8"))
                     log.flush()
-                    self._log_end, self._log_lines = log.tell(), self._log_lines + 1
+                    self._read_log(log)
             except OSError as exc:
                 raise StoreError(f"cannot append to store: {exc}") from exc
-            self._append(entry)
-            self._objects[entry.context_id] = ctx
-            logger.debug("registered context %s (seq %d)", ctx.id, entry.seq)
-            return entry
+            self._objects[ctx.id] = ctx
+            logger.debug("registered context %s (seq %d)", ctx.id, seq)
+            return self._by_id[ctx.id]
 
     def _stored(self, ctx: Context) -> ContextEntry | None:
         """The entry already stored under ``ctx.id``, if any; raise
@@ -396,16 +411,6 @@ class ContextStore:
             fh.write(vector_bytes)
         return seq
 
-    def _append(self, entry: ContextEntry) -> None:
-        """Add ``entry`` and its row last: its seq, the vector file's row
-        count, is above every other entry's."""
-        n = len(self.entries)
-        self._reserve(n + 1)
-        self._vectors[n] = entry.embedding
-        self.entries.append(entry)
-        self._by_id[entry.context_id] = entry
-        object.__setattr__(entry, "embedding", self._vectors[n])
-
     def retrieve(self, instruction: str, k: int = 3,
                  tau: float = DEFAULT_TAU) -> list[tuple[ContextEntry, float]]:
         """Top-k stored entries whose similarity to ``instruction`` >= tau."""
@@ -417,7 +422,7 @@ class ContextStore:
             return []
         query = np.asarray(self._embed(instruction), dtype=np.float64)
         with self._lock:
-            self._check_width(query)
+            self._check_width(query, self.dim)
             hits = cosine_topk(self._vectors[:len(self.entries)], query, k, tau)
             return [(self.entries[row], score) for row, score in hits]
 
@@ -508,13 +513,5 @@ class ContextStore:
         """Remove every entry and every logged answer."""
         with self._lock:
             for path in (self._entries_path, self._vectors_path, self._answers_path):
-                if path.exists():
-                    path.unlink()
-            self.entries.clear()
-            self.dim = self._vectors = None
-            self._log_end = self._log_lines = 0
-            self._answers.clear()
-            self._answers_end = self._answers_lines = 0
-            self._answers_read = False
-            self._by_id.clear()
-            self._objects.clear()
+                path.unlink(missing_ok=True)
+            self._forget()

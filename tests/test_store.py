@@ -5,11 +5,13 @@ import json
 import logging
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -398,6 +400,70 @@ def test_an_entry_line_that_is_not_strict_utf8_is_corrupt(tmp_path, capsys):
         "error: store-error: corrupt store entry at line 1")
 
 
+def test_a_line_with_a_loaded_seq_fails_a_live_store_as_it_fails_a_reopen(tmp_path):
+    """The repeated-seq check spans reads: a line appended from outside with
+    the seq of an entry the store already loaded fails its next registration,
+    before it writes, with the reopen's error."""
+    path = tmp_path / "late-twin"
+    store = ContextStore(path, hashing_embed)
+    for i in range(2):
+        store.register(_ctx(f"topic {i}", seed=str(i)))
+    log = path / "entries.jsonl"
+    doc = json.loads(log.read_bytes().splitlines()[0])
+    doc["context_id"] = "ctx-copied"
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc) + "\n")
+    before = (log.read_bytes(), (path / "vectors.bin").read_bytes())
+    message = "store entries at lines 1 and 3 share seq 0"
+    with pytest.raises(StoreError, match=message):
+        store.register(_ctx("after the twin", seed="after"))
+    with pytest.raises(StoreError, match=message):
+        ContextStore(path, hashing_embed)
+    assert [e.seq for e in store.entries] == [0, 1]
+    assert (log.read_bytes(), (path / "vectors.bin").read_bytes()) == before
+
+
+def test_text_utf8_cannot_encode_is_refused_before_a_byte_is_written(tmp_path):
+    path = tmp_path / "surrogates"
+    store = ContextStore(path, lambda text: np.ones(4))
+    with pytest.raises(ValidationError, match="not valid Unicode"):
+        store.register(context_create((), "bad \ud800 text"))
+    ctx = _ctx("fine text")
+    with pytest.raises(ValidationError, match="not valid Unicode"):
+        store.register(ctx, instruction="bad \udc80 instruction")
+    with pytest.raises(ValidationError, match="not valid Unicode"):
+        store.register(replace(ctx, description="bad \udfff text"))
+    assert not (path / "entries.jsonl").exists() and not (path / "vectors.bin").exists()
+    assert len(store) == 0
+    assert store.register(ctx).seq == 0
+
+
+@pytest.mark.parametrize("key", ["context_id", "description", "instruction", "lineage"])
+def test_an_entry_line_escaping_a_lone_surrogate_is_corrupt(tmp_path, capsys, key):
+    from semaq.cli import main
+
+    path = tmp_path / "escaped"
+    ContextStore(path, hashing_embed).register(_ctx("plain text"), instruction="do it")
+    _set_entry_key(path, 0, key, "bad \ud800 text")
+    with pytest.raises(StoreError, match="corrupt store entry at line 1: .*not valid Unicode"):
+        ContextStore(path, hashing_embed)
+    assert main(["--cache-dir", str(path), "cache", "list"]) == 9
+    assert capsys.readouterr().err.startswith(
+        "error: store-error: corrupt store entry at line 1")
+
+
+def test_an_entry_line_written_as_ascii_json_reopens_unchanged(tmp_path):
+    """Escapes that spell valid text, a surrogate pair among them, load as
+    the text they spell."""
+    path = tmp_path / "ascii"
+    store = ContextStore(path, hashing_embed)
+    store.register(_ctx("café ☕ and a grin \U0001F600 \x01"), instruction="résumé")
+    _set_entry_key(path, 0, "seq", 0)  # rewrites the line as ASCII JSON
+    assert b"\\ud83d\\ude00" in (path / "entries.jsonl").read_bytes()
+    (entry,) = ContextStore(path, hashing_embed).entries
+    assert entry == store.entries[0]
+    assert entry.embedding.tobytes() == store.entries[0].embedding.tobytes()
+
 def test_a_null_optional_entry_key_reads_as_its_default(tmp_path):
     path = tmp_path / "nulls"
     store = ContextStore(path, hashing_embed)
@@ -717,6 +783,118 @@ def test_catch_up_and_reopen_load_the_same_store(tmp_path):
         ContextStore(path, hashing_embed)
     assert rows(late) == rows(fresh)
 
+
+def _held(store):
+    return [(e.context_id, e.description, e.instruction, e.lineage_summary, e.seq,
+             e.created_at, e.embedding.tobytes()) for e in store.entries]
+
+
+def _cut_append(path, name, append, rng):
+    """Run ``append()``, then cut file ``name`` at a seeded offset inside the
+    bytes it appended: a torn or lost last line, as a crash leaves one."""
+    file = path / name
+    old = _size(file)
+    append()
+    os.truncate(file, rng.randrange(old, _size(file)))
+
+
+def _size(file):
+    return file.stat().st_size if file.exists() else 0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_live_store_holds_what_a_reopen_holds(tmp_path, seed):
+    """Oracle over two store objects on one directory: after each step of a
+    seeded mix of registrations (new, identical, conflicting), answer appends,
+    torn last lines, a line appended from outside with a seq already held,
+    and clears, the store that acted registers one more context.  Either that
+    registration and a fresh reopen raise the same StoreError, or the store
+    holds what the reopen holds, answers included."""
+    rng = random.Random(seed)
+    path = tmp_path / "store"
+    stores = [ContextStore(path, hashing_embed) for _ in range(2)]
+    stored, count, kinds = [], iter(range(10_000)), []
+
+    def fresh_ctx():
+        n = next(count)
+        ctx = _ctx(f"topic {n} {rng.choice(['audit', 'vendor', 'deal'])}", seed=str(n))
+        return context_derive(ctx, f"narrow {n}", f"narrowed topic {n}") \
+            if rng.random() < 0.3 else ctx
+
+    def answers():
+        return [_answer(rng.randrange(30), model=rng.choice("ab"))
+                for _ in range(rng.randint(1, 3))]
+
+    def clear():
+        for store in stores:
+            store.clear()
+        stored.clear()
+
+    for _ in range(40):
+        live = rng.choice(stores)
+        kind = rng.choice(["new", "new", "same", "conflict", "answers", "torn", "twin",
+                           "clear"])
+        kinds.append(kind)
+        if kind == "new" or kind in ("same", "conflict") and not stored:
+            ctx = fresh_ctx()
+            assert live.register(ctx, instruction=f"ask {ctx.id}").context_id == ctx.id
+            stored.append(ctx)
+        elif kind == "same":
+            ctx = rng.choice(stored)
+            assert live.register(ctx).context_id == ctx.id
+        elif kind == "conflict":
+            other = replace(rng.choice(stored), description="other content")
+            with pytest.raises(StoreConflictError):
+                live.register(other)
+        elif kind == "answers":
+            live.add_answers(answers())
+        elif kind == "torn":
+            writer = ContextStore(path, hashing_embed)  # a process that crashes
+            name = rng.choice([store_mod._ENTRIES_FILE, store_mod._VECTORS_FILE,
+                               store_mod._ANSWERS_FILE])
+            if name == store_mod._ANSWERS_FILE:
+                _cut_append(path, name, lambda: writer.add_answers(answers()), rng)
+            elif name == store_mod._ENTRIES_FILE:
+                _cut_append(path, name, lambda: writer.register(fresh_ctx()), rng)
+            else:  # the row is torn, so its line was never written
+                size = _size(path / "entries.jsonl")
+                _cut_append(path, name, lambda: writer.register(fresh_ctx()), rng)
+                os.truncate(path / "entries.jsonl", size)
+        elif kind == "twin" and stored:
+            log = path / "entries.jsonl"
+            doc = json.loads(rng.choice(log.read_bytes().splitlines()))
+            doc["context_id"] = f"ctx-twin-{next(count)}"
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(doc) + "\n")
+        elif kind == "clear":
+            clear()
+        try:
+            live.register(fresh_ctx())
+            error = None
+        except StoreError as exc:
+            error = str(exc)
+        try:
+            reopened = ContextStore(path, hashing_embed)
+        except StoreError as exc:
+            assert error == str(exc), kinds
+            clear()
+            continue
+        assert error is None, kinds
+        assert _held(live) == _held(reopened), kinds
+        assert live.read_answers() == reopened.read_answers()
+        assert live._answers == reopened._answers, kinds
+    assert "twin" in kinds
+
+def test_a_store_another_object_cleared_reads_the_log_again(tmp_path):
+    path = tmp_path / "cleared"
+    stale, other = (ContextStore(path, hashing_embed) for _ in range(2))
+    for i in range(3):
+        stale.register(_ctx(f"a long topic about shipments number {i}", seed=str(i)))
+    other.clear()
+    other.register(_ctx("short", seed="s"))
+    stale.register(_ctx("after the clear", seed="after"))
+    assert [e.seq for e in stale.entries] == [0, 1]
+    assert _held(stale) == _held(ContextStore(path, hashing_embed))
 
 def test_entries_file_shape(tmp_path):
     path = tmp_path / "shape"
