@@ -437,21 +437,20 @@ class AgentRuntime:
             raise ValidationError("instruction must be non-empty")
         require_unicode(instruction, "instruction")
         registry = self._registry(ctx)
-        if env is None:
-            env = self._env(ctx)
-        trace = AgentTrace(instruction=instruction, model_id=config.model.model_id)
+        env = env if env is not None else self._env(ctx)
+        trace = AgentTrace(instruction=instruction, model_id=config.model.model_id,
+                           outcome="step-limit")
         messages: list[ChatMessage] = [
             ChatMessage("system", render_system_prompt(ctx, tuple(registry.values()))),
             ChatMessage("user", instruction),
         ]
 
-        over_budget = False
         for step_index in range(config.max_steps):
             thought, action, raw = "", None, ""
             for attempt in range(config.reask_limit + 1):
                 if (config.cost_budget is not None
                         and trace.usage.cost >= config.cost_budget):
-                    over_budget = True
+                    trace.outcome, trace.abort_reason = "aborted", "budget"
                     break
                 exchange = self.backend.chat(config.model.model_id, messages,
                                              temperature=0.0)
@@ -465,43 +464,29 @@ class AgentRuntime:
                     if attempt < config.reask_limit:
                         messages = messages + [ChatMessage("assistant", raw),
                                                _CORRECTIVE]
-
-            if over_budget:
-                trace.outcome = "aborted"
-                trace.abort_reason = "budget"
+            if trace.outcome == "aborted":  # the budget ran out: no step
                 break
-
             if action is None:
                 # escaped, so a reply UTF-8 cannot encode still leaves a
                 # trace that can be written
                 quoted = raw[:200].encode("utf-8", "backslashreplace").decode("utf-8")
-                trace.steps.append(AgentStep(
-                    index=step_index, thought="", action=None,
-                    observation="error: action-parse: no parseable action after "
-                                f"{config.reask_limit + 1} attempts; last reply "
-                                f"(truncated): {quoted}"))
-                trace.outcome = "aborted"
-                trace.abort_reason = "action-parse"
+                observation = ("error: action-parse: no parseable action after "
+                               f"{config.reask_limit + 1} attempts; last reply "
+                               f"(truncated): {quoted}")
+                trace.outcome, trace.abort_reason = "aborted", "action-parse"
+            elif isinstance(action, FinalAnswer):
+                observation, trace.outcome = "", "answered"
+            else:
+                observation = truncate_observation(
+                    self._invoke_tool(registry, env, action))
+                messages = messages + [
+                    ChatMessage("assistant", raw),
+                    ChatMessage("tool", f"Observation: {observation}"),
+                ]
+            trace.steps.append(AgentStep(index=step_index, thought=thought,
+                                         action=action, observation=observation))
+            if trace.outcome != "step-limit":
                 break
-
-            if isinstance(action, FinalAnswer):
-                trace.steps.append(AgentStep(
-                    index=step_index, thought=thought, action=action,
-                    observation=""))
-                trace.outcome = "answered"
-                break
-
-            observation = self._invoke_tool(registry, env, action)
-            observation = truncate_observation(observation)
-            trace.steps.append(AgentStep(
-                index=step_index, thought=thought, action=action,
-                observation=observation))
-            messages = messages + [
-                ChatMessage("assistant", raw),
-                ChatMessage("tool", f"Observation: {observation}"),
-            ]
-        else:
-            trace.outcome = "step-limit"
 
         trace.derived_context_ids = list(env.derived_context_ids)
         self.pipeline_reports.extend(env.pipeline_reports)

@@ -25,7 +25,7 @@ from .backend import (LedgerSnapshot, MockBackend, MockRule, MockScript,
                       ModelSpec)
 from .core import (Record, RecordSnapshot, ToolParam, ToolSpec, VectorIndex,
                    context_create, make_source_record, write_artifacts)
-from .engine import PhysicalOp, pipeline_execute, semantic_execute
+from .engine import PhysicalOp, pipeline_execute, semantic_answer
 from .errors import ConfigurationError
 from .lang import SemFilter, SemMap, parse_pipeline
 from .optimizer import MinCost, optimize
@@ -281,7 +281,7 @@ def run_email_prototype(corpus: EmailCorpus) -> StrategyOutcome:
 def _tool_filter_all(env, args) -> str:
     pop = PhysicalOp(SemFilter(str(args["predicate"])), env.models[0])
     matched = [rec.id for rec in env.ctx.source
-               if semantic_execute(env.backend, pop, rec, "filter_all")[0] is not None]
+               if semantic_answer(env.backend, pop, rec)[0]]
     return (f"{len(matched)} of {len(env.ctx.source)} records matched\n"
             + "\n".join(matched))
 
@@ -289,11 +289,8 @@ def _tool_filter_all(env, args) -> str:
 def _tool_map_all(env, args) -> str:
     pop = PhysicalOp(SemMap(str(args["instruction"]), (("deal", "text"),)),
                      env.models[0])
-    lines = []
-    for rec in env.ctx.source:
-        merged, _, _ = semantic_execute(env.backend, pop, rec, "map_all")
-        lines.append(f"{rec.id}\t{merged.fields['deal']}")
-    return "\n".join(lines)
+    return "\n".join(f"{rec.id}\t{semantic_answer(env.backend, pop, rec)[0]['deal']}"
+                     for rec in env.ctx.source)
 
 
 _SWEEP_TOOLS = (

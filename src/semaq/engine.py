@@ -1,8 +1,8 @@
 """Record-at-a-time pipeline execution with per-record model calls.
 
-:func:`semantic_execute` is the one per-record call: it prompts the model
-about one record for a sem_filter or sem_map, re-asks an unusable reply,
-and returns the output record, usage and calls.
+:func:`semantic_answer` is the one call that prompts a model about a record
+for a sem_filter or sem_map: it re-asks an unusable reply and returns the
+answer (the filter's verdict or the map's parsed fields), usage and calls.
 
 Operators are chained as generators, so a record flows through the whole
 chain before the next one is pulled: a downstream operator only ever sees
@@ -342,19 +342,17 @@ class _AnswerLog:
                                len(self.new), exc)
 
 
-def semantic_execute(backend, pop: PhysicalOp, record: Record, operator_id: str,
-                     log: _AnswerLog | None = None
-                     ) -> tuple[Record | None, Usage, int]:
-    """Run a bound sem_filter or sem_map on ``record``: the one call that
-    prompts a model about a record.
+def semantic_answer(backend, pop: PhysicalOp, record: Record,
+                    log: _AnswerLog | None = None) -> tuple[bool | dict, Usage, int]:
+    """Ask the model of a bound sem_filter or sem_map about ``record``: the
+    one call that prompts a model about a record.
 
     An unusable reply is re-asked up to ``pop.retry_budget`` times before
-    raising :class:`OperatorError`.  Returns (output record, None when a
-    filter rejects it; summed usage; calls made).  A map's output keeps the
-    input fields, adds the derived ones (overwriting on name collision) and
-    gets a fresh lineage-bearing id.  With an answer ``log``, a prompt the
-    model already answered makes no call (0 calls, zero usage), and a call
-    that succeeds is added to the log; a failed one is not.
+    raising :class:`OperatorError`.  Returns (the filter's verdict or the
+    map's parsed fields; summed usage; calls made).  With an answer ``log``,
+    a prompt the model already answered makes no call (0 calls, zero
+    usage), and a call that succeeds is added to the log; a failed one is
+    not.
     """
     op = pop.logical
     if isinstance(op, SemFilter):
@@ -375,7 +373,7 @@ def semantic_execute(backend, pop: PhysicalOp, record: Record, operator_id: str,
                     op, SemMap) and list(answer) != [n for n, _ in op.output_fields]):
                 raise StoreError(f"logged answer of {model_id} to prompt {prompt} "
                                  f"does not fit the {type(op).__name__}")
-            return _answer_output(op, record, answer, operator_id), _NO_USAGE, 0
+            return answer, _NO_USAGE, 0
     in_toks = out_toks = 0
     for calls in range(1, pop.retry_budget + 2):
         exchange = backend.chat(model_id, messages, temperature=0.0)
@@ -392,14 +390,23 @@ def semantic_execute(backend, pop: PhysicalOp, record: Record, operator_id: str,
             output_tokens=out_toks, calls=calls)
     if log is not None:
         log.new.append(LoggedAnswer(model_id, prompt, parsed, in_toks, out_toks, calls))
-    return (_answer_output(op, record, parsed, operator_id), Usage(in_toks, out_toks),
-            calls)
+    return parsed, Usage(in_toks, out_toks), calls
+
+
+def semantic_execute(backend, pop: PhysicalOp, record: Record, operator_id: str
+                     ) -> tuple[Record | None, Usage, int]:
+    """:func:`semantic_answer` as the output record (see
+    :func:`_answer_output`)."""
+    answer, usage, calls = semantic_answer(backend, pop, record)
+    return _answer_output(pop.logical, record, answer, operator_id), usage, calls
 
 
 def _answer_output(op: LogicalOp, record: Record, answer, operator_id: str
                    ) -> Record | None:
     """The output of a sem_filter or sem_map whose model gave ``answer`` (a
-    verdict, or the parsed fields) on ``record``."""
+    verdict, or the parsed fields) on ``record``: None when a filter rejects
+    it; a map's output keeps the input fields, adds the derived ones
+    (overwriting on name collision) and gets a fresh lineage-bearing id."""
     if isinstance(op, SemFilter):
         return record if answer else None
     return make_derived_record({**record.fields, **answer}, [record.id], operator_id)
@@ -672,16 +679,16 @@ def _semantic_stage(run: _Run, i: int, pop: PhysicalOp, upstream: Iterator[Recor
         # (output record or None when a filter rejects, error); usage is
         # added to ``row`` here, where the call completes
         out, error, usage, calls = None, None, _NO_USAGE, 0
-        answer = sampled.get(record.id)
-        if answer is not None and _same_record(answer[0], record):
-            out = _answer_output(pop.logical, record, answer[1], operator_id)
-        else:
-            try:
-                out, usage, calls = semantic_execute(run.backend, pop, record,
-                                                     operator_id, run.log)
-            except OperatorError as exc:
-                usage, calls, error = (Usage(exc.input_tokens, exc.output_tokens),
-                                       exc.calls, exc)
+        sample = sampled.get(record.id)
+        try:
+            if sample is not None and _same_record(sample[0], record):
+                answer = sample[1]
+            else:
+                answer, usage, calls = semantic_answer(run.backend, pop, record, run.log)
+            out = _answer_output(pop.logical, record, answer, operator_id)
+        except OperatorError as exc:
+            usage, calls, error = (Usage(exc.input_tokens, exc.output_tokens),
+                                   exc.calls, exc)
         with lock:
             row.reused += not calls  # a failure made at least one call
             row.calls += calls

@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 from .backend import ModelSpec, Usage, call_cost
 from .core import Context, context_iterate, json_value
 from .engine import (PhysicalOp, PhysicalPlan, RunPolicy, SampledAnswers,
-                     bind_plan, semantic_execute)
+                     bind_plan, semantic_answer)
 from .errors import (EstimationError, OperatorError, PolicyInfeasibleError,
                      StatsError, ValidationError)
 from .lang import (Limit, LogicalOp, LogicalPlan, SemFilter, is_agentic,
@@ -140,23 +140,18 @@ def sample_stats(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
         op_labels = (labels or {}).get(idx)
         pop = PhysicalOp(logical=op, model=model, retry_budget=0)
         before = backend.ledger.snapshot().for_model(model.model_id)
-        passes = 0
-        agreements = 0
+        passes = agreements = 0
         seen = answers[(idx, model.model_id)] = {}
         for record in records:
             try:
-                out, _, _ = semantic_execute(backend, pop, record, f"sample#{idx}")
-                if isinstance(op, SemFilter):
-                    got = out is not None
-                    passes += got
-                else:
-                    got = {name: out.fields.get(name) for name, _ in op.output_fields}
-                seen[record.id] = (record, got)
-                if op_labels is not None and op_labels.get(record.id) == got:
-                    agreements += 1
+                got, _, _ = semantic_answer(backend, pop, record)
             except OperatorError as exc:
                 logger.warning("sampling failure at op %d model %s: %s",
                                idx, model.model_id, exc)
+                continue
+            passes += got is True
+            seen[record.id] = (record, got)
+            agreements += op_labels is not None and op_labels.get(record.id) == got
         after = backend.ledger.snapshot().for_model(model.model_id)
         n = len(records)
         return StatsEntry(

@@ -146,36 +146,45 @@ def _parse_answer(line: bytes, lineno: int) -> LoggedAnswer:
     return LoggedAnswer(model, prompt, answer, *counts)
 
 
-def _read_lines(log, end: int, lines: int, parse, path: Path
-                ) -> tuple[list, int, int, int]:
+def _read_lines(log, end: int, lines: int, tail: bytes, parse, forget
+                ) -> tuple[list, int, int, int, bytes]:
     """``parse(line, lineno)`` for each line of the locked ``log`` past byte
-    ``end``, ``lines`` lines in; return (parsed values, the log's size, the
-    new end, the new line count).
+    ``end``, ``lines`` lines in, the last of which was ``tail``; return
+    (parsed values, the log's size, and the new end, line count and tail).
 
     Lines split on \\n only: texts are written raw and may hold U+2028,
     U+2029 or U+0085.  A line that does not parse (``StoreError``) is fatal,
     unless it is the last and lacks its \\n: an append torn by a crash,
     skipped with a warning and left past the new end.  A last line that
-    parses but lost only its \\n is kept, and the new end counts the \\n
-    it lacks.
+    parses but lost only its \\n is kept, and the new end and tail count
+    the \\n it lacks.  A log that no longer holds ``tail`` ending at
+    ``end`` (one byte short, for a lost \\n) was cleared through another
+    store object since, however far it has grown back: ``forget()`` drops
+    what the caller holds from it, and it is read again from byte 0.
     """
     size = log.seek(0, os.SEEK_END)
+    log.seek(end - len(tail))
+    if size < end - 1 or log.read(len(tail)) != (tail if size >= end else tail[:-1]):
+        forget()
+        end, lines, tail = 0, 0, b""
     if size <= end:  # nothing appended since the last read
-        return [], size, end, lines
+        return [], size, end, lines, tail
     log.seek(end)
     parsed, torn = [], 0
     for lineno, line in enumerate(log, start=lines + 1):
-        if not line.strip():
-            continue
-        try:
-            parsed.append(parse(line, lineno))
-        except StoreError as exc:
-            if line.endswith(b"\n"):
-                raise
-            logger.warning("skipping torn last line of %s: %s", path, exc)
-            torn = len(line)
+        if line.strip():
+            try:
+                parsed.append(parse(line, lineno))
+            except StoreError as exc:
+                if line.endswith(b"\n"):
+                    raise
+                logger.warning("skipping torn last line of %s: %s", log.name, exc)
+                torn = len(line)
+                break
+        tail = line
     open_line = not torn and not line.endswith(b"\n")
-    return parsed, size, size - torn + open_line, lineno - (torn > 0)
+    return (parsed, size, size - torn + open_line, lineno - (torn > 0),
+            tail + b"\n" * open_line)
 
 
 def _mend_tail(log, size: int, end: int) -> None:
@@ -198,9 +207,9 @@ class ContextStore:
     reader of the entry log and the only code that adds an entry: it loads
     the lines past ``_log_end`` (all of them on reopen, the registered line
     after a registration's append), reads their vector rows with one read
-    into the matrix, and appends them in seq order; a log another store
-    object has not grown costs no read.  The width comes from the data: the
-    entries' stored ``dim``, or the first vector registered.  Retrieval is
+    into the matrix, and appends them in seq order; a log no other store
+    object has grown costs one read of its last line.  The width is the
+    entries' stored ``dim``, or the first registered vector's.  Retrieval is
     the exact :func:`~semaq.core.cosine_topk` scan over that matrix:
     similarity is cosine mapped to [0, 1], entries below ``tau`` are
     dropped, and ties break by earlier registration.
@@ -238,11 +247,15 @@ class ContextStore:
         # the line of each loaded entry by its seq, which no later line may hold
         self._seq_lines: dict[int, int] = {}
         self._objects: dict[str, Context] = {}
-        # bytes and lines of the entry log this instance has read
-        self._log_end = self._log_lines = 0
+        # bytes, lines and last line of the entry log this instance has read
+        self._log_end, self._log_lines, self._log_tail = 0, 0, b""
+        self._forget_answers()
+
+    def _forget_answers(self) -> None:
+        """Hold no answer: what an empty answer log reads as."""
         # answers by (model id, prompt digest); read on the first lookup
         self._answers: dict[tuple[str, str], LoggedAnswer] = {}
-        self._answers_end = self._answers_lines = 0
+        self._answers_end, self._answers_lines, self._answers_tail = 0, 0, b""
         self._answers_read = False
 
     def _read_log(self, log) -> int:
@@ -251,13 +264,12 @@ class ContextStore:
         them on reopen), by :func:`_read_lines`; return the log's size.
         Nothing is loaded unless every new line's dim, vector row and
         checksum verify and, in file order, no line holds a seq that a
-        loaded entry or an earlier new line holds.  A log shorter than what
-        this store read (another object cleared it) is read again from 0.
+        loaded entry or an earlier new line holds.  A log another object
+        cleared is read again from 0, in place of all this store holds.
         """
-        if log.seek(0, os.SEEK_END) + 1 < self._log_end:
-            self._forget()
-        new, size, end, lines = _read_lines(log, self._log_end, self._log_lines,
-                                            _parse_entry, self._entries_path)
+        new, size, end, lines, tail = _read_lines(
+            log, self._log_end, self._log_lines, self._log_tail, _parse_entry,
+            self._forget)
         if new:
             dim = self.dim or new[0][1]
             seq_lines: dict[int, int] = {}
@@ -299,7 +311,7 @@ class ContextStore:
             self.entries += [parsed[0] for parsed in new]
             self._by_id.update((entry.context_id, entry) for entry in self.entries[n:])
             self._seq_lines.update(seq_lines)
-        self._log_end, self._log_lines = end, lines
+        self._log_end, self._log_lines, self._log_tail = end, lines, tail
         return size
 
     @staticmethod
@@ -453,12 +465,12 @@ class ContextStore:
 
     def _read_answers(self, log) -> int:
         """Load the answers appended to the locked ``log`` since this store
-        last read it; return the log's size."""
-        new, size, self._answers_end, self._answers_lines = _read_lines(
-            log, self._answers_end, self._answers_lines, _parse_answer,
-            self._answers_path)
+        last read it (all of them, in place of those held, once another
+        object cleared it); return the log's size."""
+        new, size, self._answers_end, self._answers_lines, self._answers_tail = (
+            _read_lines(log, self._answers_end, self._answers_lines,
+                        self._answers_tail, _parse_answer, self._forget_answers))
         self._answers.update(((a.model, a.prompt), a) for a in new)
-        self._answers_read = True
         return size
 
     def read_answers(self) -> int:
@@ -470,10 +482,11 @@ class ContextStore:
                 with open(self._answers_path, "rb") as log:
                     fcntl.flock(log, fcntl.LOCK_SH)
                     self._read_answers(log)
-            except FileNotFoundError:
-                self._answers_read = True
+            except FileNotFoundError:  # never written, or cleared since
+                self._forget_answers()
             except OSError as exc:
                 raise StoreError(f"cannot read the answer log: {exc}") from exc
+            self._answers_read = True
             return len(self._answers)
 
     def answer(self, model_id: str, prompt: str) -> LoggedAnswer | None:
@@ -501,10 +514,11 @@ class ContextStore:
                             new.setdefault(key, logged)
                     if not new:
                         return
-                    log.write(b"".join(logged.to_line() for logged in new.values()))
+                    lines = [logged.to_line() for logged in new.values()]
+                    log.write(b"".join(lines))
                     log.flush()
-                    self._answers_end = log.tell()
-                    self._answers_lines += len(new)
+                    self._answers_end, self._answers_tail = log.tell(), lines[-1]
+                    self._answers_lines += len(lines)
                     self._answers.update(new)
             except OSError as exc:
                 raise StoreError(f"cannot append to the answer log: {exc}") from exc

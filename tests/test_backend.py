@@ -472,3 +472,115 @@ def test_json_value_checks_types_without_converting():
                         ({}, list), ([], dict)):
         with pytest.raises(ConfigurationError, match=r"w: bad value for 'x'"):
             json_value({"x": value}, "x", kind, "w")
+
+
+# --- each backend failure and its category -----------------------------------------
+
+def _cli(tmp_path, capsys, backend=None, catalog=None):
+    """Run ``semaq pipeline`` on one text file with the ``backend`` section
+    and model ``catalog`` given: (exit code, stderr)."""
+    from semaq.cli import main
+
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "a.txt").write_text("memo about filings", encoding="utf-8")
+    (tmp_path / "p.pz").write_text('scan(docs) | sem_filter("filings")\n',
+                                   encoding="utf-8")
+    doc = {"backend": backend or {}, "cache_dir": str(tmp_path / "cache"),
+           "datasets": {"docs": {"kind": "dir", "path": str(tmp_path / "data")}}}
+    if catalog is not None:
+        (tmp_path / "catalog.json").write_text(json.dumps(catalog), encoding="utf-8")
+        doc["backend"]["catalog"] = str(tmp_path / "catalog.json")
+    (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["--config", str(tmp_path / "config.json"), "pipeline",
+                 str(tmp_path / "p.pz"), "--dataset", "docs"])
+    return code, capsys.readouterr().err
+
+
+def _cli_over_http(tmp_path, capsys, monkeypatch, session, sleeps):
+    import functools
+
+    import semaq.cli as cli_mod
+    monkeypatch.setenv("SEMAQ_API_KEY", "sk-test")
+    monkeypatch.setattr(cli_mod, "HttpBackend", functools.partial(
+        HttpBackend, session=session, sleeper=sleeps.append))
+    return _cli(tmp_path, capsys, {"base_url": "https://api.example.test/v1"})
+
+
+def test_http_transport_failures_are_retried_then_retryable(catalog, tmp_path, capsys,
+                                                            monkeypatch):
+    import requests
+
+    sleeps = []
+    session = _FakeSession([requests.ConnectionError("connection refused")] * 3)
+    backend = HttpBackend("https://api.example.test", catalog, api_key="k",
+                          session=session, sleeper=sleeps.append)
+    with pytest.raises(RetryableBackendError,
+                       match="gave up on /chat/completions after 3 attempts: "
+                             "connection refused") as err:
+        backend.chat("cheap", [ChatMessage("user", "x")])
+    assert err.value.category == "backend-error"
+    assert sleeps == [1.0, 2.0] and len(session.requests) == 3
+    assert backend.ledger.snapshot().total_calls == 0
+    # the CLI's first call embeds the dataset
+    sleeps.clear()
+    session = _FakeSession([requests.ConnectionError("connection refused")] * 3)
+    code, err = _cli_over_http(tmp_path, capsys, monkeypatch, session, sleeps)
+    assert code == 8 and sleeps == [1.0, 2.0]
+    assert err.startswith("error: backend-error: gave up on /embeddings after 3 attempts")
+
+
+def test_http_zero_embedding_is_a_backend_error(catalog, tmp_path, capsys, monkeypatch):
+    doc = {"data": [{"embedding": [0.0, 0, -0.0]}]}
+    with pytest.raises(BackendError, match="provider returned a zero embedding"):
+        _http(catalog, _FakeSession([_FakeResponse(200, doc)])).embed("hello")
+    code, err = _cli_over_http(tmp_path, capsys, monkeypatch,
+                               _FakeSession([_FakeResponse(200, doc)]), [])
+    assert code == 8
+    assert err.startswith("error: backend-error: provider returned a zero embedding")
+
+
+def test_http_chat_to_a_model_outside_the_catalog_is_a_config_error(catalog):
+    session = _FakeSession([])
+    with pytest.raises(ConfigurationError,
+                       match="model not registered with backend: 'huge'"):
+        _http(catalog, session).chat("huge", [ChatMessage("user", "x")])
+    assert session.requests == []
+
+
+def _catalog_row(model_id):
+    return {"id": model_id, "input_cost_per_1k": 0.001, "output_cost_per_1k": 0.002,
+            "quality_prior": 0.9, "latency_prior": 1.0}
+
+
+def test_a_duplicate_model_in_a_catalog_is_a_config_error(tmp_path, capsys):
+    spec = ModelSpec("a", 0.001, 0.002, 0.9, 1.0)
+    with pytest.raises(ConfigurationError, match="duplicate model in catalog: a"):
+        HttpBackend("https://api.example.test", [spec, spec], api_key="k",
+                    session=_FakeSession([]))
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"rules": []}), encoding="utf-8")
+    code, err = _cli(tmp_path, capsys, {"mock_script": str(script)},
+                     {"models": [_catalog_row("a"), _catalog_row("b"), _catalog_row("a")]})
+    assert code == 2
+    assert err.startswith("error: config-error: duplicate model in catalog: a")
+
+
+def test_a_catalog_with_no_models_is_a_config_error(tmp_path, capsys):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"rules": []}), encoding="utf-8")
+    code, err = _cli(tmp_path, capsys, {"mock_script": str(script)}, {"models": []})
+    assert code == 2
+    assert err.startswith(f"error: config-error: model catalog "
+                          f"{tmp_path / 'catalog.json'} defines no models")
+
+
+def test_a_bad_mock_rule_regex_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigurationError, match=r"bad rule regex '\(unclosed'"):
+        MockRule("(unclosed", "yes", kind="regex")
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"rules": [
+        {"match": "(unclosed", "response": "yes", "kind": "regex"}]}), encoding="utf-8")
+    code, err = _cli(tmp_path, capsys, {"mock_script": str(script)})
+    assert code == 2
+    assert err.startswith(f"error: config-error: mock script {script}: bad rule "
+                          "regex '(unclosed'")

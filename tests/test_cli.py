@@ -792,3 +792,37 @@ def test_cli_pipeline_on_another_mock_script_follows_its_own_script(workspace, c
         out = capsys.readouterr().out
         assert expected in out
         assert ("4 -> 4 records" if script == every else "4 -> 1 records") in out
+
+
+def test_cli_run_without_run_dir_writes_a_fresh_stamped_dir(workspace, capsys,
+                                                             monkeypatch):
+    """With no --run-dir, a run writes to <run_dir>/<stamp>, and a second run
+    in the same second to <stamp>-1."""
+    import semaq.cli as cli_mod
+    monkeypatch.setattr(cli_mod.time, "strftime", lambda fmt: "20260101-120000")
+    runs = workspace / "runs"
+    for name in ("20260101-120000", "20260101-120000-1"):
+        code = main(["--config", str(workspace / "config.json"), "run", "docs",
+                     "count the filing memos"])
+        assert code == 0
+        assert f"artifacts: {runs / name}" in capsys.readouterr().err
+        assert (runs / name / "answer.txt").read_text() == "one filing memo\n"
+    assert sorted(p.name for p in runs.iterdir()) == [
+        "20260101-120000", "20260101-120000-1"]
+
+
+def test_cli_run_whose_agent_fails_exits_with_its_error_when_artifacts_cannot_be_written(
+        workspace, capsys, caplog):
+    script = workspace / "noaction.json"
+    script.write_text(json.dumps({"rules": [
+        {"match": "AVAILABLE TOOLS", "response": "I will not pick an action"}]}),
+        encoding="utf-8")
+    blocker = workspace / "not-a-dir"
+    blocker.write_text("x", encoding="utf-8")
+    code = main(["--config", str(workspace / "config.json"), "--mock-script",
+                 str(script), "run", "docs", "count", "--run-dir", str(blocker / "run")])
+    assert code == 6
+    assert capsys.readouterr().err.startswith(
+        "error: compute-error: compute did not reach an answer (aborted: action-parse)")
+    assert f"cannot write run artifact {blocker / 'run'}" in caplog.text
+    assert blocker.read_text(encoding="utf-8") == "x"

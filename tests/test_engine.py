@@ -6,13 +6,15 @@ import threading
 
 import pytest
 
-from semaq import (MockBackend, MockRule, MockScript, OperatorError,
+from semaq import (ContextStore, MockBackend, MockRule, MockScript, OperatorError,
                    RunAbortedError, RunPolicy, ValidationError, bind_plan,
-                   context_create, make_source_record, parse_pipeline,
-                   pipeline_execute)
+                   context_create, hashing_embed, make_source_record,
+                   parse_pipeline, pipeline_execute)
 from semaq.agent import AgentResult, AgentTrace, AgentUsage
-from semaq.engine import (PhysicalOp, parse_filter_response, parse_map_response,
-                          render_filter_prompt, render_map_prompt, semantic_execute)
+from semaq.backend import Usage, backend_fingerprint
+from semaq.engine import (PhysicalOp, _AnswerLog, parse_filter_response,
+                          parse_map_response, render_filter_prompt,
+                          render_map_prompt, semantic_answer, semantic_execute)
 from semaq.lang import SemFilter, SemMap
 from tests.conftest import CHEAP, STRONG, BlockingBackend
 from tests.test_run_calls import _case, _cheap, _run
@@ -196,6 +198,36 @@ def test_semantic_execute_pinned(mk_backend, op, rules, budget, expected):
             assert out is rec
     assert backend.ledger.snapshot().total_calls == calls
 
+
+
+def test_semantic_answer_returns_the_answer_and_logs_each_success(mk_backend, tmp_path):
+    """A filter's verdict and a map's parsed fields, with the usage and
+    calls of semantic_execute; a prompt the answer log holds makes no call,
+    and a call that fails logs nothing."""
+    rec = make_source_record({"text": "record one"}, "1#0")
+    backend = mk_backend(("PREDICATE", "Yes."), ("INSTRUCTION", "tag: fresh\nn: 3"))
+    filter_op, map_op = PhysicalOp(_PIN_FILTER, CHEAP), PhysicalOp(_PIN_MAP, CHEAP)
+    store = ContextStore(tmp_path / "store", hashing_embed)
+    fingerprint = backend_fingerprint(backend)
+    with _AnswerLog(store, fingerprint) as log:
+        assert semantic_answer(backend, filter_op, rec, log) == (True, Usage(54, 1), 1)
+        assert semantic_answer(backend, map_op, rec, log) == (
+            {"tag": "fresh", "n": 3.0}, Usage(73, 4), 1)
+    assert semantic_answer(backend, map_op, rec)[0] == {"tag": "fresh", "n": 3.0}
+    assert backend.ledger.snapshot().total_calls == 3
+    with _AnswerLog(store, fingerprint) as log:
+        assert semantic_answer(backend, filter_op, rec, log) == (True, Usage(0, 0), 0)
+        assert semantic_answer(backend, map_op, rec, log) == (
+            {"tag": "fresh", "n": 3.0}, Usage(0, 0), 0)
+        assert log.new == []
+    assert backend.ledger.snapshot().total_calls == 3
+    failing = mk_backend(("PREDICATE", "unclear"))
+    with _AnswerLog(store, backend_fingerprint(failing)) as log:
+        with pytest.raises(OperatorError, match="after 2 attempt"):
+            semantic_answer(failing, filter_op, rec, log)
+        assert log.new == []
+    assert failing.ledger.snapshot().total_calls == 2
+    assert store.read_answers() == 2
 
 # --- pipeline execution ------------------------------------------------------------
 

@@ -1048,3 +1048,164 @@ def test_clear_drops_the_answer_log(tmp_path):
     assert store.read_answers() == 0
     store.add_answers([_answer(2)])
     assert (path / "answers.jsonl").read_bytes() == _answer(2).to_line()
+
+
+def test_a_store_reads_again_a_log_another_object_cleared_and_regrew(tmp_path):
+    """A store that read 3 entries and 3 answers, after another object
+    clears the directory, registers 6 contexts and logs 1 answer: both logs
+    are back past (entries) or short of (answers) the offsets it read."""
+    path = tmp_path / "regrown"
+    live, other = (ContextStore(path, hashing_embed) for _ in range(2))
+    for i in range(3):
+        live.register(_ctx(f"topic {i}", seed=str(i)))
+    live.add_answers([_answer(i) for i in range(3)])
+    assert live.read_answers() == 3
+    other.clear()
+    for i in range(6):
+        other.register(_ctx(f"a longer topic about shipments number {i}", seed=f"o{i}"))
+    other.add_answers([_answer(5)])
+    assert live.register(_ctx("after the clear", seed="after")).seq == 6
+    assert _held(live) == _held(ContextStore(path, hashing_embed))
+    assert live.read_answers() == 1
+    assert live.answer("m", _answer(0).prompt) is None
+    live.add_answers([_answer(0)])
+    log = (path / "answers.jsonl").read_bytes()
+    assert log == _answer(5).to_line() + _answer(0).to_line()
+    reopened = ContextStore(path, hashing_embed)
+    assert reopened.read_answers() == 2
+    assert live._answers == reopened._answers
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_live_store_holds_what_a_reopen_holds_after_a_clear_by_one_object(
+        tmp_path, seed):
+    """The oracle above, with each clear made through the acting store
+    only: the other object learns of it from the logs alone, whatever they
+    have grown back to since it last read them."""
+    rng = random.Random(seed)
+    path = tmp_path / "store"
+    stores = [ContextStore(path, hashing_embed) for _ in range(2)]
+    stored, count, kinds = [], iter(range(10_000)), []
+
+    def fresh_ctx():
+        n = next(count)
+        ctx = _ctx(f"topic {n} {rng.choice(['audit', 'vendor', 'deal'])}", seed=str(n))
+        return context_derive(ctx, f"narrow {n}", f"narrowed topic {n}") \
+            if rng.random() < 0.3 else ctx
+
+    def answers():
+        return [_answer(rng.randrange(30), model=rng.choice("ab"))
+                for _ in range(rng.randint(1, 3))]
+
+    def clear(live):
+        live.clear()
+        stored.clear()
+
+    for _ in range(40):
+        live = rng.choice(stores)
+        kind = rng.choice(["new", "new", "same", "conflict", "answers", "torn", "twin",
+                           "clear"])
+        kinds.append(kind)
+        if kind == "new" or kind in ("same", "conflict") and not stored:
+            ctx = fresh_ctx()
+            assert live.register(ctx, instruction=f"ask {ctx.id}").context_id == ctx.id
+            stored.append(ctx)
+        elif kind == "same":
+            ctx = rng.choice(stored)
+            assert live.register(ctx).context_id == ctx.id
+        elif kind == "conflict":
+            other = replace(rng.choice(stored), description="other content")
+            with pytest.raises(StoreConflictError):
+                live.register(other)
+        elif kind == "answers":
+            live.add_answers(answers())
+        elif kind == "torn":
+            writer = ContextStore(path, hashing_embed)  # a process that crashes
+            name = rng.choice([store_mod._ENTRIES_FILE, store_mod._VECTORS_FILE,
+                               store_mod._ANSWERS_FILE])
+            if name == store_mod._ANSWERS_FILE:
+                _cut_append(path, name, lambda: writer.add_answers(answers()), rng)
+            elif name == store_mod._ENTRIES_FILE:
+                _cut_append(path, name, lambda: writer.register(fresh_ctx()), rng)
+            else:  # the row is torn, so its line was never written
+                size = _size(path / "entries.jsonl")
+                _cut_append(path, name, lambda: writer.register(fresh_ctx()), rng)
+                os.truncate(path / "entries.jsonl", size)
+        elif kind == "twin" and stored:
+            log = path / "entries.jsonl"
+            doc = json.loads(rng.choice(log.read_bytes().splitlines()))
+            doc["context_id"] = f"ctx-twin-{next(count)}"
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(doc) + "\n")
+        elif kind == "clear":
+            clear(live)
+        try:
+            live.register(fresh_ctx())
+            error = None
+        except StoreError as exc:
+            error = str(exc)
+        try:
+            reopened = ContextStore(path, hashing_embed)
+        except StoreError as exc:
+            assert error == str(exc), kinds
+            clear(live)
+            continue
+        assert error is None, kinds
+        assert _held(live) == _held(reopened), kinds
+        assert live.read_answers() == reopened.read_answers()
+        assert live._answers == reopened._answers, kinds
+    assert "clear" in kinds
+
+
+def test_a_blank_line_in_either_log_is_skipped_and_counted(tmp_path, capsys):
+    path = tmp_path / "blank"
+    store = ContextStore(path, hashing_embed)
+    for i in range(2):
+        store.register(_ctx(f"topic {i}", seed=str(i)))
+    store.add_answers([_answer(0), _answer(1)])
+    for name in ("entries.jsonl", "answers.jsonl"):
+        first, second = (path / name).read_bytes().splitlines(keepends=True)
+        (path / name).write_bytes(first + b"\n   \n" + second + b"\n")
+    reopened = ContextStore(path, hashing_embed)
+    assert _held(reopened) == _held(store)
+    assert reopened.read_answers() == 2 and reopened._answers == store._answers
+    # a line number counts the blank lines above it
+    with open(path / "entries.jsonl", "ab") as fh:
+        fh.write(b"not json\n")
+    with pytest.raises(StoreError, match="corrupt store entry at line 6"):
+        ContextStore(path, hashing_embed)
+
+
+def test_adding_only_answers_the_log_holds_writes_nothing(tmp_path):
+    path = tmp_path / "known"
+    store = ContextStore(path, hashing_embed)
+    store.add_answers([_answer(0), _answer(1)])
+    log = path / "answers.jsonl"
+    before = log.read_bytes()
+    store.add_answers([_answer(1), _answer(0), _answer(1)])
+    ContextStore(path, hashing_embed).add_answers([_answer(0)])
+    assert log.read_bytes() == before
+    assert store.read_answers() == 2
+
+
+def test_an_entry_of_another_dim_fails_with_its_line_number(tmp_path):
+    path = tmp_path / "dims"
+    ContextStore(path, hashing_embed).register(_ctx("topic one", seed="1"))
+    log = path / "entries.jsonl"
+    doc = json.loads(log.read_bytes())
+    dim = doc["dim"]
+    doc.update(context_id="ctx-narrow", seq=1, dim=2)
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc) + "\n")
+    with pytest.raises(StoreError, match=f"store entry at line 2 has dim 2, earlier "
+                                         f"entries have dim {dim}"):
+        ContextStore(path, hashing_embed)
+
+
+def test_an_entry_log_without_its_vector_file_is_truncated(tmp_path):
+    path = tmp_path / "novectors"
+    ctx = _ctx("topic one", seed="1")
+    ContextStore(path, hashing_embed).register(ctx)
+    (path / "vectors.bin").unlink()
+    with pytest.raises(StoreError, match=f"vector file truncated at entry 0 \\({ctx.id}\\)"):
+        ContextStore(path, hashing_embed)
