@@ -26,7 +26,7 @@ from .errors import (AgentError, ConfigurationError, DataAccessError, SemaqError
 from .lang import parse_pipeline, validate_plan
 from .optimizer import MinCost, Policy, optimize, parse_policy
 from .engine import RunPolicy, pipeline_execute
-from .store import ContextStore
+from .store import ContextStore, clear_store
 
 logger = logging.getLogger(__name__)
 
@@ -359,7 +359,14 @@ def cmd_stats(args) -> int:
 
 def cmd_cache(args) -> int:
     cfg = _load_config(args)
-    store = ContextStore(cfg.cache_dir, hashing_embed)
+    try:
+        store = ContextStore(cfg.cache_dir, hashing_embed)
+    except StoreError as exc:
+        if args.cache_cmd != "clear":
+            raise
+        clear_store(cfg.cache_dir)  # clearing is how a corrupt store is dropped
+        print(f"dropped the contexts and answer log of a corrupt store ({exc})")
+        return 0
     if args.cache_cmd == "list":
         if not len(store):
             print("cache is empty")

@@ -30,21 +30,20 @@ counted in one wrapper; a compute or search row's ``out`` is its output
 context's size, however many of them a downstream ``limit`` takes.  Cost
 and modeled time are priced after the run's last call finishes.
 
-A plan that ``optimizer.optimize`` chose carries the answers its sampler
-got at the plan's own (position, model) pairs; a stage answers a record
-from them, with no call, when the record has the sampled id and fields.
-A run given a ``store`` then looks the rendered prompt up in the store's
-answer log, keyed by model id and the sha256 of the backend's fingerprint
-(:func:`~semaq.backend.backend_fingerprint`: the mock's script, the HTTP
-provider's ``base_url``) and the first-attempt messages (role and
-content), so another backend, predicate, instruction, field value, output
-field or field cap misses; a backend with no fingerprint never uses the
-log.  The store reads the log on its first lookup; a call that succeeds is
-added to it, a failed one never is, and the run appends its new answers in
-one write when it ends, aborted or not.  An append that fails is logged as
-a warning and neither fails the run nor replaces its own error.  Either
-kind of answer counts as ``reused`` in the report, not in its calls,
-tokens or cost.
+A model's answer to a prompt is reused by one key: the model id and the
+sha256 of the backend's fingerprint (:func:`~semaq.backend.backend_fingerprint`:
+the mock's script, the HTTP provider's ``base_url``; ``""`` for a backend
+with none) and the first-attempt messages (role and content), so another
+backend, predicate, instruction, field value, output field or field cap
+misses.  A run looks a prompt up first in the answers the plan carries
+(what ``optimize``'s sampler got at the plan's own (position, model)
+pairs), then, given a ``store`` and a backend with a fingerprint, in the
+store's answer log, which the store reads on its first lookup.  A call
+that succeeds is added to the log, a failed one or a sampled answer never
+is, and the run appends its new answers in one write when it ends, aborted
+or not; an append that fails is logged as a warning and neither fails the
+run nor replaces its own error.  Either kind of answer counts as
+``reused`` in the report, not in its calls, tokens or cost.
 """
 
 from __future__ import annotations
@@ -63,9 +62,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .backend import ChatMessage, ModelSpec, Usage, backend_fingerprint, call_cost
-from .core import (Context, FieldValue, Record, canonical_fields_json,
-                   context_derive, context_iterate, make_derived_record,
-                   record_to_json, validate_field_value)
+from .core import (Context, FieldValue, Record, context_derive, context_iterate,
+                   make_derived_record, record_to_json, validate_field_value)
 from .errors import OperatorError, RunAbortedError, StoreError, ValidationError
 from .lang import (Compute, Limit, LogicalOp, LogicalPlan, Project, Scan, Search,
                    SemFilter, SemMap, describe_op, is_semantic, print_pipeline)
@@ -98,24 +96,20 @@ class PhysicalOp:
             raise ValidationError("retry budget must be >= 0")
 
 
-# sampled answers by record id: (the sampled record, the filter's verdict or
-# the map's parsed fields)
-SampledAnswers = Mapping[str, tuple[Record, object]]
-
-
 @dataclass(frozen=True)
 class PhysicalPlan:
     """A logical plan with a model bound at each semantic position.
 
-    ``answers`` holds sampled answers by (position, model id); the run reuses
-    them (see :func:`_semantic_stage`).  They stay out of ``plan_id`` and of
-    equality: two plans that differ only in them are the same plan.
+    ``answers`` holds sampled answers by (model id, prompt digest), the key
+    of the store's answer log; the run asks them first.  They stay out of
+    ``plan_id`` and of equality: two plans that differ only in them are the
+    same plan.
     """
 
     logical: LogicalPlan
     ops: tuple[PhysicalOp, ...]
     plan_id: str
-    answers: Mapping[tuple[int, str], SampledAnswers] = field(
+    answers: Mapping[tuple[str, str], bool | dict] = field(
         default_factory=dict, compare=False, repr=False)
 
     def model_assignment(self) -> dict[int, str]:
@@ -303,30 +297,30 @@ def parse_map_response(text: str,
 _NO_USAGE = Usage(0, 0)
 
 
-def _prompt_digest(backend: str, messages: Sequence[ChatMessage]) -> str:
-    """The sha256 of the ``backend``'s fingerprint and a prompt's messages,
-    each as its role, the length of its UTF-8 content and that content: with
-    the model id, the key of an answer in the store's answer log."""
-    fingerprint = backend.encode("utf-8", "surrogatepass")
-    digest = hashlib.sha256(b"%d\n%s" % (len(fingerprint), fingerprint))
-    for message in messages:
-        content = message.content.encode("utf-8", "surrogatepass")
-        digest.update(b"%s %d\n" % (message.role.encode("utf-8"), len(content)))
-        digest.update(content)
-    return digest.hexdigest()
-
-
 class _AnswerLog:
-    """The store's answer log as one run on ``backend`` (its fingerprint)
-    uses it: the answers its calls got are kept in ``new`` for one append
-    when the ``with`` block of the run ends.  The store reads the log under
-    its own lock, and pooled workers add with ``list.append``, which is
-    atomic."""
+    """The answers a run (or a sampled pair) on ``backend`` (its fingerprint)
+    reuses, by (model id, prompt digest): those ``held``, else those in the
+    log of ``store``, if any.  Its calls' answers go to ``new``, for one
+    append to the store when the ``with`` block ends; pooled workers add
+    with ``list.append``, which is atomic, and the store locks its reads."""
 
-    def __init__(self, store: ContextStore, backend: str):
+    def __init__(self, store: ContextStore | None, backend: str,
+                 held: Mapping[tuple[str, str], bool | dict] | None = None):
         self.store = store
-        self.backend = backend
+        fingerprint = backend.encode("utf-8", "surrogatepass")
+        self._header = hashlib.sha256(b"%d\n%s" % (len(fingerprint), fingerprint))
+        self.held = held or {}
         self.new: list[LoggedAnswer] = []
+
+    def digest(self, messages: Sequence[ChatMessage]) -> str:
+        """The sha256 of the fingerprint and a prompt's messages, each as its
+        role, the length of its UTF-8 content and that content."""
+        digest = self._header.copy()
+        for message in messages:
+            content = message.content.encode("utf-8", "surrogatepass")
+            digest.update(b"%s %d\n" % (message.role.encode("utf-8"), len(content)))
+            digest.update(content)
+        return digest.hexdigest()
 
     def __enter__(self) -> "_AnswerLog":
         return self
@@ -334,7 +328,7 @@ class _AnswerLog:
     def __exit__(self, *exc_info) -> None:
         # the log only saves later calls: an append that fails must neither
         # discard a result already paid for nor replace the run's own error
-        if self.new:
+        if self.new and self.store is not None:
             try:
                 self.store.add_answers(self.new)
             except StoreError as exc:
@@ -350,9 +344,8 @@ def semantic_answer(backend, pop: PhysicalOp, record: Record,
     An unusable reply is re-asked up to ``pop.retry_budget`` times before
     raising :class:`OperatorError`.  Returns (the filter's verdict or the
     map's parsed fields; summed usage; calls made).  With an answer ``log``,
-    a prompt the model already answered makes no call (0 calls, zero
-    usage), and a call that succeeds is added to the log; a failed one is
-    not.
+    a prompt it answers makes no call (0 calls, zero usage), and a call
+    that succeeds is added to its ``new``; a failed one is not.
     """
     op = pop.logical
     if isinstance(op, SemFilter):
@@ -365,10 +358,11 @@ def semantic_answer(backend, pop: PhysicalOp, record: Record,
                                  _REASK_MAP, "map response missing fields")
     model_id = pop.model.model_id
     if log is not None:
-        prompt = _prompt_digest(log.backend, messages)
-        logged = log.store.answer(model_id, prompt)
-        if logged is not None:
-            answer = logged.answer
+        prompt = log.digest(messages)
+        answer = log.held.get((model_id, prompt))
+        if answer is None and log.store is not None:
+            answer = getattr(log.store.answer(model_id, prompt), "answer", None)
+        if answer is not None:
             if (isinstance(answer, bool) != isinstance(op, SemFilter) or isinstance(
                     op, SemMap) and list(answer) != [n for n, _ in op.output_fields]):
                 raise StoreError(f"logged answer of {model_id} to prompt {prompt} "
@@ -622,14 +616,6 @@ def _windows(ops: Sequence[PhysicalOp], width: int) -> dict[int, _Window]:
     return windows
 
 
-def _same_record(a: Record, b: Record) -> bool:
-    """Whether ``a`` and ``b`` have one id and the same fields, in the same
-    order and of the same types: whether a model is asked the same about
-    them.  A record a filter passed on is the object it was given."""
-    return a is b or (a.id == b.id and canonical_fields_json(a.fields)
-                      == canonical_fields_json(b.fields))
-
-
 @dataclass
 class _Run:
     """What the stages of one run share.  ``pool`` is None when calls run
@@ -667,24 +653,18 @@ def _semantic_stage(run: _Run, i: int, pop: PhysicalOp, upstream: Iterator[Recor
     """Run a sem_filter or sem_map over ``upstream``, inline without a pool,
     else on the pool within the stage's window.
 
-    A record the plan's sampled answers hold with the same fields is
-    answered from them with no call; failing that, a prompt the answer log
-    holds is.  Either counts in ``row.reused``.
+    A prompt the run's answer log answers makes no call and counts in
+    ``row.reused``.
     """
     operator_id = f"{run.plan.plan_id}#op{i}"
-    sampled = run.plan.answers.get((i, pop.model.model_id), {})
     lock = threading.Lock()
 
     def work(record: Record):
         # (output record or None when a filter rejects, error); usage is
         # added to ``row`` here, where the call completes
-        out, error, usage, calls = None, None, _NO_USAGE, 0
-        sample = sampled.get(record.id)
+        out = error = None
         try:
-            if sample is not None and _same_record(sample[0], record):
-                answer = sample[1]
-            else:
-                answer, usage, calls = semantic_answer(run.backend, pop, record, run.log)
+            answer, usage, calls = semantic_answer(run.backend, pop, record, run.log)
             out = _answer_output(pop.logical, record, answer, operator_id)
         except OperatorError as exc:
             usage, calls, error = (Usage(exc.input_tokens, exc.output_tokens),
@@ -784,11 +764,12 @@ def pipeline_execute(pplan: PhysicalPlan, ctx: Context, backend,
 
     Returns the derived output context and a per-operator report whose cost
     totals agree with the backend ledger delta for the run.  Agentic
-    operators (compute/search) require an injected ``agent_runner``.  With
-    a ``store`` and a backend with a fingerprint, semantic stages answer
-    from the store's answer log what the model already answered there on
-    that backend, and the answers this run's calls got are appended to it
-    in one write when the run ends, aborted or not.
+    operators (compute/search) require an injected ``agent_runner``.
+    Semantic stages answer, with no call, a prompt the plan's sampled
+    answers hold; with a ``store`` and a backend with a fingerprint, also
+    one the model already answered in the store's answer log on that
+    backend, and the answers this run's calls got are appended to it in
+    one write when the run ends, aborted or not.
     """
     policy = policy or RunPolicy()
     canonical = print_pipeline(pplan.logical)
@@ -798,9 +779,12 @@ def pipeline_execute(pplan: PhysicalPlan, ctx: Context, backend,
               and not getattr(backend, "in_process", False))
     executor = (ThreadPoolExecutor(max_workers=policy.pool_width * len(windows))
                 if pooled else nullcontext())
-    fingerprint = backend_fingerprint(backend) if store is not None else None
-    answer_log = (_AnswerLog(store, fingerprint) if fingerprint is not None
-                  else nullcontext())
+    fingerprint = backend_fingerprint(backend)
+    if fingerprint is None:  # such a backend never uses the store's log
+        store = None
+    # a run with neither sampled answers nor a store computes no digest
+    answer_log = (_AnswerLog(store, fingerprint or "", pplan.answers)
+                  if store is not None or pplan.answers else nullcontext())
     # leaving the block waits for every submitted call, on return and on
     # raise, so a limit cut-off or an abort leaves no call unaccounted, and
     # then appends every answer those calls got to the log

@@ -30,14 +30,14 @@ import logging
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
-from .backend import ModelSpec, Usage, call_cost
+from .backend import ModelSpec, Usage, backend_fingerprint, call_cost
 from .core import Context, context_iterate, json_value
-from .engine import (PhysicalOp, PhysicalPlan, RunPolicy, SampledAnswers,
-                     bind_plan, semantic_answer)
+from .engine import (PhysicalOp, PhysicalPlan, RunPolicy, _AnswerLog, bind_plan,
+                     semantic_answer)
 from .errors import (EstimationError, OperatorError, PolicyInfeasibleError,
                      StatsError, ValidationError)
 from .lang import (Limit, LogicalOp, LogicalPlan, SemFilter, is_agentic,
-                   is_semantic)
+                   is_semantic, print_pipeline)
 
 logger = logging.getLogger(__name__)
 
@@ -63,8 +63,8 @@ class OperatorStats:
 
     def __init__(self, entries: Mapping[tuple[int, str], StatsEntry]):
         self._entries = dict(entries)
-        # what ``sample_stats`` saw, by (position, model id); see PhysicalPlan
-        self.answers: dict[tuple[int, str], SampledAnswers] = {}
+        # by (position, model id): what ``sample_stats`` got, as in PhysicalPlan
+        self.answers: dict[tuple[int, str], dict[tuple[str, str], bool | dict]] = {}
 
     def get(self, op_index: int, model_id: str) -> StatsEntry:
         entry = self._entries.get((op_index, model_id))
@@ -124,9 +124,10 @@ def sample_stats(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
     Each semantic operator runs over the first ``min(sample_size, N)`` source
     records under every candidate model.  Quality is the model's prior
     unless ``labels`` supplies per-record truth for an operator position, in
-    which case it is the observed agreement on the sample.  The answer of
-    every call that succeeded is kept in the result's ``answers``; a failed
-    one is not (sampling allows no re-ask).
+    which case it is the observed agreement on the sample.  Each (position,
+    model) pair asks through an empty answer log of its own, with no store;
+    the result's ``answers`` keeps what every call that succeeded got, and
+    not a failed one (sampling allows no re-ask).
     """
     if sample_size < 1:
         raise ValidationError("sample_size must be >= 1")
@@ -134,24 +135,24 @@ def sample_stats(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
     if not records:
         raise StatsError(f"context {ctx.id} yields no records to sample")
 
-    answers: dict[tuple[int, str], SampledAnswers] = {}
+    answers: dict[tuple[int, str], dict[tuple[str, str], bool | dict]] = {}
 
     def measure(idx: int, op: LogicalOp, model: ModelSpec) -> StatsEntry:
         op_labels = (labels or {}).get(idx)
         pop = PhysicalOp(logical=op, model=model, retry_budget=0)
         before = backend.ledger.snapshot().for_model(model.model_id)
         passes = agreements = 0
-        seen = answers[(idx, model.model_id)] = {}
+        log = _AnswerLog(None, backend_fingerprint(backend) or "")
         for record in records:
             try:
-                got, _, _ = semantic_answer(backend, pop, record)
+                got, _, _ = semantic_answer(backend, pop, record, log)
             except OperatorError as exc:
                 logger.warning("sampling failure at op %d model %s: %s",
                                idx, model.model_id, exc)
                 continue
             passes += got is True
-            seen[record.id] = (record, got)
             agreements += op_labels is not None and op_labels.get(record.id) == got
+        answers[(idx, model.model_id)] = {(a.model, a.prompt): a.answer for a in log.new}
         after = backend.ledger.snapshot().for_model(model.model_id)
         n = len(records)
         return StatsEntry(
@@ -546,11 +547,9 @@ def optimize(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
     ``run_policy.pool_width`` workers even for a backend run inline.  The
     chosen plan is the one ``choose_plan`` picks over all
     ``len(models) ** n`` assignments (see the module docstring), and it
-    carries the sampled answers at its own (position, model) pairs, so
-    running it does not ask again what the sample already answered.
+    carries what sampling got at its own (position, model) pairs, so running
+    it does not ask again a prompt the sample already answered.
     """
-    from .lang import print_pipeline
-
     if sample_size < 0:
         raise ValidationError("sample_size must be >= 0")
     sample_calls = 0
@@ -565,8 +564,8 @@ def optimize(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
     candidates, estimates = _search(plan, stats, models, n, pool_width, policy)
     chosen = choose_plan(candidates, estimates, policy)
     chosen = replace(chosen, answers={
-        key: stats.answers[key] for key in chosen.model_assignment().items()
-        if key in stats.answers})
+        key: answer for pair in chosen.model_assignment().items()
+        for key, answer in stats.answers.get(pair, {}).items()})
     report = OptimizerReport(
         logical_plan_id=plan.plan_id,
         pipeline_text=print_pipeline(plan),

@@ -526,6 +526,14 @@ class ContextStore:
     def clear(self) -> None:
         """Remove every entry and every logged answer."""
         with self._lock:
-            for path in (self._entries_path, self._vectors_path, self._answers_path):
-                path.unlink(missing_ok=True)
+            clear_store(self.directory)
             self._forget()
+
+
+def clear_store(directory) -> None:
+    """Remove the files of the store in ``directory``, even one that cannot open."""
+    try:
+        for name in (_ENTRIES_FILE, _VECTORS_FILE, _ANSWERS_FILE):
+            (Path(directory) / name).unlink(missing_ok=True)
+    except OSError as exc:
+        raise StoreError(f"cannot clear store at {directory}: {exc}") from exc

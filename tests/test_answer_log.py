@@ -203,7 +203,9 @@ def test_the_sample_is_asked_before_the_log(tmp_path):
     assert len(out) == 4
     reader = ContextStore(tmp_path / "s", hashing_embed)
     pplan = bind_plan(parse_pipeline('scan(d) | sem_filter("p")'), {1: CHEAP})
-    sampled = replace(pplan, answers={(1, "cheap"): {r.id: (r, False) for r in records}})
+    log = engine._AnswerLog(None, backend_fingerprint(_backend()))
+    sampled = replace(pplan, answers={
+        ("cheap", log.digest(engine.render_filter_prompt(r, "p"))): False for r in records})
     out_ctx, report = pipeline_execute(sampled, context_create(records, "docs"),
                                        _backend(), store=reader)
     assert len(out_ctx.source) == 0 and report.ops[1].reused == 4

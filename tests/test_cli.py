@@ -674,6 +674,17 @@ def test_cli_cache_dir_that_is_a_file(workspace, capsys):
     assert err.startswith(f"error: store-error: cannot open store at {blocker}")
 
 
+def test_cli_cache_clear_on_a_cache_dir_that_is_a_file(workspace, capsys):
+    blocker = workspace / "not-a-dir"
+    blocker.write_text("x", encoding="utf-8")
+    code = main(["--config", str(workspace / "config.json"),
+                 "--cache-dir", str(blocker), "cache", "clear"])
+    assert code == 9
+    assert capsys.readouterr().err.startswith(
+        f"error: store-error: cannot clear store at {blocker}")
+    assert blocker.read_text(encoding="utf-8") == "x"
+
+
 def test_cli_bench_out_that_is_a_file(tmp_path, capsys):
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("x", encoding="utf-8")
@@ -772,6 +783,29 @@ def test_cli_cache_list_counts_and_clear_drops_logged_answers(workspace, capsys)
     listing = capsys.readouterr()
     assert listing.out == "cache is empty\n"
     assert listing.err == "0 logged answer(s)\n"
+
+
+def test_cli_cache_clear_drops_a_store_that_cannot_be_opened(workspace, capsys):
+    """A corrupt line before the last one of ``entries.jsonl`` makes the
+    store fail to open (exit 9); ``cache clear`` still drops every file."""
+    config = str(workspace / "config.json")
+    main(["--config", config, "run", "docs", "count the filing memos",
+          "--run-dir", str(workspace / "out")])
+    cache = workspace / "cache"
+    entries = cache / "entries.jsonl"
+    entries.write_bytes(b'{"garbage": 1}\n' + entries.read_bytes())
+    capsys.readouterr()
+    assert main(["--config", config, "cache", "list"]) == 9
+    assert "corrupt store entry at line 1" in capsys.readouterr().err
+    assert main(["--config", config, "cache", "clear"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith(
+        "dropped the contexts and answer log of a corrupt store (corrupt store entry "
+        "at line 1")
+    for name in ("entries.jsonl", "vectors.bin", "answers.jsonl"):
+        assert not (cache / name).exists()
+    assert main(["--config", config, "cache", "list"]) == 0
+    assert capsys.readouterr().out == "cache is empty\n"
 
 
 def test_cli_pipeline_on_another_mock_script_follows_its_own_script(workspace, capsys):

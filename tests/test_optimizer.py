@@ -12,8 +12,9 @@ from semaq import (EstimationError, MaxQuality, MinCost, OperatorStats,
                    enumerate_physical_plans, estimate, make_source_record,
                    optimize, parse_pipeline, parse_policy, prior_stats,
                    sample_stats)
-from semaq.backend import ModelSpec
-from semaq.engine import RunPolicy, bind_plan
+from semaq.backend import ModelSpec, backend_fingerprint
+from semaq.engine import (RunPolicy, _AnswerLog, bind_plan, render_filter_prompt,
+                          render_map_prompt)
 from semaq.lang import (Compute, Limit, Project, Scan, SemFilter, SemMap,
                         is_semantic, make_plan)
 from semaq.optimizer import (NOMINAL_INPUT_TOKENS, NOMINAL_OUTPUT_TOKENS,
@@ -455,9 +456,13 @@ def test_optimize_reports_its_sampling_calls_and_hands_over_the_answers(mk_backe
     assert report.sample_calls == backend.ledger.snapshot().total_calls == 20
     assert report.to_dict()["sample_calls"] == 20
     assert "sampling made 20 model call(s)" in report.render_text()
-    assert set(chosen.answers) == {(1, "strong"), (2, "strong")}
-    assert chosen.answers[(1, "strong")][records[0].id][1] is True
-    assert chosen.answers[(2, "strong")][records[0].id][1] == {"a": "v"}
+    log = _AnswerLog(None, backend_fingerprint(backend))
+    keep = [("strong", log.digest(render_filter_prompt(r, "keep"))) for r in records[:5]]
+    derive = [("strong", log.digest(render_map_prompt(r, "derive", [("a", "text")])))
+              for r in records[:5]]
+    assert set(chosen.answers) == set(keep) | set(derive)
+    assert chosen.answers[keep[0]] is True
+    assert chosen.answers[derive[0]] == {"a": "v"}
     assert chosen == bind_plan(plan, {1: STRONG, 2: STRONG})
     _, zero = optimize(plan, ctx, list(catalog.values()),
                        MaxQuality(cost_budget=100.0), 0, backend)

@@ -19,7 +19,7 @@ import semaq.engine as engine
 from semaq import (MinCost, MockBackend, MockRule, MockScript, RunPolicy,
                    bind_plan, context_create, make_source_record, optimize,
                    parse_pipeline, pipeline_execute)
-from semaq.backend import ModelSpec
+from semaq.backend import ModelSpec, backend_fingerprint
 from semaq.lang import Project, SemFilter, SemMap
 from tests.conftest import CHEAP, STRONG, BlockingBackend
 
@@ -196,6 +196,11 @@ def _handoff_backend(rules):
     return _mock(rules, {"cheap": CHEAP, "strong": STRONG})
 
 
+def _prompt_key(backend, model_id, messages):
+    """The (model id, prompt digest) key of ``messages`` on ``backend``."""
+    return model_id, engine._AnswerLog(None, backend_fingerprint(backend)).digest(messages)
+
+
 def test_sampled_map_failure_is_asked_again():
     """Sampling allows no re-ask, so record 001's first reply fails there;
     the run asks again with its own budget and keeps the record."""
@@ -209,7 +214,9 @@ def test_sampled_map_failure_is_asked_again():
     chosen, opt_report = optimize(plan, ctx, [CHEAP], MinCost(quality_floor=0.0), 4,
                                   backend)
     assert opt_report.sample_calls == 4
-    assert set(chosen.answers[(1, "cheap")]) == {records[i].id for i in (0, 2, 3)}
+    assert set(chosen.answers) == {
+        _prompt_key(backend, "cheap", engine.render_map_prompt(r, "m", [("f", "text")]))
+        for r in (records[0], records[2], records[3])}
     out_ctx, report = pipeline_execute(chosen, ctx, backend)
     assert report.ops[1].reused == 3 and report.ops[1].calls == 2
     assert [r.fields["f"] for r in out_ctx.source] == ["v", "fixed", "v", "v"]
@@ -217,27 +224,33 @@ def test_sampled_map_failure_is_asked_again():
 
 @pytest.mark.parametrize("change", ["model", "position", "fields"])
 def test_sampled_answer_is_reused_only_for_its_record_position_and_model(change):
+    """Sampled answers are keyed by (model id, prompt digest): another
+    model's answer, an answer to another operator's prompt (``position``)
+    or to the prompt of a record with other fields is not reused."""
     records = [make_source_record({"text": f"record {i:03d} #a"}, origin=f"{i}#0")
                for i in range(3)]
     ctx = context_create(records, "docs")
     plan = parse_pipeline('scan(d) | sem_filter("p")')
     pplan = bind_plan(plan, {1: CHEAP})
-    # the sample said no to every record; the model says yes
-    answers = {r.id: (r, False) for r in records}
-    key = {"model": (1, "strong"), "position": (2, "cheap")}.get(change, (1, "cheap"))
-    if change == "fields":  # same ids, but a number where the run has text
-        answers = {r.id: (replace(r, fields={"text": 1}), False) for r in records}
     backend = _handoff_backend([("PREDICATE", "yes")])
-    out_ctx, report = pipeline_execute(replace(pplan, answers={key: answers}), ctx,
-                                       backend)
+    # the sample said no to every record; the model says yes
+    model, predicate = ("strong" if change == "model" else "cheap",
+                        "q" if change == "position" else "p")
+    if change == "fields":  # same ids, but a number where the run has text
+        asked = [replace(r, fields={"text": 1}) for r in records]
+    else:
+        asked = records
+    answers = {_prompt_key(backend, model, engine.render_filter_prompt(r, predicate)):
+               False for r in asked}
+    out_ctx, report = pipeline_execute(replace(pplan, answers=answers), ctx, backend)
     assert report.ops[1].reused == 0 and report.ops[1].calls == 3
     assert len(out_ctx.source) == 3
     # the matching key answers every record, with no call
     backend = _handoff_backend([("PREDICATE", "yes")])
     # equal records, not the same objects
-    good = {r.id: (replace(r), False) for r in records}
-    out_ctx, report = pipeline_execute(replace(pplan, answers={(1, "cheap"): good}),
-                                       ctx, backend)
+    good = {_prompt_key(backend, "cheap", engine.render_filter_prompt(replace(r), "p")):
+            False for r in records}
+    out_ctx, report = pipeline_execute(replace(pplan, answers=good), ctx, backend)
     assert report.ops[1].reused == 3 and report.total_calls == 0
     assert len(out_ctx.source) == 0
 
