@@ -362,6 +362,14 @@ def builtin_tools() -> tuple[ToolSpec, ...]:
     )
 
 
+def check_instruction(instruction: str) -> None:
+    """Reject an instruction the agent cannot run: empty, or text that is
+    not valid Unicode."""
+    if not instruction.strip():
+        raise ValidationError("instruction must be non-empty")
+    require_unicode(instruction, "instruction")
+
+
 def render_system_prompt(ctx: Context, tools: Sequence[ToolSpec]) -> str:
     tool_lines = []
     for tool in tools:
@@ -433,9 +441,7 @@ class AgentRuntime:
     def run(self, instruction: str, ctx: Context, config: AgentConfig,
             env: ToolEnv | None = None) -> AgentTrace:
         """Drive the action loop until final answer, step limit, or abort."""
-        if not instruction.strip():
-            raise ValidationError("instruction must be non-empty")
-        require_unicode(instruction, "instruction")
+        check_instruction(instruction)
         registry = self._registry(ctx)
         env = env if env is not None else self._env(ctx)
         trace = AgentTrace(instruction=instruction, model_id=config.model.model_id,

@@ -15,14 +15,13 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .agent import AgentConfig, AgentRuntime, make_stage_runner
+from .agent import AgentConfig, AgentRuntime, check_instruction, make_stage_runner
 from .backend import (HttpBackend, MockBackend, MockScript, ModelSpec,
                       hashing_embed, json_value, load_json_object,
                       load_model_catalog)
 from .core import (Record, RecordSnapshot, VectorIndex, context_create,
                    make_source_record, record_from_json, write_artifacts)
-from .errors import (AgentError, ConfigurationError, DataAccessError, SemaqError,
-                     StoreError)
+from .errors import ConfigurationError, DataAccessError, SemaqError, StoreError
 from .lang import parse_pipeline, validate_plan
 from .optimizer import MinCost, Policy, optimize, parse_policy
 from .engine import RunPolicy, pipeline_execute
@@ -221,6 +220,9 @@ def _fresh_run_dir(base: str) -> Path:
 # --- subcommands -----------------------------------------------------------------
 
 def cmd_run(args) -> int:
+    # an instruction the agent would reject fails the run before it starts,
+    # so it leaves no run directory
+    check_instruction(args.instruction)
     cfg = _load_config(args)
     backend = build_backend(cfg)
     ctx = load_dataset(cfg, args.dataset, backend)
@@ -244,11 +246,13 @@ def cmd_run(args) -> int:
     run_dir = Path(args.run_dir) if args.run_dir else _fresh_run_dir(cfg.run_dir)
     try:
         result = runtime.compute(ctx, args.instruction, config)
-    except AgentError as exc:
-        # a run that ends without an answer still explains itself offline;
-        # it exits with its own error even when the artifacts cannot be written
+    except SemaqError as exc:
+        # a run that ends without an answer still leaves its ledger (and the
+        # agent's trace, when the error carries one); it exits with its own
+        # error even when the artifacts cannot be written
         try:
-            write_artifacts(run_dir, _run_artifacts(backend, runtime, exc.trace))
+            write_artifacts(run_dir, _run_artifacts(backend, runtime,
+                                                    getattr(exc, "trace", None)))
         except DataAccessError as write_error:
             logger.warning("%s", write_error)
         raise

@@ -280,6 +280,14 @@ def parse_map_response(text: str,
             match = _KV_RE.match(line)
             if match and match.group(1) not in raw:
                 raw[match.group(1)] = match.group(2)
+    return _coerce_fields(raw, output_fields)
+
+
+def _coerce_fields(raw: Mapping, output_fields: Sequence[tuple[str, str]]
+                   ) -> dict | None:
+    """``raw``'s value of each declared field coerced to its type, in
+    declared order, or None if one is missing, does not coerce, or is not a
+    value a record can hold."""
     out: dict = {}
     for name, ftype in output_fields:
         if name not in raw:
@@ -336,6 +344,18 @@ class _AnswerLog:
                                len(self.new), exc)
 
 
+def _fits(op: LogicalOp, answer: bool | dict) -> bool:
+    """Whether a logged ``answer`` is one ``op`` can give: a filter's
+    verdict, or a map's declared fields in declared order, each holding a
+    value that coercing to the field's type gives back unchanged, type
+    included (``2`` in a number field would become ``2.0``)."""
+    if isinstance(op, SemFilter):
+        return isinstance(answer, bool)
+    coerced = _coerce_fields(answer, op.output_fields) if isinstance(answer, dict) else None
+    return coerced is not None and [(k, type(v), v) for k, v in coerced.items()] == [
+        (k, type(v), v) for k, v in answer.items()]
+
+
 def semantic_answer(backend, pop: PhysicalOp, record: Record,
                     log: _AnswerLog | None = None) -> tuple[bool | dict, Usage, int]:
     """Ask the model of a bound sem_filter or sem_map about ``record``: the
@@ -363,8 +383,7 @@ def semantic_answer(backend, pop: PhysicalOp, record: Record,
         if answer is None and log.store is not None:
             answer = getattr(log.store.answer(model_id, prompt), "answer", None)
         if answer is not None:
-            if (isinstance(answer, bool) != isinstance(op, SemFilter) or isinstance(
-                    op, SemMap) and list(answer) != [n for n, _ in op.output_fields]):
+            if not _fits(op, answer):
                 raise StoreError(f"logged answer of {model_id} to prompt {prompt} "
                                  f"does not fit the {type(op).__name__}")
             return answer, _NO_USAGE, 0

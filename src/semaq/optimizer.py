@@ -59,12 +59,14 @@ class StatsEntry:
 
 
 class OperatorStats:
-    """Statistics keyed by (operator position, model id)."""
+    """Statistics keyed by (operator position, model id), plus what sampling
+    got at each pair (``answers``, keyed as in PhysicalPlan) and its ``calls``."""
 
-    def __init__(self, entries: Mapping[tuple[int, str], StatsEntry]):
+    def __init__(self, entries: Mapping[tuple[int, str], StatsEntry],
+                 answers: Mapping[tuple[int, str], dict] | None = None, calls: int = 0):
         self._entries = dict(entries)
-        # by (position, model id): what ``sample_stats`` got, as in PhysicalPlan
-        self.answers: dict[tuple[int, str], dict[tuple[str, str], bool | dict]] = {}
+        self.answers = dict(answers or {})
+        self.calls = calls
 
     def get(self, op_index: int, model_id: str) -> StatsEntry:
         entry = self._entries.get((op_index, model_id))
@@ -85,7 +87,7 @@ def semantic_positions(plan: LogicalPlan) -> list[int]:
     return [i for i, op in enumerate(plan.ops) if is_semantic(op)]
 
 
-def _stats(plan: LogicalPlan, models: Sequence[ModelSpec], measure) -> OperatorStats:
+def _entries(plan: LogicalPlan, models: Sequence[ModelSpec], measure) -> dict:
     """An entry for every (semantic position, model): ``measure(idx, op,
     model)`` for a per-record operator; an agentic one is charged per run,
     not per record, so with no sample it carries only the model priors."""
@@ -98,7 +100,7 @@ def _stats(plan: LogicalPlan, models: Sequence[ModelSpec], measure) -> OperatorS
                            cost_per_record=0.0,
                            latency_per_record=model.latency_prior, sample_size=0)
                 if is_agentic(op) else measure(idx, op, model))
-    return OperatorStats(entries)
+    return entries
 
 
 def prior_stats(plan: LogicalPlan, models: Sequence[ModelSpec]) -> OperatorStats:
@@ -112,7 +114,7 @@ def prior_stats(plan: LogicalPlan, models: Sequence[ModelSpec]) -> OperatorStats
             latency_per_record=model.latency_prior,
             sample_size=0,
         )
-    return _stats(plan, models, prior)
+    return OperatorStats(_entries(plan, models, prior))
 
 
 def sample_stats(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
@@ -128,6 +130,13 @@ def sample_stats(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
     model) pair asks through an empty answer log of its own, with no store;
     the result's ``answers`` keeps what every call that succeeded got, and
     not a failed one (sampling allows no re-ask).
+
+    A pair's cost and latency per record come from its own calls: the usage
+    and calls each one returns, a failed one's included, priced by the rule
+    that prices a report row, ``call_cost`` of the summed tokens and
+    ``calls * latency_prior``.  So sampled latency is modeled on every
+    backend, and the statistics do not depend on what else the backend
+    served before or meanwhile.
     """
     if sample_size < 1:
         raise ValidationError("sample_size must be >= 1")
@@ -136,35 +145,37 @@ def sample_stats(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
         raise StatsError(f"context {ctx.id} yields no records to sample")
 
     answers: dict[tuple[int, str], dict[tuple[str, str], bool | dict]] = {}
+    calls: dict[tuple[int, str], int] = {}
 
     def measure(idx: int, op: LogicalOp, model: ModelSpec) -> StatsEntry:
         op_labels = (labels or {}).get(idx)
         pop = PhysicalOp(logical=op, model=model, retry_budget=0)
-        before = backend.ledger.snapshot().for_model(model.model_id)
-        passes = agreements = 0
+        passes = agreements = in_toks = out_toks = made = 0
         log = _AnswerLog(None, backend_fingerprint(backend) or "")
         for record in records:
             try:
-                got, _, _ = semantic_answer(backend, pop, record, log)
+                got, usage, n_calls = semantic_answer(backend, pop, record, log)
             except OperatorError as exc:
                 logger.warning("sampling failure at op %d model %s: %s",
                                idx, model.model_id, exc)
-                continue
-            passes += got is True
-            agreements += op_labels is not None and op_labels.get(record.id) == got
+                usage, n_calls = Usage(exc.input_tokens, exc.output_tokens), exc.calls
+            else:
+                passes += got is True
+                agreements += op_labels is not None and op_labels.get(record.id) == got
+            in_toks += usage.input_tokens
+            out_toks += usage.output_tokens
+            made += n_calls
         answers[(idx, model.model_id)] = {(a.model, a.prompt): a.answer for a in log.new}
-        after = backend.ledger.snapshot().for_model(model.model_id)
+        calls[(idx, model.model_id)] = made
         n = len(records)
         return StatsEntry(
             selectivity=(passes / n) if isinstance(op, SemFilter) else None,
             quality=(agreements / n) if op_labels is not None else model.quality_prior,
-            cost_per_record=(after.cost - before.cost) / n,
-            latency_per_record=(after.wall_seconds - before.wall_seconds) / n,
+            cost_per_record=call_cost(model, Usage(in_toks, out_toks)) / n,
+            latency_per_record=made * model.latency_prior / n,
             sample_size=n,
         )
-    stats = _stats(plan, models, measure)
-    stats.answers = answers
-    return stats
+    return OperatorStats(_entries(plan, models, measure), answers, sum(calls.values()))
 
 
 def _require_catalog(positions: Sequence[int], models: Sequence[ModelSpec]) -> None:
@@ -549,16 +560,18 @@ def optimize(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
     ``len(models) ** n`` assignments (see the module docstring), and it
     carries what sampling got at its own (position, model) pairs, so running
     it does not ask again a prompt the sample already answered.
+
+    One pricing rule covers report rows and sampled statistics, and the
+    report's ``sample_calls`` is the calls the statistics counted (see
+    :func:`sample_stats`), so both hold on any backend, with or without
+    other callers.  Sampled latency is modeled on every backend.  Only
+    whole-session reports (the usage file ``semaq run`` writes, and bench
+    outcomes) read the backend's running totals.
     """
     if sample_size < 0:
         raise ValidationError("sample_size must be >= 0")
-    sample_calls = 0
-    if sample_size >= 1:
-        before = backend.ledger.snapshot().total_calls
-        stats = sample_stats(plan, ctx, models, sample_size, backend)
-        sample_calls = backend.ledger.snapshot().total_calls - before
-    else:
-        stats = prior_stats(plan, models)
+    stats = (sample_stats(plan, ctx, models, sample_size, backend) if sample_size >= 1
+             else prior_stats(plan, models))
     n = len(ctx.source)
     pool_width = (run_policy or RunPolicy()).pool_width
     candidates, estimates = _search(plan, stats, models, n, pool_width, policy)
@@ -581,6 +594,6 @@ def optimize(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
         ],
         chosen_plan_id=chosen.plan_id,
         plans_considered=len(models) ** len(semantic_positions(plan)),
-        sample_calls=sample_calls,
+        sample_calls=stats.calls,
     )
     return chosen, report

@@ -267,6 +267,35 @@ def test_a_logged_answer_that_does_not_fit_its_operator_is_a_store_error(tmp_pat
                  ContextStore(tmp_path / "s", hashing_embed))
 
 
+@pytest.mark.parametrize("ftype, reply, logged", [
+    ("number", "f: 2", '"not a number"'), ("number", "f: 2", '"2"'),
+    ("number", "f: 2", "true"), ("number", "f: 2", "2"), ("boolean", "f: yes", '"yes"'),
+    ("text", "f: v", "5"), ("list", "f: a, b", '"a, b"'),
+])
+def test_a_logged_map_value_that_its_field_type_changes_is_a_store_error(
+        tmp_path, ftype, reply, logged):
+    """A logged map field whose value coercing to the declared type does
+    not give back unchanged (a log edited by hand) fails the run as a store
+    error; the values the run itself logged are reused."""
+    pplan = bind_plan(parse_pipeline(f'scan(d) | sem_map("m", {{f: {ftype}}})'),
+                      {1: CHEAP})
+
+    def run():
+        backend = MockBackend(MockScript([MockRule("INSTRUCTION", reply)]),
+                              {"cheap": CHEAP})
+        _, report = pipeline_execute(pplan, context_create(_records(2), "docs"), backend,
+                                     store=ContextStore(tmp_path / "s", hashing_embed))
+        return report.ops[1].calls, report.ops[1].reused
+
+    assert run() == (2, 0)
+    assert run() == (0, 2)
+    log = tmp_path / "s" / "answers.jsonl"
+    log.write_text(re.sub(r'"answer": \{.*?\}, "input_tokens"',
+                          f'"answer": {{"f": {logged}}}, "input_tokens"', log.read_text()))
+    with pytest.raises(StoreError, match="does not fit the SemMap"):
+        run()
+
+
 # --- the backend is part of the key ------------------------------------------------------
 
 class _Anonymous:

@@ -747,6 +747,28 @@ def test_cli_run_without_an_answer_leaves_a_run_dir_stats_renders(workspace, cap
     assert "report-000.json: plan pp-" in stats and "4 calls, 0 reused" in stats
 
 
+def test_cli_run_that_fails_with_a_non_agent_error_leaves_its_ledger(workspace, capsys):
+    """The agent's second chat matches no rule of the mock script: the run
+    exits 8 (mock-miss), and its directory still holds the ledger of every
+    call it made; the error carries no trace."""
+    script = workspace / "short.json"
+    rules = [_RUN_SCRIPT["rules"][0],
+             {"match": r"PREDICATE[\s\S]*filings", "response": "yes", "kind": "regex"},
+             _RUN_SCRIPT["rules"][3]]
+    script.write_text(json.dumps({"rules": rules}), encoding="utf-8")
+    run_dir = workspace / "out"
+    code = main(["--config", str(workspace / "config.json"), "--mock-script",
+                 str(script), "run", "docs", "count", "--run-dir", str(run_dir)])
+    out = capsys.readouterr()
+    assert code == 8 and out.out == ""
+    assert out.err.startswith("error: mock-miss: no mock rule matched prompt")
+    assert sorted(p.name for p in run_dir.iterdir()) == ["ledger.json"]
+    ledger = json.loads((run_dir / "ledger.json").read_text())
+    # the agent's one answered chat, and the pipeline's four filter calls
+    assert {m["model_id"]: m["calls"] for m in ledger["models"]} == {
+        "mock-large": 1, "mock-small": 4}
+
+
 def test_cli_runs_answer_from_the_stores_answer_log(workspace, capsys):
     """A second ``pipeline`` or ``run`` on one cache asks no model what the
     first already asked; ``semaq bench`` passes no store."""

@@ -12,7 +12,7 @@ from semaq import (EstimationError, MaxQuality, MinCost, OperatorStats,
                    enumerate_physical_plans, estimate, make_source_record,
                    optimize, parse_pipeline, parse_policy, prior_stats,
                    sample_stats)
-from semaq.backend import ModelSpec, backend_fingerprint
+from semaq.backend import ChatMessage, ModelSpec, Usage, backend_fingerprint, call_cost
 from semaq.engine import (RunPolicy, _AnswerLog, bind_plan, render_filter_prompt,
                           render_map_prompt)
 from semaq.lang import (Compute, Limit, Project, Scan, SemFilter, SemMap,
@@ -150,6 +150,82 @@ def test_sample_stats_errors(mk_backend):
     ctx, _ = _sample_ctx(n=2)
     with pytest.raises(ValidationError):
         sample_stats(plan, ctx, [CHEAP], 0, mk_backend())
+
+
+_RULES = (("INSTRUCTION", "a: v"), ("hit", "yes"), ("PREDICATE", "no"))
+
+
+def test_sample_stats_do_not_depend_on_the_backends_earlier_calls(mk_backend, catalog):
+    """Sampling a plan on a backend that already answered other prompts on
+    the same models gives the statistics of a fresh backend, bit for bit."""
+    ctx, _ = _sample_ctx()
+    plan = parse_pipeline(FILTER_MAP)
+    models = list(catalog.values())
+    fresh = sample_stats(plan, ctx, models, 20, mk_backend(*_RULES)).to_dict()
+    for earlier in (1, 2, 3, 7, 50):
+        backend = mk_backend(*_RULES)
+        for i in range(earlier):
+            backend.chat(models[i % 2].model_id,
+                         [ChatMessage("user", f"PREDICATE: earlier {i} " * (i + 1))])
+        assert sample_stats(plan, ctx, models, 20, backend).to_dict() == fresh, earlier
+
+
+class _SharedBackend:
+    """A backend shared with another caller, which makes one call of its
+    own on the same backend, and so on its ledger, just before the third
+    chat."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.ledger = inner.ledger
+        self.chats = 0
+
+    def chat(self, model_id, messages, temperature=0.0):
+        self.chats += 1
+        if self.chats == 3:
+            self.inner.chat(model_id, [ChatMessage("user", "PREDICATE: another caller")])
+        return self.inner.chat(model_id, messages, temperature)
+
+
+def test_sampling_counts_only_its_own_calls_on_a_shared_backend(mk_backend, catalog):
+    ctx, _ = _sample_ctx()
+    plan = parse_pipeline(FILTER_MAP)
+    models = list(catalog.values())
+    policy = MaxQuality(cost_budget=100.0)
+    _, plain = optimize(plan, ctx, models, policy, 5, mk_backend(*_RULES))
+    inner = mk_backend(*_RULES)
+    _, shared = optimize(plan, ctx, models, policy, 5, _SharedBackend(inner))
+    assert inner.ledger.snapshot().total_calls == 21
+    assert shared.sample_calls == plain.sample_calls == 20
+    assert shared.stats == plain.stats
+    bare = _SharedBackend(mk_backend(*_RULES))
+    del bare.ledger  # neither optimize nor sample_stats needs one
+    _, report = optimize(plan, ctx, models, policy, 5, bare)
+    assert report.stats == plain.stats and report.sample_calls == 20
+    bare = _SharedBackend(mk_backend(*_RULES))
+    del bare.ledger
+    stats = sample_stats(plan, ctx, models, 5, bare)
+    assert stats.to_dict() == plain.stats and stats.calls == 20
+
+
+def test_a_sampled_failure_is_priced_and_counted_but_not_answered(mk_backend):
+    """Record 01's filter reply does not parse.  Its call's tokens are in
+    the cost per record and its call in the latency per record and in
+    ``sample_calls``; the record is in neither the answers nor the passes."""
+    ctx, records = _sample_ctx(n=8, hits=3)
+    backend = mk_backend((r"PREDICATE[\s\S]*row 01 hit", "perhaps", "regex"), *_RULES)
+    plan = parse_pipeline('scan(d) | sem_filter("keep")')
+    chosen, report = optimize(plan, ctx, [CHEAP], MinCost(quality_floor=0.0), 6, backend)
+    spent = backend.ledger.snapshot().for_model("cheap")  # sampling's calls only
+    entry = report.stats["1:cheap"]
+    assert spent.calls == report.sample_calls == 6
+    assert entry["cost_per_record"] == call_cost(
+        CHEAP, Usage(spent.input_tokens, spent.output_tokens)) / 6
+    assert entry["latency_per_record"] == 6 * CHEAP.latency_prior / 6
+    assert entry["selectivity"] == 2 / 6  # rows 00 and 02; row 01 failed
+    log = _AnswerLog(None, backend_fingerprint(backend))
+    asked = [("cheap", log.digest(render_filter_prompt(r, "keep"))) for r in records[:6]]
+    assert set(chosen.answers) == set(asked) - {asked[1]}
 
 
 # --- enumeration -------------------------------------------------------------------
