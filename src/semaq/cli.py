@@ -20,7 +20,8 @@ from .backend import (HttpBackend, MockBackend, MockScript, ModelSpec,
                       hashing_embed, json_value, load_json_object,
                       load_model_catalog)
 from .core import (Record, RecordSnapshot, VectorIndex, context_create,
-                   make_source_record, record_from_json, write_artifacts)
+                   make_source_record, record_from_json, require_unicode,
+                   write_artifacts)
 from .errors import ConfigurationError, DataAccessError, SemaqError, StoreError
 from .lang import parse_pipeline, validate_plan
 from .optimizer import MinCost, Policy, optimize, parse_policy
@@ -93,6 +94,14 @@ class RunConfig:
                           ("max_steps", int), ("budget", float)):
             setattr(cfg, key, json_value(doc, key, kind, where, getattr(cfg, key)))
         cfg.build_index = json_value(doc, "index", bool, where, cfg.build_index)
+        # a path the operating system cannot take fails here, not where it is opened
+        for key, attr in (("backend.mock_script", "mock_script"),
+                          ("catalog", "catalog_path"), ("cache_dir", "cache_dir"),
+                          ("run_dir", "run_dir")):
+            path = getattr(cfg, attr) or ""
+            if "\0" in path:
+                raise ConfigurationError(f"{where}: {key} holds a NUL character")
+            require_unicode(path, f"{where}: {key}", ConfigurationError)
         return cfg
 
 
@@ -224,6 +233,7 @@ def cmd_run(args) -> int:
     # so it leaves no run directory
     check_instruction(args.instruction)
     cfg = _load_config(args)
+    run_policy = RunPolicy(pool_width=cfg.pool_width)
     backend = build_backend(cfg)
     ctx = load_dataset(cfg, args.dataset, backend)
     store = ContextStore(cfg.cache_dir, backend.embed)
@@ -235,7 +245,6 @@ def cmd_run(args) -> int:
         if ctx.id != before:
             print(f"augmented context with {len(matches)} cached finding(s)",
                   file=sys.stderr)
-    run_policy = RunPolicy(pool_width=cfg.pool_width)
     runtime = AgentRuntime(
         backend, store, models=list(backend.catalog.values()),
         policy=cfg.policy, sample_size=cfg.sample_size, run_policy=run_policy,
@@ -267,6 +276,7 @@ def cmd_run(args) -> int:
 
 def cmd_pipeline(args) -> int:
     cfg = _load_config(args)
+    run_policy = RunPolicy(pool_width=cfg.pool_width)
     backend = build_backend(cfg)
     try:
         text = Path(args.pipeline_file).read_text(encoding="utf-8")
@@ -281,7 +291,6 @@ def cmd_pipeline(args) -> int:
         raise ConfigurationError(f"pipeline failed validation with "
                                  f"{len(diagnostics)} diagnostic(s)")
     sample = args.sample if args.sample is not None else cfg.sample_size
-    run_policy = RunPolicy(pool_width=cfg.pool_width)
     chosen, opt_report = optimize(
         plan, ctx, list(backend.catalog.values()), cfg.policy, sample, backend,
         run_policy=run_policy)
@@ -337,7 +346,8 @@ def _artifact_lines(path: Path, render) -> list[str]:
     cannot be read, parsed or rendered is a data error naming it."""
     try:
         return render(json.loads(path.read_text(encoding="utf-8")))
-    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, LookupError, TypeError, AttributeError,
+            OverflowError) as exc:  # an integer past float range, for one
         raise DataAccessError(f"malformed run artifact {path}: "
                               f"{type(exc).__name__}: {exc}") from exc
 

@@ -33,13 +33,14 @@ FieldValue = None | str | int | float | bool | list
 MAX_FIELD_NESTING = 8
 
 
-def require_unicode(text: str, what: str) -> None:
-    """Reject a string UTF-8 cannot encode: one holding a lone surrogate."""
+def require_unicode(text: str, what: str, error: type = ValidationError) -> None:
+    """Reject a string UTF-8 cannot encode (one holding a lone surrogate)
+    by raising ``error``."""
     if not text.isascii():
         try:
             text.encode("utf-8")
         except UnicodeEncodeError:
-            raise ValidationError(f"{what} is not valid Unicode") from None
+            raise error(f"{what} is not valid Unicode") from None
 
 
 def validate_field_value(value: FieldValue, _depth: int = 0) -> None:

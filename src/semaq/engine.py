@@ -13,22 +13,21 @@ each keeping at most ``pool_width`` calls in flight and yielding in input
 order; a run waits for every call it submitted before it returns or raises,
 so its report totals equal the ledger delta even after a ``limit`` cut-off.
 Under a ``limit(n)`` reached through only project, sem_filter and sem_map
-stages, each semantic stage sizes its window by demand (see
-:class:`_Window`): it keeps at most ``ceil(need / rate)`` calls in flight,
-where ``need`` is the outputs of the stage the limit can still take and
-``rate`` its pass rate observed in this run (1 for a map).  So a map
-prefetches nothing the limit cannot take, and a filter looks ahead only as
-far as its observed selectivity says the limit can use; when a record is
-dropped downstream and nothing is in flight, a pull still starts one call.
-A backend that declares ``in_process`` (the mock) never blocks, so its calls
-run inline in the caller's thread: no threads, and no call past what a
+stages, each semantic stage sizes its window by demand (:class:`_Window`),
+so a map prefetches nothing the limit cannot take, and a filter looks ahead
+only as far as its observed selectivity says the limit can use.  A backend
+that declares ``in_process`` (the mock) never blocks, so its calls run
+inline in the caller's thread: no threads, and no call past what a
 downstream ``limit`` pulls.
 
 Each operator runs as one stage from one table.  A report row's ``in`` is
 the records its stage pulled and ``out`` the records it passed on, both
 counted in one wrapper; a compute or search row's ``out`` is its output
-context's size, however many of them a downstream ``limit`` takes.  Cost
-and modeled time are priced after the run's last call finishes.
+context's size, however many of them a downstream ``limit`` takes.  A
+sem_filter or sem_map stage asks about each record by :meth:`_Run.ask`,
+which counts the ask in the row, and so does ``optimize``'s sampler, one
+row per (position, model) pair; :func:`_price` prices both kinds of row by
+one rule, a run's once its last call finishes.
 
 A model's answer to a prompt is reused by one key: the model id and the
 sha256 of the backend's fingerprint (:func:`~semaq.backend.backend_fingerprint`:
@@ -75,6 +74,7 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 DEFAULT_FIELD_CHAR_CAP = 4000
+MAX_POOL_WIDTH = 1024
 
 
 @dataclass(frozen=True)
@@ -145,6 +145,9 @@ class RunPolicy:
     fewer: no more than the limit can still take from it, divided by its
     observed pass rate.  With ``pool_width == 1``, or a backend that
     declares ``in_process``, every call runs inline without threads.
+    ``pool_width`` is at most ``MAX_POOL_WIDTH``: a run may start that many
+    threads per semantic stage, and the optimizer divides float latencies
+    by it, which a wider integer would overflow.
     """
 
     on_error: str = "drop"  # drop | abort
@@ -158,6 +161,8 @@ class RunPolicy:
             raise ValidationError("failure_budget must be in [0, 1]")
         if self.pool_width < 1:
             raise ValidationError("pool_width must be >= 1")
+        if self.pool_width > MAX_POOL_WIDTH:
+            raise ValidationError(f"pool_width must be <= {MAX_POOL_WIDTH}")
 
 
 # --- prompts -------------------------------------------------------------------
@@ -637,22 +642,41 @@ def _windows(ops: Sequence[PhysicalOp], width: int) -> dict[int, _Window]:
 
 @dataclass
 class _Run:
-    """What the stages of one run share.  ``pool`` is None when calls run
-    inline, ``context`` is the context the next agentic stage reads, and
-    ``agentic`` holds each agentic stage's output size by position."""
+    """What the stages of one run share: ``context`` is the context the next
+    agentic stage reads, and ``agentic`` holds each agentic stage's output
+    size by position.  A sampled pair's run sets only what :meth:`ask` reads."""
 
-    plan: PhysicalPlan
     backend: object
-    policy: RunPolicy
-    agent_runner: AgentRunner | None
-    pool: ThreadPoolExecutor | None
-    windows: dict[int, _Window]
     log: _AnswerLog | None
-    context: Context
-    report: ExecutionReport
-    allowed: int  # failures the budget allows
+    plan: PhysicalPlan | None = None
+    policy: RunPolicy | None = None
+    agent_runner: AgentRunner | None = None
+    pool: ThreadPoolExecutor | None = None  # None: calls run inline
+    windows: dict[int, _Window] = field(default_factory=dict)
+    context: Context | None = None
+    report: ExecutionReport | None = None
+    allowed: int = 0  # failures the budget allows
     agentic: dict[int, int] = field(default_factory=dict)
     failures: int = 0
+    lock: threading.Lock = field(default_factory=threading.Lock)
+
+    def ask(self, pop: PhysicalOp, record: Record, row: OpReport):
+        """:func:`semantic_answer` through the run's log: (the answer, None),
+        or (None, the error) when no reply parsed.  Its calls, tokens,
+        ``reused`` and ``failures`` go to ``row`` under the run's lock."""
+        answer = error = None
+        try:
+            answer, usage, calls = semantic_answer(self.backend, pop, record, self.log)
+        except OperatorError as exc:
+            usage, calls, error = (Usage(exc.input_tokens, exc.output_tokens),
+                                   exc.calls, exc)
+        with self.lock:
+            row.reused += not calls  # a failure made at least one call
+            row.calls += calls
+            row.input_tokens += usage.input_tokens
+            row.output_tokens += usage.output_tokens
+            row.failures += error is not None
+        return answer, error
 
     def fail(self, error: OperatorError) -> None:
         """Drop the record ``error`` failed on, or raise under ``abort`` or
@@ -670,30 +694,17 @@ class _Run:
 def _semantic_stage(run: _Run, i: int, pop: PhysicalOp, upstream: Iterator[Record],
                     row: OpReport) -> Iterator[Record]:
     """Run a sem_filter or sem_map over ``upstream``, inline without a pool,
-    else on the pool within the stage's window.
+    else on the pool within the stage's window, asking by :meth:`_Run.ask`.
 
     A prompt the run's answer log answers makes no call and counts in
     ``row.reused``.
     """
     operator_id = f"{run.plan.plan_id}#op{i}"
-    lock = threading.Lock()
 
     def work(record: Record):
-        # (output record or None when a filter rejects, error); usage is
-        # added to ``row`` here, where the call completes
-        out = error = None
-        try:
-            answer, usage, calls = semantic_answer(run.backend, pop, record, run.log)
-            out = _answer_output(pop.logical, record, answer, operator_id)
-        except OperatorError as exc:
-            usage, calls, error = (Usage(exc.input_tokens, exc.output_tokens),
-                                   exc.calls, exc)
-        with lock:
-            row.reused += not calls  # a failure made at least one call
-            row.calls += calls
-            row.input_tokens += usage.input_tokens
-            row.output_tokens += usage.output_tokens
-            row.failures += error is not None
+        # (output record or None when a filter rejects, error)
+        answer, error = run.ask(pop, record, row)
+        out = None if error else _answer_output(pop.logical, record, answer, operator_id)
         return out, error
 
     results = (map(work, upstream) if run.pool is None
@@ -756,6 +767,14 @@ _STAGES: dict[type, Callable] = {
 }
 
 
+def _price(model: ModelSpec, row: OpReport) -> None:
+    """Price a row with a model: ``call_cost`` of its tokens; a sem_filter or
+    sem_map row's time is ``calls * latency_prior``, an agentic row's its trace's."""
+    row.cost = call_cost(model, Usage(row.input_tokens, row.output_tokens))
+    if row.kind in ("sem_filter", "sem_map"):
+        row.wall_seconds = row.calls * model.latency_prior
+
+
 def _counted(stage: Callable, run: _Run, i: int, pop: PhysicalOp,
              upstream: Iterator[Record], row: OpReport) -> Iterator[Record]:
     """Build ``stage`` on ``upstream``, counting in ``row`` the records it
@@ -784,11 +803,8 @@ def pipeline_execute(pplan: PhysicalPlan, ctx: Context, backend,
     Returns the derived output context and a per-operator report whose cost
     totals agree with the backend ledger delta for the run.  Agentic
     operators (compute/search) require an injected ``agent_runner``.
-    Semantic stages answer, with no call, a prompt the plan's sampled
-    answers hold; with a ``store`` and a backend with a fingerprint, also
-    one the model already answered in the store's answer log on that
-    backend, and the answers this run's calls got are appended to it in
-    one write when the run ends, aborted or not.
+    Semantic stages answer a prompt from the plan's sampled answers and,
+    given a ``store``, from its answer log (see the module docstring).
     """
     policy = policy or RunPolicy()
     canonical = print_pipeline(pplan.logical)
@@ -808,7 +824,7 @@ def pipeline_execute(pplan: PhysicalPlan, ctx: Context, backend,
     # raise, so a limit cut-off or an abort leaves no call unaccounted, and
     # then appends every answer those calls got to the log
     with answer_log as log, executor as pool:
-        run = _Run(pplan, backend, policy, agent_runner, pool, windows, log, ctx, report,
+        run = _Run(backend, log, pplan, policy, agent_runner, pool, windows, ctx, report,
                    math.ceil(policy.failure_budget * len(ctx.source)))
         stream = context_iterate(ctx)
         for i, pop in enumerate(pplan.ops):
@@ -823,13 +839,9 @@ def pipeline_execute(pplan: PhysicalPlan, ctx: Context, backend,
 
     # price each row with a model, once every call the run submitted has ended
     for pop, row in zip(pplan.ops, report.ops):
-        if pop.model is None:
-            continue
-        row.cost = call_cost(pop.model, Usage(row.input_tokens, row.output_tokens))
-        if row.index in run.agentic:  # its stage set calls and time from the trace
-            row.records_out = run.agentic[row.index]  # its output context's size
-        else:
-            row.wall_seconds = row.calls * pop.model.latency_prior
+        if pop.model is not None:
+            _price(pop.model, row)
+            row.records_out = run.agentic.get(row.index, row.records_out)
 
     description = (ctx.description + f"\n\n[pipeline {pplan.plan_id}] {canonical}; "
                    f"records in: {len(ctx.source)}; records out: {len(out_records)}.")

@@ -32,11 +32,10 @@ from typing import Mapping, Sequence
 
 from .backend import ModelSpec, Usage, backend_fingerprint, call_cost
 from .core import Context, context_iterate, json_value
-from .engine import (PhysicalOp, PhysicalPlan, RunPolicy, _AnswerLog, bind_plan,
-                     semantic_answer)
-from .errors import (EstimationError, OperatorError, PolicyInfeasibleError,
-                     StatsError, ValidationError)
-from .lang import (Limit, LogicalOp, LogicalPlan, SemFilter, is_agentic,
+from .engine import (OpReport, PhysicalOp, PhysicalPlan, RunPolicy, _AnswerLog, _price,
+                     _Run, bind_plan)
+from .errors import EstimationError, PolicyInfeasibleError, StatsError, ValidationError
+from .lang import (Limit, LogicalOp, LogicalPlan, SemFilter, describe_op, is_agentic,
                    is_semantic, print_pipeline)
 
 logger = logging.getLogger(__name__)
@@ -126,17 +125,15 @@ def sample_stats(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
     Each semantic operator runs over the first ``min(sample_size, N)`` source
     records under every candidate model.  Quality is the model's prior
     unless ``labels`` supplies per-record truth for an operator position, in
-    which case it is the observed agreement on the sample.  Each (position,
-    model) pair asks through an empty answer log of its own, with no store;
-    the result's ``answers`` keeps what every call that succeeded got, and
-    not a failed one (sampling allows no re-ask).
+    which case it is the observed agreement on the sample.
 
-    A pair's cost and latency per record come from its own calls: the usage
-    and calls each one returns, a failed one's included, priced by the rule
-    that prices a report row, ``call_cost`` of the summed tokens and
-    ``calls * latency_prior``.  So sampled latency is modeled on every
-    backend, and the statistics do not depend on what else the backend
-    served before or meanwhile.
+    A (position, model) pair asks as a run's stage does, by the engine's one
+    per-record ask (``_Run.ask``) through an empty answer log of its own with
+    no store, into a row of its own priced by the engine's one rule
+    (``_price``), failed asks included; no output record is built.  So
+    sampled latency is modeled on every backend, and the statistics do not
+    depend on what else the backend served.  ``answers`` keeps what each
+    call that succeeded got (sampling allows no re-ask).
     """
     if sample_size < 1:
         raise ValidationError("sample_size must be >= 1")
@@ -150,29 +147,27 @@ def sample_stats(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
     def measure(idx: int, op: LogicalOp, model: ModelSpec) -> StatsEntry:
         op_labels = (labels or {}).get(idx)
         pop = PhysicalOp(logical=op, model=model, retry_budget=0)
-        passes = agreements = in_toks = out_toks = made = 0
-        log = _AnswerLog(None, backend_fingerprint(backend) or "")
+        run = _Run(backend, _AnswerLog(None, backend_fingerprint(backend) or ""))
+        row = OpReport(idx, *describe_op(op), model.model_id)
+        passes = agreements = 0
         for record in records:
-            try:
-                got, usage, n_calls = semantic_answer(backend, pop, record, log)
-            except OperatorError as exc:
+            got, error = run.ask(pop, record, row)
+            if error is not None:
                 logger.warning("sampling failure at op %d model %s: %s",
-                               idx, model.model_id, exc)
-                usage, n_calls = Usage(exc.input_tokens, exc.output_tokens), exc.calls
-            else:
-                passes += got is True
-                agreements += op_labels is not None and op_labels.get(record.id) == got
-            in_toks += usage.input_tokens
-            out_toks += usage.output_tokens
-            made += n_calls
-        answers[(idx, model.model_id)] = {(a.model, a.prompt): a.answer for a in log.new}
-        calls[(idx, model.model_id)] = made
+                               idx, model.model_id, error)
+                continue
+            passes += got is True
+            agreements += op_labels is not None and op_labels.get(record.id) == got
+        answers[(idx, model.model_id)] = {(a.model, a.prompt): a.answer
+                                          for a in run.log.new}
+        calls[(idx, model.model_id)] = row.calls
         n = len(records)
+        _price(model, row)
         return StatsEntry(
             selectivity=(passes / n) if isinstance(op, SemFilter) else None,
             quality=(agreements / n) if op_labels is not None else model.quality_prior,
-            cost_per_record=call_cost(model, Usage(in_toks, out_toks)) / n,
-            latency_per_record=made * model.latency_prior / n,
+            cost_per_record=row.cost / n,
+            latency_per_record=row.wall_seconds / n,
             sample_size=n,
         )
     return OperatorStats(_entries(plan, models, measure), answers, sum(calls.values()))
@@ -561,12 +556,11 @@ def optimize(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
     carries what sampling got at its own (position, model) pairs, so running
     it does not ask again a prompt the sample already answered.
 
-    One pricing rule covers report rows and sampled statistics, and the
-    report's ``sample_calls`` is the calls the statistics counted (see
-    :func:`sample_stats`), so both hold on any backend, with or without
-    other callers.  Sampled latency is modeled on every backend.  Only
-    whole-session reports (the usage file ``semaq run`` writes, and bench
-    outcomes) read the backend's running totals.
+    Sampling asks by the engine's per-record ask and prices by its one rule
+    for report rows, and ``sample_calls`` is the calls the sampled rows
+    counted (see :func:`sample_stats`), so both hold on any backend, with or
+    without other callers.  Only whole-session reports (``ledger.json`` and
+    bench outcomes) read the backend's running totals.
     """
     if sample_size < 0:
         raise ValidationError("sample_size must be >= 0")

@@ -882,3 +882,72 @@ def test_cli_run_whose_agent_fails_exits_with_its_error_when_artifacts_cannot_be
         "error: compute-error: compute did not reach an answer (aborted: action-parse)")
     assert f"cannot write run artifact {blocker / 'run'}" in caplog.text
     assert blocker.read_text(encoding="utf-8") == "x"
+
+
+# --- inputs past the program's range ----------------------------------------------
+
+_WIDE = 10 ** 400  # past float range
+
+
+@pytest.mark.parametrize("route", ["config", "flag"])
+def test_cli_pipeline_rejects_a_pool_width_past_its_bound(workspace, capsys, monkeypatch,
+                                                          route):
+    """A width past ``MAX_POOL_WIDTH`` is a validation error before any pool,
+    from the config or from --pool-width, with or without --explain."""
+    import semaq.engine as engine_mod
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(engine_mod, "ThreadPoolExecutor", no_pool)
+    pipe = workspace / "p.pz"
+    pipe.write_text(PIPELINE + "\n", encoding="utf-8")
+    flags = ["--pool-width", str(_WIDE)] if route == "flag" else []
+    if route == "config":
+        _edit_json(workspace / "config.json", lambda doc: doc.update(pool_width=_WIDE))
+    for explain in ([], ["--explain"]):
+        code = main(["--config", str(workspace / "config.json"), *flags, "pipeline",
+                     str(pipe), "--dataset", "docs", "--sample", "2", *explain])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert out.err.startswith(f"error: validation-error: pool_width must be <= "
+                                  f"{engine_mod.MAX_POOL_WIDTH}")
+
+
+@pytest.mark.parametrize("name, doc", [
+    ("ledger.json", {"models": [], "total_calls": 1, "total_cost": _WIDE,
+                     "total_wall_seconds": 0.5}),
+    ("trace.json", {"steps": [], "outcome": "answered", "usage": {"cost": _WIDE}}),
+], ids=["ledger", "trace"])
+def test_cli_stats_on_an_integer_past_float_range_is_a_data_error(tmp_path, capsys,
+                                                                  name, doc):
+    (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["stats", str(tmp_path)])
+    out = capsys.readouterr()
+    assert code == 5 and out.out == ""
+    assert out.err.startswith(f"error: data-error: malformed run artifact "
+                              f"{tmp_path / name}: OverflowError")
+
+
+@pytest.mark.parametrize("bad", ["\u0000", "\ud800"], ids=["nul", "lone-surrogate"])
+@pytest.mark.parametrize("key", ["backend.mock_script", "catalog", "cache_dir",
+                                 "run_dir"])
+def test_cli_config_path_the_os_cannot_take_is_a_config_error(workspace, capsys, key,
+                                                              bad):
+    """Each config path is checked once, when the config is read: neither
+    a NUL nor a lone surrogate reaches the file system."""
+    def edit(doc):
+        section = doc["backend"] if key.startswith("backend.") else doc
+        name = key.rsplit(".", 1)[-1]
+        section[name] = str(workspace / f"pa{bad}th")
+
+    _edit_json(workspace / "config.json", edit)
+    code = main(["--config", str(workspace / "config.json"), "run", "docs",
+                 "count the filing memos"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: config-error: config ")
+    assert f"{key} holds a NUL character" in err if bad == "\u0000" else (
+        f"{key} is not valid Unicode" in err)
+    assert sorted(p.name for p in workspace.iterdir()) == [
+        "config.json", "data", "script.json"]
