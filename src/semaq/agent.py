@@ -436,7 +436,8 @@ class AgentRuntime:
         return ToolEnv(ctx=ctx, backend=self.backend, store=self.store,
                        models=self.models, policy=self.policy,
                        sample_size=self.sample_size, run_policy=self.run_policy,
-                       refs={"ctx": ctx, **self.refs})
+                       refs={"ctx": ctx, **self.refs},
+                       pipeline_reports=self.pipeline_reports)
 
     def run(self, instruction: str, ctx: Context, config: AgentConfig,
             env: ToolEnv | None = None) -> AgentTrace:
@@ -445,7 +446,8 @@ class AgentRuntime:
         registry = self._registry(ctx)
         env = env if env is not None else self._env(ctx)
         trace = AgentTrace(instruction=instruction, model_id=config.model.model_id,
-                           outcome="step-limit")
+                           outcome="step-limit",
+                           derived_context_ids=env.derived_context_ids)
         messages: list[ChatMessage] = [
             ChatMessage("system", render_system_prompt(ctx, tuple(registry.values()))),
             ChatMessage("user", instruction),
@@ -493,9 +495,6 @@ class AgentRuntime:
                                          action=action, observation=observation))
             if trace.outcome != "step-limit":
                 break
-
-        trace.derived_context_ids = list(env.derived_context_ids)
-        self.pipeline_reports.extend(env.pipeline_reports)
         return trace
 
     def _invoke_tool(self, registry: dict[str, ToolSpec], env: ToolEnv,

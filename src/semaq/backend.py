@@ -25,7 +25,7 @@ import hashlib
 
 import numpy as np
 
-from .core import json_value
+from .core import json_value, require_unicode
 from .errors import (BackendError, ConfigurationError, MockMissError,
                      RetryableBackendError, ValidationError)
 
@@ -550,7 +550,10 @@ def load_model_catalog(path) -> dict[str, ModelSpec]:
         at = f"{where}: models[{i}]"
         numbers = (json_value(row, key, float, at) for key in (
             "input_cost_per_1k", "output_cost_per_1k", "quality_prior", "latency_prior"))
-        specs.append(ModelSpec(json_value(row, "id", str, at), *numbers))
+        model_id = json_value(row, "id", str, at)
+        # ids are hashed into plan ids and written to the ledger as UTF-8
+        require_unicode(model_id, f"{at}: id", ConfigurationError)
+        specs.append(ModelSpec(model_id, *numbers))
     if not specs:
         raise ConfigurationError(f"{where} defines no models")
     return _resolve_catalog(specs)

@@ -12,6 +12,7 @@ import json
 import logging
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -215,6 +216,24 @@ def _run_artifacts(backend, runtime: AgentRuntime, trace=None) -> dict[str, str]
     return texts
 
 
+@contextmanager
+def _failure_record(run_dir, backend, runtime: AgentRuntime):
+    """Around a run: a run that fails leaves its ledger, each pipeline report
+    the runtime holds, and the agent's trace when the error carries one, in
+    ``run_dir`` (none when it is ``None``).  The run exits with its own error
+    even when they cannot be written."""
+    try:
+        yield
+    except SemaqError as exc:
+        if run_dir is not None:
+            try:
+                write_artifacts(run_dir, _run_artifacts(
+                    backend, runtime, getattr(exc, "trace", None)))
+            except DataAccessError as write_error:
+                logger.warning("%s", write_error)
+        raise
+
+
 def _fresh_run_dir(base: str) -> Path:
     root = Path(base)
     stamp = time.strftime("%Y%m%d-%H%M%S")
@@ -253,18 +272,8 @@ def cmd_run(args) -> int:
     config = AgentConfig(model=agent_model_spec(cfg, backend.catalog),
                          max_steps=cfg.max_steps, cost_budget=budget)
     run_dir = Path(args.run_dir) if args.run_dir else _fresh_run_dir(cfg.run_dir)
-    try:
+    with _failure_record(run_dir, backend, runtime):
         result = runtime.compute(ctx, args.instruction, config)
-    except SemaqError as exc:
-        # a run that ends without an answer still leaves its ledger (and the
-        # agent's trace, when the error carries one); it exits with its own
-        # error even when the artifacts cannot be written
-        try:
-            write_artifacts(run_dir, _run_artifacts(backend, runtime,
-                                                    getattr(exc, "trace", None)))
-        except DataAccessError as write_error:
-            logger.warning("%s", write_error)
-        raise
     print(result.answer_text)
     if result.answer_value is not None:
         print(f"value: {result.answer_value}")
@@ -302,11 +311,12 @@ def cmd_pipeline(args) -> int:
         backend, store, models=list(backend.catalog.values()),
         policy=cfg.policy, sample_size=sample, run_policy=run_policy,
         refs={args.dataset: ctx})
-    out_ctx, report = pipeline_execute(
-        chosen, ctx, backend, policy=run_policy,
-        agent_runner=make_stage_runner(runtime, max_steps=cfg.max_steps,
-                                       cost_budget=cfg.budget), store=store)
-    store.register(out_ctx, instruction=text.strip())
+    with _failure_record(args.run_dir, backend, runtime):
+        out_ctx, report = pipeline_execute(
+            chosen, ctx, backend, policy=run_policy,
+            agent_runner=make_stage_runner(runtime, max_steps=cfg.max_steps,
+                                           cost_budget=cfg.budget), store=store)
+        store.register(out_ctx, instruction=text.strip())
     print(report.render_text())
     if args.run_dir:
         write_artifacts(args.run_dir, {**_run_artifacts(backend, runtime),
@@ -343,9 +353,12 @@ def _report_lines(doc, name: str) -> list[str]:
 
 def _artifact_lines(path: Path, render) -> list[str]:
     """``render(doc)`` for the JSON run artifact at ``path``; a file that
-    cannot be read, parsed or rendered is a data error naming it."""
+    cannot be read, parsed or rendered, or that renders text UTF-8 cannot
+    encode (a JSON escape of a lone surrogate), is a data error naming it."""
     try:
-        return render(json.loads(path.read_text(encoding="utf-8")))
+        lines = render(json.loads(path.read_text(encoding="utf-8")))
+        "\n".join(lines).encode("utf-8")  # a UnicodeEncodeError is a ValueError
+        return lines
     except (OSError, ValueError, LookupError, TypeError, AttributeError,
             OverflowError) as exc:  # an integer past float range, for one
         raise DataAccessError(f"malformed run artifact {path}: "

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -96,6 +97,8 @@ class Limit:
     def __post_init__(self):
         if self.count < 1:
             raise ValidationError("limit must be >= 1")
+        if self.count > sys.maxsize:  # the largest count a run can stop at
+            raise ValidationError(f"limit must be <= {sys.maxsize}")
 
 
 @dataclass(frozen=True)

@@ -137,7 +137,9 @@ def sample_stats(plan: LogicalPlan, ctx: Context, models: Sequence[ModelSpec],
     """
     if sample_size < 1:
         raise ValidationError("sample_size must be >= 1")
-    records = list(itertools.islice(context_iterate(ctx), sample_size))
+    # min: islice takes no stop past sys.maxsize
+    records = list(itertools.islice(context_iterate(ctx),
+                                    min(sample_size, len(ctx.source))))
     if not records:
         raise StatsError(f"context {ctx.id} yields no records to sample")
 

@@ -507,6 +507,34 @@ def test_run_pipeline_result_visible_to_later_steps(ctx, mk_backend):
     assert len(trace.derived_context_ids) == 2
 
 
+def test_a_later_tool_reads_the_runtimes_reports_while_the_run_goes_on(
+        records, mk_backend):
+    """Each pipeline's reports reach ``runtime.pipeline_reports`` as its tool
+    call returns, not when the loop ends: a later tool call in the same run
+    finds them, and the trace's derived ids are the run's own list."""
+    seen = []
+
+    def peek(env, args):
+        seen.append((list(runtime.pipeline_reports), list(env.derived_context_ids)))
+        return f"{len(runtime.pipeline_reports)} pipeline report(s)"
+
+    backend = mk_backend(*_script(_tool("run_pipeline", pipeline=PIPELINE),
+                                  _tool("peek"), _final("done")),
+                         *_pipeline_rules())
+    ctx = context_create(records, "Four memos for triage.",
+                         index=VectorIndex.build(records, backend.embed),
+                         tools=(ToolSpec(name="peek", description="Count reports.",
+                                         params=(), handler=peek),))
+    runtime = _runtime(backend)
+    trace = runtime.run("q", ctx, _config())
+    assert trace.outcome == "answered"
+    assert trace.steps[1].observation == "1 pipeline report(s)"
+    [(reports, derived_ids)] = seen
+    assert reports == runtime.pipeline_reports and len(reports) == 1
+    assert reports[0][1].total_calls == 4
+    assert derived_ids == trace.derived_context_ids and len(derived_ids) == 1
+
+
 # --- compute and search -----------------------------------------------------------
 
 def test_compute_success(ctx, mk_backend, tmp_path):

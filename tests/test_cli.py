@@ -1,6 +1,7 @@
 """CLI: config loading, dataset loaders, subcommands, exit codes."""
 
 import json
+import sys
 
 import pytest
 
@@ -494,6 +495,9 @@ _BAD_JSON_INPUTS = {
     "catalog-cost-nan": (
         lambda ws: _use_catalog(ws, {**_MODEL_ROW, "input_cost_per_1k": float("nan")}),
         "config-error", ["models.json", "models[0]", "'input_cost_per_1k'", "finite"]),
+    "catalog-id-lone-surrogate": (  # hashed into a plan id, written to the ledger
+        lambda ws: _use_catalog(ws, {**_MODEL_ROW, "id": "so\ud800lo"}),
+        "config-error", ["models.json", "models[0]: id is not valid Unicode"]),
     "catalog-latency-infinity": (
         lambda ws: _use_catalog(ws, {**_MODEL_ROW, "latency_prior": float("inf")}),
         "config-error", ["models.json", "models[0]", "'latency_prior'", "finite"]),
@@ -609,8 +613,16 @@ def test_cli_stats_renders_run(workspace, capsys):
     ("ledger.json", b'{"total_calls": "\xe9"}'),
     ("trace.json", b'{"steps": 3, "outcome": "answered"}'),
     ("report-000.json", b"[1, 2]"),
+    # a JSON escape of a lone surrogate fails where it is read, not in print
+    ("ledger.json", b'{"models": [{"model_id": "m", "calls": "\\ud800", "input_tokens": 1, '
+                    b'"output_tokens": 1, "cost": 0.1, "wall_seconds": 0.5}], '
+                    b'"total_calls": 1, "total_cost": 0.1, "total_wall_seconds": 0.5}'),
+    ("trace.json", b'{"steps": [], "outcome": "\\ud800", "usage": {"cost": 0.1}}'),
+    ("report-000.json", b'{"plan_id": "pp-\\ud800", "records_in": 4, "records_out": 1, '
+                        b'"total_calls": 4, "total_cost": 0.1}'),
 ], ids=["ledger-truncated", "ledger-without-total", "ledger-not-utf8",
-        "trace-steps-not-a-list", "report-a-list"])
+        "trace-steps-not-a-list", "report-a-list", "ledger-lone-surrogate",
+        "trace-lone-surrogate", "report-lone-surrogate"])
 def test_cli_stats_malformed_artifact_is_a_data_error(tmp_path, capsys, name, body):
     (tmp_path / name).write_bytes(body)
     code = main(["stats", str(tmp_path)])
@@ -762,11 +774,68 @@ def test_cli_run_that_fails_with_a_non_agent_error_leaves_its_ledger(workspace, 
     out = capsys.readouterr()
     assert code == 8 and out.out == ""
     assert out.err.startswith("error: mock-miss: no mock rule matched prompt")
-    assert sorted(p.name for p in run_dir.iterdir()) == ["ledger.json"]
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "ledger.json", "optimizer-000.json", "report-000.json"]
     ledger = json.loads((run_dir / "ledger.json").read_text())
     # the agent's one answered chat, and the pipeline's four filter calls
     assert {m["model_id"]: m["calls"] for m in ledger["models"]} == {
         "mock-large": 1, "mock-small": 4}
+    assert json.loads((run_dir / "report-000.json").read_text())["total_calls"] == 4
+
+
+def test_cli_run_that_fails_after_two_pipelines_keeps_both_reports(workspace, capsys):
+    """The agent runs two pipelines, then its next chat matches no rule: the
+    run directory holds both pipelines' reports, and their calls plus the
+    agent's are every call in the ledger."""
+    second = 'scan(docs) | sem_filter("mentions the picnic")'
+    script = workspace / "two.json"
+    rules = [_RUN_SCRIPT["rules"][0],
+             {"match": "AVAILABLE TOOLS",
+              "response": _fenced({"thought": "and again", "tool": "run_pipeline",
+                                   "args": {"pipeline": second}}),
+              "max_calls": 1},
+             {"match": r"PREDICATE[\s\S]*filings", "response": "yes", "kind": "regex"},
+             _RUN_SCRIPT["rules"][3]]
+    script.write_text(json.dumps({"rules": rules}), encoding="utf-8")
+    run_dir = workspace / "out"
+    code = main(["--config", str(workspace / "config.json"), "--mock-script",
+                 str(script), "run", "docs", "count", "--run-dir", str(run_dir)])
+    out = capsys.readouterr()
+    assert code == 8 and out.err.startswith("error: mock-miss: ")
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "ledger.json", "optimizer-000.json", "optimizer-001.json",
+        "report-000.json", "report-001.json"]
+    ledger = json.loads((run_dir / "ledger.json").read_text())
+    reports = [json.loads((run_dir / f"report-00{i}.json").read_text())
+               for i in range(2)]
+    assert [r["total_calls"] for r in reports] == [4, 4]
+    assert [r["records_out"] for r in reports] == [1, 1]
+    agent_calls = {m["model_id"]: m["calls"] for m in ledger["models"]}["mock-large"]
+    assert agent_calls == 2
+    assert sum(r["total_calls"] for r in reports) + agent_calls == ledger["total_calls"]
+
+
+def test_cli_pipeline_that_fails_leaves_its_ledger_stats_renders(workspace, capsys):
+    """The mock answers the first record and misses on the second: the
+    pipeline exits 8 (mock-miss) after one paid call, and its run directory
+    holds the ledger of that call, which ``semaq stats`` renders."""
+    script = workspace / "once.json"
+    script.write_text(json.dumps({"rules": [
+        {"match": "PREDICATE", "response": "no", "max_calls": 1}]}), encoding="utf-8")
+    pipe = workspace / "p.pz"
+    pipe.write_text(PIPELINE + "\n", encoding="utf-8")
+    run_dir = workspace / "out"
+    code = main(["--config", str(workspace / "config.json"), "--mock-script",
+                 str(script), "pipeline", str(pipe), "--dataset", "docs",
+                 "--run-dir", str(run_dir)])
+    out = capsys.readouterr()
+    assert code == 8 and out.out == ""
+    assert out.err.startswith("error: mock-miss: no mock rule matched prompt")
+    assert sorted(p.name for p in run_dir.iterdir()) == ["ledger.json"]
+    ledger = json.loads((run_dir / "ledger.json").read_text())
+    assert ledger["total_calls"] == 1
+    assert main(["stats", str(run_dir)]) == 0
+    assert "total: 1 calls" in capsys.readouterr().out
 
 
 def test_cli_runs_answer_from_the_stores_answer_log(workspace, capsys):
@@ -912,6 +981,35 @@ def test_cli_pipeline_rejects_a_pool_width_past_its_bound(workspace, capsys, mon
         assert code == 2 and out.out == ""
         assert out.err.startswith(f"error: validation-error: pool_width must be <= "
                                   f"{engine_mod.MAX_POOL_WIDTH}")
+
+
+@pytest.mark.parametrize("route", ["config", "flag"])
+def test_cli_pipeline_samples_every_record_for_a_sample_size_past_sys_maxsize(
+        workspace, capsys, route):
+    """A sample size past any index samples every record, as one of N or
+    more does, from the config or from --sample."""
+    pipe = workspace / "p.pz"
+    pipe.write_text(PIPELINE + "\n", encoding="utf-8")
+    flags = ["--sample", str(_WIDE)] if route == "flag" else []
+    if route == "config":
+        _edit_json(workspace / "config.json", lambda doc: doc.update(sample_size=_WIDE))
+    code = main(["--config", str(workspace / "config.json"), "pipeline", str(pipe),
+                 "--dataset", "docs", "--explain", *flags])
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    assert f"(sample={_WIDE}, N=4)" in out.out
+
+
+def test_cli_pipeline_with_a_limit_past_sys_maxsize_is_a_parse_error(workspace, capsys):
+    """A limit no run can stop at fails where the pipeline is parsed, as a
+    limit of 0 does, not in the engine."""
+    pipe = workspace / "p.pz"
+    pipe.write_text(f"{PIPELINE} | limit({_WIDE})\n", encoding="utf-8")
+    code = main(["--config", str(workspace / "config.json"), "pipeline", str(pipe),
+                 "--dataset", "docs"])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert out.err.startswith(f"error: parse-error: limit: limit must be <= {sys.maxsize}")
 
 
 @pytest.mark.parametrize("name, doc", [
