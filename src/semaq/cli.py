@@ -20,7 +20,7 @@ from .agent import AgentConfig, AgentRuntime, check_instruction, make_stage_runn
 from .backend import (HttpBackend, MockBackend, MockScript, ModelSpec,
                       hashing_embed, json_value, load_json_object,
                       load_model_catalog)
-from .core import (Record, RecordSnapshot, VectorIndex, context_create,
+from .core import (Context, Record, RecordSnapshot, VectorIndex, context_create,
                    make_source_record, record_from_json, require_unicode,
                    write_artifacts)
 from .errors import ConfigurationError, DataAccessError, SemaqError, StoreError
@@ -203,35 +203,52 @@ def load_dataset(cfg: RunConfig, name: str, backend) :
     return context_create(snapshot, description, index=index)
 
 
-# --- artifact persistence -------------------------------------------------------
+# --- one session and its run directory ---------------------------------------------
 
-def _run_artifacts(backend, runtime: AgentRuntime, trace=None) -> dict[str, str]:
-    """The JSON artifacts of a run, by file name."""
-    texts = {"ledger.json": backend.ledger.snapshot().to_json()}
-    if trace is not None:
-        texts["trace.json"] = trace.to_json()
-    for i, (opt_report, report) in enumerate(runtime.pipeline_reports):
-        texts[f"optimizer-{i:03d}.json"] = opt_report.to_json()
-        texts[f"report-{i:03d}.json"] = report.to_json()
-    return texts
+def _session(args) -> tuple[RunConfig, Context, AgentRuntime]:
+    """The config, dataset context and agent runtime of a ``run`` or a
+    ``pipeline``: one run policy and backend; ``_run_record`` opens the store."""
+    cfg = _load_config(args)
+    run_policy = RunPolicy(pool_width=cfg.pool_width)
+    backend = build_backend(cfg)
+    ctx = load_dataset(cfg, args.dataset, backend)
+    sample = getattr(args, "sample", None)  # only ``pipeline`` takes --sample
+    return cfg, ctx, AgentRuntime(
+        backend, models=list(backend.catalog.values()), policy=cfg.policy,
+        sample_size=cfg.sample_size if sample is None else sample,
+        run_policy=run_policy, refs={args.dataset: ctx})
 
 
 @contextmanager
-def _failure_record(run_dir, backend, runtime: AgentRuntime):
-    """Around a run: a run that fails leaves its ledger, each pipeline report
-    the runtime holds, and the agent's trace when the error carries one, in
-    ``run_dir`` (none when it is ``None``).  The run exits with its own error
-    even when they cannot be written."""
-    try:
-        yield
-    except SemaqError as exc:
+def _run_record(run_dir, runtime: AgentRuntime, cache_dir: str):
+    """Open the runtime's context store and yield a dict the command fills
+    with its own files once its run returns; then write them, the ledger and
+    each pipeline's reports into ``run_dir`` (if not ``None``).  A run that
+    fails with a :class:`SemaqError` writes the trace its error carries in
+    their place, and a write error only warns: the run's own error wins."""
+
+    def write(files: dict[str, str]) -> None:
         if run_dir is not None:
-            try:
-                write_artifacts(run_dir, _run_artifacts(
-                    backend, runtime, getattr(exc, "trace", None)))
-            except DataAccessError as write_error:
-                logger.warning("%s", write_error)
+            texts = {"ledger.json": runtime.backend.ledger.snapshot().to_json()}
+            for i, (opt_report, report) in enumerate(runtime.pipeline_reports):
+                texts[f"optimizer-{i:03d}.json"] = opt_report.to_json()
+                texts[f"report-{i:03d}.json"] = report.to_json()
+            write_artifacts(run_dir, {**texts, **files})
+
+    files: dict[str, str] = {}
+    try:
+        runtime.store = ContextStore(cache_dir, runtime.backend.embed)
+        yield files
+    except SemaqError as exc:
+        trace = getattr(exc, "trace", None)
+        try:
+            write({} if trace is None else {"trace.json": trace.to_json()})
+        except DataAccessError as write_error:
+            logger.warning("%s", write_error)
         raise
+    write(files)
+    if run_dir is not None:
+        print(f"artifacts: {run_dir}", file=sys.stderr)
 
 
 def _fresh_run_dir(base: str) -> Path:
@@ -251,78 +268,60 @@ def cmd_run(args) -> int:
     # an instruction the agent would reject fails the run before it starts,
     # so it leaves no run directory
     check_instruction(args.instruction)
-    cfg = _load_config(args)
-    run_policy = RunPolicy(pool_width=cfg.pool_width)
-    backend = build_backend(cfg)
-    ctx = load_dataset(cfg, args.dataset, backend)
-    store = ContextStore(cfg.cache_dir, backend.embed)
-    store.register(ctx, instruction=f"dataset {args.dataset}")
-    if args.use_cache:
-        matches = store.retrieve(args.instruction, k=3, tau=cfg.tau)
-        before = ctx.id
-        ctx = store.augment(ctx, matches)
-        if ctx.id != before:
-            print(f"augmented context with {len(matches)} cached finding(s)",
-                  file=sys.stderr)
-    runtime = AgentRuntime(
-        backend, store, models=list(backend.catalog.values()),
-        policy=cfg.policy, sample_size=cfg.sample_size, run_policy=run_policy,
-        refs={args.dataset: ctx})
+    cfg, ctx, runtime = _session(args)
     budget = args.budget if args.budget is not None else cfg.budget
-    config = AgentConfig(model=agent_model_spec(cfg, backend.catalog),
+    config = AgentConfig(model=agent_model_spec(cfg, runtime.backend.catalog),
                          max_steps=cfg.max_steps, cost_budget=budget)
     run_dir = Path(args.run_dir) if args.run_dir else _fresh_run_dir(cfg.run_dir)
-    with _failure_record(run_dir, backend, runtime):
+    with _run_record(run_dir, runtime, cfg.cache_dir) as files:
+        runtime.store.register(ctx, instruction=f"dataset {args.dataset}")
+        if args.use_cache:
+            matches = runtime.store.retrieve(args.instruction, k=3, tau=cfg.tau)
+            before = ctx.id
+            ctx = runtime.refs[args.dataset] = runtime.store.augment(ctx, matches)
+            if ctx.id != before:
+                print(f"augmented context with {len(matches)} cached finding(s)",
+                      file=sys.stderr)
         result = runtime.compute(ctx, args.instruction, config)
-    print(result.answer_text)
-    if result.answer_value is not None:
-        print(f"value: {result.answer_value}")
-    write_artifacts(run_dir, {**_run_artifacts(backend, runtime, result.trace),
-                              "answer.txt": result.answer_text})
-    print(f"artifacts: {run_dir}", file=sys.stderr)
+        print(result.answer_text)
+        if result.answer_value is not None:
+            print(f"value: {result.answer_value}")
+        files.update({"trace.json": result.trace.to_json(),
+                      "answer.txt": result.answer_text})
     return 0
 
 
 def cmd_pipeline(args) -> int:
-    cfg = _load_config(args)
-    run_policy = RunPolicy(pool_width=cfg.pool_width)
-    backend = build_backend(cfg)
+    cfg, ctx, runtime = _session(args)
     try:
         text = Path(args.pipeline_file).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataAccessError(f"cannot read pipeline file: {exc}") from exc
     plan = parse_pipeline(text)
-    ctx = load_dataset(cfg, args.dataset, backend)
     diagnostics = validate_plan(plan, ctx, known_refs={args.dataset, "ctx"})
     if diagnostics:
         for diag in diagnostics:
             print(f"diagnostic: {diag.code}: {diag.message}", file=sys.stderr)
         raise ConfigurationError(f"pipeline failed validation with "
                                  f"{len(diagnostics)} diagnostic(s)")
-    sample = args.sample if args.sample is not None else cfg.sample_size
-    chosen, opt_report = optimize(
-        plan, ctx, list(backend.catalog.values()), cfg.policy, sample, backend,
-        run_policy=run_policy)
-    if args.explain:
-        print(opt_report.render_text())
+
+    def choose():
+        return optimize(plan, ctx, runtime.models, runtime.policy, runtime.sample_size,
+                        runtime.backend, run_policy=runtime.run_policy)
+
+    if args.explain:  # opens no store and writes nothing
+        print(choose()[1].render_text())
         return 0
-    store = ContextStore(cfg.cache_dir, backend.embed)
-    runtime = AgentRuntime(
-        backend, store, models=list(backend.catalog.values()),
-        policy=cfg.policy, sample_size=sample, run_policy=run_policy,
-        refs={args.dataset: ctx})
-    with _failure_record(args.run_dir, backend, runtime):
+    with _run_record(args.run_dir, runtime, cfg.cache_dir) as files:
+        chosen, opt_report = choose()
         out_ctx, report = pipeline_execute(
-            chosen, ctx, backend, policy=run_policy,
+            chosen, ctx, runtime.backend, policy=runtime.run_policy,
             agent_runner=make_stage_runner(runtime, max_steps=cfg.max_steps,
-                                           cost_budget=cfg.budget), store=store)
-        store.register(out_ctx, instruction=text.strip())
-    print(report.render_text())
-    if args.run_dir:
-        write_artifacts(args.run_dir, {**_run_artifacts(backend, runtime),
-                                       "report.json": report.to_json(),
-                                       "optimizer.json": opt_report.to_json()})
-        print(f"artifacts: {args.run_dir}", file=sys.stderr)
+                                           cost_budget=cfg.budget), store=runtime.store)
+        runtime.store.register(out_ctx, instruction=text.strip())
+        print(report.render_text())
+        files.update({"report.json": report.to_json(),
+                      "optimizer.json": opt_report.to_json()})
     return 0
 
 
@@ -351,6 +350,13 @@ def _report_lines(doc, name: str) -> list[str]:
             f"cost {doc['total_cost']:.6f}"]
 
 
+def _optimizer_lines(doc, name: str) -> list[str]:
+    return [f"{name}: chose {doc['chosen_plan_id']} under {doc['policy']}, "
+            f"{len(doc['candidates'])} frontier plan(s) of {doc['plans_considered']} "
+            f"model assignments, sample {doc['sample_size']}, "
+            f"{doc['sample_calls']} sampling call(s)"]
+
+
 def _artifact_lines(path: Path, render) -> list[str]:
     """``render(doc)`` for the JSON run artifact at ``path``; a file that
     cannot be read, parsed or rendered, or that renders text UTF-8 cannot
@@ -360,7 +366,8 @@ def _artifact_lines(path: Path, render) -> list[str]:
         "\n".join(lines).encode("utf-8")  # a UnicodeEncodeError is a ValueError
         return lines
     except (OSError, ValueError, LookupError, TypeError, AttributeError,
-            OverflowError) as exc:  # an integer past float range, for one
+            OverflowError,  # an integer past float range, for one
+            RecursionError) as exc:  # JSON nested past the parser's depth
         raise DataAccessError(f"malformed run artifact {path}: "
                               f"{type(exc).__name__}: {exc}") from exc
 
@@ -377,9 +384,10 @@ def cmd_stats(args) -> int:
     trace_file = run_dir / "trace.json"
     if trace_file.exists():
         lines += _artifact_lines(trace_file, _trace_lines)
-    for report_file in sorted(run_dir.glob("report*.json")):
-        lines += _artifact_lines(
-            report_file, lambda doc: _report_lines(doc, report_file.name))
+    for pattern, render in (("report*.json", _report_lines),
+                            ("optimizer*.json", _optimizer_lines)):
+        for path in sorted(run_dir.glob(pattern)):
+            lines += _artifact_lines(path, lambda doc: render(doc, path.name))
     print("\n".join(lines))
     return 0
 

@@ -1049,3 +1049,122 @@ def test_cli_config_path_the_os_cannot_take_is_a_config_error(workspace, capsys,
         f"{key} is not valid Unicode" in err)
     assert sorted(p.name for p in workspace.iterdir()) == [
         "config.json", "data", "script.json"]
+
+
+# --- one session: the store and the sampler inside the run's record --------------
+
+def test_cli_pipeline_whose_sampling_fails_leaves_its_ledger_stats_renders(
+        workspace, capsys):
+    """The mock answers the sampler's first call and misses on its second:
+    the pipeline exits 8 (mock-miss), and its run directory holds the ledger
+    of that sampling call, which ``semaq stats`` renders."""
+    script = workspace / "once.json"
+    script.write_text(json.dumps({"rules": [
+        {"match": "PREDICATE", "response": "no", "max_calls": 1}]}), encoding="utf-8")
+    pipe = workspace / "p.pz"
+    pipe.write_text(PIPELINE + "\n", encoding="utf-8")
+    run_dir = workspace / "out"
+    code = main(["--config", str(workspace / "config.json"), "--mock-script",
+                 str(script), "pipeline", str(pipe), "--dataset", "docs",
+                 "--sample", "2", "--run-dir", str(run_dir)])
+    out = capsys.readouterr()
+    assert code == 8 and out.out == ""
+    assert out.err.startswith("error: mock-miss: no mock rule matched prompt")
+    assert sorted(p.name for p in run_dir.iterdir()) == ["ledger.json"]
+    ledger = json.loads((run_dir / "ledger.json").read_text())
+    assert ledger["total_calls"] == 1
+    assert main(["stats", str(run_dir)]) == 0
+    assert "total: 1 calls" in capsys.readouterr().out
+
+
+def test_cli_pipeline_on_a_corrupt_store_fails_before_any_sampling_call(
+        workspace, capsys):
+    """A store that cannot be opened fails the pipeline as a store error
+    (exit 9) before the sampler asks anything: the script has no rule, so a
+    sampling call would be a mock miss (exit 8).  The run directory holds
+    the ledger of no call."""
+    cache = workspace / "cache"
+    cache.mkdir()
+    (cache / "entries.jsonl").write_text('{"garbage": 1}\n{"garbage": 2}\n',
+                                         encoding="utf-8")
+    empty = workspace / "empty.json"
+    empty.write_text('{"rules": []}', encoding="utf-8")
+    pipe = workspace / "p.pz"
+    pipe.write_text(PIPELINE + "\n", encoding="utf-8")
+    run_dir = workspace / "out"
+    code = main(["--config", str(workspace / "config.json"), "--mock-script",
+                 str(empty), "pipeline", str(pipe), "--dataset", "docs",
+                 "--sample", "2", "--run-dir", str(run_dir)])
+    out = capsys.readouterr()
+    assert code == 9 and out.out == ""
+    assert out.err.startswith("error: store-error: corrupt store entry at line 1")
+    assert sorted(p.name for p in run_dir.iterdir()) == ["ledger.json"]
+    assert json.loads((run_dir / "ledger.json").read_text())["total_calls"] == 0
+
+
+def test_cli_pipeline_explain_opens_no_store_and_writes_nothing(workspace, capsys):
+    """``--explain`` samples and prints the frontier, and leaves neither a
+    store directory nor a run directory behind."""
+    pipe = workspace / "p.pz"
+    pipe.write_text(PIPELINE + "\n", encoding="utf-8")
+    code = main(["--config", str(workspace / "config.json"), "pipeline", str(pipe),
+                 "--dataset", "docs", "--sample", "2", "--explain"])
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    assert "sampling made 4 model call(s)" in out.out and out.err == ""
+    assert not (workspace / "cache").exists()
+    assert sorted(p.name for p in workspace.iterdir()) == [
+        "config.json", "data", "p.pz", "script.json"]
+
+
+def test_cli_stats_renders_each_optimizer_report(workspace, capsys):
+    """``semaq stats`` gives each ``optimizer*.json`` one line: the chosen
+    plan, the policy, the frontier rows out of the assignments considered,
+    the sample size and the sampling calls."""
+    config = str(workspace / "config.json")
+    pipe = workspace / "p.pz"
+    pipe.write_text(PIPELINE + "\n", encoding="utf-8")
+    assert main(["--config", config, "pipeline", str(pipe), "--dataset", "docs",
+                 "--sample", "2", "--run-dir", str(workspace / "pipe-out")]) == 0
+    assert main(["--config", config, "run", "docs", "count the filing memos",
+                 "--run-dir", str(workspace / "run-out")]) == 0
+    capsys.readouterr()
+    for name, sample, calls in (("pipe-out", 2, 4), ("run-out", 0, 0)):
+        opt_name = "optimizer.json" if name == "pipe-out" else "optimizer-000.json"
+        opt = json.loads((workspace / name / opt_name).read_text())
+        assert main(["stats", str(workspace / name)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("optimizer")]
+        assert lines == [
+            f"{opt_name}: chose {opt['chosen_plan_id']} under {opt['policy']}, "
+            f"{len(opt['candidates'])} frontier plan(s) of {opt['plans_considered']} "
+            f"model assignments, sample {sample}, {calls} sampling call(s)"]
+        assert opt["sample_calls"] == calls and len(opt["candidates"]) >= 1
+
+
+@pytest.mark.parametrize("body", [
+    b'{"chosen_plan_id": "pp-1", "policy": "min-cost"',
+    b'{"chosen_plan_id": "pp-1", "policy": "min-cost", "candidates": 3, '
+    b'"plans_considered": 4, "sample_size": 0, "sample_calls": 0}',
+    b'{"chosen_plan_id": "pp-\\ud800", "policy": "min-cost", "candidates": [], '
+    b'"plans_considered": 4, "sample_size": 0, "sample_calls": 0}',
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["truncated", "candidates-not-a-list", "lone-surrogate", "nested-too-deep"])
+def test_cli_stats_malformed_optimizer_report_is_a_data_error(tmp_path, capsys, body):
+    (tmp_path / "optimizer-000.json").write_bytes(body)
+    code = main(["stats", str(tmp_path)])
+    out = capsys.readouterr()
+    assert code == 5
+    assert out.err.startswith("error: data-error: malformed run artifact")
+    assert "optimizer-000.json" in out.err
+    assert out.out == ""
+
+
+def test_cli_stats_on_a_ledger_nested_past_the_parsers_depth_is_a_data_error(
+        tmp_path, capsys):
+    (tmp_path / "ledger.json").write_bytes(b"[" * 100_000 + b"]" * 100_000)
+    code = main(["stats", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith("error: data-error: malformed run artifact")
+    assert "ledger.json: RecursionError" in err
