@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 from .backend import ChatMessage, ModelSpec, Usage, call_cost
 from .core import (Context, FieldValue, ToolParam, ToolSpec, context_derive,
-                   context_iterate, context_topk, record_text,
+                   context_iterate, context_topk, load_json, record_text,
                    require_unicode, validate_field_value)
 from .engine import (AgentRunner, ExecutionReport, RunPolicy, pipeline_execute,
                      preview_records)
@@ -160,10 +160,7 @@ def parse_action(text: str) -> tuple[str, Action]:
     if len(blocks) != 1:
         raise _ActionParseError(
             f"expected exactly one fenced action block, found {len(blocks)}")
-    try:
-        doc = json.loads(blocks[0])
-    except (ValueError, RecursionError) as exc:  # also an over-long integer literal
-        raise _ActionParseError(f"action block is not valid JSON: {exc}") from exc
+    doc = load_json(blocks[0], "action block is not valid JSON", error=_ActionParseError)
     if not isinstance(doc, dict):
         raise _ActionParseError("action block must be a JSON object")
     try:

@@ -25,7 +25,7 @@ import hashlib
 
 import numpy as np
 
-from .core import json_value, require_unicode
+from .core import json_value, load_json, require_unicode
 from .errors import (BackendError, ConfigurationError, MockMissError,
                      RetryableBackendError, ValidationError)
 
@@ -264,13 +264,14 @@ def hashing_embed(text: str, dim: int = DEFAULT_EMBED_DIM) -> np.ndarray:
 def load_json_object(path, what: str) -> dict:
     """Read the JSON file at ``path``, whose top level must be an object; any
     failure raises :class:`ConfigurationError` naming ``what`` and ``path``."""
+    where = f"cannot load {what} {path}"
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cannot load {what} {path}: {exc}") from exc
+        with open(path, "rb") as fh:
+            doc = load_json(fh.read(), where)
+    except OSError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigurationError(f"cannot load {what} {path}: not a JSON object")
+        raise ConfigurationError(f"{where}: not a JSON object")
     return doc
 
 
@@ -471,12 +472,8 @@ class HttpBackend:
             if resp.status_code >= 400:
                 raise BackendError(
                     f"provider error {resp.status_code} for {path}: {resp.text[:500]}")
-            try:
-                return resp.json()
-            except ValueError as exc:
-                raise BackendError(
-                    f"provider returned a non-JSON body for {path}: "
-                    f"{resp.text[:500]}") from exc
+            return load_json(resp.text, f"provider returned a non-JSON body for {path}",
+                             error=BackendError)
         raise RetryableBackendError(
             f"gave up on {path} after {self.max_attempts} attempts: {last_error}")
 

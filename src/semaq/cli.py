@@ -8,7 +8,6 @@ defined in :mod:`semaq.errors`.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 import time
@@ -21,7 +20,7 @@ from .backend import (HttpBackend, MockBackend, MockScript, ModelSpec,
                       hashing_embed, json_value, load_json_object,
                       load_model_catalog)
 from .core import (Context, Record, RecordSnapshot, VectorIndex, context_create,
-                   make_source_record, record_from_json, require_unicode,
+                   load_json, make_source_record, record_from_json, require_unicode,
                    write_artifacts)
 from .errors import ConfigurationError, DataAccessError, SemaqError, StoreError
 from .lang import parse_pipeline, validate_plan
@@ -174,7 +173,7 @@ def load_dataset_jsonl(path) -> list[Record]:
                     byte = ord(line[exc.start]) - 0xDC00  # the escaped byte
                     raise DataAccessError(f"{path}:{lineno}: bad record: "
                                           f"byte 0x{byte:02x} is not UTF-8") from None
-                except (json.JSONDecodeError, SemaqError) as exc:
+                except SemaqError as exc:
                     raise DataAccessError(
                         f"{path}:{lineno}: bad record: {exc}") from exc
     except OSError as exc:
@@ -361,15 +360,14 @@ def _artifact_lines(path: Path, render) -> list[str]:
     """``render(doc)`` for the JSON run artifact at ``path``; a file that
     cannot be read, parsed or rendered, or that renders text UTF-8 cannot
     encode (a JSON escape of a lone surrogate), is a data error naming it."""
+    where = f"malformed run artifact {path}"
     try:
-        lines = render(json.loads(path.read_text(encoding="utf-8")))
+        lines = render(load_json(path.read_bytes(), where, error=DataAccessError))
         "\n".join(lines).encode("utf-8")  # a UnicodeEncodeError is a ValueError
         return lines
     except (OSError, ValueError, LookupError, TypeError, AttributeError,
-            OverflowError,  # an integer past float range, for one
-            RecursionError) as exc:  # JSON nested past the parser's depth
-        raise DataAccessError(f"malformed run artifact {path}: "
-                              f"{type(exc).__name__}: {exc}") from exc
+            OverflowError) as exc:  # an integer past float range, for one
+        raise DataAccessError(f"{where}: {type(exc).__name__}: {exc}") from exc
 
 
 def cmd_stats(args) -> int:

@@ -83,6 +83,19 @@ _JSON_KINDS = {bool: "a boolean", int: "an integer", float: "a number",
 _FLOAT_MAX = sys.float_info.max
 
 
+def load_json(data: str | bytes, where: str, *, error: type = ConfigurationError):
+    """``data`` decoded as JSON: the one decoder of the JSON semaq reads,
+    from the config and datasets to the store's logs, provider replies and
+    agent actions.  Bytes are strict UTF-8 (``json.loads`` on bytes would
+    sniff UTF-16 and UTF-32).  Text that is not JSON, an integer literal
+    past the interpreter's digit limit, and nesting past the parser's depth
+    raise ``error`` naming ``where`` and the exception."""
+    try:
+        return json.loads(data.decode() if type(data) is bytes else data)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: {type(exc).__name__}: {exc}") from exc
+
+
 def json_value(doc, key: str, kind: type, where: str, default=_REQUIRED, *,
                error: type = ConfigurationError):
     """``doc[key]`` as a JSON value of ``kind`` (a key of ``_JSON_KINDS``):
@@ -213,7 +226,7 @@ def record_from_json(line: str, origin: str = "") -> Record:
     full form so is a null ``id``; any other must be a non-empty string, and
     a ``lineage`` that is not null must be the lineage object.
     """
-    doc = json.loads(line)
+    doc = load_json(line, "record line", error=ValidationError)
     if not isinstance(doc, dict):
         raise ValidationError("record line must be a JSON object")
     if "fields" in doc and isinstance(doc.get("fields"), dict):

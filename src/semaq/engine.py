@@ -62,7 +62,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 
 from .backend import ChatMessage, ModelSpec, Usage, backend_fingerprint, call_cost
 from .core import (Context, FieldValue, Record, context_derive, context_iterate,
-                   make_derived_record, record_to_json, validate_field_value)
+                   load_json, make_derived_record, record_to_json, validate_field_value)
 from .errors import OperatorError, RunAbortedError, StoreError, ValidationError
 from .lang import (Compute, Limit, LogicalOp, LogicalPlan, Project, Scan, Search,
                    SemFilter, SemMap, describe_op, is_semantic, print_pipeline)
@@ -253,7 +253,7 @@ def _coerce_value(raw, ftype: str) -> FieldValue:
             return raw
         text = str(raw).strip()
         if text.startswith("["):
-            parsed = json.loads(text)
+            parsed = load_json(text, "list field", error=ValueError)
             if not isinstance(parsed, list):
                 raise ValueError("expected a JSON array")
             return parsed
@@ -275,10 +275,10 @@ def parse_map_response(text: str,
     raw: dict = {}
     if stripped.startswith("{"):
         try:
-            doc = json.loads(stripped)
+            doc = load_json(stripped, "map reply", error=ValueError)
             if isinstance(doc, dict):
                 raw = doc
-        except (ValueError, RecursionError):  # also an over-long integer literal
+        except ValueError:
             raw = {}
     if not raw:
         for line in text.splitlines():

@@ -39,7 +39,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import (Context, context_derive, cosine_topk, json_value,
+from .core import (Context, context_derive, cosine_topk, json_value, load_json,
                    require_unicode, validate_fields)
 from .errors import StoreConflictError, StoreError, ValidationError
 
@@ -75,29 +75,20 @@ def _parse_entry(line: bytes, lineno: int) -> tuple[ContextEntry, int, str, int]
     """One entry-log line as its entry, whose ``embedding`` is not read
     yet, its positive ``dim``, its checksum and ``lineno``."""
     where = f"corrupt store entry at line {lineno}"
-    try:
-        # strict UTF-8: json.loads on bytes sniffs each line's encoding and
-        # lets the bytes of an encoded lone surrogate through
-        text = line.decode()
-        doc = json.loads(text)
-        entry = ContextEntry(
-            context_id=json_value(doc, "context_id", str, where, error=StoreError),
-            description=json_value(doc, "description", str, where, error=StoreError),
-            instruction=json_value(doc, "instruction", str, where, "",
-                                   error=StoreError),
-            lineage_summary=json_value(doc, "lineage", str, where, "",
-                                       error=StoreError),
-            seq=json_value(doc, "seq", int, where, error=StoreError),
-            created_at=json_value(doc, "created_at", float, where, 0.0,
-                                  error=StoreError),
-            embedding=None,
-        )
-        if "\\u" in text:  # only a \u escape can spell a lone surrogate
-            require_unicode("".join((entry.context_id, entry.description,
-                                     entry.instruction, entry.lineage_summary)),
-                            "entry text")
-    except (ValueError, RecursionError, ValidationError) as exc:  # JSON, UTF-8 too
-        raise StoreError(f"{where}: {exc!r}") from exc
+    doc = load_json(line, where, error=StoreError)
+    entry = ContextEntry(
+        context_id=json_value(doc, "context_id", str, where, error=StoreError),
+        description=json_value(doc, "description", str, where, error=StoreError),
+        instruction=json_value(doc, "instruction", str, where, "", error=StoreError),
+        lineage_summary=json_value(doc, "lineage", str, where, "", error=StoreError),
+        seq=json_value(doc, "seq", int, where, error=StoreError),
+        created_at=json_value(doc, "created_at", float, where, 0.0, error=StoreError),
+        embedding=None,
+    )
+    if b"\\u" in line:  # only a \u escape can spell a lone surrogate
+        require_unicode("".join((entry.context_id, entry.description,
+                                 entry.instruction, entry.lineage_summary)),
+                        f"{where}: entry text", StoreError)
     dim = json_value(doc, "dim", int, where, error=StoreError)
     if dim < 1:
         raise StoreError(f"{where}: dim {dim}")
@@ -129,16 +120,16 @@ class LoggedAnswer:
 def _parse_answer(line: bytes, lineno: int) -> LoggedAnswer:
     """One answer-log line; a line of another shape or type is corrupt."""
     where = f"corrupt answer at line {lineno}"
-    try:
-        doc = json.loads(line.decode())
-        model = json_value(doc, "model", str, where, error=StoreError)
-        prompt = json_value(doc, "prompt", str, where, error=StoreError)
-        answer = doc.get("answer")
-        if type(answer) is not bool:  # a verdict, or the fields of a map
-            answer = json_value(doc, "answer", dict, where, error=StoreError)
+    doc = load_json(line, where, error=StoreError)
+    model = json_value(doc, "model", str, where, error=StoreError)
+    prompt = json_value(doc, "prompt", str, where, error=StoreError)
+    answer = doc.get("answer")
+    if type(answer) is not bool:  # a verdict, or the fields of a map
+        answer = json_value(doc, "answer", dict, where, error=StoreError)
+        try:
             validate_fields(answer or None)  # at least one
-    except (ValueError, RecursionError, ValidationError) as exc:  # JSON, UTF-8 too
-        raise StoreError(f"{where}: {exc!r}") from exc
+        except ValidationError as exc:
+            raise StoreError(f"{where}: {exc}") from exc
     counts = [json_value(doc, key, int, where, error=StoreError)
               for key in ("input_tokens", "output_tokens", "calls")]
     if min(counts) < 0 or counts[2] < 1:

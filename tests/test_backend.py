@@ -299,13 +299,9 @@ def test_embed_rejects_text_utf8_cannot_encode(text):
 
 class _FakeResponse:
     def __init__(self, status_code, doc=None, text=""):
+        # like requests.Response, the body is text: a doc is held serialized
         self.status_code = status_code
-        self._doc = doc
-        self.text = text
-
-    def json(self):
-        # like requests: a body given only as text is decoded on demand
-        return self._doc if self._doc is not None else json.loads(self.text)
+        self.text = text if doc is None else json.dumps(doc)
 
 
 class _FakeSession:
@@ -407,6 +403,14 @@ def test_http_malformed_response(catalog):
     session = _FakeSession([_FakeResponse(200, text="<html>gateway</html>")])
     with pytest.raises(BackendError, match="non-JSON"):
         _http(catalog, session).chat("cheap", [ChatMessage("user", "x")])
+
+
+def test_http_reply_nested_past_the_parsers_depth_is_a_backend_error(catalog):
+    body = "[" * 100_000 + "]" * 100_000
+    backend = _http(catalog, _FakeSession([_FakeResponse(200, text=body)]))
+    with pytest.raises(BackendError, match="non-JSON body .*: RecursionError"):
+        backend.chat("cheap", [ChatMessage("user", "x")])
+    assert backend.ledger.snapshot().total_calls == 0
 
 
 @pytest.mark.parametrize("doc", [

@@ -12,6 +12,11 @@ context store's three files, and the run directories of a ``run`` and of a
 - flip, cut or insert bytes (``\\xff``, U+2028, ``1e999``, a quote, twenty
   nines), or truncate the file.
 
+A second, unseeded test makes two structural changes the first never draws:
+the first value of each JSON file (line 1's, in a JSONL file) becomes JSON
+nested past the parser's depth, then a 5,000-digit integer, and every
+command that reads the file runs on each.
+
 A case passes when ``main`` returns an exit code other than 10 and raises
 nothing.  Tier-1 runs seed 0, ``CASES`` cases in about 5 s on a 2-vCPU
 Xeon.  More seeds, comma-separated::
@@ -181,24 +186,31 @@ def _keys(files: dict[str, bytes]) -> list[str]:
     return sorted(keys - {"base_url"} | {"unknown"})
 
 
-def _case(rng, files, keys, context_id, where: Path):
-    """Write one case under ``where``: the workspace with one file changed.
-    ``stats`` reads only its run directory; every other command reads the
-    inputs and the store, not the runs.  Returns the changed file's name,
-    the change and the command's arguments."""
-    name = rng.choice(sorted(_FILES))
-    data, label = _mutate(rng, name, files[name], keys)
+def _write_case(files, name, data, command, context_id, where: Path):
+    """Write the workspace under ``where`` with the file ``name`` holding
+    ``data``, and return the arguments of ``command`` run on it.  ``stats``
+    reads only its run directory; every other command reads the inputs and
+    the store, not the runs."""
     group = _FILES[name]
-    argv = ["--config", "config.json"] + [
-        arg.format(context_id=context_id, run_dir=str(Path(name).parent))
-        for arg in rng.choice(_COMMANDS[group])]
     for rel, body in files.items():
         if (Path(rel).parent == Path(name).parent if group == "artifact"
                 else not rel.startswith("runs/")):
             path = where / rel
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(data if rel == name else body)
-    return name, label, argv
+    return ["--config", "config.json"] + [
+        arg.format(context_id=context_id, run_dir=str(Path(name).parent))
+        for arg in command]
+
+
+def _case(rng, files, keys, context_id, where: Path):
+    """Write one case under ``where``: the workspace with one file changed.
+    Returns the changed file's name, the change and the command's
+    arguments."""
+    name = rng.choice(sorted(_FILES))
+    data, label = _mutate(rng, name, files[name], keys)
+    command = rng.choice(_COMMANDS[_FILES[name]])
+    return name, label, _write_case(files, name, data, command, context_id, where)
 
 
 def _main(argv):
@@ -216,20 +228,28 @@ def _main(argv):
     return code, err.buffer.getvalue().decode()
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_no_input_makes_the_cli_exit_internal_error(seed, tmp_path, monkeypatch):
+@pytest.fixture
+def pristine(tmp_path, monkeypatch):
+    """The workspace's files, made under ``tmp_path / "pristine"``, and the
+    id of the store's first context.  A case that then starts a worker pool
+    or an HTTP backend fails as exit 10."""
     def refused(*args, **kwargs):
         raise AssertionError("the fuzz runs on the in-process mock only")
 
-    # a case that starts a worker pool or an HTTP backend fails as exit 10
     monkeypatch.setattr(engine, "ThreadPoolExecutor", refused)
     monkeypatch.setattr(cli, "HttpBackend", refused)
-    pristine = tmp_path / "pristine"
-    pristine.mkdir()
-    monkeypatch.chdir(pristine)
-    files = _workspace(pristine)
+    root = tmp_path / "pristine"
+    root.mkdir()
+    monkeypatch.chdir(root)
+    files = _workspace(root)
+    return files, json.loads(files["cache/entries.jsonl"].splitlines()[0])["context_id"]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_no_input_makes_the_cli_exit_internal_error(seed, pristine, tmp_path,
+                                                    monkeypatch):
+    files, context_id = pristine
     keys = _keys(files)
-    context_id = json.loads(files["cache/entries.jsonl"].splitlines()[0])["context_id"]
     rng = random.Random(seed)
     failures = []
     for case in range(CASES):
@@ -241,3 +261,42 @@ def test_no_input_makes_the_cli_exit_internal_error(seed, tmp_path, monkeypatch)
             failures.append(f"case {case}: {name}: {label}: semaq {' '.join(argv)} "
                             f"-> {code}: {err[-300:]}")
     assert not failures, f"seed {seed}:\n" + "\n".join(failures)
+
+
+_STRUCTURAL = {"nested-too-deep": "[" * 100_000 + "]" * 100_000,
+               "integer-of-5000-digits": "9" * 5_000}
+
+
+def _replace_first_value(name, data: bytes, value: str) -> bytes:
+    """``data`` with the first value of its top-level object (line 1's, in a
+    JSONL file) replaced by the JSON text ``value``, which no JSON parser
+    need accept: nesting past its depth, or an integer past the
+    interpreter's 4,300-digit limit."""
+    head, newline, rest = (data.partition(b"\n") if name.endswith(".jsonl")
+                           else (data, b"", b""))
+    doc = json.loads(head)
+    doc[next(iter(doc))] = "@@"
+    return json.dumps(doc).replace('"@@"', value, 1).encode() + newline + rest
+
+
+def test_no_json_input_nested_too_deep_or_with_a_huge_integer_exits_internal_error(
+        pristine, tmp_path, monkeypatch):
+    """Every command of each JSON or JSONL file's group, on that file with
+    its first value nested past the parser's depth or a 5,000-digit
+    integer."""
+    files, context_id = pristine
+    failures = []
+    cases = [(name, label, value, command) for name in sorted(_FILES)
+             if name.endswith((".json", ".jsonl"))
+             for label, value in _STRUCTURAL.items()
+             for command in _COMMANDS[_FILES[name]]]
+    for case, (name, label, value, command) in enumerate(cases):
+        where = tmp_path / f"case-{case}"
+        data = _replace_first_value(name, files[name], value)
+        argv = _write_case(files, name, data, command, context_id, where)
+        monkeypatch.chdir(where)
+        code, err = _main(argv)
+        if code == 10 or not isinstance(code, int):
+            failures.append(f"{name}: {label}: semaq {' '.join(argv)} "
+                            f"-> {code}: {err[-300:]}")
+    assert len(cases) == 70 and not failures, "\n".join(failures)

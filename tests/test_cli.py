@@ -471,6 +471,9 @@ def _use_catalog(ws, row):
 _MODEL_ROW = {"id": "solo", "input_cost_per_1k": 0.001, "output_cost_per_1k": 0.002,
               "quality_prior": 0.9, "latency_prior": 0.3}
 
+_DEEP = "[" * 100_000 + "]" * 100_000  # nested past the JSON parser's depth
+_NINES = "9" * 5_000  # past the interpreter's 4,300-digit limit for int()
+
 # case: (break one input file, expected category, fragments of the error line)
 _BAD_JSON_INPUTS = {
     "config-top-level-list": (
@@ -529,6 +532,15 @@ _BAD_JSON_INPUTS = {
         lambda ws: _edit_json(ws / "config.json",
                               lambda doc: doc.update(datasets=["docs"])),
         "config-error", ["config.json", "'datasets'", "expected an object"]),
+    "config-nested-too-deep": (
+        lambda ws: (ws / "config.json").write_text('{"a": ' + _DEEP + "}"),
+        "config-error", ["cannot load config", "config.json: RecursionError"]),
+    "config-pool-width-of-5000-digits": (
+        lambda ws: (ws / "config.json").write_text('{"pool_width": ' + _NINES + "}"),
+        "config-error", ["cannot load config", "config.json: ValueError"]),
+    "script-nested-too-deep": (
+        lambda ws: (ws / "script.json").write_text('{"rules": ' + _DEEP + "}"),
+        "config-error", ["cannot load mock script", "script.json: RecursionError"]),
     "policy-floor-not-a-number": (
         lambda ws: _edit_json(ws / "config.json", lambda doc: doc.update(
             policy={"kind": "min_cost", "quality_floor": "high"})),
@@ -548,6 +560,25 @@ def test_cli_bad_json_inputs_exit_with_their_category(workspace, capsys, case):
     assert code == 2
     assert err.startswith(f"error: {category}:")
     assert all(fragment in err for fragment in fragments), err
+
+
+@pytest.mark.parametrize("line, exc", [
+    ('{"text": ' + _DEEP + "}", "RecursionError"),
+    ('{"n": ' + _NINES + "}", "ValueError"),
+], ids=["nested-too-deep", "integer-of-5000-digits"])
+def test_cli_dataset_line_the_json_parser_rejects_is_a_data_error(
+        workspace, capsys, line, exc):
+    (workspace / "rows.jsonl").write_text(line + "\n", encoding="utf-8")
+    _edit_json(workspace / "config.json", lambda doc: doc["datasets"].update(
+        docs={"kind": "jsonl", "path": str(workspace / "rows.jsonl")}))
+    pipe = workspace / "p.pz"
+    pipe.write_text(PIPELINE + "\n", encoding="utf-8")
+    code = main(["--config", str(workspace / "config.json"),
+                 "pipeline", str(pipe), "--dataset", "docs"])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith("error: data-error: ")
+    assert f"rows.jsonl:1: bad record: record line: {exc}" in err, err[:300]
 
 
 def test_cli_pipeline_file_not_utf8(workspace, capsys):

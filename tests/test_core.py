@@ -1,10 +1,12 @@
 """Records, contexts, snapshots, and the exact vector index."""
 
+import ast
 import hashlib
 import json
 import math
 import random
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from semaq import (CapabilityError, ContextStore, RecordSnapshot, StoreError,
                    context_derive, context_lookup, context_topk, hashing_embed,
                    make_derived_record, make_source_record, record_from_json,
                    record_to_json)
-from semaq import core
+from semaq import ConfigurationError, core
 from semaq.core import (Record, RecordLineage, context_iterate, cosine_to_score,
                         cosine_topk, record_text, source_record_id,
                         validate_field_value, validate_fields)
@@ -434,3 +436,57 @@ def test_public_api_names_resolve():
 
     resolved = {name: getattr(semaq, name) for name in semaq.__all__}
     assert len(resolved) == len(semaq.__all__)  # and no name is listed twice
+
+
+# --- the one JSON decoder ------------------------------------------------------
+
+@pytest.mark.parametrize("data", ['{"a": [1]}', b'{"a": [1]}'], ids=["str", "bytes"])
+def test_load_json_decodes_text_and_utf8_bytes(data):
+    assert core.load_json(data, "doc") == {"a": [1]}
+
+
+@pytest.mark.parametrize("data, exc", [
+    ("{", "JSONDecodeError"),
+    ('{"a": "caf\xe9"}'.encode("latin-1"), "UnicodeDecodeError"),
+    ('{"a": 1}'.encode("utf-16"), "UnicodeDecodeError"),  # never sniffed
+    ("[" * 100_000 + "]" * 100_000, "RecursionError"),
+    ("9" * 5_000, "ValueError"),
+], ids=["truncated", "latin-1", "utf-16", "nested-too-deep", "integer-of-5000-digits"])
+def test_load_json_raises_the_callers_category(data, exc):
+    with pytest.raises(ConfigurationError, match=f"^where: {exc}: "):
+        core.load_json(data, "where")
+    with pytest.raises(StoreError, match=f"^where: {exc}: "):
+        core.load_json(data, "where", error=StoreError)
+
+
+def _json_decodes(tree):
+    """(enclosing function, call) of each ``json.load``, ``json.loads`` and
+    ``.json()`` call in ``tree``, and of each name imported from ``json``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func = node.func
+            if func.attr == "json" or (func.attr in ("load", "loads")
+                                       and isinstance(func.value, ast.Name)
+                                       and func.value.id == "json"):
+                found.append((scope, ast.unparse(func)))
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            found.extend((scope, f"from json import {a.name}") for a in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_json_is_decoded_only_by_core_load_json():
+    """Which exceptions mean "not JSON", and how bytes become text, is
+    decided in one function: a new decode site would bring its own."""
+    found = {}
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        for scope, call in _json_decodes(ast.parse(path.read_text(encoding="utf-8"))):
+            found.setdefault(f"{path.name}:{scope}", []).append(call)
+    assert found == {"core.py:load_json": ["json.loads"]}
