@@ -323,7 +323,7 @@ def _tool_run_pipeline(env: ToolEnv, args: dict) -> str:
             f"{report.records_out} records; semantic calls "
             f"{report.total_calls}; cost {report.total_cost:.6f}; "
             f"derived context {out_ctx.id}\npreview:\n"
-            + (preview_records(out_ctx.source, 5) or "(no records)"))
+            + (preview_records(out_ctx.source) or "(no records)"))
 
 
 def builtin_tools() -> tuple[ToolSpec, ...]:

@@ -25,9 +25,9 @@ from .backend import (LedgerSnapshot, MockBackend, MockRule, MockScript,
                       ModelSpec)
 from .core import (Record, RecordSnapshot, ToolParam, ToolSpec, VectorIndex,
                    context_create, make_source_record, write_artifacts)
-from .engine import PhysicalOp, pipeline_execute, semantic_answer
+from .engine import RunPolicy, bind_plan, pipeline_execute
 from .errors import ConfigurationError
-from .lang import SemFilter, SemMap, parse_pipeline
+from .lang import Scan, SemFilter, SemMap, make_plan, parse_pipeline
 from .optimizer import MinCost, optimize
 
 AGENT_MODEL_ID = "agent-model"
@@ -278,19 +278,24 @@ def run_email_prototype(corpus: EmailCorpus) -> StrategyOutcome:
         returned_ids=returned)
 
 
+def _sweep(env, op) -> RecordSnapshot:
+    """The output records of a one-operator plan, ``op`` over the whole
+    context on the first model, aborting at the first unparseable reply."""
+    pplan = bind_plan(make_plan([Scan("ctx"), op]), {1: env.models[0]})
+    out_ctx, _ = pipeline_execute(pplan, env.ctx, env.backend,
+                                  policy=RunPolicy(on_error="abort"))
+    return out_ctx.source
+
+
 def _tool_filter_all(env, args) -> str:
-    pop = PhysicalOp(SemFilter(str(args["predicate"])), env.models[0])
-    matched = [rec.id for rec in env.ctx.source
-               if semantic_answer(env.backend, pop, rec)[0]]
+    matched = [rec.id for rec in _sweep(env, SemFilter(str(args["predicate"])))]
     return (f"{len(matched)} of {len(env.ctx.source)} records matched\n"
             + "\n".join(matched))
 
 
 def _tool_map_all(env, args) -> str:
-    pop = PhysicalOp(SemMap(str(args["instruction"]), (("deal", "text"),)),
-                     env.models[0])
-    return "\n".join(f"{rec.id}\t{semantic_answer(env.backend, pop, rec)[0]['deal']}"
-                     for rec in env.ctx.source)
+    out = _sweep(env, SemMap(str(args["instruction"]), (("deal", "text"),)))
+    return "\n".join(f"{rec.lineage.parents[0]}\t{rec.fields['deal']}" for rec in out)
 
 
 _SWEEP_TOOLS = (

@@ -25,7 +25,7 @@ from .core import (Context, Record, RecordSnapshot, VectorIndex, context_create,
 from .errors import ConfigurationError, DataAccessError, SemaqError, StoreError
 from .lang import parse_pipeline, validate_plan
 from .optimizer import MinCost, Policy, optimize, parse_policy
-from .engine import RunPolicy, pipeline_execute
+from .engine import RunPolicy, pipeline_execute, render_report
 from .store import ContextStore, clear_store
 
 logger = logging.getLogger(__name__)
@@ -341,14 +341,6 @@ def _trace_lines(doc) -> list[str]:
             f"agent cost {doc['usage']['cost']:.6f}"]
 
 
-def _report_lines(doc, name: str) -> list[str]:
-    # a report written before reuse existed has no total_reused
-    return [f"{name}: plan {doc['plan_id']} "
-            f"{doc['records_in']} -> {doc['records_out']} records, "
-            f"{doc['total_calls']} calls, {doc.get('total_reused', 0)} reused, "
-            f"cost {doc['total_cost']:.6f}"]
-
-
 def _optimizer_lines(doc, name: str) -> list[str]:
     return [f"{name}: chose {doc['chosen_plan_id']} under {doc['policy']}, "
             f"{len(doc['candidates'])} frontier plan(s) of {doc['plans_considered']} "
@@ -382,10 +374,10 @@ def cmd_stats(args) -> int:
     trace_file = run_dir / "trace.json"
     if trace_file.exists():
         lines += _artifact_lines(trace_file, _trace_lines)
-    for pattern, render in (("report*.json", _report_lines),
-                            ("optimizer*.json", _optimizer_lines)):
-        for path in sorted(run_dir.glob(pattern)):
-            lines += _artifact_lines(path, lambda doc: render(doc, path.name))
+    for path in sorted(run_dir.glob("report*.json")):
+        lines += _artifact_lines(path, lambda doc: [f"{path.name}: {render_report(doc)}"])
+    for path in sorted(run_dir.glob("optimizer*.json")):
+        lines += _artifact_lines(path, lambda doc: _optimizer_lines(doc, path.name))
     print("\n".join(lines))
     return 0
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -252,13 +253,23 @@ def record_from_json(line: str, origin: str = "") -> Record:
 
 def write_artifacts(directory, texts: Mapping[str, str]) -> None:
     """Write each text, newline-terminated UTF-8, to its file name under
-    ``directory``, making the directory if it is missing."""
+    ``directory``, making the directory if it is missing.  A text goes whole
+    to a hidden ``.<name>.<random>.tmp`` beside its file, which then replaces
+    the file, so a killed writer leaves the old file or the new one, never a
+    prefix; a failed write removes its temporary file."""
     path = Path(directory)
     try:
         path.mkdir(parents=True, exist_ok=True)
         for name, text in texts.items():
             path = Path(directory) / name
-            path.write_text(text + "\n", encoding="utf-8")
+            tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+            try:
+                with tmp.open("x", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+                os.replace(tmp, path)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
     except OSError as exc:
         raise DataAccessError(f"cannot write run artifact {path}: {exc}") from exc
 

@@ -75,6 +75,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_FIELD_CHAR_CAP = 4000
 MAX_POOL_WIDTH = 1024
+PREVIEW_RECORDS = 5  # records in an agent's view of a pipeline's output
 
 
 @dataclass(frozen=True)
@@ -515,24 +516,32 @@ class ExecutionReport:
         return json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
 
     def render_text(self) -> str:
-        lines = [
-            f"plan {self.plan_id}: {self.pipeline_text}",
-            f"{'#':>2} {'operator':<12} {'model':<14} {'in':>6} {'out':>6} "
-            f"{'calls':>6} {'reused':>6} {'cost':>10} {'wall_s':>8}",
-        ]
-        for op in self.ops:
-            lines.append(
-                f"{op.index:>2} {op.kind:<12} {op.model_id or '-':<14} "
-                f"{op.records_in:>6} {op.records_out:>6} {op.calls:>6} "
-                f"{op.reused:>6} {op.cost:>10.6f} {op.wall_seconds:>8.2f}")
+        return render_report(self.to_dict())
+
+
+def render_report(doc: dict) -> str:
+    """The text of an execution report's JSON document (:meth:`ExecutionReport.to_dict`):
+    one row per operator, then the totals.  A row without ``reused`` (only
+    per-record operators reuse) and a report without ``total_reused`` (one
+    written before reuse existed) read 0."""
+    lines = [
+        f"plan {doc['plan_id']}: {doc['pipeline']}",
+        f"{'#':>2} {'operator':<12} {'model':<14} {'in':>6} {'out':>6} "
+        f"{'calls':>6} {'reused':>6} {'cost':>10} {'wall_s':>8}",
+    ]
+    for op in doc["ops"]:
         lines.append(
-            f"   total: {self.total_calls} calls, {self.total_reused} reused, "
-            f"cost {self.total_cost:.6f}, "
-            f"wall {self.total_wall_seconds:.2f}s, {self.records_in} -> "
-            f"{self.records_out} records, {self.total_failures} failure(s)")
-        if self.answer_text is not None:
-            lines.append(f"   answer: {self.answer_text}")
-        return "\n".join(lines)
+            f"{op['index']:>2} {op['kind']:<12} {op['model_id'] or '-':<14} "
+            f"{op['records_in']:>6} {op['records_out']:>6} {op['calls']:>6} "
+            f"{op.get('reused', 0):>6} {op['cost']:>10.6f} {op['wall_seconds']:>8.2f}")
+    lines.append(
+        f"   total: {doc['total_calls']} calls, {doc.get('total_reused', 0)} reused, "
+        f"cost {doc['total_cost']:.6f}, "
+        f"wall {doc['total_wall_seconds']:.2f}s, {doc['records_in']} -> "
+        f"{doc['records_out']} records, {doc['total_failures']} failure(s)")
+    if doc["answer_text"] is not None:
+        lines.append(f"   answer: {doc['answer_text']}")
+    return "\n".join(lines)
 
 
 # --- pipeline execution --------------------------------------------------------
@@ -851,6 +860,6 @@ def pipeline_execute(pplan: PhysicalPlan, ctx: Context, backend,
     return out_ctx, report
 
 
-def preview_records(records: Iterable[Record], limit: int = 5) -> str:
-    head = list(itertools.islice(iter(records), limit))
+def preview_records(records: Iterable[Record]) -> str:
+    head = list(itertools.islice(iter(records), PREVIEW_RECORDS))
     return "".join(record_to_json(r) + "\n" for r in head)

@@ -1,15 +1,21 @@
 """Benchmark harness: generated corpora, scripted strategies, frozen outcomes."""
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from semaq.bench import (BENCH_CATALOG, DEAL_NAMES, ERRANT_2001, MARKER_DEAL,
-                         MARKER_LOSS, OFFICIAL_2001, OFFICIAL_2024,
+from semaq import (AgentConfig, AgentRuntime, MockBackend, MockRule, MockScript,
+                   context_create, make_source_record)
+from semaq.bench import (_SWEEP_TOOLS, AGENT_MODEL_ID, BENCH_CATALOG, DEAL_NAMES,
+                         ERRANT_2001, MAP_DEAL, MARKER_DEAL, MARKER_LOSS,
+                         OFFICIAL_2001, OFFICIAL_2024, _playback,
                          expected_email_call_counts, gen_email_corpus,
                          gen_stats_corpus, metrics, run_bench, run_experiment)
+from semaq.engine import PhysicalOp, semantic_answer
 from semaq.errors import ConfigurationError
+from semaq.lang import SemFilter, SemMap
 
 
 @pytest.fixture(scope="module")
@@ -314,3 +320,56 @@ def test_bench_catalog_separates_agent_and_operator_models():
     assert set(BENCH_CATALOG) == {"agent-model", "op-cheap", "op-strong"}
     assert BENCH_CATALOG["op-cheap"].input_cost_per_1k < \
         BENCH_CATALOG["op-strong"].input_cost_per_1k
+
+
+# --- the sweep tools ----------------------------------------------------------------
+
+def _loop_filter_all(env, args):
+    pop = PhysicalOp(SemFilter(str(args["predicate"])), env.models[0])
+    matched = [rec.id for rec in env.ctx.source
+               if semantic_answer(env.backend, pop, rec)[0]]
+    return (f"{len(matched)} of {len(env.ctx.source)} records matched\n"
+            + "\n".join(matched))
+
+
+def _loop_map_all(env, args):
+    pop = PhysicalOp(SemMap(str(args["instruction"]), (("deal", "text"),)),
+                     env.models[0])
+    return "\n".join(f"{rec.id}\t{semantic_answer(env.backend, pop, rec)[0]['deal']}"
+                     for rec in env.ctx.source)
+
+
+_LOOP_TOOLS = tuple(dataclasses.replace(tool, handler=handler)
+                    for tool, handler in zip(_SWEEP_TOOLS, (_loop_filter_all, _loop_map_all)))
+
+
+def _sweep_session(tools):
+    """An agent that filters a corpus whose third record's filter reply never
+    parses, then maps it: (the two observations, calls in the ledger)."""
+    steps = [{"tool": "filter_all", "args": {"predicate": "mentions a deal"}},
+             {"tool": "map_all", "args": {"instruction": MAP_DEAL}},
+             {"final_answer": {"text": "done", "value": 0}}]
+    rules = _playback(steps) + [
+        MockRule(match=r"PREDICATE[\s\S]*garbled", response="maybe", kind="regex"),
+        MockRule(match=r"PREDICATE[\s\S]*Raptor", response="yes", kind="regex"),
+        MockRule(match="PREDICATE", response="no"),
+        MockRule(match=MAP_DEAL, response="deal: Raptor")]
+    backend = MockBackend(MockScript(rules), BENCH_CATALOG)
+    records = [make_source_record({"text": text}, origin=f"{i}#0") for i, text in
+               enumerate(["the Raptor deal", "lunch", "garbled", "Raptor again"])]
+    runtime = AgentRuntime(backend, models=(BENCH_CATALOG["op-strong"],))
+    trace = runtime.run("sweep", context_create(records, "four notes", tools=tools),
+                        AgentConfig(model=BENCH_CATALOG[AGENT_MODEL_ID]))
+    return [step.observation for step in trace.steps[:2]], backend.ledger.snapshot()
+
+
+def test_sweep_tools_observe_and_call_as_the_per_record_loop_does():
+    """The sweep tools run a one-operator plan that aborts on the first
+    failure: the same observation, error included, and the same calls as a
+    loop asking about each record in turn."""
+    (failed, mapped), ledger = _sweep_session(_SWEEP_TOOLS)
+    assert failed.startswith("error: operator-error: filter response unparseable "
+                             "after 2 attempt(s) on record ")
+    assert len(mapped.splitlines()) == 4 and mapped.endswith("\tRaptor")
+    assert ledger.for_model("op-strong").calls == 2 + 2 + 4
+    assert _sweep_session(_LOOP_TOOLS) == ([failed, mapped], ledger)

@@ -846,6 +846,56 @@ def test_cli_run_that_fails_after_two_pipelines_keeps_both_reports(workspace, ca
     assert sum(r["total_calls"] for r in reports) + agent_calls == ledger["total_calls"]
 
 
+def test_cli_stats_prints_each_report_as_pipeline_printed_it(workspace, capsys):
+    """``semaq stats`` renders ``report.json`` with the text ``semaq pipeline``
+    printed, byte for byte, after the file's name."""
+    pipe = workspace / "p.pz"
+    pipe.write_text(PIPELINE + " | limit(3)\n", encoding="utf-8")
+    run_dir = workspace / "out"
+    assert main(["--config", str(workspace / "config.json"), "pipeline", str(pipe),
+                 "--dataset", "docs", "--sample", "2", "--run-dir", str(run_dir)]) == 0
+    printed = capsys.readouterr().out
+    assert main(["stats", str(run_dir)]) == 0
+    after = capsys.readouterr().out.split("\nreport.json: ", 1)[1]
+    block, rest = after[:len(printed)], after[len(printed):]
+    assert block == printed and rest.startswith("optimizer.json: ")
+    assert " 1 sem_filter " in block and "total: 2 calls, 2 reused" in block
+
+
+def test_cli_stats_prints_one_row_per_operator_of_each_agent_pipeline(workspace, capsys):
+    run_dir = workspace / "out"
+    assert main(["--config", str(workspace / "config.json"), "run", "docs",
+                 "count the filing memos", "--run-dir", str(run_dir)]) == 0
+    capsys.readouterr()
+    assert main(["stats", str(run_dir)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    head = next(i for i, line in enumerate(lines) if line.startswith("report-000.json: "))
+    doc = json.loads((run_dir / "report-000.json").read_text())
+    assert [line.split()[:6] for line in lines[head + 2:head + 2 + len(doc["ops"])]] == [
+        [str(op["index"]), op["kind"], op["model_id"] or "-", str(op["records_in"]),
+         str(op["records_out"]), str(op["calls"])] for op in doc["ops"]]
+    assert [op["kind"] for op in doc["ops"]] == ["scan", "sem_filter"]
+    assert lines[head + 2 + len(doc["ops"])].startswith("   total: 4 calls, 0 reused")
+
+
+def test_cli_stats_reads_a_report_without_reuse_counts_as_0_reused(tmp_path, capsys):
+    """A report written before reuse existed has neither a row's ``reused``
+    nor ``total_reused``."""
+    row = {"index": 1, "kind": "sem_filter", "detail": "p", "model_id": "m",
+           "records_in": 4, "records_out": 1, "calls": 4, "input_tokens": 9,
+           "output_tokens": 4, "cost": 0.5, "wall_seconds": 2.0, "failures": 0}
+    (tmp_path / "report.json").write_text(json.dumps({
+        "plan_id": "pp-1", "pipeline": "scan(d) | sem_filter(\"p\")",
+        "context_id": "c", "ops": [row], "records_in": 4, "records_out": 1,
+        "total_calls": 4, "total_cost": 0.5, "total_wall_seconds": 2.0,
+        "total_failures": 0, "answer_text": None, "answer_value": None}))
+    assert main(["stats", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3].split() == ["1", "sem_filter", "m", "4", "1", "4", "0", "0.500000",
+                                "2.00"]
+    assert lines[4].startswith("   total: 4 calls, 0 reused, cost 0.500000")
+
+
 def test_cli_pipeline_that_fails_leaves_its_ledger_stats_renders(workspace, capsys):
     """The mock answers the first record and misses on the second: the
     pipeline exits 8 (mock-miss) after one paid call, and its run directory

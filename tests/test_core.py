@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semaq import (CapabilityError, ContextStore, RecordSnapshot, StoreError,
-                   ToolParam, ToolSpec, ValidationError, VectorIndex, context_create,
-                   context_derive, context_lookup, context_topk, hashing_embed,
-                   make_derived_record, make_source_record, record_from_json,
-                   record_to_json)
+from semaq import (CapabilityError, ContextStore, DataAccessError, RecordSnapshot,
+                   StoreError, ToolParam, ToolSpec, ValidationError, VectorIndex,
+                   context_create, context_derive, context_lookup, context_topk,
+                   hashing_embed, make_derived_record, make_source_record,
+                   record_from_json, record_to_json)
 from semaq import ConfigurationError, core
 from semaq.core import (Record, RecordLineage, context_iterate, cosine_to_score,
                         cosine_topk, record_text, source_record_id,
@@ -490,3 +490,48 @@ def test_json_is_decoded_only_by_core_load_json():
         for scope, call in _json_decodes(ast.parse(path.read_text(encoding="utf-8"))):
             found.setdefault(f"{path.name}:{scope}", []).append(call)
     assert found == {"core.py:load_json": ["json.loads"]}
+
+
+# --- run artifacts ---------------------------------------------------------------
+
+class _HalfWritten:
+    """A file that takes half of a write, flushes it and then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("before", [None, "old"], ids=["new-file", "existing-file"])
+def test_write_artifacts_that_fails_midway_leaves_no_prefix(tmp_path, monkeypatch, before):
+    """A write that fails after part of a file's bytes are on disk leaves the
+    file as it was, or absent, and no temporary file beside it."""
+    if before is not None:
+        core.write_artifacts(tmp_path, {"report.json": before})
+    real_open = Path.open
+
+    def open_that_fails(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return _HalfWritten(fh) if "report.json" in path.name else fh
+
+    monkeypatch.setattr(Path, "open", open_that_fails)
+    with pytest.raises(DataAccessError, match=r"^cannot write run artifact \S*/report\.json: "
+                                              r".*No space left"):
+        core.write_artifacts(tmp_path, {"ledger.json": "{}",
+                                        "report.json": '{"total_calls": 4}'})
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["ledger.json"] if before is None else ["ledger.json", "report.json"])
+    assert (tmp_path / "ledger.json").read_text(encoding="utf-8") == "{}\n"
+    if before is not None:
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == "old\n"

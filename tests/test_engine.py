@@ -1,8 +1,11 @@
 """Execution engine: prompts, parsing, operators, iterator pipelines."""
 
+import ast
 import contextlib
+import json
 import random
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +13,13 @@ from semaq import (ContextStore, MockBackend, MockRule, MockScript, OperatorErro
                    RunAbortedError, RunPolicy, ValidationError, bind_plan,
                    context_create, hashing_embed, make_source_record,
                    parse_pipeline, pipeline_execute)
+from semaq import engine
 from semaq.agent import AgentResult, AgentTrace, AgentUsage
 from semaq.backend import Usage, backend_fingerprint
 from semaq.engine import (PhysicalOp, _AnswerLog, parse_filter_response,
                           parse_map_response, render_filter_prompt,
-                          render_map_prompt, semantic_answer, semantic_execute)
+                          render_map_prompt, render_report, semantic_answer,
+                          semantic_execute)
 from semaq.lang import SemFilter, SemMap
 from tests.conftest import CHEAP, STRONG, BlockingBackend
 from tests.test_run_calls import _case, _cheap, _run
@@ -228,6 +233,25 @@ def test_semantic_answer_returns_the_answer_and_logs_each_success(mk_backend, tm
         assert log.new == []
     assert failing.ledger.snapshot().total_calls == 2
     assert store.read_answers() == 2
+
+
+def test_only_the_engine_asks_a_model_about_a_record():
+    """The re-ask loop, the answer log and the row's counts live behind one
+    ask: any other module sweeps records through a plan, so a second loop
+    over ``semantic_answer`` cannot drift from the engine's stage."""
+    users = set()
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            elif isinstance(node, ast.ImportFrom):
+                name = next((a.name for a in node.names if a.name == "semantic_answer"), None)
+            else:
+                continue
+            if name == "semantic_answer":
+                users.add(path.name)
+    assert users == {"engine.py"}
+
 
 # --- pipeline execution ------------------------------------------------------------
 
@@ -659,6 +683,22 @@ def test_report_render_and_json(mk_backend):
     doc = report.to_dict()
     assert doc["plan_id"] == pplan.plan_id
     assert doc["ops"][1]["calls"] == 4
+
+
+def test_report_text_is_the_render_of_its_json_document(mk_backend):
+    """The text a report prints is its JSON document's, read back from disk;
+    the scan row, which carries no ``reused``, reads 0 reused."""
+    backend = mk_backend(("k", "yes"), ("PREDICATE", "no"))
+    _, report = pipeline_execute(_bind('scan(d) | sem_filter("p") | limit(1)'),
+                                 _ctx(_numbered(4, lambda i: "k")), backend)
+    doc = json.loads(report.to_json())
+    assert "reused" not in doc["ops"][0]
+    assert report.render_text() == render_report(doc)
+    rows = render_report(doc).splitlines()[2:5]
+    assert [row.split()[:7] for row in rows] == [
+        ["0", "scan", "-", "1", "1", "0", "0"],
+        ["1", "sem_filter", "cheap", "1", "1", "1", "0"],
+        ["2", "limit", "-", "1", "1", "0", "0"]]
 
 
 def test_bind_plan_validation():
