@@ -222,9 +222,9 @@ def _session(args) -> tuple[RunConfig, Context, AgentRuntime]:
 def _run_record(run_dir, runtime: AgentRuntime, cache_dir: str):
     """Open the runtime's context store and yield a dict the command fills
     with its own files once its run returns; then write them, the ledger and
-    each pipeline's reports into ``run_dir`` (if not ``None``).  A run that
-    fails with a :class:`SemaqError` writes the trace its error carries in
-    their place, and a write error only warns: the run's own error wins."""
+    each pipeline's reports into ``run_dir`` (if not ``None``) in place of an
+    earlier run's.  A run that fails with a :class:`SemaqError` writes the
+    trace its error carries in their place, and a write error only warns."""
 
     def write(files: dict[str, str]) -> None:
         if run_dir is not None:
@@ -232,7 +232,7 @@ def _run_record(run_dir, runtime: AgentRuntime, cache_dir: str):
             for i, (opt_report, report) in enumerate(runtime.pipeline_reports):
                 texts[f"optimizer-{i:03d}.json"] = opt_report.to_json()
                 texts[f"report-{i:03d}.json"] = report.to_json()
-            write_artifacts(run_dir, {**texts, **files})
+            write_artifacts(run_dir, {**texts, **files}, stale=[p for p, _ in _ARTIFACTS])
 
     files: dict[str, str] = {}
     try:
@@ -251,14 +251,17 @@ def _run_record(run_dir, runtime: AgentRuntime, cache_dir: str):
 
 
 def _fresh_run_dir(base: str) -> Path:
-    root = Path(base)
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    candidate = root / stamp
-    n = 1
-    while candidate.exists():
-        candidate = root / f"{stamp}-{n}"
-        n += 1
-    return candidate
+    """Make ``<base>/<stamp>``, or the first ``<stamp>-<n>`` no run has made."""
+    stamp, n = time.strftime("%Y%m%d-%H%M%S"), 0
+    while True:
+        candidate = Path(base) / (f"{stamp}-{n}" if n else stamp)
+        try:
+            candidate.mkdir(parents=True)
+            return candidate
+        except FileExistsError:
+            n += 1
+        except OSError as exc:
+            raise DataAccessError(f"cannot make run directory {candidate}: {exc}") from exc
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -348,13 +351,20 @@ def _optimizer_lines(doc, name: str) -> list[str]:
             f"{doc['sample_calls']} sampling call(s)"]
 
 
+# a run's files by name pattern, as ``stats`` renders them (None: it does not)
+_ARTIFACTS = (("ledger.json", lambda doc, name: _ledger_lines(doc)),
+              ("trace.json", lambda doc, name: _trace_lines(doc)),
+              ("report*.json", lambda doc, name: [f"{name}: {render_report(doc)}"]),
+              ("optimizer*.json", _optimizer_lines), ("answer.txt", None))
+
+
 def _artifact_lines(path: Path, render) -> list[str]:
-    """``render(doc)`` for the JSON run artifact at ``path``; a file that
+    """``render(doc, name)`` for the JSON run artifact at ``path``; a file that
     cannot be read, parsed or rendered, or that renders text UTF-8 cannot
     encode (a JSON escape of a lone surrogate), is a data error naming it."""
     where = f"malformed run artifact {path}"
     try:
-        lines = render(load_json(path.read_bytes(), where, error=DataAccessError))
+        lines = render(load_json(path.read_bytes(), where, error=DataAccessError), path.name)
         "\n".join(lines).encode("utf-8")  # a UnicodeEncodeError is a ValueError
         return lines
     except (OSError, ValueError, LookupError, TypeError, AttributeError,
@@ -366,18 +376,12 @@ def cmd_stats(args) -> int:
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         raise DataAccessError(f"run directory not found: {run_dir}")
-    ledger_file = run_dir / "ledger.json"
-    if ledger_file.exists():
-        lines = _artifact_lines(ledger_file, _ledger_lines)
-    else:
-        lines = ["no ledger.json in run directory"]
-    trace_file = run_dir / "trace.json"
-    if trace_file.exists():
-        lines += _artifact_lines(trace_file, _trace_lines)
-    for path in sorted(run_dir.glob("report*.json")):
-        lines += _artifact_lines(path, lambda doc: [f"{path.name}: {render_report(doc)}"])
-    for path in sorted(run_dir.glob("optimizer*.json")):
-        lines += _artifact_lines(path, lambda doc: _optimizer_lines(doc, path.name))
+    lines = [] if (run_dir / "ledger.json").exists() else [
+        "no ledger.json in run directory"]
+    for pattern, render in _ARTIFACTS:
+        if render is not None:
+            for path in sorted(run_dir.glob(pattern)):
+                lines += _artifact_lines(path, render)
     print("\n".join(lines))
     return 0
 

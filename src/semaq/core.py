@@ -251,12 +251,13 @@ def record_from_json(line: str, origin: str = "") -> Record:
     return make_source_record(doc, origin)
 
 
-def write_artifacts(directory, texts: Mapping[str, str]) -> None:
+def write_artifacts(directory, texts: Mapping[str, str], stale: Sequence[str] = ()) -> None:
     """Write each text, newline-terminated UTF-8, to its file name under
     ``directory``, making the directory if it is missing.  A text goes whole
     to a hidden ``.<name>.<random>.tmp`` beside its file, which then replaces
     the file, so a killed writer leaves the old file or the new one, never a
-    prefix; a failed write removes its temporary file."""
+    prefix; a failed write removes its temporary file.  Once all are written,
+    each file a ``stale`` pattern matches that ``texts`` does not name goes."""
     path = Path(directory)
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -270,6 +271,9 @@ def write_artifacts(directory, texts: Mapping[str, str]) -> None:
             except BaseException:
                 tmp.unlink(missing_ok=True)
                 raise
+        for path in [p for pattern in stale for p in Path(directory).glob(pattern)]:
+            if path.name not in texts:
+                path.unlink()
     except OSError as exc:
         raise DataAccessError(f"cannot write run artifact {path}: {exc}") from exc
 

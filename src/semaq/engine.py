@@ -20,14 +20,13 @@ that declares ``in_process`` (the mock) never blocks, so its calls run
 inline in the caller's thread: no threads, and no call past what a
 downstream ``limit`` pulls.
 
-Each operator runs as one stage from one table.  A report row's ``in`` is
-the records its stage pulled and ``out`` the records it passed on, both
-counted in one wrapper; a compute or search row's ``out`` is its output
-context's size, however many of them a downstream ``limit`` takes.  A
-sem_filter or sem_map stage asks about each record by :meth:`_Run.ask`,
-which counts the ask in the row, and so does ``optimize``'s sampler, one
-row per (position, model) pair; :func:`_price` prices both kinds of row by
-one rule, a run's once its last call finishes.
+Each operator runs as one stage from one table.  A row's ``in`` is counted
+where its stage pulls and its ``out`` is what the next stage pulled (the
+last row's: the run's output), but a compute or search row's ``out`` is its
+output context's size.  A sem_filter or sem_map stage asks about each
+record by :meth:`_Run.ask`, which counts the ask in the row, and so does
+``optimize``'s sampler, one row per (position, model) pair; :func:`_price`
+prices both kinds of row by one rule, a run's once its last call finishes.
 
 A model's answer to a prompt is reused by one key: the model id and the
 sha256 of the backend's fingerprint (:func:`~semaq.backend.backend_fingerprint`:
@@ -652,8 +651,9 @@ def _windows(ops: Sequence[PhysicalOp], width: int) -> dict[int, _Window]:
 @dataclass
 class _Run:
     """What the stages of one run share: ``context`` is the context the next
-    agentic stage reads, and ``agentic`` holds each agentic stage's output
-    size by position.  A sampled pair's run sets only what :meth:`ask` reads."""
+    agentic stage reads; a row counts ``in`` where its stage pulls, and its
+    ``out`` is what the next stage pulled.  A sampled pair's run sets only
+    what :meth:`ask` reads."""
 
     backend: object
     log: _AnswerLog | None
@@ -665,7 +665,6 @@ class _Run:
     context: Context | None = None
     report: ExecutionReport | None = None
     allowed: int = 0  # failures the budget allows
-    agentic: dict[int, int] = field(default_factory=dict)
     failures: int = 0
     lock: threading.Lock = field(default_factory=threading.Lock)
 
@@ -752,7 +751,7 @@ def _agentic_stage(run: _Run, i: int, pop: PhysicalOp, upstream: Iterator[Record
         usage = result.trace.usage
         row.calls, row.input_tokens, row.output_tokens, row.wall_seconds = (
             usage.calls, usage.input_tokens, usage.output_tokens, usage.wall_seconds)
-        run.agentic[i] = len(result.context.source)
+        row.records_out = len(result.context.source)
         if row.kind == "compute":
             run.report.answer_text = result.answer_text
             run.report.answer_value = result.answer_value
@@ -763,8 +762,8 @@ def _agentic_stage(run: _Run, i: int, pop: PhysicalOp, upstream: Iterator[Record
 
 
 # operator type -> stage(run, position, bound op, upstream, row) -> the
-# records it passes on; each stage is built before the run's first call, and
-# only _counted counts its records
+# records it passes on, built before the run's first call on an upstream
+# that counts the row's ``in`` as it pulls; ``out`` is what the next pulled
 _STAGES: dict[type, Callable] = {
     Scan: lambda run, i, pop, upstream, row: upstream,
     SemFilter: _semantic_stage,
@@ -784,22 +783,11 @@ def _price(model: ModelSpec, row: OpReport) -> None:
         row.wall_seconds = row.calls * model.latency_prior
 
 
-def _counted(stage: Callable, run: _Run, i: int, pop: PhysicalOp,
-             upstream: Iterator[Record], row: OpReport) -> Iterator[Record]:
-    """Build ``stage`` on ``upstream``, counting in ``row`` the records it
-    pulls (``records_in``) and the records it passes on (``records_out``)."""
-
-    def pulled() -> Iterator[Record]:
-        for record in upstream:
-            row.records_in += 1
-            yield record
-
-    def passed(records: Iterator[Record]) -> Iterator[Record]:
-        for record in records:
-            row.records_out += 1
-            yield record
-
-    return passed(stage(run, i, pop, pulled(), row))
+def _pulled(upstream: Iterator[Record], row: OpReport) -> Iterator[Record]:
+    """``upstream``, counting in ``row.records_in`` each record its stage pulls."""
+    for record in upstream:
+        row.records_in += 1
+        yield record
 
 
 def pipeline_execute(pplan: PhysicalPlan, ctx: Context, backend,
@@ -843,14 +831,17 @@ def pipeline_execute(pplan: PhysicalPlan, ctx: Context, backend,
             row = OpReport(index=i, kind=kind, detail=detail,
                            model_id=pop.model and pop.model.model_id)
             report.ops.append(row)
-            stream = _counted(_STAGES[type(pop.logical)], run, i, pop, stream, row)
+            stream = _STAGES[type(pop.logical)](run, i, pop, _pulled(stream, row), row)
         out_records = list(stream)
 
-    # price each row with a model, once every call the run submitted has ended
-    for pop, row in zip(pplan.ops, report.ops):
+    # once every call has ended, price each row with a model; a row's ``out``
+    # is the next row's ``in`` (the last's: the output), an agentic row's its own
+    outs = [row.records_in for row in report.ops[1:]] + [len(out_records)]
+    for pop, row, out in zip(pplan.ops, report.ops, outs):
         if pop.model is not None:
             _price(pop.model, row)
-            row.records_out = run.agentic.get(row.index, row.records_out)
+        if row.kind not in ("compute", "search"):
+            row.records_out = out
 
     description = (ctx.description + f"\n\n[pipeline {pplan.plan_id}] {canonical}; "
                    f"records in: {len(ctx.source)}; records out: {len(out_records)}.")

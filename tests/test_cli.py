@@ -1017,6 +1017,51 @@ def test_cli_run_without_run_dir_writes_a_fresh_stamped_dir(workspace, capsys,
         "20260101-120000", "20260101-120000-1"]
 
 
+def test_fresh_run_dir_claims_the_directory_it_names(tmp_path, monkeypatch):
+    """Two runs started in one second get two directories, each made when it
+    is named, so neither writes into the other's."""
+    import semaq.cli as cli_mod
+    monkeypatch.setattr(cli_mod.time, "strftime", lambda fmt: "20260101-120000")
+    first = cli_mod._fresh_run_dir(str(tmp_path / "runs"))
+    second = cli_mod._fresh_run_dir(str(tmp_path / "runs"))
+    assert first != second
+    assert first.is_dir() and second.is_dir()
+
+
+def test_fresh_run_dir_under_a_file_is_a_data_error(workspace, capsys):
+    blocker = workspace / "not-a-dir"
+    blocker.write_text("x", encoding="utf-8")
+    _edit_json(workspace / "config.json", lambda doc: doc.update(run_dir=str(blocker)))
+    code = main(["--config", str(workspace / "config.json"), "run", "docs",
+                 "count the filing memos"])
+    assert code == 5
+    assert capsys.readouterr().err.startswith(
+        f"error: data-error: cannot make run directory {blocker}")
+
+
+def test_cli_reused_run_dir_keeps_only_the_last_runs_artifacts(workspace, capsys):
+    """A ``pipeline`` into the run directory of an earlier ``run`` removes the
+    run's trace, answer and agent reports, and leaves other files alone, so
+    ``stats`` explains the last run only."""
+    config = str(workspace / "config.json")
+    run_dir = workspace / "out"
+    assert main(["--config", config, "run", "docs", "count the filing memos",
+                 "--run-dir", str(run_dir)]) == 0
+    (run_dir / "notes.txt").write_text("kept", encoding="utf-8")
+    pipe = workspace / "p.pz"
+    pipe.write_text(PIPELINE + "\n", encoding="utf-8")
+    assert main(["--config", config, "pipeline", str(pipe), "--dataset", "docs",
+                 "--run-dir", str(run_dir)]) == 0
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "ledger.json", "notes.txt", "optimizer.json", "report.json"]
+    assert (run_dir / "notes.txt").read_text(encoding="utf-8") == "kept"
+    capsys.readouterr()
+    assert main(["stats", str(run_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "report.json: plan pp-" in out
+    assert "trace:" not in out and "report-000.json:" not in out
+
+
 def test_cli_run_whose_agent_fails_exits_with_its_error_when_artifacts_cannot_be_written(
         workspace, capsys, caplog):
     script = workspace / "noaction.json"

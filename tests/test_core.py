@@ -535,3 +535,18 @@ def test_write_artifacts_that_fails_midway_leaves_no_prefix(tmp_path, monkeypatc
     assert (tmp_path / "ledger.json").read_text(encoding="utf-8") == "{}\n"
     if before is not None:
         assert (tmp_path / "report.json").read_text(encoding="utf-8") == "old\n"
+
+
+def test_write_artifacts_removes_only_the_stale_files_it_did_not_write(tmp_path):
+    for name in ("report.json", "report-000.json", "trace.json", "notes.txt"):
+        (tmp_path / name).write_text("old", encoding="utf-8")
+    core.write_artifacts(tmp_path, {"report.json": "new"}, stale=["report*.json"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "notes.txt", "report.json", "trace.json"]
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == "new\n"
+
+
+def test_write_artifacts_that_cannot_remove_a_stale_file_is_a_data_error(tmp_path):
+    (tmp_path / "report-000.json").mkdir()
+    with pytest.raises(DataAccessError, match=r"^cannot write run artifact \S*/report-000"):
+        core.write_artifacts(tmp_path, {"report.json": "new"}, stale=["report*.json"])

@@ -732,6 +732,39 @@ def test_each_row_pulls_what_the_row_before_passed_on(width, blocking):
         assert rows[-1].records_out == len(out)
 
 
+def _records_out_writers(tree):
+    """The outermost function around each assignment to a ``records_out``
+    attribute in ``tree``."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and scope is None:
+            scope = node.name
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                   else [])
+        for target in targets:
+            if any(isinstance(sub, ast.Attribute) and sub.attr == "records_out"
+                   for sub in ast.walk(target)):
+                found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_records_out_is_set_only_where_a_run_ends_or_an_agent_returns():
+    """Each stage boundary is counted once, where the next stage pulls: a
+    row's ``out`` is written by the run's post-pass, or by an agentic stage
+    as its output context's size, never by a counter of its own."""
+    found = set()
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        writers = _records_out_writers(ast.parse(path.read_text(encoding="utf-8")))
+        found |= {f"{path.stem}.{scope}" for scope in writers}
+    assert found == {"engine.pipeline_execute", "engine._agentic_stage"}
+
+
 def _keep_all_runner(kind, instruction, stage_ctx, model):
     """An agent runner whose output context holds every record it was given,
     after one call."""
