@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .agent import AgentConfig, AgentRuntime, AgentTrace
 from .backend import (LedgerSnapshot, MockBackend, MockRule, MockScript,
-                      ModelSpec)
+                      ModelSpec, hashing_embed)
 from .core import (Record, RecordSnapshot, ToolParam, ToolSpec, VectorIndex,
                    context_create, make_source_record, write_artifacts)
 from .engine import RunPolicy, bind_plan, pipeline_execute
@@ -47,6 +47,7 @@ MARKER_LOSS = "keep the losses off the books"
 
 EMAIL_TASK = ("Find the emails that discuss concealing financial losses "
               "through a code-named deal.")
+EMAIL_CONTEXT = "Inbox export 'emails': {n} messages, one text file each."
 PREDICATE_DEAL = "the email mentions a code-named special purpose deal"
 PREDICATE_LOSS = "the email discusses hiding or moving financial losses"
 MAP_DEAL = "extract the code name of the deal the email discusses"
@@ -185,18 +186,11 @@ def metrics(returned, truth) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def _fenced(doc: dict) -> str:
-    return "```json\n" + json.dumps(doc, ensure_ascii=False) + "\n```"
-
-
 def _playback(steps) -> list[MockRule]:
     # every agent prompt carries the system preamble; one budgeted rule per step
-    return [MockRule(match="AVAILABLE TOOLS", response=_fenced(doc), max_calls=1)
+    return [MockRule(match="AVAILABLE TOOLS", max_calls=1,
+                     response="```json\n" + json.dumps(doc, ensure_ascii=False) + "\n```")
             for doc in steps]
-
-
-def _semantic_call_count(snapshot: LedgerSnapshot) -> int:
-    return sum(snapshot.for_model(mid).calls for mid in OP_MODEL_IDS)
 
 
 def _op_models() -> list[ModelSpec]:
@@ -240,36 +234,58 @@ class StrategyOutcome:
         return doc
 
 
-def _email_context(corpus: EmailCorpus, backend, tools=()):
-    return context_create(
-        RecordSnapshot(corpus.records),
-        f"Inbox export 'emails': {len(corpus.records)} messages, one text file each.",
-        index=VectorIndex.build(corpus.records, backend.embed),
-        tools=tools)
+def _context(records, description: str, tools=()):
+    """A context over ``records``, indexed with ``hashing_embed`` (what every
+    mock embeds with); ``{n}`` in ``description`` becomes their count."""
+    return context_create(RecordSnapshot(records), description.format(n=len(records)),
+                          index=VectorIndex.build(records, hashing_embed), tools=tools)
 
 
 def _outcome(name, approach, backend, answer_text, **extra) -> StrategyOutcome:
     snap = backend.ledger.snapshot()
     return StrategyOutcome(
         name=name, approach=approach,
-        semantic_calls=_semantic_call_count(snap),
+        semantic_calls=sum(snap.for_model(mid).calls for mid in OP_MODEL_IDS),
         agent_calls=snap.for_model(AGENT_MODEL_ID).calls,
         total_cost=snap.total_cost,
         total_wall_seconds=snap.total_wall_seconds,
         answer_text=answer_text, ledger=snap, **extra)
 
 
+def _pipeline(rules, ctx, text: str):
+    """Run pipeline ``text`` over ``ctx`` on a mock scripted with ``rules``,
+    planned on priors over the operator models at least cost; returns the
+    backend, the output context and the execution report."""
+    backend = MockBackend(MockScript(rules), BENCH_CATALOG)
+    chosen, _ = optimize(parse_pipeline(text), ctx, _op_models(),
+                         MinCost(quality_floor=0.0), 0, backend)
+    return (backend, *pipeline_execute(chosen, ctx, backend))
+
+
+def _agent(name, approach, steps, rules, ctx, task, read, **runtime) -> StrategyOutcome:
+    """Run the agent model on ``task`` over ``ctx``: the mock plays ``steps``
+    back ahead of ``rules``, ``runtime`` configures the ``AgentRuntime``, and
+    ``read(final)`` gives the outcome's answer fields from the final answer."""
+    backend = MockBackend(MockScript(_playback(steps) + rules), BENCH_CATALOG)
+    trace = AgentRuntime(backend, **runtime).run(
+        task, ctx, AgentConfig(model=BENCH_CATALOG[AGENT_MODEL_ID]))
+    final = trace.final_answer()
+    return _outcome(name, approach, backend, final.text if final else "(no answer)",
+                    trace=trace, **read(final))
+
+
+def _read_ids(final) -> dict:
+    return {"returned_ids": tuple(final.value)
+            if final and isinstance(final.value, list) else ()}
+
+
 def run_email_prototype(corpus: EmailCorpus) -> StrategyOutcome:
     """Optimized pipeline: filter on the deal predicate, then on the loss
     predicate.  The second filter only sees first-filter survivors."""
-    backend = MockBackend(MockScript(build_email_op_rules()), BENCH_CATALOG)
-    ctx = _email_context(corpus, backend)
-    plan = parse_pipeline(
+    backend, out_ctx, report = _pipeline(
+        build_email_op_rules(), _context(corpus.records, EMAIL_CONTEXT),
         f'scan(emails) | sem_filter("{PREDICATE_DEAL}") '
         f'| sem_filter("{PREDICATE_LOSS}")')
-    chosen, _ = optimize(plan, ctx, _op_models(), MinCost(quality_floor=0.0),
-                         0, backend)
-    out_ctx, report = pipeline_execute(chosen, ctx, backend)
     returned = tuple(rec.id for rec in out_ctx.source)
     return _outcome(
         "prototype-pipeline", "optimized sem_filter x2 pipeline", backend,
@@ -325,18 +341,11 @@ def run_email_agent_semantic(corpus: EmailCorpus) -> StrategyOutcome:
                      f"via a code-named deal.",
              "value": answer_ids}},
     ]
-    backend = MockBackend(MockScript(_playback(steps) + build_email_op_rules()),
-                          BENCH_CATALOG)
-    ctx = _email_context(corpus, backend, tools=_SWEEP_TOOLS)
-    runtime = AgentRuntime(backend, models=(BENCH_CATALOG["op-strong"],))
-    trace = runtime.run(EMAIL_TASK, ctx,
-                        AgentConfig(model=BENCH_CATALOG[AGENT_MODEL_ID]))
-    final = trace.final_answer()
-    returned = tuple(final.value) if final and isinstance(final.value, list) else ()
-    return _outcome(
+    return _agent(
         "agent-semantic-tools", "agent sweeping the corpus per semantic tool call",
-        backend, final.text if final else "(no answer)",
-        returned_ids=returned, trace=trace)
+        steps, build_email_op_rules(),
+        _context(corpus.records, EMAIL_CONTEXT, tools=_SWEEP_TOOLS),
+        EMAIL_TASK, _read_ids, models=(BENCH_CATALOG["op-strong"],))
 
 
 def run_email_agent_basic(corpus: EmailCorpus) -> StrategyOutcome:
@@ -356,17 +365,8 @@ def run_email_agent_basic(corpus: EmailCorpus) -> StrategyOutcome:
              "text": f"{len(guesses)} emails appear to discuss code-named deals.",
              "value": guesses}},
     ]
-    backend = MockBackend(MockScript(_playback(steps)), BENCH_CATALOG)
-    ctx = _email_context(corpus, backend)
-    runtime = AgentRuntime(backend)
-    trace = runtime.run(EMAIL_TASK, ctx,
-                        AgentConfig(model=BENCH_CATALOG[AGENT_MODEL_ID]))
-    final = trace.final_answer()
-    returned = tuple(final.value) if final and isinstance(final.value, list) else ()
-    return _outcome(
-        "agent-basic", "agent with generic tools only", backend,
-        final.text if final else "(no answer)",
-        returned_ids=returned, trace=trace)
+    return _agent("agent-basic", "agent with generic tools only", steps, [],
+                  _context(corpus.records, EMAIL_CONTEXT), EMAIL_TASK, _read_ids)
 
 
 # --- filings growth ratio scenario ---------------------------------------------
@@ -375,6 +375,7 @@ RATIO_TASK = ("By what factor did the yearly paper filings count grow "
               "from 2001 to 2024?")
 PREDICATE_OFFICIAL = "the file is the official annual summary for 2001 or 2024"
 MAP_STATS = "extract the calendar year and the total filings count"
+STATS_CONTEXT = "Records-office statistics 'stats': {n} yearly summary files."
 
 OFFICIAL_2001 = 86250
 OFFICIAL_2024 = 1135291
@@ -460,12 +461,9 @@ def build_stats_op_rules(corpus: StatsCorpus) -> list[MockRule]:
     return rules
 
 
-def _stats_context(corpus: StatsCorpus, backend):
-    return context_create(
-        RecordSnapshot(corpus.records),
-        f"Records-office statistics 'stats': {len(corpus.records)} yearly "
-        f"summary files.",
-        index=VectorIndex.build(corpus.records, backend.embed))
+def _read_ratio(final) -> dict:
+    return {"ratios": (float(final.value),)
+            if final and isinstance(final.value, (int, float)) else ()}
 
 
 def run_ratio_agent_compute(corpus: StatsCorpus) -> StrategyOutcome:
@@ -487,34 +485,18 @@ def run_ratio_agent_compute(corpus: StatsCorpus) -> StrategyOutcome:
              "text": f"Filings grew by a factor of {ratio} from 2001 to 2024.",
              "value": ratio}},
     ]
-    backend = MockBackend(
-        MockScript(_playback(steps) + build_stats_op_rules(corpus)),
-        BENCH_CATALOG)
-    ctx = _stats_context(corpus, backend)
-    runtime = AgentRuntime(backend, models=_op_models(),
-                           policy=MinCost(quality_floor=0.0), sample_size=0,
-                           refs={"stats": ctx})
-    trace = runtime.run(RATIO_TASK, ctx,
-                        AgentConfig(model=BENCH_CATALOG[AGENT_MODEL_ID]))
-    final = trace.final_answer()
-    ratios = ((float(final.value),) if final and isinstance(final.value, (int, float))
-              else ())
-    return _outcome(
-        "agent-compute", "agent pipelining, reading, then computing", backend,
-        final.text if final else "(no answer)",
-        ratios=ratios, trace=trace)
+    ctx = _context(corpus.records, STATS_CONTEXT)
+    return _agent("agent-compute", "agent pipelining, reading, then computing",
+                  steps, build_stats_op_rules(corpus), ctx, RATIO_TASK, _read_ratio,
+                  models=_op_models(), refs={"stats": ctx})
 
 
 def run_ratio_semantic_only(corpus: StatsCorpus) -> StrategyOutcome:
     """Extraction over every file with no agent step afterwards: the errant
     draft contributes a second 2001 count, leaving two candidate ratios."""
-    backend = MockBackend(MockScript(build_stats_op_rules(corpus)), BENCH_CATALOG)
-    ctx = _stats_context(corpus, backend)
-    plan = parse_pipeline(
+    backend, out_ctx, _ = _pipeline(
+        build_stats_op_rules(corpus), _context(corpus.records, STATS_CONTEXT),
         f'scan(stats) | sem_map("{MAP_STATS}", {{year: text, count: number}})')
-    chosen, _ = optimize(plan, ctx, _op_models(), MinCost(quality_floor=0.0),
-                         0, backend)
-    out_ctx, _ = pipeline_execute(chosen, ctx, backend)
     counts: dict[str, set[float]] = {}
     for rec in out_ctx.source:
         counts.setdefault(str(rec.fields["year"]), set()).add(

@@ -256,11 +256,14 @@ def write_artifacts(directory, texts: Mapping[str, str], stale: Sequence[str] = 
     ``directory``, making the directory if it is missing.  A text goes whole
     to a hidden ``.<name>.<random>.tmp`` beside its file, which then replaces
     the file, so a killed writer leaves the old file or the new one, never a
-    prefix; a failed write removes its temporary file.  Once all are written,
-    each file a ``stale`` pattern matches that ``texts`` does not name goes."""
+    prefix; a failed write removes its temporary file.  Before the first text,
+    every file a ``stale`` pattern matches goes, so a write that fails midway
+    leaves only files of this write beside those no pattern names."""
     path = Path(directory)
     try:
         path.mkdir(parents=True, exist_ok=True)
+        for path in [p for pattern in stale for p in Path(directory).glob(pattern)]:
+            path.unlink(missing_ok=True)
         for name, text in texts.items():
             path = Path(directory) / name
             tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
@@ -271,9 +274,6 @@ def write_artifacts(directory, texts: Mapping[str, str], stale: Sequence[str] = 
             except BaseException:
                 tmp.unlink(missing_ok=True)
                 raise
-        for path in [p for pattern in stale for p in Path(directory).glob(pattern)]:
-            if path.name not in texts:
-                path.unlink()
     except OSError as exc:
         raise DataAccessError(f"cannot write run artifact {path}: {exc}") from exc
 

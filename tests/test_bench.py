@@ -1,13 +1,15 @@
 """Benchmark harness: generated corpora, scripted strategies, frozen outcomes."""
 
+import ast
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from semaq import (AgentConfig, AgentRuntime, MockBackend, MockRule, MockScript,
-                   context_create, make_source_record)
+                   bench, context_create, make_source_record)
 from semaq.bench import (_SWEEP_TOOLS, AGENT_MODEL_ID, BENCH_CATALOG, DEAL_NAMES,
                          ERRANT_2001, MAP_DEAL, MARKER_DEAL, MARKER_LOSS,
                          OFFICIAL_2001, OFFICIAL_2024, _playback,
@@ -373,3 +375,18 @@ def test_sweep_tools_observe_and_call_as_the_per_record_loop_does():
     assert len(mapped.splitlines()) == 4 and mapped.endswith("\tRaptor")
     assert ledger.for_model("op-strong").calls == 2 + 2 + 4
     assert _sweep_session(_LOOP_TOOLS) == ([failed, mapped], ledger)
+
+
+def test_only_the_two_drivers_build_a_mock_or_a_runtime_or_plan():
+    """Every strategy runs through ``_pipeline`` or ``_agent``, so the five
+    differ only in what they pass: plan text or agent steps, tools, operator
+    models, and how the answer is read."""
+    tree = ast.parse(Path(bench.__file__).read_text(encoding="utf-8"))
+    builders = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    in ("MockBackend", "AgentRuntime", "optimize")):
+                builders.add(getattr(top, "name", "<module>"))
+    assert builders == {"_pipeline", "_agent"}

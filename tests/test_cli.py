@@ -1,16 +1,20 @@
 """CLI: config loading, dataset loaders, subcommands, exit codes."""
 
+import importlib
 import json
+import pkgutil
 import sys
 
 import pytest
 
+import semaq
 from semaq import (ConfigurationError, DataAccessError, MinCost, MockBackend,
                    make_source_record)
-from semaq.cli import (DEFAULT_CATALOG, RunConfig, agent_model_spec,
-                       build_backend, load_dataset, load_dataset_dir,
-                       load_dataset_jsonl, main)
+from semaq.cli import (DEFAULT_CATALOG, EXIT_CODES, RunConfig,
+                       agent_model_spec, build_backend, load_dataset,
+                       load_dataset_dir, load_dataset_jsonl, main)
 from semaq.core import record_to_json
+from semaq.errors import AgentError, SemaqError
 
 
 def _fenced(doc):
@@ -293,6 +297,23 @@ def test_cli_run_budget_exit_code(workspace, capsys):
     out = capsys.readouterr()
     assert code == 4
     assert out.err.startswith("error: budget-exceeded:")
+
+
+def test_every_error_category_has_a_documented_exit_code():
+    """``main`` maps an error's category through ``EXIT_CODES`` and falls back
+    to an undocumented exit 1; every category a ``SemaqError`` subclass
+    declares, and a budget abort's, must have its own entry."""
+    for module in pkgutil.iter_modules(semaq.__path__):
+        importlib.import_module(f"semaq.{module.name}")
+    classes, pending = set(), [SemaqError]
+    while pending:
+        cls = pending.pop()
+        classes.add(cls)
+        pending.extend(cls.__subclasses__())
+    categories = {cls.category for cls in classes}
+    categories.add(AgentError("over", reason="budget").category)
+    assert "budget-exceeded" in categories
+    assert sorted(categories - set(EXIT_CODES)) == []
 
 
 def test_cli_run_nan_budget_is_rejected(workspace, capsys):

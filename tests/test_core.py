@@ -546,6 +546,27 @@ def test_write_artifacts_removes_only_the_stale_files_it_did_not_write(tmp_path)
     assert (tmp_path / "report.json").read_text(encoding="utf-8") == "new\n"
 
 
+def test_write_artifacts_that_fails_midway_leaves_no_stale_file(tmp_path, monkeypatch):
+    """A reused run directory whose write fails on its second file holds only
+    this write's first file and the files no stale pattern names: never an
+    earlier run's report beside the new ledger."""
+    for name in ("report.json", "report-000.json", "trace.json", "notes.txt"):
+        (tmp_path / name).write_text("old", encoding="utf-8")
+    real_open = Path.open
+
+    def open_that_fails(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return _HalfWritten(fh) if "report.json" in path.name else fh
+
+    monkeypatch.setattr(Path, "open", open_that_fails)
+    with pytest.raises(DataAccessError, match=r"^cannot write run artifact \S*/report\.json: "):
+        core.write_artifacts(tmp_path, {"ledger.json": "{}", "report.json": "new"},
+                             stale=["ledger.json", "trace.json", "report*.json"])
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.json", "notes.txt"]
+    assert (tmp_path / "ledger.json").read_text(encoding="utf-8") == "{}\n"
+
+
 def test_write_artifacts_that_cannot_remove_a_stale_file_is_a_data_error(tmp_path):
     (tmp_path / "report-000.json").mkdir()
     with pytest.raises(DataAccessError, match=r"^cannot write run artifact \S*/report-000"):
