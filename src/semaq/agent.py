@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .backend import ChatMessage, ModelSpec, Usage, call_cost
+from .backend import ChatMessage, ModelSpec, Tally, Usage, call_cost
 from .core import (Context, FieldValue, ToolParam, ToolSpec, context_derive,
                    context_iterate, context_topk, load_json, record_text,
                    require_unicode, validate_field_value)
@@ -74,20 +74,16 @@ class AgentStep:
                 "observation": self.observation}
 
 
-@dataclass
-class AgentUsage:
-    calls: int = 0
-    input_tokens: int = 0
-    output_tokens: int = 0
+@dataclass(kw_only=True)
+class AgentUsage(Tally):
+    """A trace's tally, and its cost summed call by call rather than priced
+    from the totals: the pinned bench traces hold that sum's float."""
+
     cost: float = 0.0
-    wall_seconds: float = 0.0
 
     def add(self, usage: Usage, model: ModelSpec) -> None:
-        self.calls += 1
-        self.input_tokens += usage.input_tokens
-        self.output_tokens += usage.output_tokens
+        super().add(usage, 1, model.latency_prior)
         self.cost += call_cost(model, usage)
-        self.wall_seconds += model.latency_prior
 
     def to_dict(self) -> dict:
         return {"calls": self.calls, "input_tokens": self.input_tokens,

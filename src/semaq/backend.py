@@ -85,6 +85,27 @@ def call_cost(spec: ModelSpec, usage: Usage) -> float:
             + usage.output_tokens / 1000.0 * spec.output_cost_per_1k)
 
 
+@dataclass(kw_only=True)
+class Tally:
+    """Calls, tokens and seconds summed over exchanges: the one accumulator
+    of usage, held by the ledger, each report row and each agent trace."""
+
+    calls: int = 0
+    input_tokens: int = 0
+    output_tokens: int = 0
+    wall_seconds: float = 0.0
+
+    def add(self, usage: Usage, calls: int = 1, wall_seconds: float = 0.0) -> None:
+        self.calls += calls
+        self.input_tokens += usage.input_tokens
+        self.output_tokens += usage.output_tokens
+        self.wall_seconds += wall_seconds
+
+    def price(self, spec: ModelSpec) -> float:
+        """``call_cost`` of the summed tokens."""
+        return call_cost(spec, Usage(self.input_tokens, self.output_tokens))
+
+
 def mock_token_count(text: str) -> int:
     """Deterministic token rule used by the mock: ceil(characters / 4)."""
     return math.ceil(len(text) / 4)
@@ -166,17 +187,6 @@ class LedgerSnapshot:
         return json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
 
 
-class _ModelCounters:
-    __slots__ = ("spec", "calls", "input_tokens", "output_tokens", "wall_seconds")
-
-    def __init__(self, spec: ModelSpec):
-        self.spec = spec
-        self.calls = 0
-        self.input_tokens = 0
-        self.output_tokens = 0
-        self.wall_seconds = 0.0
-
-
 class UsageLedger:
     """Thread-safe accumulator of per-model calls, tokens, cost, wall time.
 
@@ -187,33 +197,21 @@ class UsageLedger:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._models: dict[str, _ModelCounters] = {}
+        self._models: dict[str, tuple[ModelSpec, Tally]] = {}
 
     def record(self, spec: ModelSpec, usage: Usage, wall_seconds: float) -> None:
         with self._lock:
-            counters = self._models.get(spec.model_id)
-            if counters is None:
-                counters = _ModelCounters(spec)
-                self._models[spec.model_id] = counters
-            counters.calls += 1
-            counters.input_tokens += usage.input_tokens
-            counters.output_tokens += usage.output_tokens
-            counters.wall_seconds += wall_seconds
+            entry = self._models.get(spec.model_id)
+            if entry is None:
+                entry = self._models[spec.model_id] = (spec, Tally())
+            entry[1].add(usage, wall_seconds=wall_seconds)
 
     def snapshot(self) -> LedgerSnapshot:
         with self._lock:
-            rows = []
-            for model_id in sorted(self._models):
-                c = self._models[model_id]
-                rows.append(ModelTotals(
-                    model_id=model_id,
-                    calls=c.calls,
-                    input_tokens=c.input_tokens,
-                    output_tokens=c.output_tokens,
-                    cost=call_cost(c.spec, Usage(c.input_tokens, c.output_tokens)),
-                    wall_seconds=c.wall_seconds,
-                ))
-            return LedgerSnapshot(per_model=tuple(rows))
+            return LedgerSnapshot(per_model=tuple(
+                ModelTotals(model_id, t.calls, t.input_tokens, t.output_tokens,
+                            t.price(spec), t.wall_seconds)
+                for model_id, (spec, t) in sorted(self._models.items())))
 
 
 # each byte of a token (ASCII a-z, 0-9) maps to itself, every other byte to a

@@ -59,7 +59,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .backend import ChatMessage, ModelSpec, Usage, backend_fingerprint, call_cost
+from .backend import ChatMessage, ModelSpec, Tally, Usage, backend_fingerprint
 from .core import (Context, FieldValue, Record, context_derive, context_iterate,
                    load_json, make_derived_record, record_to_json, validate_field_value)
 from .errors import OperatorError, RunAbortedError, StoreError, ValidationError
@@ -432,29 +432,29 @@ def _answer_output(op: LogicalOp, record: Record, answer, operator_id: str
 
 # --- reports ------------------------------------------------------------------
 
+# a report row's keys, in the order its JSON writes them
+_ROW_KEYS = ("index", "kind", "detail", "model_id", "records_in", "records_out", "calls",
+             "input_tokens", "output_tokens", "cost", "wall_seconds", "failures", "reused")
+
+
 @dataclass
-class OpReport:
+class OpReport(Tally):
     index: int
     kind: str
     detail: str
     model_id: str | None = None
     records_in: int = 0
     records_out: int = 0
-    calls: int = 0
-    input_tokens: int = 0
-    output_tokens: int = 0
     cost: float = 0.0
-    wall_seconds: float = 0.0
     failures: int = 0
     # records answered from the sample or from the store's answer log, with
     # no call: in records_in only
     reused: int = 0
 
     def to_dict(self) -> dict:
-        doc = dict(vars(self))  # the fields, in their order
-        if self.kind not in ("sem_filter", "sem_map"):  # the only rows that reuse
-            del doc["reused"]
-        return doc
+        # only per-record rows reuse
+        keys = _ROW_KEYS if self.kind in ("sem_filter", "sem_map") else _ROW_KEYS[:-1]
+        return {key: getattr(self, key) for key in keys}
 
 
 @dataclass
@@ -526,7 +526,7 @@ def render_report(doc: dict) -> str:
     lines = [
         f"plan {doc['plan_id']}: {doc['pipeline']}",
         f"{'#':>2} {'operator':<12} {'model':<14} {'in':>6} {'out':>6} "
-        f"{'calls':>6} {'reused':>6} {'cost':>10} {'wall_s':>8}",
+        f"{'calls':>6} {'reused':>6} {'cost':>10} {'model_s':>8}",
     ]
     for op in doc["ops"]:
         lines.append(
@@ -536,7 +536,7 @@ def render_report(doc: dict) -> str:
     lines.append(
         f"   total: {doc['total_calls']} calls, {doc.get('total_reused', 0)} reused, "
         f"cost {doc['total_cost']:.6f}, "
-        f"wall {doc['total_wall_seconds']:.2f}s, {doc['records_in']} -> "
+        f"modeled {doc['total_wall_seconds']:.2f}s, {doc['records_in']} -> "
         f"{doc['records_out']} records, {doc['total_failures']} failure(s)")
     if doc["answer_text"] is not None:
         lines.append(f"   answer: {doc['answer_text']}")
@@ -680,9 +680,7 @@ class _Run:
                                    exc.calls, exc)
         with self.lock:
             row.reused += not calls  # a failure made at least one call
-            row.calls += calls
-            row.input_tokens += usage.input_tokens
-            row.output_tokens += usage.output_tokens
+            row.add(usage, calls)
             row.failures += error is not None
         return answer, error
 
@@ -748,9 +746,9 @@ def _agentic_stage(run: _Run, i: int, pop: PhysicalOp, upstream: Iterator[Record
             records=upstream_records, operator="pipeline")
         result = run.agent_runner(row.kind, pop.logical.instruction, stage_input,
                                   pop.model)
-        usage = result.trace.usage
-        row.calls, row.input_tokens, row.output_tokens, row.wall_seconds = (
-            usage.calls, usage.input_tokens, usage.output_tokens, usage.wall_seconds)
+        tally = result.trace.usage
+        row.add(Usage(tally.input_tokens, tally.output_tokens), tally.calls,
+                tally.wall_seconds)
         row.records_out = len(result.context.source)
         if row.kind == "compute":
             run.report.answer_text = result.answer_text
@@ -778,7 +776,7 @@ _STAGES: dict[type, Callable] = {
 def _price(model: ModelSpec, row: OpReport) -> None:
     """Price a row with a model: ``call_cost`` of its tokens; a sem_filter or
     sem_map row's time is ``calls * latency_prior``, an agentic row's its trace's."""
-    row.cost = call_cost(model, Usage(row.input_tokens, row.output_tokens))
+    row.cost = row.price(model)
     if row.kind in ("sem_filter", "sem_map"):
         row.wall_seconds = row.calls * model.latency_prior
 

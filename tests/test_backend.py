@@ -1,5 +1,6 @@
 """Backends: deterministic mock, usage ledger, embeddings, HTTP client."""
 
+import ast
 import hashlib
 import json
 import math
@@ -7,10 +8,12 @@ import random
 import re
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semaq
 from semaq import (BackendError, ConfigurationError, HttpBackend, MockBackend,
                    MockMissError, MockRule, MockScript, ModelSpec, UsageLedger,
                    ValidationError, hashing_embed, load_model_catalog)
@@ -89,6 +92,37 @@ def test_ledger_json_shape():
     doc = json.loads(ledger.snapshot().to_json())
     assert doc["models"][0]["model_id"] == "m"
     assert doc["total_calls"] == 1
+
+
+_TALLIED = {"calls", "input_tokens", "output_tokens", "wall_seconds"}
+
+
+def _tally_adders(tree):
+    """The enclosing ``Class.method`` (or function) of each augmented
+    assignment to a ``calls``, token or ``wall_seconds`` attribute in ``tree``."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute)
+                and node.target.attr in _TALLIED):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_usage_is_summed_only_by_the_tally():
+    """Calls, tokens and seconds are summed in one place, ``Tally.add``: the
+    ledger, each report row and each agent trace hold a tally."""
+    found = set()
+    for path in sorted(Path(semaq.__file__).parent.glob("*.py")):
+        adders = _tally_adders(ast.parse(path.read_text(encoding="utf-8")))
+        found |= {f"{path.stem}.{scope}" for scope in adders}
+    assert found == {"backend.Tally.add"}
 
 
 # --- mock backend ---------------------------------------------------------------

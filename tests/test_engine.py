@@ -701,6 +701,24 @@ def test_report_text_is_the_render_of_its_json_document(mk_backend):
         ["2", "limit", "-", "1", "1", "0", "0"]]
 
 
+def test_report_rows_and_agent_usage_write_their_keys_in_order(mk_backend):
+    """A report row's JSON keys and their order, read back from its JSON:
+    only a sem_filter or sem_map row carries ``reused``; and an agent trace's."""
+    row_keys = ["index", "kind", "detail", "model_id", "records_in", "records_out",
+                "calls", "input_tokens", "output_tokens", "cost", "wall_seconds",
+                "failures", "reused"]
+    backend = mk_backend(("PREDICATE", "yes"))
+    _, report = pipeline_execute(_bind('scan(d) | sem_filter("p") | compute("answer")'),
+                                 _ctx(_numbered(2)), backend,
+                                 agent_runner=_keep_all_runner)
+    ops = json.loads(report.to_json())["ops"]
+    assert [op["kind"] for op in ops] == ["scan", "sem_filter", "compute"]
+    assert list(ops[1]) == row_keys
+    assert list(ops[0]) == list(ops[2]) == row_keys[:-1]
+    assert list(AgentUsage().to_dict()) == ["calls", "input_tokens", "output_tokens",
+                                            "cost", "wall_seconds"]
+
+
 def test_bind_plan_validation():
     plan = parse_pipeline('scan(d) | sem_filter("p")')
     with pytest.raises(ValidationError):
