@@ -363,6 +363,8 @@ class MockBackend:
 
     in_process = True
     """Chat never blocks, so runs call it inline; wrappers may block: they opt in."""
+    ledger_seconds = "modeled"
+    """The ledger's seconds are each call's ``latency_prior``, not a clock's."""
 
     def __init__(self, script: MockScript,
                  catalog: Mapping[str, ModelSpec] | Iterable[ModelSpec]):
@@ -412,6 +414,9 @@ class HttpBackend:
     JSON type raises :class:`BackendError`, as does a non-finite embedding.
     Its ``fingerprint`` is the ``base_url``.
     """
+
+    ledger_seconds = "measured"
+    """The ledger's seconds are each call's wall time, by ``perf_counter``."""
 
     max_attempts = 3
     backoff_base = 1.0

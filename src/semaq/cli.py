@@ -8,6 +8,7 @@ defined in :mod:`semaq.errors`.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import sys
 import time
@@ -228,7 +229,10 @@ def _run_record(run_dir, runtime: AgentRuntime, cache_dir: str):
 
     def write(files: dict[str, str]) -> None:
         if run_dir is not None:
-            texts = {"ledger.json": runtime.backend.ledger.snapshot().to_json()}
+            # the ledger says whether its seconds are modeled or measured
+            ledger = {**runtime.backend.ledger.snapshot().to_dict(),
+                      "seconds": runtime.backend.ledger_seconds}
+            texts = {"ledger.json": json.dumps(ledger, ensure_ascii=False, indent=2)}
             for i, (opt_report, report) in enumerate(runtime.pipeline_reports):
                 texts[f"optimizer-{i:03d}.json"] = opt_report.to_json()
                 texts[f"report-{i:03d}.json"] = report.to_json()
@@ -327,15 +331,20 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
+# a ledger's "seconds" -> the label of its seconds column and of their total
+_SECONDS_LABELS = {"modeled": ("model_s", "modeled "), "measured": ("wall_s", "wall ")}
+
+
 def _ledger_lines(doc) -> list[str]:
+    column, total = _SECONDS_LABELS.get(doc.get("seconds"), ("s", ""))
     lines = [f"{'model':<16} {'calls':>7} {'in_tok':>9} {'out_tok':>9} "
-             f"{'cost':>12} {'wall_s':>9}"]
+             f"{'cost':>12} {column:>9}"]
     for row in doc.get("models", []):
         lines.append(f"{row['model_id']:<16} {row['calls']:>7} "
                      f"{row['input_tokens']:>9} {row['output_tokens']:>9} "
                      f"{row['cost']:>12.6f} {row['wall_seconds']:>9.2f}")
     lines.append(f"total: {doc['total_calls']} calls, cost {doc['total_cost']:.6f}, "
-                 f"wall {doc['total_wall_seconds']:.2f}s")
+                 f"{total}{doc['total_wall_seconds']:.2f}s")
     return lines
 
 

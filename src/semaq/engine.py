@@ -12,6 +12,12 @@ calls block (HTTP), semantic operators fan out over one worker pool per run,
 each keeping at most ``pool_width`` calls in flight and yielding in input
 order; a run waits for every call it submitted before it returns or raises,
 so its report totals equal the ledger delta even after a ``limit`` cut-off.
+The plan's first semantic operator, when it is a sem_filter or sem_map with
+no ``limit`` downstream, refills its window as each call returns, and holds
+up to ``pool_width`` more answers that its consumer has not yet taken, so
+a slow call delays the hand-over of the results behind it, not the calls
+on them; every other stage submits its next call only once its consumer
+takes its oldest result.
 Under a ``limit(n)`` reached through only project, sem_filter and sem_map
 stages, each semantic stage sizes its window by demand (:class:`_Window`),
 so a map prefetches nothing the limit cannot take, and a filter looks ahead
@@ -54,7 +60,7 @@ import math
 import re
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
@@ -140,7 +146,11 @@ class RunPolicy:
     ``pool_width`` bounds the in-flight model calls of each semantic
     operator separately, for backends whose calls block.  A run shares one
     executor among its k sem_filter and sem_map stages, so up to
-    k * ``pool_width`` calls are in flight at once.  A stage that feeds a
+    k * ``pool_width`` calls are in flight at once.  The source-fed stage
+    (see :class:`_Window`) also holds up to ``pool_width`` answers its
+    consumer has not yet taken, so an aborted run may have asked it about
+    up to 2 * ``pool_width`` records past the one it stopped on; any other
+    stage looks ahead at most ``pool_width`` records.  A stage that feeds a
     ``limit(n)`` through only project, sem_filter and sem_map stages holds
     fewer: no more than the limit can still take from it, divided by its
     observed pass rate.  With ``pool_width == 1``, or a backend that
@@ -566,6 +576,15 @@ class _Window:
 
     Every count changes in the consumer's thread, in input order, so the
     calls a run makes do not depend on when its calls complete.
+
+    The source-fed stage (``refill``: the plan's first semantic operator,
+    with neither ``limit`` nor ``next``) has no count to keep.  As each of
+    its calls returns, its worker thread pulls the next record, under the
+    window's lock, and calls on it, so the stage keeps ``width`` calls in
+    flight and up to ``width`` more answered but not yet taken by its
+    consumer, which still takes them in input order.  Its upstream (scan,
+    project, limit) never waits on a model call.  Once :meth:`stop` is
+    called, it starts no call.
     """
 
     def __init__(self, width: int, is_filter: bool):
@@ -577,6 +596,10 @@ class _Window:
         self.passed = self.decided = 0
         self.limit: int | None = None  # set on the last stage before a limit
         self.next: _Window | None = None  # set on a stage before another one
+        self.refill = False  # set on the source-fed stage
+        self.inflight = 0  # the source-fed stage's lanes, each one call in flight
+        self.stopped = False
+        self.lock = threading.Lock()
 
     def _need(self) -> float:
         if self.next is not None:
@@ -597,11 +620,20 @@ class _Window:
     def cap(self) -> float:
         return min(self.width, self.demand())
 
+    def stop(self) -> None:
+        with self.lock:
+            self.stopped = True
+
     def run(self, fn, items: Iterator, pool: ThreadPoolExecutor) -> Iterator:
         """Apply ``fn`` to ``items`` on ``pool``, yielding each (output or
         None, error) in input order.  Upstream pulls happen in the caller's
-        thread.  A pull that finds nothing in flight submits one item all the
-        same, so a record dropped downstream never stalls the stage."""
+        thread, but the source-fed stage's on worker threads too
+        (:meth:`_refilled`).  A pull that finds nothing in flight submits one
+        item all the same, so a record dropped downstream never stalls the
+        stage."""
+        if self.refill:
+            yield from self._refilled(fn, items, pool)
+            return
         pending = self.pending
 
         def submit(count: float) -> None:
@@ -623,11 +655,73 @@ class _Window:
             self.held = 0
             yield out, error
 
+    def _refilled(self, fn, items: Iterator, pool: ThreadPoolExecutor) -> Iterator:
+        """:meth:`run` for the source-fed stage.  Each of up to ``width``
+        lanes on ``pool`` applies ``fn`` to an item, then pulls the next one
+        itself while fewer than ``2 * width`` items wait to be taken.  An
+        error raised by a pull reaches the consumer after the results before
+        it."""
+        pending = self.pending
+
+        def pull():  # under the lock: the next item and its future, or None
+            if self.stopped or len(pending) >= 2 * self.width:
+                return None
+            try:
+                item = next(items)
+            except StopIteration:
+                self.stopped = True
+                return None
+            except BaseException as exc:
+                self.stopped = True
+                failed = Future()
+                failed.set_exception(exc)
+                pending.append(failed)
+                return None
+            future = Future()
+            pending.append(future)
+            return item, future
+
+        def lane(item, future) -> None:
+            while True:
+                try:
+                    result, raised = fn(item), None
+                except BaseException as exc:
+                    result, raised = None, exc
+                # a lane ends its call and pulls, or ends, in one step: so
+                # while it counts in ``inflight``, its future is pending
+                with self.lock:
+                    if raised is None:
+                        future.set_result(result)
+                    else:
+                        future.set_exception(raised)
+                    pulled = pull()
+                    if pulled is None:
+                        self.inflight -= 1
+                        return
+                item, future = pulled
+
+        def fill() -> None:  # under the lock: start lanes up to ``width``
+            while self.inflight < self.width and (pulled := pull()) is not None:
+                self.inflight += 1
+                pool.submit(lane, *pulled)
+
+        with self.lock:
+            fill()
+            head = pending[0] if pending else None
+        while head is not None:
+            out, error = head.result()
+            with self.lock:
+                pending.popleft()
+                fill()
+                head = pending[0] if pending else None
+            yield out, error
+
 
 def _windows(ops: Sequence[PhysicalOp], width: int) -> dict[int, _Window]:
     """A window for each sem_filter and sem_map position, each linked to
     the next one, or given the count of the ``limit`` it reaches through
-    only project, sem_filter and sem_map stages."""
+    only project, sem_filter and sem_map stages; the plan's first semantic
+    operator, given neither, is the source-fed stage and refills."""
     windows: dict[int, _Window] = {}
     limit: int | None = None  # the count of the limit the stream reaches
     below: _Window | None = None  # the next semantic stage before it
@@ -645,6 +739,10 @@ def _windows(ops: Sequence[PhysicalOp], width: int) -> dict[int, _Window]:
             limit, below = op.count, None
         elif not isinstance(op, Project):
             limit, below = None, None
+    first = next((i for i, pop in enumerate(ops) if is_semantic(pop.logical)), None)
+    window = windows.get(first)
+    if window is not None and window.limit is None and window.next is None:
+        window.refill = True
     return windows
 
 
@@ -782,7 +880,9 @@ def _price(model: ModelSpec, row: OpReport) -> None:
 
 
 def _pulled(upstream: Iterator[Record], row: OpReport) -> Iterator[Record]:
-    """``upstream``, counting in ``row.records_in`` each record its stage pulls."""
+    """``upstream``, counting in ``row.records_in`` each record its stage pulls.
+    The source-fed stage's upstream is advanced on worker threads, under
+    its window's lock (:class:`_Window`)."""
     for record in upstream:
         row.records_in += 1
         yield record
@@ -822,15 +922,19 @@ def pipeline_execute(pplan: PhysicalPlan, ctx: Context, backend,
         run = _Run(backend, log, pplan, policy, agent_runner, pool, windows, ctx, report,
                    math.ceil(policy.failure_budget * len(ctx.source)))
         stream = context_iterate(ctx)
-        for i, pop in enumerate(pplan.ops):
-            if type(pop.logical) not in _STAGES:
-                raise ValidationError(f"unsupported operator {pop.logical!r}")
-            kind, detail = describe_op(pop.logical)
-            row = OpReport(index=i, kind=kind, detail=detail,
-                           model_id=pop.model and pop.model.model_id)
-            report.ops.append(row)
-            stream = _STAGES[type(pop.logical)](run, i, pop, _pulled(stream, row), row)
-        out_records = list(stream)
+        try:
+            for i, pop in enumerate(pplan.ops):
+                if type(pop.logical) not in _STAGES:
+                    raise ValidationError(f"unsupported operator {pop.logical!r}")
+                kind, detail = describe_op(pop.logical)
+                row = OpReport(index=i, kind=kind, detail=detail,
+                               model_id=pop.model and pop.model.model_id)
+                report.ops.append(row)
+                stream = _STAGES[type(pop.logical)](run, i, pop, _pulled(stream, row), row)
+            out_records = list(stream)
+        finally:  # a refilling stage submits no call once the run stops
+            for window in windows.values():
+                window.stop()
 
     # once every call has ended, price each row with a model; a row's ``out``
     # is the next row's ``in`` (the last's: the output), an agentic row's its own

@@ -410,6 +410,38 @@ def test_cli_pipeline_execute_with_artifacts(workspace, capsys):
     assert abs(ledger["total_cost"] - report["total_cost"]) < 1e-9
 
 
+def test_cli_stats_labels_the_mock_ledgers_seconds_modeled(workspace, capsys):
+    """The mock's ledger seconds are calls x latency_prior: ``ledger.json``
+    says so, and ``stats`` labels them modeled, never wall time."""
+    pipe = workspace / "p.pz"
+    pipe.write_text(PIPELINE + "\n", encoding="utf-8")
+    run_dir = workspace / "pipe-out"
+    assert main(["--config", str(workspace / "config.json"), "pipeline", str(pipe),
+                 "--dataset", "docs", "--run-dir", str(run_dir)]) == 0
+    assert json.loads((run_dir / "ledger.json").read_text())["seconds"] == "modeled"
+    capsys.readouterr()
+    assert main(["stats", str(run_dir)]) == 0
+    stats = capsys.readouterr().out
+    assert "model_s" in stats and "modeled" in stats
+    assert "wall" not in stats
+
+
+@pytest.mark.parametrize("seconds, column, total", [
+    ("modeled", "model_s", "modeled 0.50s"), ("measured", "wall_s", "wall 0.50s"),
+    (None, " s", ", 0.50s")], ids=["modeled", "measured", "unlabelled"])
+def test_cli_stats_labels_ledger_seconds_by_how_they_were_counted(tmp_path, capsys,
+                                                                  seconds, column, total):
+    doc = {"models": [{"model_id": "m", "calls": 1, "input_tokens": 1,
+                       "output_tokens": 1, "cost": 0.1, "wall_seconds": 0.5}],
+           "total_calls": 1, "total_cost": 0.1, "total_wall_seconds": 0.5}
+    if seconds is not None:
+        doc["seconds"] = seconds
+    (tmp_path / "ledger.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["stats", str(tmp_path)]) == 0
+    header, _, last = capsys.readouterr().out.splitlines()
+    assert header.endswith(column) and last.endswith(total)
+
+
 def test_cli_pipeline_reuses_sampled_answers_and_reports_them(workspace, capsys):
     """With --sample 2 the run answers the 2 sampled records from the
     sample; sampling calls plus run calls equal the ledger's calls."""
