@@ -412,7 +412,9 @@ class HttpBackend:
     retried up to three attempts with exponential backoff (1s, then 2s).
     A reply whose content, usage, token counts or embedding has the wrong
     JSON type raises :class:`BackendError`, as does a non-finite embedding.
-    Its ``fingerprint`` is the ``base_url``.
+    Its ``fingerprint`` is the ``base_url``.  Without a ``session`` it makes
+    one that keeps a connection alive for each call in flight, up to
+    ``engine.MAX_POOL_WIDTH`` of them; a ``session`` passed in is used as is.
     """
 
     ledger_seconds = "measured"
@@ -439,7 +441,18 @@ class HttpBackend:
         self.embedding_model = embedding_model
         self.timeout = timeout
         self.ledger = UsageLedger()
-        self._session = session if session is not None else requests.Session()
+        if session is None:
+            from .engine import MAX_POOL_WIDTH
+
+            # A run has up to pool_width calls in flight in each semantic
+            # stage.  requests keeps 10 connections alive and opens, then
+            # drops, one more for each call past them; this keeps up to
+            # MAX_POOL_WIDTH.  A pool opens only as many as run at once.
+            session = requests.Session()
+            adapter = requests.adapters.HTTPAdapter(pool_maxsize=MAX_POOL_WIDTH)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+        self._session = session
         self._sleep = sleeper
         key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         if not key:

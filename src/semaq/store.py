@@ -22,14 +22,24 @@ line reader :func:`_read_lines` and its torn-tail rule, and read each key of
 a line with :func:`~semaq.core.json_value`, so a null optional key reads as
 its default.  An entry line whose seq an earlier line holds is corrupt, and
 so is one whose text UTF-8 cannot encode (a JSON escape of a lone surrogate).
+
+In memory a store holds each vector as a float32 row, a scan copy half the
+size of the float64 rows: retrieval scores every row in float32, keeps the
+rows whose exact score the scan's rounding bound cannot rule out of the top
+k, reads those rows back from ``vectors.bin``, checks them against their
+checksums, and ranks them by the exact float64 scan.  An entry's
+``embedding`` is its row read back the same way.
 """
 
 from __future__ import annotations
 
+import bisect
 import fcntl
+import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -39,8 +49,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import (Context, context_derive, cosine_topk, json_value, load_json,
-                   require_unicode, validate_fields)
+from .core import (Context, context_derive, cosine_to_score, cosine_topk, json_value,
+                   load_json, require_unicode, validate_fields)
 from .errors import StoreConflictError, StoreError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -51,6 +61,7 @@ MATCH_DESCRIPTION_CAP = 2000
 _ENTRIES_FILE = "entries.jsonl"
 _VECTORS_FILE = "vectors.bin"
 _ANSWERS_FILE = "answers.jsonl"
+_CHUNK_ROWS = 256  # vector rows a load reads at a time
 
 
 @dataclass(frozen=True)
@@ -61,7 +72,18 @@ class ContextEntry:
     lineage_summary: str
     seq: int
     created_at: float
-    embedding: np.ndarray = field(compare=False, repr=False)
+    # where the exact vector lies: the vector file, its row width, and the
+    # checksum of the entry line, over the description and the row's bytes
+    _vector_file: Path = field(compare=False, repr=False)
+    _dim: int = field(compare=False, repr=False)
+    _checksum: str = field(compare=False, repr=False)
+
+    @property
+    def embedding(self) -> np.ndarray:
+        """The exact float64 vector, read back from the vector file and
+        checked against this entry's checksum (a :class:`StoreError` when
+        the file no longer holds it)."""
+        return _exact_rows(self._vector_file, self._dim, [self])[0]
 
 
 def _checksum(description: str, vector_bytes: bytes | memoryview) -> str:
@@ -71,9 +93,31 @@ def _checksum(description: str, vector_bytes: bytes | memoryview) -> str:
     return digest.hexdigest()
 
 
-def _parse_entry(line: bytes, lineno: int) -> tuple[ContextEntry, int, str, int]:
-    """One entry-log line as its entry, whose ``embedding`` is not read
-    yet, its positive ``dim``, its checksum and ``lineno``."""
+def _exact_rows(vector_file: Path, dim: int, entries: list[ContextEntry]) -> np.ndarray:
+    """The float64 rows of ``entries``, of one store, read from its
+    ``vector_file``; a row the file no longer holds, or holds with other
+    bytes than its entry's checksum covers, is a :class:`StoreError`."""
+    stride = dim * 8
+    rows = np.empty((len(entries), dim))
+    try:
+        with open(vector_file, "rb") as vectors:
+            for entry, row in zip(entries, rows):
+                data = os.pread(vectors.fileno(), stride, entry.seq * stride)
+                if len(data) < stride:
+                    raise StoreError(f"vector file truncated at entry {entry.seq} "
+                                     f"({entry.context_id})")
+                if _checksum(entry.description, data) != entry._checksum:
+                    raise StoreError("checksum mismatch for stored context "
+                                     f"{entry.context_id}")
+                row[:] = np.frombuffer(data, "<f8")
+    except OSError as exc:
+        raise StoreError(f"cannot read the vector file: {exc}") from exc
+    return rows
+
+
+def _parse_entry(vector_file: Path, line: bytes, lineno: int) -> tuple[ContextEntry, int]:
+    """One entry-log line, whose vector lies in ``vector_file``, as its entry
+    (of positive ``dim``) and ``lineno``."""
     where = f"corrupt store entry at line {lineno}"
     doc = load_json(line, where, error=StoreError)
     entry = ContextEntry(
@@ -83,16 +127,17 @@ def _parse_entry(line: bytes, lineno: int) -> tuple[ContextEntry, int, str, int]
         lineage_summary=json_value(doc, "lineage", str, where, "", error=StoreError),
         seq=json_value(doc, "seq", int, where, error=StoreError),
         created_at=json_value(doc, "created_at", float, where, 0.0, error=StoreError),
-        embedding=None,
+        _vector_file=vector_file,
+        _dim=json_value(doc, "dim", int, where, error=StoreError),
+        _checksum=json_value(doc, "checksum", str, where, error=StoreError),
     )
     if b"\\u" in line:  # only a \u escape can spell a lone surrogate
         require_unicode("".join((entry.context_id, entry.description,
                                  entry.instruction, entry.lineage_summary)),
                         f"{where}: entry text", StoreError)
-    dim = json_value(doc, "dim", int, where, error=StoreError)
-    if dim < 1:
-        raise StoreError(f"{where}: dim {dim}")
-    return entry, dim, json_value(doc, "checksum", str, where, error=StoreError), lineno
+    if entry._dim < 1:
+        raise StoreError(f"{where}: dim {entry._dim}")
+    return entry, lineno
 
 
 @dataclass(frozen=True)
@@ -192,18 +237,28 @@ class ContextStore:
     """Durable registry of contexts with similarity retrieval.
 
     Registration is idempotent on identical content and refuses an id that
-    was stored with different content.  The embeddings live in one float64
-    matrix, their only copy: row ``i`` embeds ``entries[i]``, and each
-    ``entry.embedding`` is a view of its row.  ``_read_log`` is the one
-    reader of the entry log and the only code that adds an entry: it loads
-    the lines past ``_log_end`` (all of them on reopen, the registered line
-    after a registration's append), reads their vector rows with one read
-    into the matrix, and appends them in seq order; a log no other store
-    object has grown costs one read of its last line.  The width is the
-    entries' stored ``dim``, or the first registered vector's.  Retrieval is
-    the exact :func:`~semaq.core.cosine_topk` scan over that matrix:
-    similarity is cosine mapped to [0, 1], entries below ``tau`` are
-    dropped, and ties break by earlier registration.
+    was stored with different content.  The exact float64 embeddings stay in
+    ``vectors.bin`` only.  In memory the store keeps a scan copy: row ``i``
+    of the float32 matrix ``_vectors`` is ``entries[i]``'s embedding rounded
+    to float32, and ``_norms[i]`` is the float64 norm of the exact one.
+    ``_read_log`` is the one reader of the entry log and the only code that
+    adds an entry: it loads the lines past ``_log_end`` (all of them on
+    reopen, the registered line after a registration's append), reads their
+    vector rows at most ``_CHUNK_ROWS`` at a time, checks each against its
+    checksum, and appends them in seq order; a log no other store object has
+    grown costs one read of its last line.  The width is the entries' stored
+    ``dim``, or the first registered vector's.
+
+    Retrieval returns what the exact :func:`~semaq.core.cosine_topk` scan
+    over the float64 rows returns, bit for bit: similarity is cosine mapped
+    to [0, 1], entries below ``tau`` are dropped, and ties break by earlier
+    registration.  It scores the scan copy in float32, widens each score by
+    a bound on its rounding error (about (dim + 2) * 2**-24 * |a| * |q|, see
+    :meth:`_candidates`), and reads back from ``vectors.bin`` only the rows
+    that could still reach ``tau`` and the k-th score it is sure of; those
+    are checked against their checksums and ranked by ``cosine_topk``.  A
+    row rewritten or removed on disk since it was loaded is a
+    :class:`StoreError` once retrieval reads it, as on reopen.
 
     The answer log is kept apart from the entries: :meth:`read_answers`
     loads the lines past ``_answers_end``, on the first :meth:`answer`,
@@ -232,7 +287,8 @@ class ContextStore:
     def _forget(self) -> None:
         """Hold nothing: what an empty directory reads as."""
         self.dim: int | None = None
-        self._vectors: np.ndarray | None = None
+        self._vectors: np.ndarray | None = None  # float32 scan copy
+        self._norms: np.ndarray | None = None  # norms of the exact rows
         self.entries: list[ContextEntry] = []
         self._by_id: dict[str, ContextEntry] = {}
         # the line of each loaded entry by its seq, which no later line may hold
@@ -259,48 +315,57 @@ class ContextStore:
         cleared is read again from 0, in place of all this store holds.
         """
         new, size, end, lines, tail = _read_lines(
-            log, self._log_end, self._log_lines, self._log_tail, _parse_entry,
-            self._forget)
+            log, self._log_end, self._log_lines, self._log_tail,
+            functools.partial(_parse_entry, self._vectors_path), self._forget)
         if new:
-            dim = self.dim or new[0][1]
+            dim = self.dim or new[0][0]._dim
             seq_lines: dict[int, int] = {}
-            for entry, width, _, lineno in new:
-                if width != dim:
+            for entry, lineno in new:
+                if entry._dim != dim:
                     raise StoreError(f"store entry at line {lineno} has dim "
-                                     f"{width}, earlier entries have dim {dim}")
+                                     f"{entry._dim}, earlier entries have dim {dim}")
                 line = self._seq_lines.get(entry.seq) or seq_lines.get(entry.seq)
                 if line:
                     raise StoreError(f"store entries at lines {line} and {lineno} "
                                      f"share seq {entry.seq}")
                 seq_lines[entry.seq] = lineno
-            # rows lowest .. highest new seq, in one read into the matrix,
-            # gathered to the entries' rows when their seqs skip one
             new.sort(key=lambda parsed: parsed[0].seq)
-            seqs = [parsed[0].seq for parsed in new]
-            lo, hi, n, stride = seqs[0], seqs[-1], len(self.entries), dim * 8
+            entries = [entry for entry, _ in new]
+            lo, hi, n, stride = entries[0].seq, entries[-1].seq, len(self.entries), dim * 8
             try:
-                rows = os.stat(self._vectors_path).st_size // stride
+                on_disk = os.stat(self._vectors_path).st_size // stride
             except FileNotFoundError:
-                rows = 0
-            if lo < 0 or hi >= rows:
-                bad = new[0][0] if lo < 0 else new[-1][0]
+                on_disk = 0
+            if lo < 0 or hi >= on_disk:
+                bad = entries[0] if lo < 0 else entries[-1]
                 raise StoreError(f"vector file truncated at entry {bad.seq} "
                                  f"({bad.context_id})")
             self.dim = dim
-            self._reserve(n + hi - lo + 1)
-            block = self._vectors[n:n + hi - lo + 1]
-            with open(self._vectors_path, "rb") as vectors:
-                vectors.seek(lo * stride)
-                vectors.readinto(memoryview(block).cast("B"))
-            if seqs != list(range(lo, lo + len(seqs))):
-                block[:len(seqs)] = block[np.array(seqs) - lo]
-            for (entry, _, checksum, _), embedding in zip(new, block):
-                if _checksum(entry.description, embedding.data) != checksum:
-                    raise StoreError("checksum mismatch for stored context "
-                                     f"{entry.context_id}")
-                object.__setattr__(entry, "embedding", embedding)
-            self.entries += [parsed[0] for parsed in new]
-            self._by_id.update((entry.context_id, entry) for entry in self.entries[n:])
+            self._reserve(n + len(entries))
+            seqs = [entry.seq for entry in entries]
+            chunk = np.empty((min(_CHUNK_ROWS, hi - lo + 1), dim))
+            with open(self._vectors_path, "rb") as vectors, np.errstate(all="ignore"):
+                i = 0
+                while i < len(entries):  # the rows from entry i's on, gaps included
+                    start = seqs[i]
+                    block = chunk[:hi + 1 - start]
+                    vectors.seek(start * stride)
+                    if vectors.readinto(memoryview(block).cast("B")) < block.nbytes:
+                        # cut since the stat above
+                        raise StoreError(f"vector file truncated at entry {hi} "
+                                         f"({entries[-1].context_id})")
+                    j = bisect.bisect_left(seqs, start + len(block), i)
+                    picks = [seq - start for seq in seqs[i:j]]
+                    rows = block[:j - i] if picks[-1] == j - i - 1 else block[picks]
+                    for entry, row in zip(entries[i:j], rows):
+                        if _checksum(entry.description, row.data) != entry._checksum:
+                            raise StoreError("checksum mismatch for stored context "
+                                             f"{entry.context_id}")
+                    self._vectors[n + i:n + j] = rows  # rounded to float32
+                    self._norms[n + i:n + j] = np.sqrt(np.vecdot(rows, rows))
+                    i = j
+            self.entries += entries
+            self._by_id.update((entry.context_id, entry) for entry in entries)
             self._seq_lines.update(seq_lines)
         self._log_end, self._log_lines, self._log_tail = end, lines, tail
         return size
@@ -313,18 +378,16 @@ class ContextStore:
                 f"dim {dim}")
 
     def _reserve(self, rows: int) -> None:
-        """Grow the matrix to hold ``rows`` rows, with an eighth more room
-        and at least doubling it, and point every entry at its row there."""
+        """Grow the scan copy and the norms to hold ``rows`` rows, with an
+        eighth more room and at least doubling them."""
         if self._vectors is not None and rows <= len(self._vectors):
             return
         n = len(self.entries)
-        grown = np.empty((max(rows + rows // 8, 2 * n, 16), self.dim), dtype="<f8")
+        size = max(rows + rows // 8, 2 * n, 16)
+        vectors, norms = np.empty((size, self.dim), dtype="<f4"), np.empty(size)
         if n:
-            grown[:n] = self._vectors[:n]
-        self._vectors = grown
-        for row, entry in enumerate(self.entries):
-            # the entry stays the same object; only its view moves
-            object.__setattr__(entry, "embedding", grown[row])
+            vectors[:n], norms[:n] = self._vectors[:n], self._norms[:n]
+        self._vectors, self._norms = vectors, norms
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -426,8 +489,49 @@ class ContextStore:
         query = np.asarray(self._embed(instruction), dtype=np.float64)
         with self._lock:
             self._check_width(query, self.dim)
-            hits = cosine_topk(self._vectors[:len(self.entries)], query, k, tau)
-            return [(self.entries[row], score) for row, score in hits]
+            rows = self._candidates(query, k, tau)
+            entries = [self.entries[row] for row in rows]
+            hits = cosine_topk(_exact_rows(self._vectors_path, self.dim, entries),
+                               query, k, tau)
+            return [(entries[row], score) for row, score in hits]
+
+    def _candidates(self, query: np.ndarray, k: int, tau: float) -> np.ndarray:
+        """The rows, ascending, that the float32 scan cannot rule out of the
+        exact top ``k`` at or above ``tau``.
+
+        The bound, for a stored vector a, the query q, n = dim and
+        u = 2**-24: rounding a and q to float32 moves each product a_j q_j by
+        at most (2u + u^2)|a_j q_j|.  The float32 products and n - 1 sums, in
+        any order, move the dot product by at most gamma_n = nu / (1 - nu)
+        times the sum of the |a_j q_j| more, and that sum is at most
+        |a| |q|.  The float64 dot that ``cosine_topk`` takes is within
+        n * 2**-53 |a| |q| of the exact one, and the float64 norms are as
+        close.  All of that stays below twice (n + 2) u |a| |q| while
+        nu < 1/4 (n < 2**22).  Near zero, rounding is absolute: a value or
+        product in float32's subnormal range moves by up to 2**-150, at most
+        2**-148 * n * (1 + |a| + |q|) in all, and a float64 norm whose
+        squares underflow belongs to a vector shorter than 2**-500 * n,
+        whose share of the relative term is smaller still.  The absolute
+        term n * 2**-140 * (1 + |a| + |q|) covers both.  A row whose bound
+        is not finite (an overflow, a NaN) is always a candidate.
+
+        Scores are ``cosine_to_score`` of the dot product, which rounding
+        keeps monotone, so the exact score lies within the scores of the
+        widened ends.  Every row of the exact top k scores at least ``tau``
+        and the k-th best lower end, so its upper end does too.
+        """
+        n = len(self.entries)
+        norms = self._norms[:n]
+        with np.errstate(all="ignore"):
+            qnorm = math.sqrt(query @ query)
+            dots = np.vecdot(self._vectors[:n], query.astype("<f4")).astype(np.float64)
+            slack = (2 * (self.dim + 2) * 2.0**-24 * norms * qnorm
+                     + self.dim * 2.0**-140 * (1 + norms + qnorm))
+            low, high = cosine_to_score(dots - slack), cosine_to_score(dots + slack)
+            wild = ~np.isfinite(dots + slack)
+        low[wild], high[wild] = -np.inf, np.inf
+        sure = np.partition(low, n - k)[n - k] if n >= k else -np.inf
+        return np.flatnonzero(high >= max(tau, sure))
 
     def augment(self, ctx: Context,
                 matches: Iterable[tuple[ContextEntry, float]]) -> Context:

@@ -2,12 +2,15 @@
 
 import ast
 import hashlib
+import http.server
 import json
+import logging
 import math
 import random
 import re
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +18,16 @@ import pytest
 
 import semaq
 from semaq import (BackendError, ConfigurationError, HttpBackend, MockBackend,
-                   MockMissError, MockRule, MockScript, ModelSpec, UsageLedger,
-                   ValidationError, hashing_embed, load_model_catalog)
+                   MockMissError, MockRule, MockScript, ModelSpec, RunPolicy,
+                   UsageLedger, ValidationError, bind_plan, context_create,
+                   hashing_embed, load_model_catalog, make_source_record,
+                   parse_pipeline, pipeline_execute)
 from semaq.backend import (ChatMessage, Usage, _token_slot, call_cost,
                            json_value, mock_token_count, render_messages)
 from semaq.bench import gen_email_corpus
 from semaq.core import record_text
 from semaq.errors import RetryableBackendError
+from tests.conftest import CHEAP
 
 
 def test_model_spec_validation():
@@ -486,6 +492,65 @@ def test_http_embed_normalizes(catalog):
     assert abs(float(np.linalg.norm(vec)) - 1.0) < 1e-9
     assert abs(vec[0] - 0.6) < 1e-9
 
+
+
+class _SlowChat(http.server.BaseHTTPRequestHandler):
+    """A keep-alive chat endpoint that answers each call after 10 ms: "yes"
+    to a filter, a field to a map.  Each handler serves one connection."""
+
+    protocol_version = "HTTP/1.1"
+    connections = 0
+    lock = threading.Lock()
+
+    def setup(self):
+        super().setup()
+        with _SlowChat.lock:
+            _SlowChat.connections += 1
+
+    def do_POST(self):
+        prompt = self.rfile.read(int(self.headers["Content-Length"]))
+        time.sleep(0.01)
+        reply = '{"f": "x"}' if b"OUTPUT FIELDS" in prompt else "yes"
+        body = json.dumps({"choices": [{"message": {"content": reply}}],
+                           "usage": {"prompt_tokens": 5, "completion_tokens": 1}})
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body.encode())
+
+    def log_message(self, *args):
+        pass
+
+
+def test_http_keeps_a_connection_alive_for_each_call_in_flight(catalog, caplog):
+    """A run of three semantic stages at width 8 has up to 24 calls in
+    flight; the default session keeps a connection for each of them, so it
+    opens no more than 24 and discards none."""
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _SlowChat)
+    server.daemon_threads = True
+    _SlowChat.connections = 0
+    serving = threading.Thread(target=server.serve_forever)
+    serving.start()
+    backend = HttpBackend(f"http://127.0.0.1:{server.server_port}", catalog,
+                          api_key="sk-test")
+    plan = parse_pipeline('scan(d) | sem_filter("a") | sem_filter("b") '
+                          '| sem_map("m", {f: text})')
+    records = [make_source_record({"text": f"note {i}"}, origin=f"d#{i}")
+               for i in range(200)]
+    try:
+        with caplog.at_level(logging.WARNING, logger="urllib3.connectionpool"):
+            out, report = pipeline_execute(
+                bind_plan(plan, {1: CHEAP, 2: CHEAP, 3: CHEAP}),
+                context_create(records, "docs"), backend, policy=RunPolicy(pool_width=8))
+    finally:
+        backend._session.close()
+        server.shutdown()
+        server.server_close()
+        serving.join()
+    assert len(out.source) == 200 and report.total_calls == 600
+    assert 1 <= _SlowChat.connections <= 24
+    assert not [r for r in caplog.records if "pool is full" in r.getMessage()]
 
 def test_load_model_catalog(tmp_path):
     path = tmp_path / "catalog.json"
