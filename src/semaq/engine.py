@@ -8,16 +8,18 @@ Operators are chained as generators, so a record flows through the whole
 chain before the next one is pulled: a downstream operator only ever sees
 records that passed everything above it, and ``limit`` stops upstream
 consumption as soon as it has emitted enough.  Against a backend whose
-calls block (HTTP), semantic operators fan out over one worker pool per run,
-each keeping at most ``pool_width`` calls in flight and yielding in input
-order; a run waits for every call it submitted before it returns or raises,
-so its report totals equal the ledger delta even after a ``limit`` cut-off.
+calls block (HTTP), each semantic operator runs one loop on one worker pool
+per run (:meth:`_Window.run`): it keeps at most ``pool_width`` calls in
+flight, yields in input order, and after each result it takes, refills its
+window under the window's lock; a run waits for every call it submitted
+before it returns or raises, so its report totals equal the ledger delta
+even after a ``limit`` cut-off.  Stages differ only in how they refill.
 The plan's first semantic operator, when it is a sem_filter or sem_map with
-no ``limit`` downstream, refills its window as each call returns, and holds
-up to ``pool_width`` more answers that its consumer has not yet taken, so
-a slow call delays the hand-over of the results behind it, not the calls
-on them; every other stage submits its next call only once its consumer
-takes its oldest result.
+no ``limit`` downstream, pulls its next record as each call returns, and
+holds up to ``pool_width`` more answers that its consumer has not yet taken,
+so a slow call delays the hand-over of the results behind it, not the calls
+on them; every other stage pulls and submits as its consumer takes its
+oldest result.
 Under a ``limit(n)`` reached through only project, sem_filter and sem_map
 stages, each semantic stage sizes its window by demand (:class:`_Window`),
 so a map prefetches nothing the limit cannot take, and a filter looks ahead
@@ -146,15 +148,17 @@ class RunPolicy:
     ``pool_width`` bounds the in-flight model calls of each semantic
     operator separately, for backends whose calls block.  A run shares one
     executor among its k sem_filter and sem_map stages, so up to
-    k * ``pool_width`` calls are in flight at once.  The source-fed stage
-    (see :class:`_Window`) also holds up to ``pool_width`` answers its
-    consumer has not yet taken, so an aborted run may have asked it about
-    up to 2 * ``pool_width`` records past the one it stopped on; any other
-    stage looks ahead at most ``pool_width`` records.  A stage that feeds a
-    ``limit(n)`` through only project, sem_filter and sem_map stages holds
-    fewer: no more than the limit can still take from it, divided by its
-    observed pass rate.  With ``pool_width == 1``, or a backend that
-    declares ``in_process``, every call runs inline without threads.
+    k * ``pool_width`` calls are in flight at once.  Each stage runs one
+    loop (see :class:`_Window`), which pulls and counts its records under
+    its window's lock.  The source-fed stage also holds up to
+    ``pool_width`` answers its consumer has not yet taken, so an aborted run
+    may have asked it about up to 2 * ``pool_width`` records past the one it
+    stopped on; any other stage looks ahead at most ``pool_width`` records.
+    A stage that feeds a ``limit(n)`` through only project, sem_filter and
+    sem_map stages holds fewer: no more than the limit can still take from
+    it, divided by its observed pass rate.  With ``pool_width == 1``, or a
+    backend that declares ``in_process``, every call runs inline without
+    threads.
     ``pool_width`` is at most ``MAX_POOL_WIDTH``: a run may start that many
     threads per semantic stage, and the optimizer divides float latencies
     by it, which a wider integer would overflow.
@@ -561,7 +565,12 @@ AgentRunner = Callable[[str, str, Context, ModelSpec], "AgentResult"]
 
 
 class _Window:
-    """The calls one pooled sem_filter or sem_map stage keeps in flight.
+    """The calls one pooled sem_filter or sem_map stage keeps in flight, and
+    the one loop that runs them (:meth:`run`): each step takes the oldest
+    result outside the window's lock, then under it counts the result,
+    refills the window (``fill``) and counts the output as emitted.  These
+    counts change only there, in the consumer's thread, in input order, so
+    the calls a run makes do not depend on when its calls complete.
 
     Without a downstream ``limit`` the window is ``width`` wide.  Under one,
     reached through only project, sem_filter and sem_map stages, the stage
@@ -574,17 +583,19 @@ class _Window:
     handed over in this run, so it starts at 1 and tracks the filter's
     selectivity.  An output being handed over counts as emitted.
 
-    Every count changes in the consumer's thread, in input order, so the
-    calls a run makes do not depend on when its calls complete.
+    Only ``fill`` differs.  A capped or later stage pulls ``cap()`` less its
+    calls in flight and submits each to the pool.  The source-fed stage
+    (``refill``: the plan's first semantic operator, with neither ``limit``
+    nor ``next``) starts lanes up to ``width``; as a lane's call returns, it
+    pulls the next record and calls on it while fewer than ``2 * width``
+    wait to be taken, so the stage's upstream (scan, project, limit) never
+    waits on a model call.  Once :meth:`stop` is called, it starts no call.
 
-    The source-fed stage (``refill``: the plan's first semantic operator,
-    with neither ``limit`` nor ``next``) has no count to keep.  As each of
-    its calls returns, its worker thread pulls the next record, under the
-    window's lock, and calls on it, so the stage keeps ``width`` calls in
-    flight and up to ``width`` more answered but not yet taken by its
-    consumer, which still takes them in input order.  Its upstream (scan,
-    project, limit) never waits on a model call.  Once :meth:`stop` is
-    called, it starts no call.
+    Every pull happens under the pulling window's lock, on the consumer's
+    thread or a lane's.  A pull may run the windows upstream, so locks are
+    taken downstream to upstream; a lane takes only its own window's lock,
+    and no window waits on a result while it holds its own, so no cycle can
+    form.
     """
 
     def __init__(self, width: int, is_filter: bool):
@@ -626,41 +637,10 @@ class _Window:
 
     def run(self, fn, items: Iterator, pool: ThreadPoolExecutor) -> Iterator:
         """Apply ``fn`` to ``items`` on ``pool``, yielding each (output or
-        None, error) in input order.  Upstream pulls happen in the caller's
-        thread, but the source-fed stage's on worker threads too
-        (:meth:`_refilled`).  A pull that finds nothing in flight submits one
-        item all the same, so a record dropped downstream never stalls the
-        stage."""
-        if self.refill:
-            yield from self._refilled(fn, items, pool)
-            return
-        pending = self.pending
-
-        def submit(count: float) -> None:
-            for item in itertools.islice(items, max(0, count)):
-                pending.append(pool.submit(fn, item))
-
-        while True:
-            if not pending:
-                submit(max(1, self.cap()))
-                if not pending:
-                    return
-            out, error = pending.popleft().result()
-            if error is None:
-                self.decided += 1
-                self.passed += out is not None
-                self.held = int(out is not None)
-            submit(self.cap() - len(pending))
-            self.emitted += self.held
-            self.held = 0
-            yield out, error
-
-    def _refilled(self, fn, items: Iterator, pool: ThreadPoolExecutor) -> Iterator:
-        """:meth:`run` for the source-fed stage.  Each of up to ``width``
-        lanes on ``pool`` applies ``fn`` to an item, then pulls the next one
-        itself while fewer than ``2 * width`` items wait to be taken.  An
-        error raised by a pull reaches the consumer after the results before
-        it."""
+        None, error) in input order.  A step that finds nothing in flight
+        pulls one item all the same, so a record dropped downstream never
+        stalls the stage.  An error a lane's pull raises reaches the consumer
+        after the results before it; a consumer's pull raises it at once."""
         pending = self.pending
 
         def pull():  # under the lock: the next item and its future, or None
@@ -700,20 +680,32 @@ class _Window:
                         return
                 item, future = pulled
 
-        def fill() -> None:  # under the lock: start lanes up to ``width``
-            while self.inflight < self.width and (pulled := pull()) is not None:
-                self.inflight += 1
-                pool.submit(lane, *pulled)
+        def fill(count: float) -> None:  # under the lock
+            if self.refill:  # start lanes up to ``width``; they pull for themselves
+                while self.inflight < self.width and (pulled := pull()) is not None:
+                    self.inflight += 1
+                    pool.submit(lane, *pulled)
+                return
+            for item in itertools.islice(items, max(0, count)):
+                pending.append(pool.submit(fn, item))
 
-        with self.lock:
-            fill()
-            head = pending[0] if pending else None
-        while head is not None:
+        while True:
+            with self.lock:
+                if not pending:
+                    fill(max(1, self.cap()))
+                    if not pending:
+                        return
+                head = pending[0]
             out, error = head.result()
             with self.lock:
                 pending.popleft()
-                fill()
-                head = pending[0] if pending else None
+                if error is None:
+                    self.decided += 1
+                    self.passed += out is not None
+                    self.held = int(out is not None)
+                fill(self.cap() - len(pending))
+                self.emitted += self.held
+                self.held = 0
             yield out, error
 
 
@@ -881,8 +873,8 @@ def _price(model: ModelSpec, row: OpReport) -> None:
 
 def _pulled(upstream: Iterator[Record], row: OpReport) -> Iterator[Record]:
     """``upstream``, counting in ``row.records_in`` each record its stage pulls.
-    The source-fed stage's upstream is advanced on worker threads, under
-    its window's lock (:class:`_Window`)."""
+    A pooled stage advances it under its window's lock, the source-fed
+    stage's on worker threads too (:class:`_Window`)."""
     for record in upstream:
         row.records_in += 1
         yield record

@@ -730,6 +730,84 @@ def test_bind_plan_validation():
     assert other.plan_id != bound.plan_id
 
 
+# --- the pooled window's loop ------------------------------------------------------
+
+class _OwnedLock:
+    """A lock that knows which thread holds it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.owner = None
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.owner = threading.get_ident()
+        return self
+
+    def __exit__(self, *exc):
+        self.owner = None
+        self._lock.release()
+
+
+def test_every_pooled_pull_happens_under_its_windows_lock(monkeypatch):
+    """Each pull a pooled stage makes from its upstream, on the consumer's
+    thread or a lane's, holds that stage's window lock: on seeded unlimited
+    plans (the refill oracle's) and limited ones (the demand oracle's), at
+    width 3 on the blocking backend."""
+    made, pulls, unlocked = [], {True: 0, False: 0}, []
+    windows, pulled = engine._windows, engine._pulled
+
+    def owned_windows(ops, width):
+        found = windows(ops, width)
+        for window in found.values():
+            window.lock = _OwnedLock()
+        made.append(found)
+        return found
+
+    def checked(upstream, row):
+        window = made[-1].get(row.index)
+        records = pulled(upstream, row)
+        while True:
+            if window is not None:
+                pulls[window.refill] += 1
+                if window.lock.owner != threading.get_ident():
+                    unlocked.append((row.index, row.kind, window.refill))
+            try:
+                record = next(records)
+            except StopIteration:
+                return
+            yield record
+
+    monkeypatch.setattr(engine, "_windows", owned_windows)
+    monkeypatch.setattr(engine, "_pulled", checked)
+    rng = random.Random("refill-3")
+    cases = [_case(rng, limited=False) for _ in range(12)]
+    rng = random.Random("demand-3-True")
+    cases += [_case(rng, case % 4 != 0, filters=(1, 3)) for case in range(16)]
+    for records, plan, rules in cases:
+        _run(_cheap(plan), records, rules, {"cheap": CHEAP}, True, 3)
+    assert not unlocked, unlocked
+    # both kinds of window pulled: the source-fed stage's and the in-order ones
+    assert pulls[True] > 0 and pulls[False] > 0, pulls
+
+
+def test_one_loop_runs_every_pooled_window():
+    """``_Window`` has one generator, the consumer loop every pooled stage
+    runs, and the engine takes a window's oldest call in one place."""
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    window = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "_Window")
+    generators = [node.name for node in window.body if isinstance(node, ast.FunctionDef)
+                  and any(isinstance(sub, (ast.Yield, ast.YieldFrom))
+                          for sub in ast.walk(node))]
+    assert generators == ["run"]
+    pops = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "popleft"
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "pending"]
+    assert len(pops) == 1
+
+
 # --- report row counts -------------------------------------------------------------
 
 @pytest.mark.parametrize("blocking", [False, True], ids=["inline", "blocking"])
