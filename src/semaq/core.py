@@ -160,7 +160,7 @@ def derived_record_id(parent_ids: Sequence[str], operator: str, fields: dict) ->
     return _short_hash(payload, "r")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecordLineage:
     """Provenance of a derived record: parent ids and the operator that made it."""
 
@@ -168,7 +168,7 @@ class RecordLineage:
     operator: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Record:
     """One unit of data: a stable id plus an ordered mapping of named fields.
 

@@ -28,7 +28,10 @@ size of the float64 rows: retrieval scores every row in float32, keeps the
 rows whose exact score the scan's rounding bound cannot rule out of the top
 k, reads those rows back from ``vectors.bin``, checks them against their
 checksums, and ranks them by the exact float64 scan.  An entry's
-``embedding`` is its row read back the same way.
+``embedding`` is its row read back the same way.  Beside the scan copy a
+store holds one slotted :class:`ContextEntry` per entry, with no vector,
+and one string per distinct instruction and lineage text its entries
+share; each logged answer is one slotted :class:`LoggedAnswer`.
 """
 
 from __future__ import annotations
@@ -64,8 +67,12 @@ _ANSWERS_FILE = "answers.jsonl"
 _CHUNK_ROWS = 256  # vector rows a load reads at a time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContextEntry:
+    """One stored context as a store holds it in memory: its texts, seq and
+    time, and where its exact vector lies, not the vector.  The entries of
+    one store share each equal ``instruction`` and ``lineage_summary``."""
+
     context_id: str
     description: str
     instruction: str
@@ -115,16 +122,22 @@ def _exact_rows(vector_file: Path, dim: int, entries: list[ContextEntry]) -> np.
     return rows
 
 
-def _parse_entry(vector_file: Path, line: bytes, lineno: int) -> tuple[ContextEntry, int]:
+def _parse_entry(vector_file: Path, texts: dict[str, str], line: bytes,
+                 lineno: int) -> tuple[ContextEntry, int]:
     """One entry-log line, whose vector lies in ``vector_file``, as its entry
-    (of positive ``dim``) and ``lineno``."""
+    (of positive ``dim``) and ``lineno``.  Its instruction and lineage are
+    the equal text ``texts`` already holds, or are added to it."""
     where = f"corrupt store entry at line {lineno}"
     doc = load_json(line, where, error=StoreError)
+    context_id = json_value(doc, "context_id", str, where, error=StoreError)
+    description = json_value(doc, "description", str, where, error=StoreError)
+    instruction = json_value(doc, "instruction", str, where, "", error=StoreError)
+    lineage = json_value(doc, "lineage", str, where, "", error=StoreError)
     entry = ContextEntry(
-        context_id=json_value(doc, "context_id", str, where, error=StoreError),
-        description=json_value(doc, "description", str, where, error=StoreError),
-        instruction=json_value(doc, "instruction", str, where, "", error=StoreError),
-        lineage_summary=json_value(doc, "lineage", str, where, "", error=StoreError),
+        context_id=context_id,
+        description=description,
+        instruction=texts.setdefault(instruction, instruction),
+        lineage_summary=texts.setdefault(lineage, lineage),
         seq=json_value(doc, "seq", int, where, error=StoreError),
         created_at=json_value(doc, "created_at", float, where, 0.0, error=StoreError),
         _vector_file=vector_file,
@@ -140,7 +153,7 @@ def _parse_entry(vector_file: Path, line: bytes, lineno: int) -> tuple[ContextEn
     return entry, lineno
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoggedAnswer:
     """What ``model`` answered to the prompt keyed ``prompt`` (the sha256 of
     the backend's fingerprint and the rendered messages): a sem_filter's
@@ -247,7 +260,10 @@ class ContextStore:
     vector rows at most ``_CHUNK_ROWS`` at a time, checks each against its
     checksum, and appends them in seq order; a log no other store object has
     grown costs one read of its last line.  The width is the entries' stored
-    ``dim``, or the first registered vector's.
+    ``dim``, or the first registered vector's.  The entry parse makes equal
+    instruction and lineage texts one string through ``_texts``, a table
+    the store owns and :meth:`_forget` empties (not ``sys.intern``, whose
+    strings CPython 3.12 never frees).
 
     Retrieval returns what the exact :func:`~semaq.core.cosine_topk` scan
     over the float64 rows returns, bit for bit: similarity is cosine mapped
@@ -273,6 +289,8 @@ class ContextStore:
         self._vectors_path = self.directory / _VECTORS_FILE
         self._answers_path = self.directory / _ANSWERS_FILE
         self._lock = threading.Lock()
+        # one copy of each instruction and lineage text the entries hold
+        self._texts: dict[str, str] = {}
         self._forget()
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -294,6 +312,7 @@ class ContextStore:
         # the line of each loaded entry by its seq, which no later line may hold
         self._seq_lines: dict[int, int] = {}
         self._objects: dict[str, Context] = {}
+        self._texts.clear()
         # bytes, lines and last line of the entry log this instance has read
         self._log_end, self._log_lines, self._log_tail = 0, 0, b""
         self._forget_answers()
@@ -316,7 +335,7 @@ class ContextStore:
         """
         new, size, end, lines, tail = _read_lines(
             log, self._log_end, self._log_lines, self._log_tail,
-            functools.partial(_parse_entry, self._vectors_path), self._forget)
+            functools.partial(_parse_entry, self._vectors_path, self._texts), self._forget)
         if new:
             dim = self.dim or new[0][0]._dim
             seq_lines: dict[int, int] = {}

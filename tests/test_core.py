@@ -1,6 +1,7 @@
 """Records, contexts, snapshots, and the exact vector index."""
 
 import ast
+import dataclasses
 import hashlib
 import json
 import math
@@ -65,6 +66,22 @@ def test_derived_record_carries_lineage():
     assert child.lineage.operator == "sem_map"
     again = make_derived_record({"text": "x", "tag": "t"}, [parent.id], "sem_map")
     assert child.id == again.id
+
+
+def test_records_and_lineages_hold_no_instance_dict():
+    source = make_source_record({"text": "x"}, "o#0")
+    child = make_derived_record({"text": "x", "tag": "t"}, [source.id], "sem_map")
+    built = Record(id="r1", fields={"n": 1}, lineage=child.lineage)
+    for obj in (source, child, built, child.lineage):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(AttributeError):
+            object.__setattr__(obj, "extra", 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built.id = "r2"
+    assert repr(built) == ("Record(id='r1', fields={'n': 1}, lineage=RecordLineage("
+                           f"parents=('{source.id}',), operator='sem_map'))")
+    assert built == Record(id="r1", fields={"n": 1},
+                           lineage=RecordLineage((source.id,), "sem_map"))
 
 
 def test_record_json_round_trip():

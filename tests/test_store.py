@@ -25,6 +25,7 @@ from semaq import (ContextStore, MockBackend, MockRule, MockScript,
 from semaq.core import Context, cosine_to_score
 from semaq.store import LoggedAnswer, _checksum
 from tests.conftest import CHEAP
+from tests.store_memory import write_answer_log, write_history
 
 
 def _ctx(description, seed="x"):
@@ -924,6 +925,100 @@ def test_clear_removes_everything(tmp_path):
     assert store.retrieve("ephemeral") == []
     reopened = ContextStore(path, hashing_embed)
     assert len(reopened) == 0
+
+
+# --- what a store holds in memory --------------------------------------------------
+
+def test_entries_and_logged_answers_hold_no_instance_dict(store):
+    entry = store.register(_ctx("a slotted entry"), instruction="inspect")
+    for obj in (entry, _answer(0), _answer(1)):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(AttributeError):
+            object.__setattr__(obj, "extra", 1)
+
+
+def test_a_store_holds_one_string_per_repeated_instruction_and_lineage(tmp_path):
+    """Entries loaded by a registration's read-back, by a catch-up on what
+    another store object appended and by a reopen share one string object
+    per distinct instruction and lineage text, and a reopen's entries equal
+    and print as the live store's."""
+    path = tmp_path / "shared"
+    live, other = (ContextStore(path, hashing_embed) for _ in range(2))
+    base = _ctx("base docs", seed="base")
+    instructions = ("triage vendor emails", "sum the open invoices")
+    for i in range(4):
+        live.register(_ctx(f"finding {i}", seed=str(i)), instruction=instructions[i % 2])
+        other.register(context_derive(base, "filter stage", f"base docs\nkept {i}",
+                                      operator="pipeline"),
+                       instruction=instructions[i % 2])
+    live.register(_ctx("finding after the catch-up", seed="late"),
+                  instruction=instructions[0])
+    reopened = ContextStore(path, hashing_embed)
+    texts = {*instructions, "root", f"pipeline of {base.id}"}
+    for store in (live, reopened):
+        assert len(store) == 9
+        assert set(store._texts) == texts
+        for key in ("instruction", "lineage_summary"):
+            held = [getattr(entry, key) for entry in store.entries]
+            assert len({id(text) for text in held}) == len(set(held)), key
+            assert all(text is store._texts[text] for text in held)
+    assert reopened.entries == live.entries
+    assert [repr(e) for e in reopened.entries] == [repr(e) for e in live.entries]
+    assert repr(reopened.entries[0]).startswith(
+        f"ContextEntry(context_id='{reopened.entries[0].context_id}', description=")
+
+
+def test_clear_empties_the_shared_texts(store):
+    store.register(_ctx("first finding"), instruction="inspect")
+    assert set(store._texts) == {"inspect", "root"}
+    store.clear()
+    assert store._texts == {}
+    entry = store.register(_ctx("second finding", seed="y"), instruction="inspect")
+    assert store._texts == {"inspect": "inspect", "root": "root"}
+    assert entry.instruction is store._texts["inspect"]
+
+
+def test_a_shared_text_is_not_immortal(tmp_path):
+    """The texts are shared through a dict the store owns, not through
+    ``sys.intern``, whose strings are immortal on CPython 3.12 and later:
+    their reference count reads 2**32 - 1 or more, whatever holds them."""
+    path = tmp_path / "mortal"
+    writer = ContextStore(path, hashing_embed)
+    for i in range(5):
+        writer.register(_ctx(f"finding {i}", seed=str(i)), instruction="count refunds")
+    entries = ContextStore(path, hashing_embed).entries
+    text = entries[0].instruction
+    assert all(entry.instruction is text for entry in entries)
+    assert sys.getrefcount(text) < 100
+
+
+_TRACED = """
+import json, sys
+from tests.store_memory import traced_bytes_per_answer, traced_bytes_per_entry
+print(json.dumps([traced_bytes_per_entry(sys.argv[1]), traced_bytes_per_answer(sys.argv[1])]))
+"""
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+                    reason="the pinned byte counts are CPython 3.11's object sizes")
+def test_a_store_holds_no_more_per_entry_and_per_answer_than_measured(tmp_path):
+    """A fresh interpreter reopens a 1,000-entry store and reads a
+    10,000-answer log under ``tracemalloc``.  Slotted entries and answers,
+    with one string per repeated instruction and lineage, held 638.1 bytes
+    per entry beside the scan copy and 455.9 per answer; an entry with a
+    ``__dict__`` and its own texts held 795.3, an answer with one 504.2."""
+    path = tmp_path / "pinned"
+    write_history(path, 1000)
+    write_answer_log(path, 10_000)
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _TRACED, str(path)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    per_entry, per_answer = json.loads(out.stdout)
+    assert per_entry <= 1.1 * 638.1, f"{per_entry:.1f} bytes per entry"
+    assert per_answer <= 1.1 * 455.9, f"{per_answer:.1f} bytes per answer"
 
 
 # --- the answer log ----------------------------------------------------------------
