@@ -122,35 +122,45 @@ def _exact_rows(vector_file: Path, dim: int, entries: list[ContextEntry]) -> np.
     return rows
 
 
-def _parse_entry(vector_file: Path, texts: dict[str, str], line: bytes,
-                 lineno: int) -> tuple[ContextEntry, int]:
+def _shared(text: str, texts: dict[str, str], new_texts: dict[str, str]) -> str:
+    """The string equal to ``text`` that ``texts`` holds, else the one that
+    ``new_texts`` holds or now adds."""
+    held = texts.get(text)
+    return new_texts.setdefault(text, text) if held is None else held
+
+
+def _parse_entry(vector_file: Path, texts: dict[str, str], new_texts: dict[str, str],
+                 line: bytes, lineno: int) -> tuple[ContextEntry, int]:
     """One entry-log line, whose vector lies in ``vector_file``, as its entry
-    (of positive ``dim``) and ``lineno``.  Its instruction and lineage are
-    the equal text ``texts`` already holds, or are added to it."""
+    (of positive ``dim``) and ``lineno``.  Once the line has passed its
+    checks, its instruction and lineage are the equal text ``texts`` or
+    ``new_texts`` holds, or are added to ``new_texts``."""
     where = f"corrupt store entry at line {lineno}"
     doc = load_json(line, where, error=StoreError)
     context_id = json_value(doc, "context_id", str, where, error=StoreError)
     description = json_value(doc, "description", str, where, error=StoreError)
     instruction = json_value(doc, "instruction", str, where, "", error=StoreError)
     lineage = json_value(doc, "lineage", str, where, "", error=StoreError)
-    entry = ContextEntry(
+    seq = json_value(doc, "seq", int, where, error=StoreError)
+    created_at = json_value(doc, "created_at", float, where, 0.0, error=StoreError)
+    dim = json_value(doc, "dim", int, where, error=StoreError)
+    checksum = json_value(doc, "checksum", str, where, error=StoreError)
+    if b"\\u" in line:  # only a \u escape can spell a lone surrogate
+        require_unicode("".join((context_id, description, instruction, lineage)),
+                        f"{where}: entry text", StoreError)
+    if dim < 1:
+        raise StoreError(f"{where}: dim {dim}")
+    return ContextEntry(
         context_id=context_id,
         description=description,
-        instruction=texts.setdefault(instruction, instruction),
-        lineage_summary=texts.setdefault(lineage, lineage),
-        seq=json_value(doc, "seq", int, where, error=StoreError),
-        created_at=json_value(doc, "created_at", float, where, 0.0, error=StoreError),
+        instruction=_shared(instruction, texts, new_texts),
+        lineage_summary=_shared(lineage, texts, new_texts),
+        seq=seq,
+        created_at=created_at,
         _vector_file=vector_file,
-        _dim=json_value(doc, "dim", int, where, error=StoreError),
-        _checksum=json_value(doc, "checksum", str, where, error=StoreError),
-    )
-    if b"\\u" in line:  # only a \u escape can spell a lone surrogate
-        require_unicode("".join((entry.context_id, entry.description,
-                                 entry.instruction, entry.lineage_summary)),
-                        f"{where}: entry text", StoreError)
-    if entry._dim < 1:
-        raise StoreError(f"{where}: dim {entry._dim}")
-    return entry, lineno
+        _dim=dim,
+        _checksum=checksum,
+    ), lineno
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,7 +273,8 @@ class ContextStore:
     ``dim``, or the first registered vector's.  The entry parse makes equal
     instruction and lineage texts one string through ``_texts``, a table
     the store owns and :meth:`_forget` empties (not ``sys.intern``, whose
-    strings CPython 3.12 never frees).
+    strings CPython 3.12 never frees); it holds the texts of the loaded
+    entries only, as the new lines' texts join it when they load.
 
     Retrieval returns what the exact :func:`~semaq.core.cosine_topk` scan
     over the float64 rows returns, bit for bit: similarity is cosine mapped
@@ -333,9 +344,11 @@ class ContextStore:
         loaded entry or an earlier new line holds.  A log another object
         cleared is read again from 0, in place of all this store holds.
         """
+        texts: dict[str, str] = {}  # the texts the new lines add to _texts
         new, size, end, lines, tail = _read_lines(
             log, self._log_end, self._log_lines, self._log_tail,
-            functools.partial(_parse_entry, self._vectors_path, self._texts), self._forget)
+            functools.partial(_parse_entry, self._vectors_path, self._texts, texts),
+            self._forget)
         if new:
             dim = self.dim or new[0][0]._dim
             seq_lines: dict[int, int] = {}
@@ -386,6 +399,7 @@ class ContextStore:
             self.entries += entries
             self._by_id.update((entry.context_id, entry) for entry in entries)
             self._seq_lines.update(seq_lines)
+            self._texts.update(texts)
         self._log_end, self._log_lines, self._log_tail = end, lines, tail
         return size
 

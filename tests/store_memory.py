@@ -5,7 +5,7 @@ to a temporary directory, reads it with ``ContextStore.read_answers`` and
 prints the time and the resident memory (from ``/proc/self/statm``, so
 Linux only) that the read costs per answer:
 
-    PYTHONPATH=src python tests/store_memory.py [--answers 100000]
+    PYTHONPATH=src python tests/store_memory.py
 
 ``tests/test_store.py`` imports the generators and the ``tracemalloc``
 counts below for its memory pin.
@@ -13,7 +13,6 @@ counts below for its memory pin.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import hashlib
 import json
@@ -30,13 +29,14 @@ from semaq import ContextStore, context_create, hashing_embed
 _MODELS = ("op-nano", "op-cheap", "op-mid", "op-strong")
 _TOPICS = ("vendor contracts", "travel claims", "late invoices", "board minutes",
            "hiring plans", "security reviews", "customer refunds", "audit notes")
+_ANSWERS = 100_000  # the answers of the log main() reads
 
 
-def write_history(directory, count: int, seed: int = 0) -> None:
+def write_history(directory, count: int) -> None:
     """Register ``count`` root contexts in the store at ``directory``, as
     earlier sessions left them: each instruction asks about one of a few
     hundred (topic, week) pairs, so many entries repeat one."""
-    rng = random.Random(seed)
+    rng = random.Random(0)
     store = ContextStore(directory, hashing_embed)
     for j in range(count):
         instruction = (f"Summarise what the notes say about {rng.choice(_TOPICS)} "
@@ -94,12 +94,9 @@ def _resident_bytes() -> int:
         return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--answers", type=int, default=100_000)
-    args = parser.parse_args(argv)
+def main() -> int:
     with tempfile.TemporaryDirectory() as directory:
-        write_answer_log(directory, args.answers)
+        write_answer_log(directory, _ANSWERS)
         size = (Path(directory) / "answers.jsonl").stat().st_size
         store = ContextStore(directory, hashing_embed)
         gc.collect()

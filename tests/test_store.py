@@ -978,6 +978,42 @@ def test_clear_empties_the_shared_texts(store):
     assert entry.instruction is store._texts["inspect"]
 
 
+def _loaded_texts(store):
+    return {text for entry in store.entries
+            for text in (entry.instruction, entry.lineage_summary)}
+
+
+@pytest.mark.parametrize("bad", ["dim-0", "lone-surrogate", "seq-held"])
+def test_the_texts_of_lines_that_do_not_load_are_not_shared(tmp_path, caplog, bad):
+    """A line that fails its checks, skipped as a torn last line, or a batch
+    that does not load because a line repeats a held seq, adds none of its
+    texts to the store's table: it holds the loaded entries' texts only."""
+    path = tmp_path / bad
+    live = ContextStore(path, hashing_embed)
+    live.register(_ctx("first finding"), instruction="inspect")
+    log = path / "entries.jsonl"
+    doc = json.loads(log.read_bytes().splitlines()[-1])
+    doc.update(context_id="ctx-unloaded", instruction="never loaded", lineage="nowhere")
+    if bad == "dim-0":
+        doc["dim"] = 0
+    elif bad == "lone-surrogate":
+        doc["instruction"] = "never \ud800 loaded"
+    with open(log, "ab") as fh:  # torn last lines lack their \n
+        fh.write(json.dumps(doc).encode() + b"\n" * (bad == "seq-held"))
+    if bad == "seq-held":
+        with pytest.raises(StoreError, match="share seq"):
+            live.register(_ctx("second finding", seed="y"))
+        stores = [live]
+    else:
+        with caplog.at_level(logging.WARNING, logger="semaq.store"):
+            reopened = ContextStore(path, hashing_embed)
+        assert "torn last line" in caplog.text
+        live.register(_ctx("second finding", seed="y"), instruction="inspect")
+        stores = [live, reopened]
+    for store in stores:
+        assert set(store._texts) == _loaded_texts(store) == {"inspect", "root"}
+
+
 def test_a_shared_text_is_not_immortal(tmp_path):
     """The texts are shared through a dict the store owns, not through
     ``sys.intern``, whose strings are immortal on CPython 3.12 and later:
