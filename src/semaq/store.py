@@ -23,20 +23,20 @@ a line with :func:`~semaq.core.json_value`, so a null optional key reads as
 its default.  An entry line whose seq an earlier line holds is corrupt, and
 so is one whose text UTF-8 cannot encode (a JSON escape of a lone surrogate).
 
-In memory a store holds each vector as a float32 row, a scan copy half the
-size of the float64 rows: retrieval scores every row in float32, keeps the
-rows whose exact score the scan's rounding bound cannot rule out of the top
-k, reads those rows back from ``vectors.bin``, checks them against their
-checksums, and ranks them by the exact float64 scan.  An entry's
-``embedding`` is its row read back the same way.  Beside the scan copy a
-store holds one slotted :class:`ContextEntry` per entry, with no vector,
-and one string per distinct instruction and lineage text its entries
-share; each logged answer is one slotted :class:`LoggedAnswer`.
+One reader, :func:`_read_rows`, reads ``vectors.bin`` for the load,
+retrieval and ``embedding``: a run of consecutive seqs at a time, at most
+256 rows a read, each row checked against its entry's checksum.  In memory
+a store holds each vector as a float32 row, a scan copy half the size of
+the float64 rows: retrieval scores every row in float32, reads back the
+rows the scan's rounding bound cannot rule out of the top k, and ranks
+those by the exact float64 scan.  Beside the scan copy a store holds one
+slotted :class:`ContextEntry` per entry, with no vector, and one string per
+distinct instruction and lineage text its entries share; each logged answer
+is a slotted :class:`LoggedAnswer`, and one read's answers share each model id.
 """
 
 from __future__ import annotations
 
-import bisect
 import fcntl
 import functools
 import hashlib
@@ -48,7 +48,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -64,7 +64,7 @@ MATCH_DESCRIPTION_CAP = 2000
 _ENTRIES_FILE = "entries.jsonl"
 _VECTORS_FILE = "vectors.bin"
 _ANSWERS_FILE = "answers.jsonl"
-_CHUNK_ROWS = 256  # vector rows a load reads at a time
+_CHUNK_ROWS = 256  # the most vector rows one read takes
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,10 +87,10 @@ class ContextEntry:
 
     @property
     def embedding(self) -> np.ndarray:
-        """The exact float64 vector, read back from the vector file and
-        checked against this entry's checksum (a :class:`StoreError` when
-        the file no longer holds it)."""
-        return _exact_rows(self._vector_file, self._dim, [self])[0]
+        """The exact float64 vector, read back and checked by :func:`_read_rows`
+        (a :class:`StoreError` when the file no longer holds it)."""
+        [(_, rows)] = _read_rows(self._vector_file, self._dim, [self])
+        return rows[0]
 
 
 def _checksum(description: str, vector_bytes: bytes | memoryview) -> str:
@@ -100,26 +100,37 @@ def _checksum(description: str, vector_bytes: bytes | memoryview) -> str:
     return digest.hexdigest()
 
 
-def _exact_rows(vector_file: Path, dim: int, entries: list[ContextEntry]) -> np.ndarray:
-    """The float64 rows of ``entries``, of one store, read from its
-    ``vector_file``; a row the file no longer holds, or holds with other
-    bytes than its entry's checksum covers, is a :class:`StoreError`."""
+def _read_rows(vector_file: Path, dim: int, entries: list[ContextEntry]
+               ) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(i, rows)``: the float64 rows of ``entries[i:i + len(rows)]``,
+    a run of one store's entries with consecutive seqs, by one read of
+    ``vector_file`` into a buffer of at most ``_CHUNK_ROWS`` rows that the
+    next run reuses.  A row the file lacks (the first such entry named) or
+    holds with bytes its entry's checksum does not cover is a StoreError
+    before its run is yielded; callers run this to its end, closing the file."""
     stride = dim * 8
-    rows = np.empty((len(entries), dim))
+    buffer = np.empty((min(_CHUNK_ROWS, len(entries)), dim))
     try:
         with open(vector_file, "rb") as vectors:
-            for entry, row in zip(entries, rows):
-                data = os.pread(vectors.fileno(), stride, entry.seq * stride)
-                if len(data) < stride:
-                    raise StoreError(f"vector file truncated at entry {entry.seq} "
-                                     f"({entry.context_id})")
-                if _checksum(entry.description, data) != entry._checksum:
-                    raise StoreError("checksum mismatch for stored context "
-                                     f"{entry.context_id}")
-                row[:] = np.frombuffer(data, "<f8")
+            i = 0
+            while i < len(entries):
+                seq, j, stop = entries[i].seq, i + 1, min(len(entries), i + _CHUNK_ROWS)
+                while j < stop and entries[j].seq == seq + j - i:
+                    j += 1
+                rows = buffer[:j - i]
+                got = os.preadv(vectors.fileno(), [rows], seq * stride) // stride
+                if got < len(rows):
+                    missing = entries[i + got]
+                    raise StoreError(f"vector file truncated at entry {missing.seq} "
+                                     f"({missing.context_id})")
+                for entry, row in zip(entries[i:j], rows):
+                    if _checksum(entry.description, row.data) != entry._checksum:
+                        raise StoreError("checksum mismatch for stored context "
+                                         f"{entry.context_id}")
+                yield i, rows
+                i = j
     except OSError as exc:
         raise StoreError(f"cannot read the vector file: {exc}") from exc
-    return rows
 
 
 def _shared(text: str, texts: dict[str, str], new_texts: dict[str, str]) -> str:
@@ -266,10 +277,10 @@ class ContextStore:
     to float32, and ``_norms[i]`` is the float64 norm of the exact one.
     ``_read_log`` is the one reader of the entry log and the only code that
     adds an entry: it loads the lines past ``_log_end`` (all of them on
-    reopen, the registered line after a registration's append), reads their
-    vector rows at most ``_CHUNK_ROWS`` at a time, checks each against its
-    checksum, and appends them in seq order; a log no other store object has
-    grown costs one read of its last line.  The width is the entries' stored
+    reopen, the registered line after a registration's append), reads and
+    checks their vector rows through :func:`_read_rows`, and appends them
+    in seq order; a log no other store object has grown costs one read of
+    its last line.  The width is the entries' stored
     ``dim``, or the first registered vector's.  The entry parse makes equal
     instruction and lineage texts one string through ``_texts``, a table
     the store owns and :meth:`_forget` empties (not ``sys.intern``, whose
@@ -281,11 +292,11 @@ class ContextStore:
     to [0, 1], entries below ``tau`` are dropped, and ties break by earlier
     registration.  It scores the scan copy in float32, widens each score by
     a bound on its rounding error (about (dim + 2) * 2**-24 * |a| * |q|, see
-    :meth:`_candidates`), and reads back from ``vectors.bin`` only the rows
-    that could still reach ``tau`` and the k-th score it is sure of; those
-    are checked against their checksums and ranked by ``cosine_topk``.  A
-    row rewritten or removed on disk since it was loaded is a
-    :class:`StoreError` once retrieval reads it, as on reopen.
+    :meth:`_candidates`), and reads back through :func:`_read_rows` only the
+    rows that could still reach ``tau`` and the k-th score it is sure of,
+    which ``cosine_topk`` ranks.  A row rewritten or removed on disk since
+    it was loaded is a :class:`StoreError` once retrieval reads it, as on
+    reopen.
 
     The answer log is kept apart from the entries: :meth:`read_answers`
     loads the lines past ``_answers_end``, on the first :meth:`answer`,
@@ -363,9 +374,9 @@ class ContextStore:
                 seq_lines[entry.seq] = lineno
             new.sort(key=lambda parsed: parsed[0].seq)
             entries = [entry for entry, _ in new]
-            lo, hi, n, stride = entries[0].seq, entries[-1].seq, len(self.entries), dim * 8
+            lo, hi, n = entries[0].seq, entries[-1].seq, len(self.entries)
             try:
-                on_disk = os.stat(self._vectors_path).st_size // stride
+                on_disk = os.stat(self._vectors_path).st_size // (dim * 8)
             except FileNotFoundError:
                 on_disk = 0
             if lo < 0 or hi >= on_disk:
@@ -374,28 +385,10 @@ class ContextStore:
                                  f"({bad.context_id})")
             self.dim = dim
             self._reserve(n + len(entries))
-            seqs = [entry.seq for entry in entries]
-            chunk = np.empty((min(_CHUNK_ROWS, hi - lo + 1), dim))
-            with open(self._vectors_path, "rb") as vectors, np.errstate(all="ignore"):
-                i = 0
-                while i < len(entries):  # the rows from entry i's on, gaps included
-                    start = seqs[i]
-                    block = chunk[:hi + 1 - start]
-                    vectors.seek(start * stride)
-                    if vectors.readinto(memoryview(block).cast("B")) < block.nbytes:
-                        # cut since the stat above
-                        raise StoreError(f"vector file truncated at entry {hi} "
-                                         f"({entries[-1].context_id})")
-                    j = bisect.bisect_left(seqs, start + len(block), i)
-                    picks = [seq - start for seq in seqs[i:j]]
-                    rows = block[:j - i] if picks[-1] == j - i - 1 else block[picks]
-                    for entry, row in zip(entries[i:j], rows):
-                        if _checksum(entry.description, row.data) != entry._checksum:
-                            raise StoreError("checksum mismatch for stored context "
-                                             f"{entry.context_id}")
-                    self._vectors[n + i:n + j] = rows  # rounded to float32
-                    self._norms[n + i:n + j] = np.sqrt(np.vecdot(rows, rows))
-                    i = j
+            with np.errstate(all="ignore"):
+                for i, rows in _read_rows(self._vectors_path, dim, entries):
+                    self._vectors[n + i:n + i + len(rows)] = rows  # rounded to float32
+                    self._norms[n + i:n + i + len(rows)] = np.sqrt(np.vecdot(rows, rows))
             self.entries += entries
             self._by_id.update((entry.context_id, entry) for entry in entries)
             self._seq_lines.update(seq_lines)
@@ -524,8 +517,10 @@ class ContextStore:
             self._check_width(query, self.dim)
             rows = self._candidates(query, k, tau)
             entries = [self.entries[row] for row in rows]
-            hits = cosine_topk(_exact_rows(self._vectors_path, self.dim, entries),
-                               query, k, tau)
+            exact = np.empty((len(entries), self.dim))
+            for i, run in _read_rows(self._vectors_path, self.dim, entries):
+                exact[i:i + len(run)] = run
+            hits = cosine_topk(exact, query, k, tau)
             return [(entries[row], score) for row, score in hits]
 
     def _candidates(self, query: np.ndarray, k: int, tau: float) -> np.ndarray:
@@ -598,7 +593,10 @@ class ContextStore:
         new, size, self._answers_end, self._answers_lines, self._answers_tail = (
             _read_lines(log, self._answers_end, self._answers_lines,
                         self._answers_tail, _parse_answer, self._forget_answers))
-        self._answers.update(((a.model, a.prompt), a) for a in new)
+        models: dict[str, str] = {}  # one string per model id the new answers hold
+        for a in new:  # set while only this read holds ``a``
+            object.__setattr__(a, "model", models.setdefault(a.model, a.model))
+            self._answers[a.model, a.prompt] = a
         return size
 
     def read_answers(self) -> int:

@@ -1174,6 +1174,17 @@ def test_reopen_does_not_read_a_10k_answer_log_until_a_run_asks(tmp_path, monkey
     assert store.read_answers() == 10_003 and len(parsed) == 10_000
 
 
+
+def test_one_read_of_the_answer_log_holds_one_model_string_per_model_id(tmp_path):
+    """``json.loads`` makes a new string for each line's model id; the
+    answers one read loads share one per model id."""
+    write_answer_log(tmp_path / "models", 400)
+    store = ContextStore(tmp_path / "models", hashing_embed)
+    assert store.read_answers() == 400
+    models = [answer.model for answer in store._answers.values()]
+    assert len(set(map(id, models))) == len(set(models)) == 4
+    assert all(model is answer.model for (model, _), answer in store._answers.items())
+
 def test_clear_drops_the_answer_log(tmp_path):
     path = tmp_path / "wipe"
     store = ContextStore(path, hashing_embed)

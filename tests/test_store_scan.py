@@ -12,12 +12,16 @@ Tier-1 runs seed 0.  More seeds, comma-separated::
 
 The other tests pin what the scan copy must not change: a row rewritten or
 removed on disk is a ``StoreError``, no file handle is left open, and a
-reopen holds no float64 matrix.
+reopen holds no float64 matrix.  The load, retrieval and ``embedding`` read
+``vectors.bin`` through one reader, which reads runs of consecutive seqs of
+at most ``_CHUNK_ROWS`` rows; its tests read the file with ``np.fromfile``.
 """
 
+import ast
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -29,7 +33,8 @@ import pytest
 from semaq import ContextStore, StoreError, context_create, hashing_embed
 from semaq.cli import EXIT_CODES, main
 from semaq.core import cosine_topk
-from semaq.store import _checksum
+import semaq.store as store_mod
+from semaq.store import _CHUNK_ROWS, _checksum
 from tests.test_cli import workspace  # noqa: F401 - a fixture
 
 SEEDS = [int(s) for s in os.environ.get("SEMAQ_STORE_SEEDS", "0").split(",")]
@@ -239,6 +244,111 @@ gc.collect()
                            "-c", script], capture_output=True, text=True, env=env,
                           timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+# --- the one reader of the rows ----------------------------------------------------
+
+# the entries a torn row precedes: their seqs run 1, 1, 38, 290 (more than
+# one read), 268 and 2 at a time
+_TORN_BEFORE = (1, 2, 40, 330, 598)
+
+
+def _gapped_store(path, count=600):
+    """A store of ``count`` entries of width ``DIM`` whose vector file held a
+    torn row before each entry of ``_TORN_BEFORE``, which registration padded
+    out, so those seqs follow a gap; and the embedder it was built with."""
+    rng = np.random.default_rng(11)
+    vectors = {f"row {i}": rng.normal(size=DIM) for i in range(count)}
+    vectors.update((f"query {j}", rng.normal(size=DIM)) for j in range(8))
+    store = ContextStore(path, vectors.__getitem__)
+    for i in range(count):
+        if i in _TORN_BEFORE:
+            with open(path / "vectors.bin", "ab") as fh:
+                fh.write(b"\x01" * (i % (DIM * 8 - 1) + 1))
+        store.register(context_create((), f"row {i}"))
+    return store, vectors.__getitem__
+
+
+def _reference(store):
+    """The stored float64 rows of ``store``'s entries, read with ``np.fromfile``."""
+    rows = np.fromfile(store.directory / "vectors.bin", "<f8").reshape(-1, store.dim)
+    return rows[[entry.seq for entry in store.entries]]
+
+
+def test_runs_over_a_chunk_and_past_seq_gaps_read_as_np_fromfile(tmp_path, monkeypatch):
+    path = tmp_path / "gapped"
+    live, embed = _gapped_store(path)
+    reopened = ContextStore(path, embed)
+    exact = _reference(reopened)
+    seqs = [entry.seq for entry in reopened.entries]
+    assert len(seqs) > _CHUNK_ROWS and seqs[-1] == len(seqs) - 1 + len(_TORN_BEFORE)
+    n = len(seqs)
+    for store in (live, reopened):
+        assert [entry.seq for entry in store.entries] == seqs
+        assert store._vectors[:n].tobytes() == exact.astype("<f4").tobytes()
+        assert store._norms[:n].tobytes() == np.sqrt(np.vecdot(exact, exact)).tobytes()
+        assert all(entry.embedding.tobytes() == row.tobytes()
+                   for entry, row in zip(store.entries, exact))
+    ids = [entry.context_id for entry in reopened.entries]
+    for j in range(8):
+        query = embed(f"query {j}")
+        assert _got(reopened, f"query {j}", 5, 0.5) == _expected(exact, ids, query, 5, 0.5)
+    rng = np.random.default_rng(3)
+    adjacent, scattered = np.arange(200, 560), np.sort(rng.choice(n, 60, replace=False))
+    for rows in (np.arange(n), adjacent, scattered, np.array([0, 1, 2, 39, 40, 597, 599])):
+        monkeypatch.setattr(reopened, "_candidates", lambda query, k, tau, rows=rows: rows)
+        want = _expected(exact[rows], [ids[row] for row in rows], embed("query 0"),
+                         len(rows), 0.0)
+        assert _got(reopened, "query 0", len(rows), 0.0) == want
+
+
+def test_a_vector_file_cut_after_open_names_the_first_entry_it_lost(tmp_path, monkeypatch):
+    path = tmp_path / "store"
+    store = _store(path)
+    with open(path / "vectors.bin", "r+b") as fh:
+        fh.truncate(7 * 256 * 8 + 100)  # row 7 torn, rows 8 to 11 gone
+
+    def truncated(entry):
+        return pytest.raises(StoreError, match=re.escape(
+            f"vector file truncated at entry {entry.seq} ({entry.context_id})"))
+
+    with truncated(store.entries[7]):  # every row a candidate: one run
+        store.retrieve(store.entries[0].description, k=12, tau=0.0)
+    monkeypatch.setattr(store, "_candidates", lambda query, k, tau: np.array([2, 9, 10]))
+    with truncated(store.entries[9]):
+        store.retrieve(store.entries[0].description, k=3, tau=0.0)
+    for entry in store.entries[7:]:
+        with truncated(entry):
+            entry.embedding
+    for entry in store.entries[:7]:
+        assert entry.embedding.tobytes() == hashing_embed(entry.description).tobytes()
+
+
+def _functions(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+
+def test_one_function_reads_the_vector_rows_and_checks_their_checksums():
+    """``store.py`` compares a row with an entry's checksum, and reads rows
+    of the vector file, in one function, the one the load, retrieval and
+    ``embedding`` call."""
+    tree = ast.parse(Path(store_mod.__file__).read_text(encoding="utf-8"))
+
+    def names(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+
+    checks = [fn.name for fn in _functions(tree)
+              if any(isinstance(n, ast.Compare) and "_checksum" in names(n)
+                     for n in ast.walk(fn))]
+    reads = [fn.name for fn in _functions(tree)
+             if names(fn) & {"pread", "preadv", "readinto", "fromfile", "frombuffer"}]
+    assert checks == reads == ["_read_rows"]
+    callers = [fn.name for fn in _functions(tree) if "_read_rows" in names(fn)]
+    assert sorted(callers) == ["_read_log", "embedding", "retrieve"]
+    imported = {alias.name for n in ast.walk(tree)
+                if isinstance(n, (ast.Import, ast.ImportFrom)) for alias in n.names}
+    assert "bisect" not in imported
 
 
 # --- memory ------------------------------------------------------------------------
