@@ -15,6 +15,7 @@ import itertools
 import json
 import logging
 import math
+import os
 import re
 import threading
 import time
@@ -35,6 +36,8 @@ DEFAULT_EMBED_DIM = 256
 # distinct (token, dim) pairs whose signed slot hashing_embed keeps
 EMBED_MEMO_TOKENS = 1 << 15
 API_KEY_ENV = "SEMAQ_API_KEY"
+# the widest worker pool a run may have; the HTTP session keeps as many connections
+MAX_POOL_WIDTH = 1024
 
 
 @dataclass(frozen=True)
@@ -414,7 +417,7 @@ class HttpBackend:
     JSON type raises :class:`BackendError`, as does a non-finite embedding.
     Its ``fingerprint`` is the ``base_url``.  Without a ``session`` it makes
     one that keeps a connection alive for each call in flight, up to
-    ``engine.MAX_POOL_WIDTH`` of them; a ``session`` passed in is used as is.
+    ``MAX_POOL_WIDTH`` of them; a ``session`` passed in is used as is.
     """
 
     ledger_seconds = "measured"
@@ -431,8 +434,6 @@ class HttpBackend:
                  timeout: float = 60.0,
                  session=None,
                  sleeper: Callable[[float], None] = time.sleep):
-        import os
-
         import requests
 
         self.base_url = base_url.rstrip("/")
@@ -442,8 +443,6 @@ class HttpBackend:
         self.timeout = timeout
         self.ledger = UsageLedger()
         if session is None:
-            from .engine import MAX_POOL_WIDTH
-
             # A run has up to pool_width calls in flight in each semantic
             # stage.  requests keeps 10 connections alive and opens, then
             # drops, one more for each call past them; this keeps up to

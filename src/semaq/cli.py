@@ -16,7 +16,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .agent import AgentConfig, AgentRuntime, check_instruction, make_stage_runner
+from .agent import (DEFAULT_MAX_STEPS, AgentConfig, AgentRuntime, check_instruction,
+                    make_stage_runner)
 from .backend import (HttpBackend, MockBackend, MockScript, ModelSpec,
                       hashing_embed, json_value, load_json_object,
                       load_model_catalog)
@@ -27,7 +28,7 @@ from .errors import ConfigurationError, DataAccessError, SemaqError, StoreError
 from .lang import parse_pipeline, validate_plan
 from .optimizer import MinCost, Policy, optimize, parse_policy
 from .engine import RunPolicy, pipeline_execute, render_report
-from .store import ContextStore, clear_store
+from .store import DEFAULT_TAU, ContextStore, clear_store
 
 logger = logging.getLogger(__name__)
 
@@ -68,13 +69,13 @@ class RunConfig:
     catalog_path: str | None = None
     datasets: dict = field(default_factory=dict)
     policy: Policy = field(default_factory=lambda: MinCost(quality_floor=0.8))
-    pool_width: int = 8
+    pool_width: int = RunPolicy.pool_width
     sample_size: int = 0
     run_dir: str = "runs"
     cache_dir: str = ".semaq-cache"
-    tau: float = 0.75
+    tau: float = DEFAULT_TAU
     agent_model: str | None = None
-    max_steps: int = 12
+    max_steps: int = DEFAULT_MAX_STEPS
     budget: float | None = None
     build_index: bool = True
 
@@ -282,7 +283,7 @@ def cmd_run(args) -> int:
     with _run_record(run_dir, runtime, cfg.cache_dir) as files:
         runtime.store.register(ctx, instruction=f"dataset {args.dataset}")
         if args.use_cache:
-            matches = runtime.store.retrieve(args.instruction, k=3, tau=cfg.tau)
+            matches = runtime.store.retrieve(args.instruction, tau=cfg.tau)
             before = ctx.id
             ctx = runtime.refs[args.dataset] = runtime.store.augment(ctx, matches)
             if ctx.id != before:

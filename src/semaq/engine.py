@@ -67,7 +67,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .backend import ChatMessage, ModelSpec, Tally, Usage, backend_fingerprint
+from .backend import (MAX_POOL_WIDTH, ChatMessage, ModelSpec, Tally, Usage,
+                      backend_fingerprint)
 from .core import (Context, FieldValue, Record, context_derive, context_iterate,
                    load_json, make_derived_record, record_to_json, validate_field_value)
 from .errors import OperatorError, RunAbortedError, StoreError, ValidationError
@@ -81,7 +82,6 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 DEFAULT_FIELD_CHAR_CAP = 4000
-MAX_POOL_WIDTH = 1024
 PREVIEW_RECORDS = 5  # records in an agent's view of a pipeline's output
 
 

@@ -1,11 +1,14 @@
 """Cost-based plan selection: sampling, search, estimation, choice.
 
-Estimates propagate cardinality through the plan under one cost model,
-``_charge``, which ``estimate`` and the search both call: a limit caps the
-records reaching a semantic operator, the operator charges its per-record
-cost on them (an agentic one once per run), latency divides across the
-worker pool, and a filter scales the records it passes on by its observed
-selectivity.  Plan quality is the product of per-operator quality.
+Estimates propagate cardinality through the plan under one cost model, the
+search node's ``extend``, which is also the one accumulator: ``estimate``
+extends one node along a bound plan's models, and the search extends nodes
+by every model.  A limit caps the records reaching a semantic operator, the
+operator charges its per-record cost on them (an agentic one once per run),
+latency divides across the worker pool, and a filter scales the records it
+passes on by its observed selectivity.  Plan quality is the product of
+per-operator quality.  Each node keeps its own position's figures, so a
+node's per-operator estimate is one walk up its chain.
 
 ``optimize`` chooses among the ``len(models) ** n`` model assignments of a
 plan's n semantic operators without binding them all.  A left-to-right
@@ -27,7 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Mapping, Sequence
 
 from .backend import ModelSpec, Usage, backend_fingerprint, call_cost
@@ -239,66 +242,62 @@ def _steps(plan: LogicalPlan, stats: OperatorStats, models_at) -> list[_Step]:
     return steps
 
 
-def _charge(step: _Step, entry: StatsEntry, card: float,
-            pool_width: int) -> tuple[float, float, float, float]:
-    """The optimizer's one cost rule.  Of ``card`` records leaving the
-    previous semantic position: the records that reach ``step``, its cost
-    and latency there under ``entry``, and the records it passes on."""
-    for count in step.limits:
-        card = min(card, float(count))
-    if is_agentic(step.op):  # charged once per run
-        cost, latency = entry.cost_per_record, entry.latency_per_record
-    else:
-        cost = card * entry.cost_per_record
-        latency = card * entry.latency_per_record / pool_width
-    sel = entry.selectivity if isinstance(step.op, SemFilter) else None
-    return card, cost, latency, card if sel is None else card * sel
-
-
 def estimate(pplan: PhysicalPlan, stats: OperatorStats, input_cardinality: int,
-             pool_width: int = 8) -> CostEstimate:
+             pool_width: int = RunPolicy.pool_width) -> CostEstimate:
     """Predict cost, latency, and quality of a bound plan over N records."""
     if input_cardinality < 0:
         raise ValidationError("input cardinality must be >= 0")
-    card, cost, latency, quality = float(input_cardinality), 0.0, 0.0, 1.0
-    per_op: list[OpEstimate] = []
+    RunPolicy(pool_width=pool_width)  # a width a run can have
+    node = _Partial((), 0.0, 0.0, 1.0, float(input_cardinality))
     for step in _steps(pplan.logical, stats, lambda i: (pplan.ops[i].model,)):
-        entry = step.entries[0]
-        card_in, op_cost, op_latency, card = _charge(step, entry, card, pool_width)
-        cost += op_cost
-        latency += op_latency
-        quality *= entry.quality
-        per_op.append(OpEstimate(index=step.index, cardinality_in=card_in, cost=op_cost,
-                                 latency=op_latency, quality=entry.quality))
-    return CostEstimate(cost=cost, latency=latency, quality=quality,
-                        per_op=tuple(per_op))
+        node = node.extend(step, 0, pool_width)
+    return CostEstimate(node.cost, node.latency, node.quality, node.per_op())
 
 
 # --- frontier search -----------------------------------------------------------
 
-@dataclass(eq=False)
 class _Partial:
-    """A model (as a catalog index) for each of the first ``len(self.models)``
-    semantic positions, and the estimate accumulated over them by
-    ``_charge``, the cost model ``estimate`` uses."""
+    """A search node: a model (as a catalog index) for each of the first
+    ``len(self.models)`` semantic positions, the estimate accumulated over
+    them, and the last position's own figures (``op``: index, records in,
+    cost, latency, quality).  ``extend`` is the optimizer's one cost rule
+    and its one accumulator."""
 
-    models: tuple[int, ...]
-    cost: float
-    latency: float
-    quality: float
-    card: float
-    parent: _Partial | None
-    pruned: list[_Partial] = field(default_factory=list)  # the ones it dropped
+    __slots__ = ("models", "cost", "latency", "quality", "card", "parent", "op", "pruned")
+
+    def __init__(self, models: tuple[int, ...], cost: float, latency: float,
+                 quality: float, card: float, parent: _Partial | None = None,
+                 op: tuple[int, float, float, float, float] | None = None):
+        self.models, self.cost, self.latency, self.quality = models, cost, latency, quality
+        self.card, self.parent, self.op = card, parent, op
+        self.pruned: list[_Partial] = []  # the ones it dropped
 
     def extend(self, step: _Step, m: int, pool_width: int) -> _Partial:
-        entry = step.entries[m]
-        _, op_cost, op_latency, card = _charge(step, entry, self.card, pool_width)
-        return _Partial(self.models + (m,), self.cost + op_cost,
-                        self.latency + op_latency, self.quality * entry.quality,
-                        card, self)
+        """This node followed by model ``m`` at ``step``, charged on the
+        records that reach ``step`` after its limits."""
+        entry, card = step.entries[m], self.card
+        for count in step.limits:
+            card = min(card, float(count))
+        if is_agentic(step.op):  # charged once per run
+            cost, latency = entry.cost_per_record, entry.latency_per_record
+        else:
+            cost = card * entry.cost_per_record
+            latency = card * entry.latency_per_record / pool_width
+        sel = entry.selectivity if isinstance(step.op, SemFilter) else None
+        return _Partial(self.models + (m,), self.cost + cost, self.latency + latency,
+                        self.quality * entry.quality, card if sel is None else card * sel,
+                        self, (step.index, card, cost, latency, entry.quality))
 
     def estimate(self) -> CostEstimate:
         return CostEstimate(cost=self.cost, latency=self.latency, quality=self.quality)
+
+    def per_op(self) -> tuple[OpEstimate, ...]:
+        """Each position's own figures, read back up the chain."""
+        ops, node = [], self
+        while node.op is not None:
+            ops.append(OpEstimate(*node.op))
+            node = node.parent
+        return tuple(reversed(ops))
 
     def dominates(self, other: _Partial, with_card: bool) -> bool:
         return (self.cost <= other.cost and self.latency <= other.latency
@@ -327,7 +326,7 @@ def _frontier(steps: list[_Step], n_models: int, input_cardinality: int,
               pool_width: int) -> list[_Partial]:
     """Full assignments no other full assignment dominates.  Output
     cardinality only matters while a semantic position remains."""
-    layer = [_Partial((), 0.0, 0.0, 1.0, float(input_cardinality), None)]
+    layer = [_Partial((), 0.0, 0.0, 1.0, float(input_cardinality))]
     for depth, step in enumerate(steps):
         grown = [p.extend(step, m, pool_width) for p in layer for m in range(n_models)]
         layer = _prune(grown, with_card=depth < len(steps) - 1)

@@ -145,6 +145,13 @@ def test_safe_arithmetic_rejects(expr):
         safe_arithmetic(expr)
 
 
+def test_safe_arithmetic_rejects_an_expression_nested_too_deeply():
+    """A unary chain deeper than the interpreter recurses is a validation
+    error.  Which text it carries depends on where the interpreter stops."""
+    with pytest.raises(ValidationError):
+        safe_arithmetic("-" * 100_000 + "1")
+
+
 # --- builtin tools (direct) ---------------------------------------------------------
 
 def _env(ctx, backend, **kwargs):

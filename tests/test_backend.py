@@ -131,6 +131,22 @@ def test_usage_is_summed_only_by_the_tally():
     assert found == {"backend.Tally.add"}
 
 
+def test_backend_imports_nothing_from_the_engine():
+    """The engine imports the backend, so the backend must not import the
+    engine back, at module level or inside a function."""
+    import semaq.backend as backend_mod
+
+    tree = ast.parse(Path(backend_mod.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = (node.module or "").split(".") + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [part for a in node.names for part in a.name.split(".")]
+        else:
+            continue
+        assert "engine" not in names, ast.unparse(node)
+
+
 # --- mock backend ---------------------------------------------------------------
 
 def test_mock_rules_first_live_match_wins(mk_backend):

@@ -1281,6 +1281,20 @@ def test_cli_pipeline_on_a_corrupt_store_fails_before_any_sampling_call(
     assert json.loads((run_dir / "ledger.json").read_text())["total_calls"] == 0
 
 
+def test_cli_pipeline_on_an_answer_log_that_is_a_directory_is_a_store_error(
+        workspace, capsys):
+    """A run that cannot read the store's answer log fails as a store error
+    (exit 9), not as an internal error (exit 10)."""
+    (workspace / "cache" / "answers.jsonl").mkdir(parents=True)
+    pipe = workspace / "p.pz"
+    pipe.write_text(PIPELINE + "\n", encoding="utf-8")
+    code = main(["--config", str(workspace / "config.json"), "pipeline", str(pipe),
+                 "--dataset", "docs", "--run-dir", str(workspace / "out")])
+    assert code == 9
+    assert capsys.readouterr().err.startswith(
+        "error: store-error: cannot read the answer log")
+
+
 def test_cli_pipeline_explain_opens_no_store_and_writes_nothing(workspace, capsys):
     """``--explain`` samples and prints the frontier, and leaves neither a
     store directory nor a run directory behind."""

@@ -1,8 +1,17 @@
-"""Optimizer: statistics, enumeration, cost estimation, policy choice."""
+"""Optimizer: statistics, enumeration, cost estimation, policy choice.
 
+The estimate and frontier oracle runs its seeds from ``SEMAQ_OPTIMIZER_SEEDS``
+(default ``0``)::
+
+    SEMAQ_OPTIMIZER_SEEDS=1,2,3 python -m pytest -q tests/test_optimizer.py
+"""
+
+import ast
 import json
+import os
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -12,16 +21,19 @@ from semaq import (EstimationError, MaxQuality, MinCost, OperatorStats,
                    enumerate_physical_plans, estimate, make_source_record,
                    optimize, parse_pipeline, parse_policy, prior_stats,
                    sample_stats)
-from semaq.backend import ChatMessage, ModelSpec, Usage, backend_fingerprint, call_cost
+from semaq.backend import (MAX_POOL_WIDTH, ChatMessage, ModelSpec, Usage,
+                           backend_fingerprint, call_cost)
 from semaq.engine import (RunPolicy, _AnswerLog, bind_plan, render_filter_prompt,
                           render_map_prompt)
 from semaq.lang import (Compute, Limit, Project, Scan, SemFilter, SemMap,
                         is_semantic, make_plan)
 from semaq.optimizer import (NOMINAL_INPUT_TOKENS, NOMINAL_OUTPUT_TOKENS,
                              StatsEntry, _ranking)
+from tests import estimate_reference
 from tests.conftest import CHEAP, STRONG
 
 FILTER_MAP = 'scan(d) | sem_filter("keep") | sem_map("derive", {a: text})'
+SEEDS = [int(s) for s in os.environ.get("SEMAQ_OPTIMIZER_SEEDS", "0").split(",")]
 
 
 def _entry(sel=None, quality=0.9, cost=0.001, latency=1.0, n=0):
@@ -319,6 +331,44 @@ def test_estimate_rejects_negative_cardinality():
     bound = enumerate_physical_plans(plan, [CHEAP])[0]
     with pytest.raises(ValidationError):
         estimate(bound, prior_stats(plan, [CHEAP]), -1)
+
+
+@pytest.mark.parametrize("width", [0, -1, MAX_POOL_WIDTH + 1])
+def test_estimate_rejects_a_pool_width_a_run_cannot_have(width):
+    plan = parse_pipeline('scan(d) | sem_filter("p")')
+    bound = enumerate_physical_plans(plan, [CHEAP])[0]
+    with pytest.raises(ValidationError, match="pool_width"):
+        estimate(bound, prior_stats(plan, [CHEAP]), 10, pool_width=width)
+
+
+def _scopes(tree):
+    """Each ``Class.method`` (or function) of ``tree`` with its own nodes,
+    those of nested functions and classes left to their own scope."""
+    found = {}
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        found.setdefault(scope, []).append(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_search_node_is_the_one_cost_rule_and_accumulator():
+    """Only the search node's ``extend`` charges a position (reads
+    ``cost_per_record``), and ``estimate`` keeps no running sum of its own."""
+    import semaq.optimizer as optimizer_mod
+
+    tree = ast.parse(Path(optimizer_mod.__file__).read_text(encoding="utf-8"))
+    scopes = _scopes(tree)
+    chargers = {scope for scope, nodes in scopes.items()
+                if any(isinstance(n, ast.Attribute) and n.attr == "cost_per_record"
+                       for n in nodes)}
+    assert chargers == {"_Partial.extend"}
+    assert not any(isinstance(n, ast.AugAssign) for n in scopes["estimate"])
 
 
 # --- policy choice ------------------------------------------------------------------
@@ -692,6 +742,48 @@ def test_optimize_never_enumerates_the_product(monkeypatch):
     assert len(report.candidates) <= 500  # 415 frontier plans
     assert report.chosen_plan_id == chosen.plan_id
     assert chosen.plan_id in {row["plan_id"] for row in report.candidates}
+
+
+def _bits(est):
+    """An estimate's figures as exact float bits, per-op figures included."""
+    return ((est.cost.hex(), est.latency.hex(), est.quality.hex()),
+            [(o.index, o.cardinality_in.hex(), o.cost.hex(), o.latency.hex(),
+              o.quality.hex()) for o in est.per_op])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_estimate_and_frontier_against_the_reference_estimate(seed):
+    """``estimate`` equals the reference estimate with a loop of its own bit
+    for bit; every estimate the search returns has the reference's figures
+    for its bound plan; and the search's choice is ``choose_plan``'s over
+    every assignment."""
+    from semaq.optimizer import _search
+
+    rng = random.Random(seed)
+    pruned = infeasible = 0
+    for _ in range(300):
+        plan, models, stats, n, policy, pool_width = _oracle_case(rng)
+        candidates = enumerate_physical_plans(plan, models)
+        reference = [estimate_reference.estimate(c, stats, n, pool_width)
+                     for c in candidates]
+        assert [_bits(estimate(c, stats, n, pool_width)) for c in candidates] == \
+            [_bits(e) for e in reference]
+        # the case's widths are powers of two, whose division is exact
+        assert [_bits(estimate(c, stats, n, 3)) for c in candidates] == \
+            [_bits(estimate_reference.estimate(c, stats, n, 3)) for c in candidates]
+        found, found_estimates = _search(plan, stats, models, n, pool_width, policy)
+        pruned += len(found) < len(candidates)
+        by_id = {c.plan_id: _bits(e)[0] for c, e in zip(candidates, reference)}
+        assert [_bits(e)[0] for e in found_estimates] == [by_id[c.plan_id] for c in found]
+        try:
+            expected = choose_plan(candidates, reference, policy).plan_id
+        except PolicyInfeasibleError:
+            infeasible += 1
+            with pytest.raises(PolicyInfeasibleError):
+                choose_plan(found, found_estimates, policy)
+            continue
+        assert choose_plan(found, found_estimates, policy).plan_id == expected
+    assert pruned >= 100 and infeasible >= 20  # about 190 and 70 on seeds 0 to 8
 
 
 # --- pinned numbers -------------------------------------------------------------

@@ -1356,3 +1356,21 @@ def test_an_entry_log_without_its_vector_file_is_truncated(tmp_path):
     (path / "vectors.bin").unlink()
     with pytest.raises(StoreError, match=f"vector file truncated at entry 0 \\({ctx.id}\\)"):
         ContextStore(path, hashing_embed)
+
+
+def test_a_vector_file_that_is_a_directory_fails_a_registration(tmp_path):
+    store = ContextStore(tmp_path / "cache", hashing_embed)
+    (tmp_path / "cache" / "vectors.bin").mkdir()
+    with pytest.raises(StoreError, match="cannot append to store"):
+        store.register(_ctx("quarterly filings"))
+
+
+def test_an_answer_log_that_is_a_directory_fails_reads_and_appends(tmp_path):
+    store = ContextStore(tmp_path / "cache", hashing_embed)
+    (tmp_path / "cache" / "answers.jsonl").mkdir()
+    with pytest.raises(StoreError, match="cannot read the answer log"):
+        store.read_answers()
+    with pytest.raises(StoreError, match="cannot read the answer log"):
+        store.answer("cheap", "prompt")
+    with pytest.raises(StoreError, match="cannot append to the answer log"):
+        store.add_answers([LoggedAnswer("cheap", "0" * 64, True, 10, 1, 1)])
