@@ -17,6 +17,7 @@ from __future__ import annotations
 import ast
 import json
 import logging
+import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -259,8 +260,8 @@ _BIN_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
 
 def safe_arithmetic(expression: str) -> float:
     """Evaluate a pure arithmetic expression (+ - * / and parentheses) as a
-    64-bit float.  Anything else, nesting too deep to parse included, is
-    rejected."""
+    64-bit float.  Anything else, nesting too deep to parse, an integer past
+    float range and a result that is not finite included, is rejected."""
 
     def walk(node) -> float:
         if isinstance(node, ast.Expression):
@@ -277,13 +278,18 @@ def safe_arithmetic(expression: str) -> float:
         raise ValidationError("only numbers, + - * / and parentheses are allowed")
 
     try:
-        return float(walk(ast.parse(expression, mode="eval")))
+        value = float(walk(ast.parse(expression, mode="eval")))
     except SyntaxError as exc:
         raise ValidationError(f"not a valid expression: {exc.msg}") from exc
     except ZeroDivisionError as exc:
         raise ValidationError("division by zero") from exc
+    except OverflowError as exc:
+        raise ValidationError("an integer literal is past float range") from exc
     except (RecursionError, MemoryError) as exc:
         raise ValidationError("expression is nested too deeply") from exc
+    if not math.isfinite(value):
+        raise ValidationError(f"result is not finite: {value!r}")
+    return value
 
 
 def _tool_evaluate(env: ToolEnv, args: dict) -> str:
@@ -302,7 +308,7 @@ def _tool_run_pipeline(env: ToolEnv, args: dict) -> str:
         raise ConfigurationError(
             f"unknown context reference {ref!r} "
             f"(known: {', '.join(sorted(env.refs))})")
-    diagnostics = validate_plan(plan, target, known_refs=set(env.refs))
+    diagnostics = validate_plan(plan, target)
     if diagnostics:
         raise ValidationError("; ".join(d.message for d in diagnostics))
     chosen, opt_report = optimize(plan, target, env.models, env.policy,

@@ -426,17 +426,15 @@ def cmd_cache(args) -> int:
         print("description:")
         print(entry.description)
         return 0
-    if args.cache_cmd == "clear":
-        try:
-            answers = f"{store.read_answers()} logged answer(s)"
-        except StoreError:  # clearing is how a corrupt log is dropped
-            answers = "a corrupt answer log"
-        count = len(store)
-        store.clear()
-        print(f"cleared {count} cached context(s)")
-        print(f"dropped {answers}")
-        return 0
-    raise ConfigurationError(f"unknown cache command {args.cache_cmd!r}")
+    try:
+        answers = f"{store.read_answers()} logged answer(s)"
+    except StoreError:  # clearing is how a corrupt log is dropped
+        answers = "a corrupt answer log"
+    count = len(store)
+    store.clear()
+    print(f"cleared {count} cached context(s)")
+    print(f"dropped {answers}")
+    return 0
 
 
 def cmd_bench(args) -> int:

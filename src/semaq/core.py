@@ -19,7 +19,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -316,6 +317,10 @@ class RecordSnapshot:
             self._fingerprint = hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
         return self._fingerprint
 
+    @cached_property
+    def ids(self) -> frozenset[str]:
+        return frozenset(r.id for r in self._records)
+
 
 @dataclass(frozen=True)
 class ToolParam:
@@ -409,21 +414,17 @@ def context_create(records: Iterable[Record] | RecordSnapshot, description: str,
 
 
 def context_derive(parent: Context, instruction: str, new_description: str,
-                   records: Iterable[Record] | RecordSnapshot | None = None,
+                   records: Iterable[Record] | None = None,
                    operator: str = "derive") -> Context:
     """Derive a child context from ``parent``.
 
     The child shares the parent's source when ``records`` is omitted, and
-    inherits the parent's tools and index either way.
+    inherits the parent's tools and index either way.  A search or lookup on
+    the child returns only those of the child's records that the index holds.
     """
     if not new_description or not new_description.strip():
         raise ValidationError("context description must be non-empty")
-    if records is None:
-        source = parent.source
-    elif isinstance(records, RecordSnapshot):
-        source = records
-    else:
-        source = RecordSnapshot(records)
+    source = parent.source if records is None else RecordSnapshot(records)
     lineage = ContextLineage(parent_id=parent.id, instruction=instruction, operator=operator)
     return Context(
         id=_context_id(new_description, source, lineage, parent.tools),
@@ -442,7 +443,7 @@ def context_iterate(ctx: Context) -> Iterator[Record]:
 def context_lookup(ctx: Context, key: str) -> Record | None:
     if ctx.index is None:
         raise CapabilityError(f"context {ctx.id} has no index")
-    return ctx.index.lookup(key)
+    return ctx.index.lookup(key) if key in ctx.source.ids else None
 
 
 def context_topk(ctx: Context, query: str, k: int) -> list[tuple[Record, float]]:
@@ -450,7 +451,7 @@ def context_topk(ctx: Context, query: str, k: int) -> list[tuple[Record, float]]
         raise CapabilityError(f"context {ctx.id} has no index")
     if k < 1:
         raise ValidationError("k must be >= 1")
-    return ctx.index.topk(query, k)
+    return ctx.index.topk(query, k, ctx.source)
 
 
 def cosine_to_score(cos: float | np.ndarray) -> float | np.ndarray:
@@ -479,9 +480,9 @@ def cosine_topk(vectors: np.ndarray, qvec: np.ndarray, k: int,
 class VectorIndex:
     """Exact nearest-neighbor index over a record snapshot.
 
-    Search is the exhaustive :func:`cosine_topk` scan: scores are cosine
-    similarity mapped to [0, 1].  Rows are held in ascending record id, so
-    score ties break by ascending record id.  Lookup is by record id.
+    Search scans every row, or only the rows of a snapshot's records, with
+    :func:`cosine_topk`: scores are cosine similarity mapped to [0, 1], and
+    ties break by ascending record id, the rows' order.  Lookup is by id.
     """
 
     def __init__(self, records: Sequence[Record], vectors: np.ndarray,
@@ -490,7 +491,7 @@ class VectorIndex:
         id order, as :meth:`build` puts them."""
         self._records = tuple(records)
         self._vectors = vectors
-        self._by_id = {r.id: r for r in self._records}
+        self._row = {r.id: i for i, r in enumerate(self._records)}
         self._embed = embed
 
     @classmethod
@@ -503,14 +504,16 @@ class VectorIndex:
             vectors = np.zeros((0, 0))
         return cls(recs, vectors, embed)
 
-    def __len__(self) -> int:
-        return len(self._records)
-
     def lookup(self, key: str) -> Record | None:
-        return self._by_id.get(key)
+        return self._records[self._row[key]] if key in self._row else None
 
-    def topk(self, query: str, k: int) -> list[tuple[Record, float]]:
-        if not self._records:
+    def topk(self, query: str, k: int,
+             among: RecordSnapshot | None = None) -> list[tuple[Record, float]]:
+        rows: Sequence[int] = range(len(self._records))
+        if among is not None and among.ids != self._row.keys():
+            rows = sorted(self._row[key] for key in self._row.keys() & among.ids)
+        if not rows:
             return []
-        hits = cosine_topk(self._vectors, self._embed(query), k)
-        return [(self._records[row], score) for row, score in hits]
+        vectors = self._vectors if len(rows) == len(self._records) else self._vectors[rows]
+        hits = cosine_topk(vectors, self._embed(query), k)
+        return [(self._records[rows[i]], score) for i, score in hits]

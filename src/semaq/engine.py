@@ -267,10 +267,7 @@ def _coerce_value(raw, ftype: str) -> FieldValue:
             return raw
         text = str(raw).strip()
         if text.startswith("["):
-            parsed = load_json(text, "list field", error=ValueError)
-            if not isinstance(parsed, list):
-                raise ValueError("expected a JSON array")
-            return parsed
+            return load_json(text, "list field", error=ValueError)
         return [part.strip() for part in text.split(",") if part.strip()]
     raise ValueError(f"unknown field type {ftype!r}")
 
@@ -288,12 +285,10 @@ def parse_map_response(text: str,
     stripped = text.strip()
     raw: dict = {}
     if stripped.startswith("{"):
-        try:
-            doc = load_json(stripped, "map reply", error=ValueError)
-            if isinstance(doc, dict):
-                raw = doc
+        try:  # text opening with "{" decodes, if at all, to an object
+            raw = load_json(stripped, "map reply", error=ValueError)
         except ValueError:
-            raw = {}
+            pass
     if not raw:
         for line in text.splitlines():
             match = _KV_RE.match(line)

@@ -138,9 +138,6 @@ class LogicalPlan:
     ops: tuple[LogicalOp, ...]
     plan_id: str
 
-    def __len__(self) -> int:
-        return len(self.ops)
-
 
 def make_plan(ops: Sequence[LogicalOp]) -> LogicalPlan:
     ops = tuple(ops)

@@ -727,3 +727,84 @@ def test_make_stage_runner_binds_operator_model(ctx, mk_backend):
     search_result = runner2("search", "scout", ctx, CHEAP)
     assert search_result.answer_text is None
     assert "[search]" in search_result.context.description
+
+
+# --- lines no other test reaches ----------------------------------------------------
+
+@pytest.mark.parametrize("expr, message", [
+    pytest.param("1" + "0" * 400, "an integer literal is past float range", id="1e400-int"),
+    pytest.param("-1" + "0" * 400 + " + 1", "an integer literal is past float range",
+                 id="-1e400-int+1"),
+    ("1e308*10", "result is not finite: inf"),
+    ("1e400", "result is not finite: inf"),
+    ("-1e308*10", "result is not finite: -inf"),
+    ("1e308*10 - 1e308*10", "result is not finite: nan"),
+])
+def test_safe_arithmetic_rejects_what_is_not_a_finite_float(ctx, mk_backend, expr, message):
+    """A number past float range and a result that is not finite are
+    validation errors, as division by zero is; what stays finite does not
+    change."""
+    with pytest.raises(ValidationError, match=message):
+        safe_arithmetic(expr)
+    runtime = _runtime(mk_backend())
+    observation = runtime._invoke_tool({t.name: t for t in builtin_tools()},
+                                       _env(ctx, runtime.backend),
+                                       ToolCall("evaluate", {"expression": expr}))
+    assert observation == f"error: validation-error: {message}"
+    assert safe_arithmetic("1" + "0" * 300) == 1e300
+    assert safe_arithmetic("1/(1e308*10)") == 0.0
+
+
+def test_final_answer_is_none_without_a_final_step():
+    from semaq.agent import AgentStep, AgentTrace
+    trace = AgentTrace("q", "cheap")
+    assert trace.final_answer() is None
+    trace.steps.append(AgentStep(index=0, thought="t", action=ToolCall("list_sources", {}),
+                                 observation="..."))
+    assert trace.final_answer() is None
+    trace.steps.append(AgentStep(index=1, thought="t", action=FinalAnswer("done"),
+                                 observation=""))
+    assert trace.final_answer() == FinalAnswer("done")
+
+
+def test_index_search_tool_with_no_hits(ctx, records, mk_backend):
+    """A context whose records the index does not hold (a sem_map output)
+    has no hits."""
+    from semaq import context_derive, make_derived_record
+    handler = {t.name: t.handler for t in builtin_tools()}["index_search"]
+    made = make_derived_record({"text": "alpha report on mergers"}, [records[0].id],
+                               "sem_map")
+    mapped = context_derive(ctx, "map", ctx.description + "\nmapped", records=[made])
+    assert handler(_env(mapped, mk_backend()), {"query": "alpha report", "k": 3}) == \
+        "no matches"
+
+
+def test_compute_stage_searches_only_the_records_its_filter_passed(mk_backend):
+    """scan | sem_filter | compute: the compute stage's agent is shown by
+    index_search only the records that reached it, though its context keeps
+    the dataset's index, and read_source reads each hit."""
+    texts = ["audit of the payroll ledger", "lunch menu and parking rules",
+             "audit findings on travel claims", "parking rules and lunch menu"]
+    recs = [make_source_record({"text": t}, origin=f"{i}#0") for i, t in enumerate(texts)]
+    passed = [recs[0], recs[2]]
+    backend = mk_backend(*_script(_tool("index_search", query="lunch menu parking", k=4),
+                                  *(_tool("read_source", id=r.id) for r in passed),
+                                  _final("two audit memos", value=2)),
+                         ("audit", "yes"), ("PREDICATE", "no"))
+    ctx = context_create(recs, "Four memos.", index=VectorIndex.build(recs, backend.embed))
+    stage = make_stage_runner(_runtime(backend), max_steps=6)
+    results = []
+
+    def runner(*args):
+        results.append(stage(*args))
+        return results[-1]
+
+    pplan = bind_plan(parse_pipeline(
+        'scan(ctx) | sem_filter("concerns a review of the books") | compute("count")'),
+        {1: CHEAP, 2: CHEAP})
+    _, report = pipeline_execute(pplan, ctx, backend, agent_runner=runner)
+    assert report.answer_value == 2
+    steps = results[0].trace.steps
+    hits = [line.split("\t")[0] for line in steps[0].observation.splitlines()]
+    assert sorted(hits) == sorted(r.id for r in passed)
+    assert [s.observation for s in steps[1:3]] == [r.fields["text"] for r in passed]

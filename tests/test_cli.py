@@ -1361,3 +1361,77 @@ def test_cli_stats_on_a_ledger_nested_past_the_parsers_depth_is_a_data_error(
     assert code == 5
     assert err.startswith("error: data-error: malformed run artifact")
     assert "ledger.json: RecursionError" in err
+
+
+# --- lines no other test reaches ------------------------------------------------
+
+def test_cli_catalog_flag_overrides_the_configs_catalog(workspace, capsys):
+    """``--catalog`` wins over the config's own catalog, here one that does
+    not even parse."""
+    (workspace / "broken.json").write_text("[1]", encoding="utf-8")
+    _edit_json(workspace / "config.json",
+               lambda doc: doc["backend"].update(catalog=str(workspace / "broken.json")))
+    catalog = workspace / "models.json"
+    catalog.write_text(json.dumps({"models": [_MODEL_ROW]}), encoding="utf-8")
+    pipe = workspace / "p.pz"
+    pipe.write_text(PIPELINE + "\n", encoding="utf-8")
+    argv = ["pipeline", str(pipe), "--dataset", "docs", "--run-dir", str(workspace / "out")]
+    assert main(["--config", str(workspace / "config.json"), *argv]) == 2
+    assert capsys.readouterr().err.startswith("error: config-error: ")
+    code = main(["--config", str(workspace / "config.json"), "--catalog", str(catalog),
+                 *argv])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert " sem_filter   solo " in out
+
+
+def _fail_reads_under(monkeypatch, target, module, name):
+    """Make ``module.name`` raise a permission error on a path under
+    ``target``: the host runs as root, so file modes cannot."""
+    real = getattr(module, name)
+
+    def failing(path, *args, **kwargs):
+        if str(path).startswith(str(target)):
+            raise PermissionError(13, "Permission denied", str(path))
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, failing, raising=False)
+
+
+@pytest.mark.parametrize("kind", ["dir", "jsonl"])
+def test_cli_pipeline_reports_a_dataset_it_cannot_read(workspace, capsys, monkeypatch, kind):
+    import builtins
+    from pathlib import Path
+
+    from semaq import cli
+    if kind == "dir":
+        target = workspace / "data"
+        _fail_reads_under(monkeypatch, target, Path, "read_text")
+    else:
+        target = workspace / "rows.jsonl"
+        target.write_text('{"text": "memo about filings"}\n', encoding="utf-8")
+        _edit_json(workspace / "config.json", lambda doc: doc["datasets"].update(
+            docs={"kind": "jsonl", "path": str(target)}))
+        monkeypatch.setattr(cli, "open", builtins.open, raising=False)
+        _fail_reads_under(monkeypatch, target, cli, "open")
+    pipe = workspace / "p.pz"
+    pipe.write_text(PIPELINE + "\n", encoding="utf-8")
+    code = main(["--config", str(workspace / "config.json"),
+                 "pipeline", str(pipe), "--dataset", "docs"])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith(f"error: data-error: cannot read {target}")
+    assert "Permission denied" in err
+    with pytest.raises(DataAccessError, match="cannot read"):
+        (load_dataset_dir if kind == "dir" else load_dataset_jsonl)(target)
+
+
+def test_cli_run_prints_no_value_line_for_an_answer_without_one(workspace, capsys):
+    script = json.loads((workspace / "script.json").read_text())
+    script["rules"][1]["response"] = _fenced(
+        {"thought": "one matched", "final_answer": "one filing memo"})
+    (workspace / "script.json").write_text(json.dumps(script), encoding="utf-8")
+    code = main(["--config", str(workspace / "config.json"), "run", "docs",
+                 "count the filing memos", "--run-dir", str(workspace / "out")])
+    assert code == 0
+    assert capsys.readouterr().out == "one filing memo\n"

@@ -588,3 +588,44 @@ def test_write_artifacts_that_cannot_remove_a_stale_file_is_a_data_error(tmp_pat
     (tmp_path / "report-000.json").mkdir()
     with pytest.raises(DataAccessError, match=r"^cannot write run artifact \S*/report-000"):
         core.write_artifacts(tmp_path, {"report.json": "new"}, stale=["report*.json"])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda ctx: ToolSpec("", "a tool"), "tool name must be non-empty"),
+    (lambda ctx: ToolSpec("t", ""), "tool 't' needs a description"),
+    (lambda ctx: context_derive(ctx, "keep", "  "), "context description must be non-empty"),
+    (lambda ctx: context_topk(ctx, "q", 0), "k must be >= 1"),
+])
+def test_tools_derive_and_topk_reject_empty_arguments(fruit_records, make, message):
+    ctx = context_create(fruit_records, "fruit notes",
+                         index=VectorIndex.build(fruit_records, hashing_embed))
+    with pytest.raises(ValidationError, match=message):
+        make(ctx)
+
+
+def test_search_and_lookup_of_a_derived_context_answer_only_for_its_records(fruit_records):
+    """A child keeps its parent's index, yet a search or lookup on it finds
+    only the child's own records that the index holds: not the ones the
+    parent held and the child dropped, nor a record made after the index (a
+    sem_map output).  Each hit keeps the score and tie order the search of
+    every row gives it."""
+    index = VectorIndex.build(fruit_records, hashing_embed)
+    parent = context_create(fruit_records, "fruit notes", index=index)
+    made = make_derived_record({"text": "sweet cherry harvest"}, [fruit_records[2].id],
+                               "sem_map")
+    kept = [fruit_records[4], fruit_records[0], fruit_records[2]]
+    child = context_derive(parent, "keep some", "fruit notes\nsome", records=kept + [made])
+    assert child.index is index
+    for query in ("sweet harvest", "sweet cherry harvest", "port shipment", "zzz"):
+        every = context_topk(parent, query, len(fruit_records))
+        assert every == index.topk(query, len(fruit_records))
+        mine = [(r, s) for r, s in every if r in kept]
+        for k in (1, 2, 3, 10):
+            assert context_topk(child, query, k) == mine[:k]
+    assert {r.id for r, _ in context_topk(child, "anything", 10)} == {r.id for r in kept}
+    for rec in fruit_records:
+        assert context_lookup(child, rec.id) == (rec if rec in kept else None)
+        assert context_lookup(parent, rec.id) == rec
+    assert context_lookup(child, made.id) is None
+    only_made = context_derive(parent, "map", "fruit notes\nmapped", records=[made])
+    assert context_topk(only_made, "sweet", 3) == []

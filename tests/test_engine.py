@@ -898,3 +898,63 @@ def test_missing_agent_runner_fails_before_any_call(mk_backend, blocking):
         pipeline_execute(pplan, _ctx(_numbered(6)), backend,
                          policy=RunPolicy(pool_width=8))
     assert backend.ledger.snapshot().total_calls == 0
+
+
+# --- rejections and rows no other test reaches ---------------------------------
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: PhysicalOp(SemFilter("p")), "needs a model"),
+    (lambda: PhysicalOp(parse_pipeline("scan(d) | limit(2)").ops[1], model=CHEAP),
+     "does not take a model"),
+    (lambda: PhysicalOp(SemFilter("p"), model=CHEAP, retry_budget=-1),
+     "retry budget must be >= 0"),
+    (lambda: RunPolicy(on_error="skip"), "on_error must be 'drop' or 'abort'"),
+    (lambda: RunPolicy(failure_budget=1.5), r"failure_budget must be in \[0, 1\]"),
+])
+def test_physical_op_and_run_policy_reject_what_a_run_cannot_take(make, message):
+    with pytest.raises(ValidationError, match=message):
+        make()
+
+
+@pytest.mark.parametrize("reply, fields, parsed", [
+    ('{"ok": "no"}', [("ok", "boolean")], {"ok": False}),
+    ("ok: false", [("ok", "boolean")], {"ok": False}),
+    ('{"ok": "maybe"}', [("ok", "boolean")], None),
+    ('{"when": "today"}', [("when", "date")], None),  # no such field type
+    ('{"tags": "[1, [2]]"}', [("tags", "list")], {"tags": [1, [2]]}),
+    ('{"tags": "[1, 2"}', [("tags", "list")], None),
+    ('{"a": "x"', [("a", "text")], None),  # opens an object it never closes
+])
+def test_parse_map_response_coerces_or_rejects_each_field(reply, fields, parsed):
+    assert parse_map_response(reply, fields) == parsed
+
+
+def test_render_report_shows_a_compute_answer(mk_backend):
+    def runner(kind, instruction, stage_ctx, model):
+        return AgentResult(context=stage_ctx, trace=AgentTrace(instruction, model.model_id),
+                           answer_text="four records")
+
+    _, report = pipeline_execute(_bind('scan(d) | compute("count")'),
+                                 _ctx(_numbered(4)), mk_backend(), agent_runner=runner)
+    text = render_report(json.loads(report.to_json()))
+    assert text.splitlines()[-1] == "   answer: four records"
+    assert report.render_text() == text
+
+
+def test_pipeline_execute_rejects_an_operator_it_has_no_stage_for(mk_backend):
+    from dataclasses import dataclass
+
+    from semaq.engine import PhysicalPlan
+    from semaq.lang import Limit
+
+    @dataclass(frozen=True)
+    class Sample(Limit):
+        """A limit by another type: the engine has no stage for it."""
+
+    logical = parse_pipeline("scan(d) | limit(2)")
+    pplan = PhysicalPlan(logical, (PhysicalOp(logical.ops[0]), PhysicalOp(Sample(2))),
+                         "pp-sample")
+    backend = mk_backend()
+    with pytest.raises(ValidationError, match="unsupported operator"):
+        pipeline_execute(pplan, _ctx(_numbered(3)), backend)
+    assert backend.ledger.snapshot().total_calls == 0

@@ -193,3 +193,32 @@ def test_describe_op_gives_a_report_row_its_kind_and_unquoted_detail():
     assert [describe_op(op) for op in plan.ops] == [
         ("scan", "d"), ("sem_filter", 'p "q"'), ("sem_map", "m"), ("project", "a, b"),
         ("limit", "3"), ("compute", "c"), ("search", "s")]
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Scan(""), "scan requires a context reference"),
+    (lambda: SemMap("  ", (("a", "text"),)), "sem_map instruction must be non-empty"),
+    (lambda: SemMap("derive", (("a", "date"),)), "unknown type 'date'"),
+    (lambda: Project(("a", "a")), "project fields must be distinct"),
+])
+def test_operators_reject_arguments_the_parser_never_builds(make, message):
+    with pytest.raises(ValidationError, match=message):
+        make()
+
+
+def test_make_plan_rejects_an_operator_type_it_does_not_know():
+    from dataclasses import dataclass
+
+    @dataclass(frozen=True)
+    class Sample(Limit):
+        """A limit by another type: no operator shape describes it."""
+
+    with pytest.raises(ValidationError, match="unknown operator"):
+        make_plan([Scan("s"), Sample(2)])
+
+
+def test_validate_plan_skips_the_field_check_over_a_context_with_no_records():
+    plan = parse_pipeline("scan(docs) | project(anything)")
+    assert validate_plan(plan, context_create([], "no records yet")) == []
+    ctx = context_create([make_source_record({"text": "t"}, "a#0")], "one record")
+    assert [d.code for d in validate_plan(plan, ctx)] == ["unknown-field"]

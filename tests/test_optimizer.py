@@ -858,3 +858,43 @@ def test_search_and_estimate_pinned():
             digest.update(f"error {type(exc).__name__}\n".encode())
     assert digest.hexdigest() == (
         "e777aea86bd4f76b7dfc9eaa321dab4525daf6545ceaa2148d8dc46c09128d0d")
+
+
+@pytest.mark.parametrize("policy", ["min-cost", None, {"quality_floor": 0.5}])
+def test_choose_plan_rejects_an_object_that_is_not_a_policy(policy):
+    candidates, estimates = _worked_example()
+    with pytest.raises(ValidationError, match="unknown policy"):
+        choose_plan(candidates, estimates, policy)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_estimate_and_frontier_against_the_reference_at_inexact_widths(seed):
+    """The reference oracle at pool widths whose division rounds: each of
+    ``_oracle_case``'s plans, stats and policies at a width drawn from
+    (3, 5, 6, 7, 12), where the case would draw 1 or 8.  ``estimate`` and
+    the search's estimates equal the reference's bit for bit, and the
+    search's choice is ``choose_plan``'s over every assignment."""
+    from semaq.optimizer import _search
+
+    rng = random.Random(seed)
+    pruned = infeasible = 0
+    for _ in range(300):
+        plan, models, stats, n, policy, _ = _oracle_case(rng)
+        width = rng.choice((3, 5, 6, 7, 12))
+        candidates = enumerate_physical_plans(plan, models)
+        reference = [estimate_reference.estimate(c, stats, n, width) for c in candidates]
+        assert [_bits(estimate(c, stats, n, width)) for c in candidates] == \
+            [_bits(e) for e in reference]
+        found, found_estimates = _search(plan, stats, models, n, width, policy)
+        pruned += len(found) < len(candidates)
+        by_id = {c.plan_id: _bits(e)[0] for c, e in zip(candidates, reference)}
+        assert [_bits(e)[0] for e in found_estimates] == [by_id[c.plan_id] for c in found]
+        try:
+            expected = choose_plan(candidates, reference, policy).plan_id
+        except PolicyInfeasibleError:
+            infeasible += 1
+            with pytest.raises(PolicyInfeasibleError):
+                choose_plan(found, found_estimates, policy)
+            continue
+        assert choose_plan(found, found_estimates, policy).plan_id == expected
+    assert pruned >= 100 and infeasible >= 20
